@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -29,9 +30,28 @@ NUMERICAL_ERROR = 2
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write("error: %s\n" % message)
+        sys.stderr.write("error: %s (see %s --help)\n" % (message, self.prog))
         raise SystemExit(USAGE_ERROR)
+
+
+class _UsageError(Exception):
+    """Bad input found after argument parsing; exits with USAGE_ERROR."""
+
+
+def _at_least(kind, low):
+    def parse(text):
+        value = kind(text)
+        if not low <= value < math.inf:
+            raise ValueError(text)
+        return value
+    # argparse names a type by __name__ when it rejects a value
+    parse.__name__ = "finite %s >= %s" % (kind.__name__, low)
+    return parse
+
+
+def coordinates(text):
+    """Type of --point; argparse reports a bad value by this name."""
+    return [float(v) for v in text.split(",")]
 
 
 def _emit(lines, args):
@@ -63,31 +83,48 @@ def _rows_out(header, rows, args):
 
 def _load_config(path):
     spec = {}
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            spec[key.strip()] = val.strip()
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError("cannot read config %s: %s" % (path, exc)) from None
+    for number, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, val = line.partition("=")
+        if not eq or not key.strip():
+            raise _UsageError("config %s line %d: expected key=value, "
+                              "got %r" % (path, number, line))
+        spec[key.strip()] = val.strip()
     return spec
 
 
-def _merged_spec(args, keys):
-    """Config file values merged under explicit flags."""
-    spec = {}
-    if getattr(args, "config", None):
-        spec.update(_load_config(args.config))
-    for key in keys:
-        val = getattr(args, key.replace("-", "_"), None)
-        if val is not None:
-            spec[key] = str(val)
-    return spec
+_FAMILIES = ("stable", "rescaled", "truncated_power", "smoothed_power",
+             "log_limit")
+_KERNEL_NUMBERS = {"d": int, "p": float, "eps": float, "beta": float,
+                   "eps0": float, "base_eps": float}
 
 
 def _kernel_spec(args):
-    keys = ("family", "d", "p", "eps", "beta", "eps0", "base_eps")
-    return _merged_spec(args, keys)
+    """Kernel flags merged over the --config file values."""
+    spec = {"family": "stable"}
+    if args.config:
+        spec.update(_load_config(args.config))
+    for key in ("family", *_KERNEL_NUMBERS):
+        val = getattr(args, key)
+        if val is not None:
+            spec[key] = str(val)
+    if spec["family"] not in _FAMILIES:
+        raise _UsageError("unknown family %r; known: %s"
+                          % (spec["family"], ", ".join(_FAMILIES)))
+    for key, number in _KERNEL_NUMBERS.items():
+        try:
+            number(spec.get(key, "1"))
+        except ValueError:
+            raise _UsageError("%s=%r is not a valid %s"
+                              % (key, spec[key], number.__name__)) from None
+    return spec
 
 
 def _domain_from(args):
@@ -154,6 +191,8 @@ def _cmd_kernel_check(args):
 
 def _cmd_energy(args):
     spec = _kernel_spec(args)
+    if "eps" not in spec:
+        raise _UsageError("energy needs --eps (or eps= in the --config file)")
     kern = kmod.kernel_from_spec(spec)
     dom = _domain_from(args)
     fld = _field_from(args)
@@ -173,7 +212,7 @@ def _cmd_generator(args):
     fam = kmod.family_from_spec(spec)
     fld = _field_from(args)
     point = np.zeros(fld.dim) if args.point is None \
-        else np.array([float(v) for v in args.point.split(",")])
+        else np.array(args.point)
     grid = [float(args.eps)] if args.eps is not None else fam.default_grid()
     header = ("family", "d", "p", "eps", "value")
     rows = []
@@ -198,9 +237,8 @@ def _cmd_sweep(args):
     all_cases = {c.case_id: c for c in smod.builtin_suite(
         seed=args.seed, n_samples=args.n)}
     if args.case not in all_cases:
-        sys.stderr.write("error: unknown case %r; known: %s\n"
-                         % (args.case, ", ".join(sorted(all_cases))))
-        return USAGE_ERROR
+        raise _UsageError("unknown case %r; known: %s"
+                          % (args.case, ", ".join(sorted(all_cases))))
     return _run_cases([all_cases[args.case]], args)
 
 
@@ -222,20 +260,31 @@ def _add_common(sub):
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", default=None, help="write to file instead "
                                                     "of stdout")
-    sub.add_argument("--config", default=None,
-                     help="key=value file merged under explicit flags")
+
+
+def _add_samples(sub):
+    sub.add_argument("--n", type=_at_least(int, 1),
+                     default=emod.DEFAULT_N_SAMPLES)
 
 
 def _add_kernel_flags(sub):
-    sub.add_argument("--family", default="stable",
-                     choices=("stable", "rescaled", "truncated_power",
-                              "smoothed_power", "log_limit"))
+    sub.add_argument("--family", default=None, choices=_FAMILIES,
+                     help="default: family= in --config, else stable")
     sub.add_argument("--d", default=None)
     sub.add_argument("--p", default=None)
     sub.add_argument("--eps", default=None)
     sub.add_argument("--beta", default=None)
     sub.add_argument("--eps0", default=None)
     sub.add_argument("--base-eps", dest="base_eps", default=None)
+    sub.add_argument("--config", default=None,
+                     help="key=value kernel file merged under explicit flags")
+
+
+def _check_threads():
+    try:
+        emod._thread_count()
+    except emod.EnergyError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def build_parser():
@@ -246,11 +295,11 @@ def build_parser():
 
     p = subs.add_parser("constant", help="the sphere moment constant, "
                                          "three routes")
-    p.add_argument("--d", dest="d_list", type=int, action="append",
-                   required=True)
-    p.add_argument("--p", dest="p_list", type=float, action="append",
-                   required=True)
-    p.add_argument("--n", type=int, default=1_000_000)
+    p.add_argument("--d", dest="d_list", type=_at_least(int, 1),
+                   action="append", required=True)
+    p.add_argument("--p", dest="p_list", type=_at_least(float, 1.0),
+                   action="append", required=True)
+    _add_samples(p)
     _add_common(p)
     p.set_defaults(func=_cmd_constant)
 
@@ -275,7 +324,7 @@ def build_parser():
                    default=1.0)
     p.add_argument("--mode", choices=(emod.MODE_MC, emod.MODE_DET),
                    default=emod.MODE_MC)
-    p.add_argument("--n", type=int, default=emod.DEFAULT_N_SAMPLES)
+    _add_samples(p)
     _add_common(p)
     p.set_defaults(func=_cmd_energy)
 
@@ -284,25 +333,25 @@ def build_parser():
     _add_kernel_flags(p)
     p.add_argument("--field", default="gaussian",
                    choices=("linear", "gaussian", "bump"))
-    p.add_argument("--point", default=None,
+    p.add_argument("--point", default=None, type=coordinates,
                    help="comma separated coordinates (default origin)")
     _add_common(p)
     p.set_defaults(func=_cmd_generator)
 
     p = subs.add_parser("sweep", help="run one built-in case by id")
     p.add_argument("--case", required=True)
-    p.add_argument("--n", type=int, default=emod.DEFAULT_N_SAMPLES)
+    _add_samples(p)
     _add_common(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = subs.add_parser("suite", help="run the full verification suite")
-    p.add_argument("--n", type=int, default=emod.DEFAULT_N_SAMPLES)
+    _add_samples(p)
     _add_common(p)
     p.set_defaults(func=_cmd_suite)
 
     p = subs.add_parser("counterexample", help="run the slit-domain "
                                                "counterexample cases")
-    p.add_argument("--n", type=int, default=emod.DEFAULT_N_SAMPLES)
+    _add_samples(p)
     _add_common(p)
     p.set_defaults(func=_cmd_counterexample)
 
@@ -316,7 +365,11 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
+        _check_threads()
         return args.func(args)
+    except _UsageError as exc:
+        sys.stderr.write("error: %s\n" % exc)
+        return USAGE_ERROR
     except (QuadratureError, emod.EnergyError, kmod.KernelError,
             fmod.FieldError, gmod.DomainError) as exc:
         sys.stderr.write("numerical failure: %s\n" % exc)

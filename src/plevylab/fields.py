@@ -33,6 +33,11 @@ class InterfaceGradientError(FieldError):
     """Gradient requested on a jump interface."""
 
 
+def _dot(a, b):
+    """Row-wise dot products of two (n, d) arrays."""
+    return np.einsum("ij,ij->i", a, b)
+
+
 def _pts(x, dim):
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
@@ -50,10 +55,12 @@ class Field:
     # 1-D jump interface locations (piecewise-constant fields)
     jump_points: tuple = ()
     support_radius = None
-    # True when offset_diff is evaluated without catastrophic cancellation
-    # at any offset scale (concentrated kernels probe |h| far below the
-    # resolution of u(x+h) - u(x) computed by subtraction)
-    stable_offset_diff = False
+    # Contract: _offset_diff(x, h) returns u(x+h) - u(x) without
+    # cancellation at any |h|.  Concentrated kernels probe offsets far below
+    # the resolution of u(x+h) - u(x) formed by subtraction, and both
+    # estimators read differences through this hook only.  The base
+    # subtraction is exact for piecewise-constant fields and otherwise only
+    # the default for custom fields; the other built-in fields override it.
 
     def eval(self, x):
         return self._eval(_pts(x, self.dim))
@@ -96,7 +103,6 @@ class Linear(Field):
         return len(self.slope)
 
     regularity = SMOOTH
-    stable_offset_diff = True
 
     def _eval(self, pts):
         return pts @ np.asarray(self.slope) + self.intercept
@@ -124,7 +130,6 @@ class Gaussian(Field):
 
     dim: int = 1
     regularity = SMOOTH
-    stable_offset_diff = True
 
     def _eval(self, pts):
         return np.exp(-np.sum(pts * pts, axis=1))
@@ -162,17 +167,20 @@ class Tent(Field):
     def kinks(self):
         return (-1.0, 0.0, 1.0) if self.dim == 1 else ()
 
-    @property
-    def stable_offset_diff(self):
-        return self.dim == 1
-
     def _eval(self, pts):
         r = np.linalg.norm(pts, axis=1)
         return np.maximum(0.0, 1.0 - r)
 
     def _offset_diff(self, pts, off):
         if self.dim != 1:
-            return super()._offset_diff(pts, off)
+            # |x| - |x+h| = -(2 x.h + |h|^2) / (|x| + |x+h|) inside the
+            # support; a pair reaching past it compares the clipped radii
+            y = pts + off
+            rx, ry = np.sqrt(_dot(pts, pts)), np.sqrt(_dot(y, y))
+            num = 2.0 * _dot(pts, off) + _dot(off, off)
+            inside = -num / np.maximum(rx + ry, np.finfo(float).tiny)
+            return np.where((rx < 1.0) & (ry < 1.0), inside,
+                            np.minimum(rx, 1.0) - np.minimum(ry, 1.0))
         x = pts[:, 0]
         h = off[:, 0]
         y = x + h
@@ -225,6 +233,23 @@ class SmoothBump(Field):
         out[inside] = pts[inside] * factor[:, None]
         return out
 
+    def _offset_diff(self, pts, off):
+        # u = exp(1 - 1/a) grows with a = 1 - |x|^2/R^2.  The difference is
+        # anchored on the larger value, exp(1 - 1/max(a_x, a_y)), times
+        # expm1 of minus the exponent gap |a_x - a_y|/(a_x a_y), with
+        # a_x - a_y = (2 x.h + |h|^2)/R^2 formed from the offset itself.
+        # The product never overflows, and the gap is infinite (expm1 = -1)
+        # when only one point lies inside the support
+        r2 = self.radius ** 2
+        ax = 1.0 - _dot(pts, pts) / r2
+        ds = (2.0 * _dot(pts, off) + _dot(off, off)) / r2
+        ay = ax - ds
+        with np.errstate(divide="ignore", over="ignore"):
+            top = np.exp(1.0 - 1.0 / np.maximum(np.maximum(ax, ay), 0.0))
+            e = np.expm1(-np.abs(ds)
+                         / np.maximum(ax * ay, np.finfo(float).tiny))
+        return np.where(ds >= 0.0, e, -e) * top
+
     def radial_gradient_magnitude(self, r):
         r = np.asarray(r, dtype=float)
         s = (r / self.radius) ** 2
@@ -265,7 +290,6 @@ class SignJump(Field):
     dim: int = 1
     magnitude: float = 0.5
     regularity = PIECEWISE_CONSTANT
-    stable_offset_diff = True  # differences of constants are exact
 
     @property
     def jump_points(self):
@@ -298,7 +322,6 @@ class BallIndicator(Field):
     inside: float = 1.0
     outside: float = 0.0
     regularity = PIECEWISE_CONSTANT
-    stable_offset_diff = True
 
     @property
     def jump_points(self):
@@ -349,10 +372,6 @@ class _Wrapped(Field):
     @property
     def support_radius(self):
         return self.base.support_radius
-
-    @property
-    def stable_offset_diff(self):
-        return self.base.stable_offset_diff
 
 
 class Scaled(_Wrapped):

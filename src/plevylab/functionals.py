@@ -10,10 +10,9 @@ Monte Carlo
     set, and contributes ``vol * (|u(x+h) - u(x)| / (1 ^ |h|))^p``, which is
     unbiased for the double integral because the offset density is
     ``(1 ^ |h|^p) nu(h)``.  The weight is bounded for Lipschitz fields.
-    Differences come from the fields' stable offset evaluation (exact at
-    any radius); fields without one fall back to the analytic gradient
-    below 1e-8, where raw subtraction is float noise.  Concentrated
-    kernels put substantial mass at such radii.
+    Differences come from the fields' offset evaluation, which is exact at
+    any radius: concentrated kernels put substantial mass at radii where
+    ``u(x+h) - u(x)`` formed by subtraction is float noise.
     Sampling is chunked through counter-based generators keyed by
     (seed, case tag) with the chunk index in the counter block, and chunk
     sums are merged in index order, so any thread count reproduces the
@@ -100,11 +99,11 @@ def _case_tag(*parts):
 
 
 def _thread_count():
-    raw = os.environ.get("PLEVYLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    raw = os.environ.get("PLEVYLAB_THREADS") or "1"
+    if not raw.isdecimal() or int(raw) < 1:
+        raise EnergyError("PLEVYLAB_THREADS must be a positive integer "
+                          "(got %r)" % raw)
+    return int(raw)
 
 
 def _chunk_rng(seed, tag, index):
@@ -117,39 +116,20 @@ def _chunk_rng(seed, tag, index):
 # Monte Carlo core
 
 
-def _quotients(field, xs, h, r, p_exp):
+def _quotients(field, xs, h, r):
     """|u(x+h) - u(x)| / (1 ^ |h|) from the exact sampled offsets.
 
-    Fields with a stable offset difference evaluate exactly at any radius.
-    Others fall back to eval subtraction, which below 1e-8 is pure float
-    cancellation while the quotient's limit |grad u . h/|h|| is exact;
-    concentrated kernels place real mass at such radii.
+    The field's offset difference is exact at any radius, and the radii are
+    the sampled values themselves, so the quotient stays accurate where
+    concentrated kernels place real mass far below |x| resolution.
     """
-    if field.stable_offset_diff:
-        du = np.abs(field.offset_diff(xs, h))
-        if not np.all(np.isfinite(du)):
-            bad = np.argmax(~np.isfinite(du))
-            raise EnergyError("non-finite field value near x=%s" % xs[bad])
-        q = np.zeros_like(du)
-        pos = r > 0.0
-        q[pos] = du[pos] / np.minimum(1.0, r[pos])
-        return q
-    du = np.abs(field.eval(xs + h) - field.eval(xs))
+    du = np.abs(field.offset_diff(xs, h))
     if not np.all(np.isfinite(du)):
         bad = np.argmax(~np.isfinite(du))
         raise EnergyError("non-finite field value near x=%s" % xs[bad])
     q = np.zeros_like(du)
-    big = r >= _SMALL_R
-    q[big] = du[big] / np.minimum(1.0, r[big])
-    small = ~big & (r > 0.0)
-    if np.any(small):
-        if field.regularity == PIECEWISE_CONSTANT:
-            # jump interfaces are a null set at these radii
-            pass
-        else:
-            dirs = h[small] / r[small, None]
-            g = field.grad(xs[small])
-            q[small] = np.abs(np.sum(g * dirs, axis=1))
+    pos = r > 0.0
+    q[pos] = du[pos] / np.minimum(1.0, r[pos])
     return q
 
 
@@ -168,7 +148,7 @@ def _mc_double(field, sample_domain, kernel, accept, n, seed, tag):
         if np.any(keep):
             hk = h[keep]
             r = radii[keep]
-            q = _quotients(field, xs[keep], hk, r, p_exp)
+            q = _quotients(field, xs[keep], hk, r)
             w = vol * q ** p_exp
             s1 = float(w.sum())
             s2 = float((w * w).sum())
@@ -209,19 +189,16 @@ def _geo_refine(lo, hi, cuts, *, origin=0.0, factor=8.0):
 
     Power-law integrands vary smoothly on geometric scales; refined this way
     every sub-panel is cheap for Gauss panels regardless of how many decades
-    ``(lo, hi)`` covers.
+    ``(lo, hi)`` covers.  A range starting at ``origin`` itself admits no
+    bounded ratio and is left to the adaptive rule.
     """
     pts = set(cuts)
     t = (lo - origin) * factor
-    while origin + t < hi:
+    while 0.0 < t and origin + t < hi:
         if origin + t > lo:
             pts.add(origin + t)
         t *= factor
     return sorted(pts)
-
-
-def _eval1(field, x):
-    return float(field.eval(np.array([[x]]))[0])
 
 
 def _slope(field, x):
@@ -246,20 +223,13 @@ class _PairIntegrator:
 
     # -- inner integral over y at fixed x ---------------------------------
 
-    def _integrand(self, x, ux, slope, sign, blend):
+    def _integrand(self, x, sign):
         field, kernel, p = self.field, self.kernel, self.p
         logprof = kernel.log_profile
-        stable = field.stable_offset_diff
 
         def f(r):
-            if stable:
-                pts = np.full((r.size, 1), x)
-                du = np.abs(field._offset_diff(pts, (sign * r)[:, None]))
-            else:
-                pts = (x + sign * r)[:, None]
-                du = np.abs(field._eval(pts) - ux)
-                if blend > 0.0:
-                    du = np.where(r < blend, abs(slope) * r, du)
+            pts = np.full((r.size, 1), x)
+            du = np.abs(field._offset_diff(pts, (sign * r)[:, None]))
             if logprof is None:
                 return kernel.profile(r) * du ** p
             out = np.exp(p * np.log(du) + logprof(r))
@@ -267,7 +237,7 @@ class _PairIntegrator:
 
         return f
 
-    def _range_value(self, x, ux, slope, r_lo, r_hi, sign, floor):
+    def _range_value(self, x, slope, r_lo, r_hi, sign, floor):
         kernel, p = self.kernel, self.p
         lo = max(r_lo, kernel.inner_radius, floor)
         hi = r_hi
@@ -286,18 +256,16 @@ class _PairIntegrator:
         total = 0.0
         start = lo
         first = min(cuts) if cuts else (hi if math.isfinite(hi) else 1.0)
-        piecewise = self.field.regularity == PIECEWISE_CONSTANT
-        # below this radius the raw difference u(x+r)-u(x) is dominated by
-        # float cancellation and the local slope is used instead; it must
-        # not reach past the first field kink on this side
-        blend = 0.0 if piecewise \
-            else min(1e-4 * max(1.0, abs(x)), first)
-        # closed-form singular core below floating point comfort
+        # closed-form singular core below floating point comfort, where the
+        # field is replaced by its local slope; the core must not reach past
+        # the first field kink on this side
         if lo == 0.0 and kernel.origin_exponent is not None \
                 and kernel.origin_coefficient is not None:
             gamma = kernel.origin_exponent
             pure = kernel.origin_pure_radius or 0.0
-            core_top = _SMALL_R if piecewise else blend
+            core_top = _SMALL_R \
+                if self.field.regularity == PIECEWISE_CONSTANT \
+                else min(1e-4 * max(1.0, abs(x)), first)
             r_cl = min(core_top, pure, first * 0.5,
                        hi * 0.5 if math.isfinite(hi) else core_top)
             if r_cl > 0.0:
@@ -310,7 +278,7 @@ class _PairIntegrator:
                     total += (abs(slope) ** p * kernel.origin_coefficient
                               * r_cl ** a_in / a_in)
                 start = r_cl
-        f = self._integrand(x, ux, slope, sign, blend)
+        f = self._integrand(x, sign)
         cuts = [c for c in cuts if c > start]
         if math.isfinite(hi):
             pts = _geo_refine(start, hi, cuts)
@@ -334,21 +302,16 @@ class _PairIntegrator:
         return total
 
     def inner(self, x, floor=0.0):
-        ux = _eval1(self.field, x)
         slope = _slope(self.field, x)
         ay, by = self.y_lo, self.y_hi
         total = 0.0
         if by <= x:
-            total += self._range_value(x, ux, slope, x - by, x - ay, -1.0,
-                                       floor)
+            total += self._range_value(x, slope, x - by, x - ay, -1.0, floor)
         elif ay >= x:
-            total += self._range_value(x, ux, slope, ay - x, by - x, +1.0,
-                                       floor)
+            total += self._range_value(x, slope, ay - x, by - x, +1.0, floor)
         else:
-            total += self._range_value(x, ux, slope, 0.0, x - ay, -1.0,
-                                       floor)
-            total += self._range_value(x, ux, slope, 0.0, by - x, +1.0,
-                                       floor)
+            total += self._range_value(x, slope, 0.0, x - ay, -1.0, floor)
+            total += self._range_value(x, slope, 0.0, by - x, +1.0, floor)
         return total
 
     # -- outer integral -----------------------------------------------------
@@ -497,9 +460,36 @@ def _det_double(field, kernel, x_intervals, y_intervals, *, symmetric,
 
 
 def _require_det_domain(domain):
+    """The intervals of a domain the 1-D oracle can integrate over."""
     if not isinstance(domain, IntervalUnion):
         raise EnergyError("deterministic mode is available on "
                           "one-dimensional interval unions only")
+    return domain.intervals
+
+
+def _estimate(kind, field, kernel, domain, x_set, accept, partners, *,
+              mode, n, seed, abs_tol, symmetric=False, tag_sets=()):
+    """One pair functional with x over ``x_set``: Monte Carlo keeps the
+    pairs whose partner y passes ``accept``, the 1-D oracle integrates y
+    over ``partners()``.  ``domain`` names the estimate; ``kind`` and the
+    ids of ``domain``, ``tag_sets`` and the field key the sample streams."""
+    if field.dim != domain.dim or field.dim != kernel.dim:
+        raise EnergyError("field/domain/kernel dimension mismatch")
+    kernel_id, domain_id = _ident(kernel.spec()), _ident(domain.spec())
+    field_id = _ident(field.spec())
+    if mode == MODE_DET:
+        value = _det_double(field, kernel, _require_det_domain(x_set),
+                            partners(), symmetric=symmetric, abs_tol=abs_tol)
+        stderr, n, seed = 0.0, 0, None
+    else:
+        if n < 1:
+            raise EnergyError("Monte Carlo needs n >= 1 samples (got %r)" % n)
+        tag = _case_tag(kind, kernel_id, domain_id,
+                        *(_ident(s.spec()) for s in tag_sets), field_id)
+        value, stderr = _mc_double(field, x_set, kernel, accept, n, seed, tag)
+        mode = MODE_MC
+    return EnergyEstimate(value, stderr, n, kernel.eps, kernel_id, domain_id,
+                          field_id, mode, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -509,22 +499,9 @@ def _require_det_domain(domain):
 def energy(field, domain, kernel, *, mode=MODE_MC, n=DEFAULT_N_SAMPLES,
            seed=DEFAULT_SEED, abs_tol=1e-10):
     """Pair energy over the domain: the double integral of |du|^p nu(x-y)."""
-    if field.dim != domain.dim or field.dim != kernel.dim:
-        raise EnergyError("field/domain/kernel dimension mismatch")
-    if mode == MODE_DET:
-        _require_det_domain(domain)
-        value = _det_double(field, kernel, domain.intervals,
-                            domain.intervals, symmetric=True, abs_tol=abs_tol)
-        return EnergyEstimate(value, 0.0, 0, kernel.eps,
-                              _ident(kernel.spec()), _ident(domain.spec()),
-                              _ident(field.spec()), MODE_DET)
-    tag = _case_tag("energy", _ident(kernel.spec()), _ident(domain.spec()),
-                    _ident(field.spec()))
-    value, stderr = _mc_double(field, domain, kernel, domain.contains,
-                               n, seed, tag)
-    return EnergyEstimate(value, stderr, n, kernel.eps,
-                          _ident(kernel.spec()), _ident(domain.spec()),
-                          _ident(field.spec()), MODE_MC, seed)
+    return _estimate("energy", field, kernel, domain, domain, domain.contains,
+                     lambda: _require_det_domain(domain), symmetric=True,
+                     mode=mode, n=n, seed=seed, abs_tol=abs_tol)
 
 
 def cross_energy(field, domain, kernel, *, other=None, mode=MODE_MC,
@@ -534,32 +511,19 @@ def cross_energy(field, domain, kernel, *, other=None, mode=MODE_MC,
     ``other`` restricts the partner set; by default it is the full
     complement of the domain.
     """
-    if field.dim != domain.dim or field.dim != kernel.dim:
-        raise EnergyError("field/domain/kernel dimension mismatch")
-    if mode == MODE_DET:
-        _require_det_domain(domain)
-        if other is None:
-            y_ivs = domain.complement_pieces()
-        else:
-            _require_det_domain(other)
-            y_ivs = other.intervals
-        value = _det_double(field, kernel, domain.intervals, y_ivs,
-                            symmetric=False, abs_tol=abs_tol)
-        return EnergyEstimate(value, 0.0, 0, kernel.eps,
-                              _ident(kernel.spec()), _ident(domain.spec()),
-                              _ident(field.spec()), MODE_DET)
     if other is None:
         def accept(ys):
             return ~domain.contains(ys)
+
+        def partners():
+            return domain.complement_pieces()
     else:
-        def accept(ys):
-            return other.contains(ys)
-    tag = _case_tag("cross", _ident(kernel.spec()), _ident(domain.spec()),
-                    _ident(field.spec()))
-    value, stderr = _mc_double(field, domain, kernel, accept, n, seed, tag)
-    return EnergyEstimate(value, stderr, n, kernel.eps,
-                          _ident(kernel.spec()), _ident(domain.spec()),
-                          _ident(field.spec()), MODE_MC, seed)
+        accept = other.contains
+
+        def partners():
+            return _require_det_domain(other)
+    return _estimate("cross", field, kernel, domain, domain, accept, partners,
+                     mode=mode, n=n, seed=seed, abs_tol=abs_tol)
 
 
 def local_measure(field, domain, subdomain, kernel, *, mode=MODE_MC,
@@ -573,22 +537,10 @@ def local_measure(field, domain, subdomain, kernel, *, mode=MODE_MC,
     if not margin > 0.0:
         raise EnergyError("subdomain is not compactly contained "
                           "(clearance %.3g)" % margin)
-    if mode == MODE_DET:
-        _require_det_domain(domain)
-        _require_det_domain(subdomain)
-        value = _det_double(field, kernel, subdomain.intervals,
-                            domain.intervals, symmetric=False,
-                            abs_tol=abs_tol)
-        return EnergyEstimate(value, 0.0, 0, kernel.eps,
-                              _ident(kernel.spec()), _ident(domain.spec()),
-                              _ident(field.spec()), MODE_DET)
-    tag = _case_tag("local", _ident(kernel.spec()), _ident(domain.spec()),
-                    _ident(subdomain.spec()), _ident(field.spec()))
-    value, stderr = _mc_double(field, subdomain, kernel, domain.contains,
-                               n, seed, tag)
-    return EnergyEstimate(value, stderr, n, kernel.eps,
-                          _ident(kernel.spec()), _ident(domain.spec()),
-                          _ident(field.spec()), MODE_MC, seed)
+    return _estimate("local", field, kernel, domain, subdomain,
+                     domain.contains, lambda: _require_det_domain(domain),
+                     tag_sets=(subdomain,), mode=mode, n=n, seed=seed,
+                     abs_tol=abs_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -17,14 +17,15 @@ with a power substitution at the origin and the 1/t map on unbounded tails.
 Offset sampling inverts the radial CDF of the weighted law
 ``S (1 ^ r^p) nu(r) r^{d-1} dr`` (closed form where available, otherwise a
 4096-node log-spaced table with monotone cubic interpolation) and draws the
-direction uniformly on the sphere.  Kernels are immutable; samplers take a
-caller-owned generator.
+direction uniformly on the sphere.  Sampling reads the CDF data the kernel
+carries; custom kernels get a table from ``with_tabulated_sampler``.
+Kernels are immutable; samplers take a caller-owned generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -233,11 +234,9 @@ def _tabulated_cdf(kernel):
     nodes = np.geomspace(r_lo, hi, _TABLE_NODES)
     if lo > 0:
         nodes = np.concatenate(([lo], nodes[nodes > lo]))
-    segs = np.zeros(nodes.size)
-    for i in range(1, nodes.size):
-        segs[i] = fixed_gauss(kernel.weighted_radial_density,
-                              nodes[i - 1], nodes[i], n=12)
-    cdf = np.cumsum(segs)
+    segs = fixed_gauss(kernel.weighted_radial_density, nodes[:-1],
+                       nodes[1:], n=12)
+    cdf = np.concatenate(([0.0], np.cumsum(segs)))
     head = _radial_integral(kernel, 0.0, nodes[0],
                             abs_tol=NORMALIZATION_REQUEST_TOL) \
         if lo == 0.0 else 0.0
@@ -270,25 +269,22 @@ def _tabulated_cdf(kernel):
     return cdf_fn, inv_fn
 
 
-_sampler_cache = {}
+def with_tabulated_sampler(kernel):
+    """The kernel with a tabulated radial CDF and its inverse attached as
+    sampling data (for custom compactly supported kernels)."""
+    cdf_fn, inv_fn = _tabulated_cdf(kernel)
+    return replace(kernel, radial_cdf=cdf_fn, radial_cdf_inv=inv_fn)
 
 
-def _sampler(kernel):
-    if kernel.radial_cdf_inv is not None:
-        return kernel.radial_cdf_inv
-    key = id(kernel)
-    if key not in _sampler_cache:
-        _sampler_cache[key] = _tabulated_cdf(kernel)[1]
-    return _sampler_cache[key]
+def _sampling_data(fn):
+    if fn is None:
+        raise KernelError("kernel carries no sampling data; wrap custom "
+                          "kernels with with_tabulated_sampler")
+    return fn
 
 
 def radial_cdf(kernel):
-    if kernel.radial_cdf is not None:
-        return kernel.radial_cdf
-    key = ("cdf", id(kernel))
-    if key not in _sampler_cache:
-        _sampler_cache[key] = _tabulated_cdf(kernel)[0]
-    return _sampler_cache[key]
+    return _sampling_data(kernel.radial_cdf)
 
 
 def sample_directions(rng, size, dim):
@@ -308,7 +304,7 @@ def sample_offset_with_radii(kernel, rng, size=1):
     squared-norm route loses them to underflow for very concentrated
     kernels).
     """
-    inv = _sampler(kernel)
+    inv = _sampling_data(kernel.radial_cdf_inv)
     radii = np.asarray(inv(rng.random(size)), dtype=float)
     if not np.all(np.isfinite(radii)):
         raise KernelError("sampler produced non-finite radii")
@@ -418,10 +414,8 @@ def make_rescaled(base, eps):
                 np.where(r <= 1.0, -d * log_eps - p * np.log(r) + z,
                          -d * log_eps + z))
 
-    base_inv = base.radial_cdf_inv
-    base_cdf = base.radial_cdf
-    if base_inv is None or base_cdf is None:
-        raise KernelError("rescaling needs a base with sampling data")
+    base_inv = _sampling_data(base.radial_cdf_inv)
+    base_cdf = _sampling_data(base.radial_cdf)
 
     def cdf(r):
         return base_cdf(np.asarray(r, dtype=float) / eps)
@@ -593,22 +587,13 @@ def make_smoothed_power(dim, p_exp, beta, eps, eps0):
                         beta * np.log(r + eps) - p_exp * np.log(r)
                         - log_denom, -np.inf)
 
-    origin_c = eps ** beta / denom
-    origin_pure = 1e-7 * eps
-    kernel = RadialKernel(
+    return with_tabulated_sampler(RadialKernel(
         dim=dim, p_exp=p_exp, profile=profile, log_profile=log_profile,
         support_radius=eps0, origin_exponent=float(p_exp),
-        origin_coefficient=origin_c, origin_pure_radius=origin_pure,
-        breakpoints=(eps0,), family_tag="smoothed_power", eps=eps,
-        params={"beta": beta, "eps0": eps0})
-    cdf_fn, inv_fn = _tabulated_cdf(kernel)
-    return RadialKernel(
-        dim=dim, p_exp=p_exp, profile=profile, log_profile=log_profile,
-        support_radius=eps0, origin_exponent=float(p_exp),
-        origin_coefficient=origin_c, origin_pure_radius=origin_pure,
-        breakpoints=(eps0,), radial_cdf=cdf_fn, radial_cdf_inv=inv_fn,
+        origin_coefficient=eps ** beta / denom,
+        origin_pure_radius=1e-7 * eps, breakpoints=(eps0,),
         family_tag="smoothed_power", eps=eps,
-        params={"beta": beta, "eps0": eps0})
+        params={"beta": beta, "eps0": eps0}))
 
 
 # ---------------------------------------------------------------------------

@@ -218,7 +218,12 @@ def integrate_tail(f, a, *, decay_exponent=None, abs_tol=DEFAULT_ABS_TOL,
 
 
 def fixed_gauss(f, a, b, n=_HI_N):
-    """Non-adaptive Gauss-Legendre panel; used for CDF tabulation segments."""
+    """Non-adaptive Gauss-Legendre panel on (a, b); arrays of panel ends
+    give an array of panel integrals from one call of ``f``."""
     nodes, weights = np.polynomial.legendre.leggauss(n)
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
-    return half * float(np.dot(weights, f(0.5 * (a + b) + half * nodes)))
+    x = (0.5 * (a + b))[..., None] + half[..., None] * nodes
+    vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
+    out = half * (vals @ weights)
+    return float(out) if out.ndim == 0 else out

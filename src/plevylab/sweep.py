@@ -149,44 +149,30 @@ def _target(case, fld, dom, sub):
     raise ValueError("unknown target kind %r" % kind)
 
 
-def _estimates(case, fld, dom, fam, sub):
-    out = []
-    for eps in case.grid:
-        if case.kind == "energy":
-            est = emod.energy(fld, dom, fam.kernel(eps), mode=case.mode,
-                              n=case.n_samples, seed=case.seed)
-        elif case.kind == "cross":
-            est = emod.cross_energy(fld, dom, fam.kernel(eps),
-                                    mode=case.mode, n=case.n_samples,
-                                    seed=case.seed)
-        elif case.kind == "local":
-            est = emod.local_measure(fld, dom, sub, fam.kernel(eps),
-                                     mode=case.mode, n=case.n_samples,
-                                     seed=case.seed)
-        elif case.kind == "generator":
-            val = emod.generator(fld, case.point, fam.kernel(eps))
-            est = emod.EnergyEstimate(val, 0.0, 0, eps, "", "", "",
-                                      emod.MODE_DET)
-        elif case.kind == "dirac":
-            val = emod.dirac_pairing(fld, fam.kernel(eps))
-            est = emod.EnergyEstimate(val, 0.0, 0, eps, "", "", "",
-                                      emod.MODE_DET)
-        elif case.kind == "gagliardo_cutoff":
-            val = emod.gagliardo(fld, dom, case.s_exp, case.p_exp,
-                                 cutoff=eps)
-            est = emod.EnergyEstimate(val, 0.0, 0, eps, "", "", "",
-                                      emod.MODE_DET)
-        else:
-            raise ValueError("unknown sweep kind %r" % case.kind)
-        out.append((eps, est))
-    return out
+def _value_fn(case, fld, dom, fam, sub):
+    """The case's functional as grid parameter -> (value, stderr)."""
+    kw = dict(mode=case.mode, n=case.n_samples, seed=case.seed)
 
+    def est(e):
+        return e.value, e.stderr
 
-def _fractional_rows(case, fld, dom):
-    vals = emod.fractional_values(fld, dom, case.p_exp, case.variant,
-                                  case.grid)
-    return [(p, emod.EnergyEstimate(v, 0.0, 0, p, "", "", "",
-                                    emod.MODE_DET)) for p, v in vals]
+    fns = {
+        "energy": lambda x: est(emod.energy(fld, dom, fam.kernel(x), **kw)),
+        "cross": lambda x: est(emod.cross_energy(fld, dom, fam.kernel(x),
+                                                 **kw)),
+        "local": lambda x: est(emod.local_measure(fld, dom, sub,
+                                                  fam.kernel(x), **kw)),
+        "generator": lambda x: (emod.generator(fld, case.point,
+                                               fam.kernel(x)), 0.0),
+        "dirac": lambda x: (emod.dirac_pairing(fld, fam.kernel(x)), 0.0),
+        "gagliardo_cutoff": lambda x: (emod.gagliardo(
+            fld, dom, case.s_exp, case.p_exp, cutoff=x), 0.0),
+        "fractional": lambda x: (emod.fractional_values(
+            fld, dom, case.p_exp, case.variant, (x,))[0][1], 0.0),
+    }
+    if case.kind not in fns:
+        raise ValueError("unknown sweep kind %r" % case.kind)
+    return fns[case.kind]
 
 
 def _nonincreasing(errs, slack):
@@ -239,16 +225,14 @@ def run_sweep(case):
     """Execute one case and judge it; deterministic given the case seed."""
     fld, dom, fam, sub = _build(case)
     target = _target(case, fld, dom, sub)
-    if case.kind == "fractional":
-        pairs = _fractional_rows(case, fld, dom)
-    else:
-        pairs = _estimates(case, fld, dom, fam, sub)
+    value_at = _value_fn(case, fld, dom, fam, sub)
     rows = []
-    for eps, est in pairs:
-        abs_err = abs(est.value - target) if math.isfinite(target) \
+    for eps in case.grid:
+        value, stderr = value_at(eps)
+        abs_err = abs(value - target) if math.isfinite(target) \
             else math.nan
         rel = abs_err / abs(target) if target else math.nan
-        rows.append(SweepRow(eps=eps, value=est.value, stderr=est.stderr,
+        rows.append(SweepRow(eps=eps, value=value, stderr=stderr,
                              abs_err=abs_err, rel_err=rel))
     verdict, final, detail = _judge(case, target, rows)
     return SweepReport(case_id=case.case_id, target_kind=case.target_kind,

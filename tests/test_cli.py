@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "plevylab.cli"]
 
 
@@ -77,6 +79,10 @@ def test_config_file_merged_under_flags(tmp_path):
     lines2 = out2.stdout.strip().split("\n")
     cols2 = dict(zip(lines2[0].split(","), lines2[1].split(",")))
     assert cols2["d"] == "1"
+    # the file's family counts when no --family flag is given
+    cfg.write_text("family=truncated_power\nbeta=1.0\neps=0.3\n")
+    lines3 = run("kernel-check", "--config", str(cfg)).stdout.split("\n")
+    assert lines3[1].startswith("truncated_power,")
 
 
 def test_single_sweep_case_runs():
@@ -86,3 +92,36 @@ def test_single_sweep_case_runs():
     payload = json.loads(out.stdout)
     assert payload["all_ok"] is True
     assert payload["cases"][0]["report"]["verdict"] == "converged"
+
+
+@pytest.mark.parametrize("line", [
+    "energy --eps 0.1 --n 0",
+    "energy --eps 0.1 --n -5",
+    "energy --n 1000",
+    "kernel-check --config {bad_config}",
+    "kernel-check --config {bad_family}",
+    "kernel-check --config {missing}",
+    "kernel-check --config {binary}",
+    "kernel-check --d abc",
+    "suite --config x",
+    "constant --d 0 --p 2",
+    "constant --d 2 --p 0.5",
+    "PLEVYLAB_THREADS=abc kernel-check --eps 0.1",
+    "PLEVYLAB_THREADS=0 kernel-check --eps 0.1",
+    "PLEVYLAB_THREADS=-2 kernel-check --eps 0.1",
+])
+def test_bad_input_is_a_one_line_usage_error(tmp_path, line):
+    bad_config = tmp_path / "bad.cfg"
+    bad_config.write_text("family=stable\np\n")
+    bad_family = tmp_path / "family.cfg"
+    bad_family.write_text("family=bogus\n")
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"\xff\xfe=1\n")
+    args = line.format(bad_config=bad_config, bad_family=bad_family,
+                       binary=binary, missing=tmp_path / "missing.cfg").split()
+    env = dict([args.pop(0).split("=")]) if "=" in args[0] else None
+    out = run(*args, env=env)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr

@@ -115,3 +115,71 @@ def test_shift_keeps_gradient():
     u = Linear((1.0,)).shifted(5.0)
     assert float(u.eval([[0.25]])[0]) == 5.25
     assert abs(grad_lp_norm(u, interval(0, 1), 2.0) - 1.0) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the offset-difference contract: u(x+h) - u(x) without cancellation
+
+
+OFFSET_FIELDS = [SmoothBump(1, 0.5), SmoothBump(2, 0.7), SmoothBump(3, 1.0),
+                 Tent(2), Tent(3), SmoothBump(2, 0.7).scaled(-2.5),
+                 SmoothBump(3, 1.0).shifted(4.0), Tent(2).scaled(3.0),
+                 Tent(3).shifted(-1.0)]
+
+
+def _field_id(field):
+    return ",".join("%s=%s" % kv for kv in field.spec().items())
+
+
+def _directions(rng, n, dim):
+    g = rng.normal(size=(n, dim))
+    return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+
+def _edge_points(field, rng, n=400):
+    """Points just inside, on and outside the support edge, paired with
+    offsets across it and along it at scales from 1e-12 to 1."""
+    dim, big_r = field.dim, field.support_radius
+    w = _directions(rng, n, dim)
+    rel = rng.choice([1.0 - 1e-3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.2], n)
+    scale = rng.choice([1e-12, 1e-6, 1e-3, 1e-2, 0.5], n)
+    sign = rng.choice([-1.0, 1.0], n)[:, None]
+    h = scale[:, None] * big_r * np.where(rng.random((n, 1)) < 0.5,
+                                          sign * w, _directions(rng, n, dim))
+    return big_r * rel[:, None] * w, h
+
+
+@pytest.mark.parametrize("field", OFFSET_FIELDS, ids=_field_id)
+def test_offset_diff_finite_across_the_support_edge(field):
+    x, h = _edge_points(field, np.random.default_rng(1))
+    assert np.all(np.isfinite(field.offset_diff(x, h)))
+
+
+@pytest.mark.parametrize("field", OFFSET_FIELDS, ids=_field_id)
+def test_offset_diff_tiny_offsets_follow_the_gradient(field):
+    # at |h| = 1e-12 subtraction keeps ~4 digits; the contract keeps all
+    rng = np.random.default_rng(2)
+    n, dim = 500, field.dim
+    x = _directions(rng, n, dim) * field.support_radius \
+        * rng.uniform(0.1, 0.9, (n, 1))
+    h = 1e-12 * _directions(rng, n, dim)
+    g = field.grad(x)
+    linear = np.sum(g * h, axis=1)
+    scale = np.linalg.norm(g, axis=1) * 1e-12
+    assert np.all(np.abs(field.offset_diff(x, h) - linear) <= 1e-6 * scale)
+
+
+@pytest.mark.parametrize("field", OFFSET_FIELDS, ids=_field_id)
+def test_offset_diff_large_offsets_match_subtraction(field):
+    rng = np.random.default_rng(3)
+    n, dim = 500, field.dim
+    inner = _directions(rng, n, dim) * field.support_radius \
+        * rng.uniform(0.0, 1.3, (n, 1))
+    x_edge, h_edge = _edge_points(field, rng)
+    x = np.concatenate([inner, x_edge])
+    h = np.concatenate([rng.uniform(1e-2, 1.0, (n, 1))
+                        * _directions(rng, n, dim), h_edge])
+    big = np.linalg.norm(h, axis=1) >= 1e-2
+    x, h = x[big], h[big]
+    sub = field.eval(x + h) - field.eval(x)
+    assert np.max(np.abs(field.offset_diff(x, h) - sub)) <= 1e-12

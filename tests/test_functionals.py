@@ -1,5 +1,6 @@
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -86,6 +87,34 @@ def test_mc_matches_det_on_all_families():
         det = F.energy(LINEAR, UNIT, kern, mode=DET)
         mc = F.energy(LINEAR, UNIT, kern, mode=MC, n=300_000, seed=9)
         assert abs(mc.value - det.value) <= 4 * mc.stderr, fam.kind
+
+
+def test_det_custom_kernel_without_origin_hints_terminates():
+    # a kernel with no origin exponent sends the inner range from r = 0 to
+    # the adaptive rule; the double integral is E|X-Y|^2 = 1/6 for X, Y
+    # uniform on [0, 1]
+    kern = K.RadialKernel(dim=1, p_exp=2.0,
+                          profile=lambda r: np.ones_like(r),
+                          support_radius=1.0, breakpoints=(1.0,))
+    out = {}
+
+    def run():
+        out["value"] = F.energy(LINEAR, UNIT, kern, mode=DET).value
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(timeout=60.0)
+    assert not worker.is_alive(), "deterministic energy did not terminate"
+    assert abs(out["value"] - 1.0 / 6.0) < 1e-8
+
+
+def test_det_matches_mc_smooth_bump():
+    # the oracle reads the bump's exact offset differences down to r = 0
+    kern = K.make_truncated_power(1, 2.0, 0.0, 0.1)
+    bump = SmoothBump(1, 0.5)
+    det = F.energy(bump, SYM, kern, mode=DET, abs_tol=1e-8)
+    mc = F.energy(bump, SYM, kern, mode=MC, n=400_000, seed=6)
+    assert abs(mc.value - det.value) <= 4 * mc.stderr
 
 
 def test_mc_seed_determinism():

@@ -236,6 +236,35 @@ def test_sampler_respects_support():
     assert np.linalg.norm(h, axis=1).max() <= 0.3 + 1e-12
 
 
+def _box_kernel(radius):
+    # unit (1 ^ r^2)-mass constant profile on the ball of the given radius
+    c = 1.5 / radius ** 3
+    return K.RadialKernel(dim=1, p_exp=2.0,
+                          profile=lambda r: np.where(r <= radius, c, 0.0),
+                          support_radius=radius, breakpoints=(radius,))
+
+
+def test_custom_kernels_sample_their_own_law():
+    # kernels built and dropped in a row: each must be sampled through its
+    # own table, never another kernel's
+    for i in range(200):
+        radius = 0.05 + 0.0045 * i
+        kern = K.with_tabulated_sampler(_box_kernel(radius))
+        _, radii = K.sample_offset_with_radii(kern, RNG(i), 1000)
+        assert radii.max() <= radius * (1.0 + 1e-12), i
+
+
+def test_sampling_needs_sampling_data():
+    kern = _box_kernel(0.5)
+    with pytest.raises(K.KernelError, match="with_tabulated_sampler"):
+        K.sample_offset(kern, RNG(1), 10)
+    with pytest.raises(K.KernelError):
+        K.radial_cdf(kern)
+    tabulated = K.with_tabulated_sampler(kern)
+    assert tabulated.profile is kern.profile
+    assert float(K.radial_cdf(tabulated)(np.array([0.5]))[0]) == 1.0
+
+
 @pytest.mark.parametrize("make", [
     lambda: K.make_stable(1, 2.0, 0.1),
     lambda: K.make_truncated_power(2, 2.0, 1.0, 0.3),
