@@ -124,9 +124,23 @@ def _kernel_spec(args):
         except ValueError:
             raise _UsageError("%s=%r is not a valid %s"
                               % (key, spec[key], number.__name__)) from None
+    if int(spec.get("d", "1")) < 1:
+        raise _UsageError("d must be >= 1 (got %s)" % spec["d"])
     return spec
 
 
+def _flag_values(build):
+    """Report a domain or field that rejects its flag values as a usage
+    error."""
+    def checked(args):
+        try:
+            return build(args)
+        except (gmod.DomainError, fmod.FieldError) as exc:
+            raise _UsageError(str(exc)) from None
+    return checked
+
+
+@_flag_values
 def _domain_from(args):
     name = args.domain
     if name == "interval":
@@ -140,6 +154,7 @@ def _domain_from(args):
     raise SystemExit(USAGE_ERROR)
 
 
+@_flag_values
 def _field_from(args):
     name = args.field
     d = int(args.d or 1)
@@ -200,9 +215,9 @@ def _cmd_energy(args):
                       seed=args.seed)
     header = ("family", "d", "p", "eps", "value", "stderr", "n", "mode",
               "seed")
-    rows = [(spec.get("family"), spec.get("d"), spec.get("p"),
-             spec.get("eps"), repr(est.value), repr(est.stderr),
-             est.n_samples, est.mode, args.seed)]
+    rows = [(kern.family_tag, kern.dim, repr(kern.p_exp), repr(kern.eps),
+             repr(est.value), repr(est.stderr), est.n_samples, est.mode,
+             args.seed)]
     _rows_out(header, rows, args)
     return 0
 

@@ -132,7 +132,7 @@ class Gaussian(Field):
     regularity = SMOOTH
 
     def _eval(self, pts):
-        return np.exp(-np.sum(pts * pts, axis=1))
+        return np.exp(-_dot(pts, pts))
 
     def _grad(self, pts):
         return -2.0 * pts * self._eval(pts)[:, None]
@@ -140,7 +140,7 @@ class Gaussian(Field):
     def _offset_diff(self, pts, off):
         # u(x+h) - u(x) = exp(-|x|^2) expm1(-(2 x.h + |h|^2)); the exponent
         # difference is formed from the offset itself, so no cancellation
-        delta = 2.0 * np.sum(pts * off, axis=1) + np.sum(off * off, axis=1)
+        delta = 2.0 * _dot(pts, off) + _dot(off, off)
         return self._eval(pts) * np.expm1(-delta)
 
     def radial_gradient_magnitude(self, r):
@@ -148,7 +148,7 @@ class Gaussian(Field):
 
     def laplacian(self, x):
         pts = _pts(x, self.dim)
-        r2 = np.sum(pts * pts, axis=1)
+        r2 = _dot(pts, pts)
         return (4.0 * r2 - 2.0 * self.dim) * np.exp(-r2)
 
     def spec(self):
@@ -168,7 +168,7 @@ class Tent(Field):
         return (-1.0, 0.0, 1.0) if self.dim == 1 else ()
 
     def _eval(self, pts):
-        r = np.linalg.norm(pts, axis=1)
+        r = np.sqrt(_dot(pts, pts))
         return np.maximum(0.0, 1.0 - r)
 
     def _offset_diff(self, pts, off):
@@ -195,7 +195,7 @@ class Tent(Field):
 
     def _grad(self, pts):
         # a.e. gradient; arbitrary (zero) on the kink set {0, |x|=1}
-        r = np.linalg.norm(pts, axis=1)
+        r = np.sqrt(_dot(pts, pts))
         out = np.zeros_like(pts)
         inside = (r > 0) & (r < 1)
         out[inside] = -pts[inside] / r[inside, None]
@@ -213,19 +213,24 @@ class SmoothBump(Field):
     radius: float = 1.0
     regularity = SMOOTH
 
+    def __post_init__(self):
+        if not self.radius > 0.0:
+            raise FieldError("bump radius must be positive (got %r)"
+                             % (self.radius,))
+
     @property
     def support_radius(self):
         return self.radius
 
     def _eval(self, pts):
-        s = np.sum(pts * pts, axis=1) / self.radius ** 2
+        s = _dot(pts, pts) / self.radius ** 2
         out = np.zeros(pts.shape[0])
         inside = s < 1.0
         out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
         return out
 
     def _grad(self, pts):
-        s = np.sum(pts * pts, axis=1) / self.radius ** 2
+        s = _dot(pts, pts) / self.radius ** 2
         out = np.zeros_like(pts)
         inside = s < 1.0
         u = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
@@ -263,7 +268,7 @@ class SmoothBump(Field):
     def laplacian(self, x):
         # for u = exp(g(s)), s = |x|^2/R^2: Lap u = (2u/R^2)(d g' + 2s(g'^2 + g''))
         pts = _pts(x, self.dim)
-        s = np.sum(pts * pts, axis=1) / self.radius ** 2
+        s = _dot(pts, pts) / self.radius ** 2
         out = np.zeros(pts.shape[0])
         inside = s < 1.0
         si = s[inside]
@@ -332,11 +337,11 @@ class BallIndicator(Field):
         return abs(self.inside - self.outside)
 
     def _eval(self, pts):
-        r2 = np.sum(pts * pts, axis=1)
+        r2 = _dot(pts, pts)
         return np.where(r2 < self.radius ** 2, self.inside, self.outside)
 
     def _grad(self, pts):
-        r = np.sqrt(np.sum(pts * pts, axis=1))
+        r = np.sqrt(_dot(pts, pts))
         if np.any(r == self.radius):
             raise InterfaceGradientError(
                 "gradient undefined on the sphere interface")

@@ -48,7 +48,7 @@ from . import kernels as kmod
 from .constants import sphere_area
 from .fields import PIECEWISE_CONSTANT, FieldError
 from .geometry import IntervalUnion, containment_margin
-from .quadrature import QuadratureError, integrate, integrate_tail
+from .quadrature import QuadratureError, integrate
 
 MODE_MC = "mc"
 MODE_DET = "deterministic-1d"
@@ -78,13 +78,6 @@ class EnergyEstimate:
     field_id: str
     mode: str
     seed: int = None
-
-    def row(self):
-        return {"value": self.value, "stderr": self.stderr,
-                "n": self.n_samples, "eps": self.eps,
-                "kernel": self.kernel_id, "domain": self.domain_id,
-                "field": self.field_id, "mode": self.mode,
-                "seed": self.seed}
 
 
 def _ident(spec):
@@ -280,26 +273,13 @@ class _PairIntegrator:
                 start = r_cl
         f = self._integrand(x, sign)
         cuts = [c for c in cuts if c > start]
-        if math.isfinite(hi):
-            pts = _geo_refine(start, hi, cuts)
-            val, _ = integrate(f, start, hi, points=pts,
-                               abs_tol=self.inner_tol,
-                               rel_tol=self.inner_rel)
-            total += val
-        else:
-            far = max([start] + cuts + [1.0])
-            if far > start:
-                pts = _geo_refine(start, far, [c for c in cuts if c < far])
-                val, _ = integrate(f, start, far, points=pts,
-                                   abs_tol=self.inner_tol,
-                                   rel_tol=self.inner_rel)
-                total += val
-            tail, _ = integrate_tail(f, max(far, start),
-                                     decay_exponent=kernel.tail_exponent,
-                                     abs_tol=self.inner_tol,
-                                     rel_tol=self.inner_rel)
-            total += tail
-        return total
+        # geometric panels up to where an infinite range hands over to the
+        # tail map (integrate's max(start, cuts, 1))
+        top = hi if math.isfinite(hi) else max([start] + cuts + [1.0])
+        val, _ = integrate(f, start, hi, points=_geo_refine(start, top, cuts),
+                           decay_exponent=kernel.tail_exponent,
+                           abs_tol=self.inner_tol, rel_tol=self.inner_rel)
+        return total + val
 
     def inner(self, x, floor=0.0):
         slope = _slope(self.field, x)
@@ -611,24 +591,13 @@ def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
         sym = 2.0 * (mean - u0)
         return -0.5 * area * sym * kernel.profile(r) * r ** (d - 1)
 
-    lo = max(rc, kernel.inner_radius)
     hi = kernel.support_radius
-    cuts = [b for b in kernel.breakpoints if b > lo]
-    numeric = 0.0
-    if hi is not None:
-        if hi > lo:
-            numeric, _ = integrate(f, lo, hi,
-                                   points=[c for c in cuts if c < hi],
-                                   abs_tol=abs_tol)
-    else:
-        far = max([lo] + cuts + [1.0])
-        part, _ = integrate(f, lo, far, points=[c for c in cuts if c < far],
-                            abs_tol=abs_tol)
-        decay = None if kernel.tail_exponent is None \
-            else kernel.tail_exponent - (d - 1)
-        tail, _ = integrate_tail(f, far, decay_exponent=decay,
-                                 abs_tol=abs_tol)
-        numeric = part + tail
+    decay = None if kernel.tail_exponent is None \
+        else kernel.tail_exponent - (d - 1)
+    numeric, _ = integrate(f, max(rc, kernel.inner_radius),
+                           math.inf if hi is None else hi,
+                           points=kernel.breakpoints, decay_exponent=decay,
+                           abs_tol=abs_tol)
     return core + numeric
 
 
@@ -666,23 +635,11 @@ def dirac_pairing(test_fn, kernel, *, support_radius=None,
         def eval(pts):
             return _test_fn_eval(test_fn, pts)
 
-    def f(r):
-        mean = _sphere_pair_mean(_Probe, center, r, n_angle=n_angle)
-        return mean * kernel.weighted_radial_density(r)
+    def sphere_mean(r):
+        return _sphere_pair_mean(_Probe, center, r, n_angle=n_angle)
 
-    lo = kernel.inner_radius
-    hi = min(rad, kernel.support_radius or rad)
-    if hi <= lo:
-        return 0.0
-    cuts = [b for b in kernel.breakpoints if lo < b < hi]
-    alpha = None
-    if lo == 0.0 and kernel.origin_exponent is not None:
-        alpha = d + kernel.p_exp - kernel.origin_exponent
-        if alpha <= 0.0:
-            raise QuadratureError("pairing diverges at the origin")
-    val, _ = integrate(f, lo, hi, points=cuts, alpha_left=alpha,
-                       abs_tol=abs_tol)
-    return val
+    return kmod.radial_integral(kernel, 0.0, rad, factor=sphere_mean,
+                                abs_tol=abs_tol)
 
 
 # ---------------------------------------------------------------------------

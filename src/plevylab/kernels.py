@@ -11,9 +11,12 @@ equals one.  Families indexed by a concentration parameter ``eps`` are provided:
                       (b = -d switches to the log-normalized variant)
 ``log_limit``         |h|^(-d-p) / (S log(eps0/eps)) on the annulus eps<|h|<eps0
 
-``S`` is the sphere area |S^{d-1}|.  Normalization, tail mass and weighted
-moments are evaluated by adaptive radial quadrature split at the known kinks,
-with a power substitution at the origin and the 1/t map on unbounded tails.
+``S`` is the sphere area |S^{d-1}|.  Normalization, tail mass, weighted
+moments and test-function pairings are all one radial integral of the
+weighted density (``radial_integral``): a single adaptive quadrature call
+split at the weight kink r = 1 and the kernel's breakpoints, with a power
+substitution at the origin and, for full-support kernels, the 1/t map on
+the unbounded tail.
 Offset sampling inverts the radial CDF of the weighted law
 ``S (1 ^ r^p) nu(r) r^{d-1} dr`` (closed form where available, otherwise a
 4096-node log-spaced table with monotone cubic interpolation) and draws the
@@ -31,8 +34,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .constants import sphere_area
-from .quadrature import (QuadratureError, fixed_gauss, integrate,
-                         integrate_tail)
+from .quadrature import QuadratureError, fixed_gauss, integrate
 
 NORMALIZATION_ACCEPT_TOL = 1e-6   # accepted deviation from unit mass
 NORMALIZATION_REQUEST_TOL = 1e-10  # accuracy requested from quadrature
@@ -108,76 +110,40 @@ class RadialKernel:
         return out
 
 
-def _radial_pieces(kernel, lo, hi_cap=None):
-    """Split points for radial integrals of the weighted density."""
-    pts = set()
-    hi = kernel.support_radius
-    for b in kernel.breakpoints:
-        pts.add(float(b))
-    pts.add(1.0)  # the (1 ^ r^p) weight kink
-    if kernel.inner_radius > 0:
-        pts.add(kernel.inner_radius)
-    if hi is not None:
-        pts.add(hi)
-    if hi_cap is not None:
-        pts.add(float(hi_cap))
-    return sorted(p for p in pts if p > lo)
-
-
-def _weighted_alpha_at_zero(kernel, beta=None):
-    """Exponent a with weighted density ~ r^(a-1) at the origin, or None."""
-    gamma = kernel.origin_exponent
-    if gamma is None:
-        return None
-    b = kernel.p_exp if beta is None else beta
-    return kernel.dim + b - gamma
-
-
-def _radial_integral(kernel, lo, hi, *, weight_beta=None, abs_tol):
+def radial_integral(kernel, lo, hi, *, weight_beta=None, factor=None,
+                    abs_tol):
     """Integral of S (1 ^ r^beta) nu(r) r^(d-1) over (lo, hi].
 
     ``hi = None`` integrates to infinity (full-support kernels), using the
-    tail-decay hint when present.
+    tail-decay hint when present; the range is clipped to the kernel's
+    annulus ``(inner_radius, support_radius)``.  ``factor``, when given, is
+    a radial function multiplying the weighted density.
     """
-    d, p = kernel.dim, kernel.p_exp
-    beta = p if weight_beta is None else weight_beta
+    d = kernel.dim
+    beta = kernel.p_exp if weight_beta is None else weight_beta
 
     def f(r):
-        return kernel.weighted_radial_density(r, weight_beta=beta)
+        dens = kernel.weighted_radial_density(r, weight_beta=beta)
+        return dens if factor is None else factor(r) * dens
 
     lo = max(lo, kernel.inner_radius)
-    support = kernel.support_radius
-    if support is not None:
-        hi = support if hi is None else min(hi, support)
-    if hi is not None and hi <= lo:
-        return 0.0
-    finite_hi = hi if hi is not None else None
-    total, err = 0.0, 0.0
-    cuts = _radial_pieces(kernel, lo, hi_cap=finite_hi)
-    if finite_hi is not None:
-        cuts = [c for c in cuts if c <= finite_hi]
-        if not cuts or cuts[-1] < finite_hi:
-            cuts.append(finite_hi)
-    near_cap = cuts[-1] if cuts else max(lo, 1.0)
+    hi = math.inf if hi is None else hi
+    if kernel.support_radius is not None:
+        hi = min(hi, kernel.support_radius)
     alpha0 = None
-    if lo == 0.0 and kernel.inner_radius == 0.0:
-        alpha0 = _weighted_alpha_at_zero(kernel, beta)
-        if alpha0 is not None and alpha0 <= 0.0:
+    if lo == 0.0 and kernel.origin_exponent is not None:
+        alpha0 = d + beta - kernel.origin_exponent
+        if alpha0 <= 0.0:
             raise QuadratureError(
                 "radial integral diverges at the origin "
                 "(weighted exponent %.3g <= 0)" % alpha0)
-    val, e = integrate(f, lo, near_cap, points=cuts[:-1] if cuts else (),
-                       alpha_left=alpha0, abs_tol=abs_tol)
-    total += val
-    err += e
-    if hi is None:
-        q = kernel.tail_exponent
-        decay = None if q is None else q - (d - 1)
-        tail, e = integrate_tail(f, near_cap, decay_exponent=decay,
-                                 abs_tol=abs_tol)
-        total += tail
-        err += e
-    return total
+    q = kernel.tail_exponent
+    # split at the (1 ^ r^beta) weight kink and the profile's breakpoints
+    val, _ = integrate(f, lo, hi, points=(1.0, *kernel.breakpoints),
+                       alpha_left=alpha0,
+                       decay_exponent=None if q is None else q - (d - 1),
+                       abs_tol=abs_tol)
+    return val
 
 
 def normalization(kernel, *, abs_tol=NORMALIZATION_REQUEST_TOL):
@@ -186,14 +152,14 @@ def normalization(kernel, *, abs_tol=NORMALIZATION_REQUEST_TOL):
     Divergent profiles raise :class:`QuadratureError` instead of returning a
     number.
     """
-    return _radial_integral(kernel, 0.0, None, abs_tol=abs_tol)
+    return radial_integral(kernel, 0.0, None, abs_tol=abs_tol)
 
 
 def mass_outside(kernel, delta, *, abs_tol=NORMALIZATION_REQUEST_TOL):
     """Weighted tail mass int_{|h| > delta} (1 ^ |h|^p) nu(h) dh."""
     if delta <= 0:
         raise KernelError("delta must be positive")
-    return _radial_integral(kernel, delta, None, abs_tol=abs_tol)
+    return radial_integral(kernel, delta, None, abs_tol=abs_tol)
 
 
 def weighted_moment(kernel, beta, big_r, *, abs_tol=NORMALIZATION_REQUEST_TOL):
@@ -202,8 +168,8 @@ def weighted_moment(kernel, beta, big_r, *, abs_tol=NORMALIZATION_REQUEST_TOL):
         raise KernelError("moment defined for beta >= p")
     if big_r <= 0:
         raise KernelError("R must be positive")
-    return _radial_integral(kernel, 0.0, big_r, weight_beta=beta,
-                            abs_tol=abs_tol)
+    return radial_integral(kernel, 0.0, big_r, weight_beta=beta,
+                           abs_tol=abs_tol)
 
 
 def check_normalized(kernel, *, tol=NORMALIZATION_ACCEPT_TOL):
@@ -237,10 +203,8 @@ def _tabulated_cdf(kernel):
     segs = fixed_gauss(kernel.weighted_radial_density, nodes[:-1],
                        nodes[1:], n=12)
     cdf = np.concatenate(([0.0], np.cumsum(segs)))
-    head = _radial_integral(kernel, 0.0, nodes[0],
-                            abs_tol=NORMALIZATION_REQUEST_TOL) \
-        if lo == 0.0 else 0.0
-    cdf += head
+    cdf += radial_integral(kernel, 0.0, nodes[0],
+                           abs_tol=NORMALIZATION_REQUEST_TOL)
     if not np.all(np.isfinite(cdf)):
         raise KernelError("cdf tabulation produced non-finite values")
     total = cdf[-1]

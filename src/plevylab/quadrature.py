@@ -9,7 +9,9 @@ multiplied by smooth factors), so the strategy is:
   integrand,
 * a power substitution ``x = a + u**(1/alpha)`` on the panel touching an
   integrable endpoint singularity ``f ~ C*(x-a)**(alpha-1)``,
-* the map ``r = 1/t`` for tails on ``(a, inf)``.
+* the map ``r = 1/t`` for tails on ``(a, inf)``: :func:`integrate` with
+  ``b = inf`` integrates up to ``max(a, points, 1)`` as above and hands the
+  rest to :func:`integrate_tail`.
 
 Integrands must be vectorized (``f(ndarray) -> ndarray``).  Failure to reach
 the requested tolerance raises :class:`QuadratureError` carrying the achieved
@@ -151,9 +153,13 @@ def _power_mapped(f, a, alpha):
 
 
 def integrate(f, a, b, *, points=(), alpha_left=None, alpha_right=None,
-              abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12,
+              decay_exponent=None, abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12,
               max_panels=DEFAULT_MAX_PANELS):
     """Integrate ``f`` over ``(a, b)`` with known kinks and endpoint hints.
+
+    ``b`` may be ``math.inf``: the range ``(a, far)`` with
+    ``far = max(a, *points, 1)`` is integrated as a finite one, and
+    ``(far, inf)`` by :func:`integrate_tail`.
 
     Parameters
     ----------
@@ -163,11 +169,24 @@ def integrate(f, a, b, *, points=(), alpha_left=None, alpha_right=None,
     alpha_left, alpha_right : float, optional
         Endpoint singularity exponents: the integrand behaves like
         ``(x-a)**(alpha_left-1)`` near ``a`` (resp. ``(b-x)**(alpha_right-1)``
-        near ``b``).  ``alpha <= 0`` means the integral diverges and raises.
-        Hints with ``alpha >= 1`` are ignored (no true singularity).
+        near a finite ``b``).  ``alpha <= 0`` means the integral diverges and
+        raises.  Hints with ``alpha >= 1`` are ignored (no true singularity).
+    decay_exponent : float, optional
+        For ``b = inf``: ``q`` with ``f(x) ~ C*x**(-q)`` at infinity, passed
+        to :func:`integrate_tail`; ignored for finite ``b``.
 
-    Returns ``(value, error_estimate)``.
+    Returns ``(value, error_estimate)``; on an infinite range both are the
+    sums over the finite part and the tail.
     """
+    if b == math.inf:
+        points = tuple(points)
+        far = max(a, *points, 1.0)
+        tol = dict(abs_tol=abs_tol, rel_tol=rel_tol, max_panels=max_panels)
+        near, near_err = integrate(f, a, far, points=points,
+                                   alpha_left=alpha_left, **tol)
+        tail, tail_err = integrate_tail(f, far, decay_exponent=decay_exponent,
+                                        **tol)
+        return near + tail, near_err + tail_err
     if b <= a:
         return 0.0, 0.0
     for name, alpha in (("left", alpha_left), ("right", alpha_right)):

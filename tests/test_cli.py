@@ -45,6 +45,16 @@ def test_energy_deterministic_value():
     assert abs(float(cols["value"]) - 1.9 / 2.2) < 1e-8
 
 
+def test_energy_row_names_the_kernel_built():
+    # d, p and eps come from the kernel, defaults included
+    out = run("energy", "--eps", "0.1", "--n", "1000")
+    assert out.returncode == 0
+    header, row = out.stdout.strip().split("\n")
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert (cols["family"], cols["d"], cols["p"], cols["eps"]) \
+        == ("stable", "1", "2.0", "0.1")
+
+
 def test_generator_json():
     out = run("generator", "--field", "gaussian", "--d", "1", "--p", "2",
               "--eps", "0.1", "--format", "json")
@@ -106,6 +116,13 @@ def test_single_sweep_case_runs():
     "suite --config x",
     "constant --d 0 --p 2",
     "constant --d 2 --p 0.5",
+    "kernel-check --d 0 --eps 0.1",
+    "kernel-check --d 0 --eps 0.1 --family truncated_power",
+    "kernel-check --d 0 --eps 0.1 --family log_limit",
+    "energy --eps 0.1 --domain ball --radius -1 --d 2",
+    "energy --eps 0.1 --xa 1 --xb 0",
+    "energy --eps 0.1 --domain slit-ball --radius 0 --d 2",
+    "energy --eps 0.1 --field bump --bump-radius -1",
     "PLEVYLAB_THREADS=abc kernel-check --eps 0.1",
     "PLEVYLAB_THREADS=0 kernel-check --eps 0.1",
     "PLEVYLAB_THREADS=-2 kernel-check --eps 0.1",

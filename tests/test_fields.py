@@ -43,6 +43,12 @@ def test_bump_is_smooth_and_compact():
     assert abs(float(b.grad([[x]])[0, 0]) - fd) < 1e-6
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+def test_bump_radius_must_be_positive(radius):
+    with pytest.raises(FieldError):
+        SmoothBump(1, radius)
+
+
 def test_grad_lp_norm_linear():
     assert abs(grad_lp_norm(Linear((1.0,)), interval(0, 1), 2.0) - 1.0) \
         < 1e-14

@@ -380,6 +380,15 @@ def test_dirac_pairing_p_guard():
     assert np.isfinite(val)
 
 
+def test_dirac_pairing_divergent_origin_raises():
+    # nu ~ r^-3 against the weight r^1 in d = 1: weighted exponent -1
+    kern = K.RadialKernel(dim=1, p_exp=1.0, profile=lambda r: r ** -3.0,
+                          support_radius=1.0, origin_exponent=3.0,
+                          breakpoints=(1.0,))
+    with pytest.raises(QuadratureError):
+        F.dirac_pairing(SmoothBump(1, 0.5), kern)
+
+
 # ---------------------------------------------------------------------------
 # fractional seminorms
 

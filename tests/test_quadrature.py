@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,3 +55,23 @@ def test_divergent_integral_raises():
 def test_nonpositive_alpha_raises():
     with pytest.raises(QuadratureError):
         integrate(lambda r: 1.0 / r, 0.0, 1.0, alpha_left=0.0)
+
+
+def _inv_cube(r):
+    return r ** -3
+
+
+def test_infinite_upper_limit_is_finite_part_plus_tail():
+    val, err = integrate(_inv_cube, 0.5, math.inf, points=(0.7, 2.0),
+                         decay_exponent=3.0)
+    assert abs(val - 2.0) < 1e-12
+    # the finite part stops at max(a, points, 1), the tail map takes over
+    near, near_err = integrate(_inv_cube, 0.5, 2.0, points=(0.7,))
+    tail, tail_err = integrate_tail(_inv_cube, 2.0, decay_exponent=3.0)
+    assert val == near + tail
+    assert err == near_err + tail_err
+
+
+def test_infinite_upper_limit_without_decay_hint():
+    val, _ = integrate(lambda r: np.exp(-r), 0.0, math.inf)
+    assert abs(val - 1.0) < 1e-10
