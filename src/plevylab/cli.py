@@ -140,6 +140,13 @@ def _flag_values(build):
     return checked
 
 
+def _same_dims(**dims):
+    """Reject flags that build objects of different dimensions."""
+    if len(set(dims.values())) > 1:
+        raise _UsageError("dimension mismatch: " + ", ".join(
+            "%s d=%d" % item for item in dims.items()))
+
+
 @_flag_values
 def _domain_from(args):
     name = args.domain
@@ -211,6 +218,7 @@ def _cmd_energy(args):
     kern = kmod.kernel_from_spec(spec)
     dom = _domain_from(args)
     fld = _field_from(args)
+    _same_dims(kernel=kern.dim, domain=dom.dim, field=fld.dim)
     est = emod.energy(fld, dom, kern, mode=args.mode, n=args.n,
                       seed=args.seed)
     header = ("family", "d", "p", "eps", "value", "stderr", "n", "mode",
@@ -228,6 +236,7 @@ def _cmd_generator(args):
     fld = _field_from(args)
     point = np.zeros(fld.dim) if args.point is None \
         else np.array(args.point)
+    _same_dims(kernel=fam.dim, field=fld.dim, point=point.size)
     grid = [float(args.eps)] if args.eps is not None else fam.default_grid()
     header = ("family", "d", "p", "eps", "value")
     rows = []

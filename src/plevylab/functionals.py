@@ -24,9 +24,13 @@ Deterministic (dimension one)
     exact power law below floating point resolution, are integrated in closed
     form: the inner integral over ``(0, r_c)`` uses the local slope, and the
     outer integral gets an analytic sliver at jump interfaces whose adjacent
-    behaviour is ``|x - e|^(1-gamma)``.  This mode is the oracle the Monte
-    Carlo estimates are checked against, and serves the jump fields whose MC
-    weights are heavy-tailed.
+    behaviour is ``|x - e|^(1-gamma)``.  Each call of the outer integrand
+    evaluates the inner integrals of all its nodes as one lock-step batch
+    (:func:`~plevylab.quadrature.integrate_many`): every node and side keeps
+    the panels and tolerance of its own adaptive integral, while fields and
+    kernels see one array per bisection round.  This mode is the oracle the
+    Monte Carlo estimates are checked against, and serves the jump fields
+    whose MC weights are heavy-tailed.
 
 Also here: the symmetrized-difference operator at a point (p = 2), the
 pairing of a test function against the kernel's unit-mass measure (p = 1),
@@ -48,7 +52,7 @@ from . import kernels as kmod
 from .constants import sphere_area
 from .fields import PIECEWISE_CONSTANT, FieldError
 from .geometry import IntervalUnion, containment_margin
-from .quadrature import QuadratureError, integrate
+from .quadrature import QuadratureError, integrate, integrate_many
 
 MODE_MC = "mc"
 MODE_DET = "deterministic-1d"
@@ -194,12 +198,6 @@ def _geo_refine(lo, hi, cuts, *, origin=0.0, factor=8.0):
     return sorted(pts)
 
 
-def _slope(field, x):
-    if field.regularity == PIECEWISE_CONSTANT:
-        return 0.0
-    return float(field.grad(np.array([[x]]))[0, 0])
-
-
 class _PairIntegrator:
     """Double integral of |u(x)-u(y)|^p nu(|x-y|) over one interval pair."""
 
@@ -214,30 +212,20 @@ class _PairIntegrator:
         self.inner_tol = max(tol * 1e-2, 1e-12)
         self.inner_rel = 1e-9
 
-    # -- inner integral over y at fixed x ---------------------------------
-
-    def _integrand(self, x, sign):
-        field, kernel, p = self.field, self.kernel, self.p
-        logprof = kernel.log_profile
-
-        def f(r):
-            pts = np.full((r.size, 1), x)
-            du = np.abs(field._offset_diff(pts, (sign * r)[:, None]))
-            if logprof is None:
-                return kernel.profile(r) * du ** p
-            out = np.exp(p * np.log(du) + logprof(r))
-            return np.where(du > 0.0, out, 0.0)
-
-        return f
+    # -- inner integrals over y, one batch of nodes x ------------------------
 
     def _range_value(self, x, slope, r_lo, r_hi, sign, floor):
+        """Scalar set-up of the inner range ``r_lo < r < r_hi`` on one side
+        of x: ``(core, start, hi, points)``, with the closed-form core value
+        and the range and cut points left to quadrature, or None when the
+        kernel sees nothing of the range."""
         kernel, p = self.kernel, self.p
         lo = max(r_lo, kernel.inner_radius, floor)
         hi = r_hi
         if kernel.support_radius is not None:
             hi = min(hi, kernel.support_radius)
         if hi <= lo:
-            return 0.0
+            return None
         cuts = set()
         for m in self.marks:
             rm = sign * (m - x)
@@ -271,28 +259,61 @@ class _PairIntegrator:
                     total += (abs(slope) ** p * kernel.origin_coefficient
                               * r_cl ** a_in / a_in)
                 start = r_cl
-        f = self._integrand(x, sign)
         cuts = [c for c in cuts if c > start]
         # geometric panels up to where an infinite range hands over to the
         # tail map (integrate's max(start, cuts, 1))
         top = hi if math.isfinite(hi) else max([start] + cuts + [1.0])
-        val, _ = integrate(f, start, hi, points=_geo_refine(start, top, cuts),
-                           decay_exponent=kernel.tail_exponent,
-                           abs_tol=self.inner_tol, rel_tol=self.inner_rel)
-        return total + val
+        return total, start, hi, _geo_refine(start, top, cuts)
 
-    def inner(self, x, floor=0.0):
-        slope = _slope(self.field, x)
-        ay, by = self.y_lo, self.y_hi
-        total = 0.0
-        if by <= x:
-            total += self._range_value(x, slope, x - by, x - ay, -1.0, floor)
-        elif ay >= x:
-            total += self._range_value(x, slope, ay - x, by - x, +1.0, floor)
+    def inner(self, xs, floor=0.0):
+        """Inner integrals over y at every node of ``xs``: one lock-step
+        batch of the per-node, per-side quadrature problems."""
+        xs = np.asarray(xs, dtype=float)
+        field, kernel, p = self.field, self.kernel, self.p
+        if field.regularity == PIECEWISE_CONSTANT:
+            slopes = np.zeros(xs.size)
         else:
-            total += self._range_value(x, slope, 0.0, x - ay, -1.0, floor)
-            total += self._range_value(x, slope, 0.0, by - x, +1.0, floor)
-        return total
+            slopes = field.grad(xs[:, None])[:, 0]
+        ay, by = self.y_lo, self.y_hi
+        probs = []      # (node, x, sign, core, start, hi, points)
+        for k, (x, slope) in enumerate(zip(xs.tolist(), slopes.tolist())):
+            if by <= x:
+                sides = ((x - by, x - ay, -1.0),)
+            elif ay >= x:
+                sides = ((ay - x, by - x, +1.0),)
+            else:
+                sides = ((0.0, x - ay, -1.0), (0.0, by - x, +1.0))
+            for r_lo, r_hi, sign in sides:
+                spec = self._range_value(x, slope, r_lo, r_hi, sign, floor)
+                if spec is not None:
+                    probs.append((k, x, sign, *spec))
+        node, x_of, sign_of, core, a, b, pts = \
+            zip(*probs) if probs else [()] * 7
+        x_of, sign_of = np.array(x_of), np.array(sign_of)
+        logprof = kernel.log_profile
+
+        def f(i, r):
+            x = x_of[i]
+            du = np.abs(field._offset_diff(x[:, None],
+                                           (sign_of[i] * r)[:, None]))
+            # r = inf only arises where the tail map reaches t = 0, whose
+            # contribution the map zeroes itself
+            bad = ~np.isfinite(du) & np.isfinite(r)
+            if bad.any():
+                raise EnergyError("non-finite field value near x=%s"
+                                  % x[np.argmax(bad)])
+            if logprof is None:
+                return kernel.profile(r) * du ** p
+            out = np.exp(p * np.log(du) + logprof(r))
+            return np.where(du > 0.0, out, 0.0)
+
+        vals, _ = integrate_many(f, a, b, pts,
+                                 decay_exponent=kernel.tail_exponent,
+                                 abs_tol=self.inner_tol,
+                                 rel_tol=self.inner_rel)
+        out = np.zeros(xs.size)
+        np.add.at(out, np.array(node, dtype=np.intp), np.array(core) + vals)
+        return out
 
     # -- outer integral -----------------------------------------------------
 
@@ -355,7 +376,8 @@ class _PairIntegrator:
         jump = self.field.jump_size
         alpha = 2.0 - gamma
         power_part = jump ** p * c0 * width ** alpha / alpha
-        rest = width * self.inner(e + sign * 0.5 * width, floor=width)
+        rest = width * float(self.inner([e + sign * 0.5 * width],
+                                        floor=width)[0])
         return power_part + rest
 
     def piece_value(self, lo, hi, tol):
@@ -385,10 +407,8 @@ class _PairIntegrator:
                 pts.update(hi - q for q in _geo_refine(hi - b, hi - a, ())
                            if a < hi - q < b)
 
-            def g(xs):
-                return np.array([self.inner(float(x)) for x in
-                                 np.atleast_1d(xs)])
-            piece, _ = integrate(g, a, b, points=sorted(pts), abs_tol=tol)
+            piece, _ = integrate(self.inner, a, b, points=sorted(pts),
+                                 abs_tol=tol)
             val += piece
         return val
 

@@ -13,6 +13,13 @@ multiplied by smooth factors), so the strategy is:
   ``b = inf`` integrates up to ``max(a, points, 1)`` as above and hands the
   rest to :func:`integrate_tail`.
 
+:func:`integrate_many` runs many such problems in lock-step: each keeps the
+panels, tolerance and greedy bisection order of its own :func:`integrate`
+call, and every round evaluates one panel pair of every unconverged problem
+through one call of a batched integrand ``f(index, x)``.  It serves the
+nested 1-D oracle, whose inner integrals are many short problems; single
+integrals go through :func:`integrate`, which has no per-round array cost.
+
 Integrands must be vectorized (``f(ndarray) -> ndarray``).  Failure to reach
 the requested tolerance raises :class:`QuadratureError` carrying the achieved
 error estimate; divergent integrals are reported this way rather than as a
@@ -152,6 +159,14 @@ def _power_mapped(f, a, alpha):
     return g
 
 
+def _pieces(a, b, points):
+    """The ``(lo, hi)`` panels of ``(a, b)`` split at the points inside."""
+    if b <= a:
+        return []
+    edges = [a, *sorted({float(p) for p in points if a < p < b}), b]
+    return list(zip(edges[:-1], edges[1:]))
+
+
 def integrate(f, a, b, *, points=(), alpha_left=None, alpha_right=None,
               decay_exponent=None, abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12,
               max_panels=DEFAULT_MAX_PANELS):
@@ -194,12 +209,11 @@ def integrate(f, a, b, *, points=(), alpha_left=None, alpha_right=None,
             raise QuadratureError(
                 "divergent endpoint singularity (%s alpha=%g <= 0)"
                 % (name, alpha))
-    cuts = sorted({float(p) for p in points if a < p < b})
-    if not cuts and alpha_left is not None and alpha_right is not None \
+    pieces = _pieces(a, b, points)
+    if len(pieces) == 1 and alpha_left is not None \
+            and alpha_right is not None \
             and alpha_left < 1.0 and alpha_right < 1.0:
-        cuts = [0.5 * (a + b)]
-    edges = [a, *cuts, b]
-    pieces = list(zip(edges[:-1], edges[1:]))
+        pieces = _pieces(a, b, [0.5 * (a + b)])
     regions = []
     for i, (lo, hi) in enumerate(pieces):
         if i == 0 and alpha_left is not None and alpha_left < 1.0:
@@ -234,6 +248,195 @@ def integrate_tail(f, a, *, decay_exponent=None, abs_tol=DEFAULT_ABS_TOL,
     alpha = None if decay_exponent is None else decay_exponent - 1.0
     return integrate(g, 0.0, 1.0 / a, alpha_left=alpha, abs_tol=abs_tol,
                      rel_tol=rel_tol, max_panels=max_panels)
+
+
+def _batch_estimates(f, owner, tail, inv, lo, hi):
+    """(high-order estimates, error estimates) of many panels from one call
+    of ``f(owner, x)``.
+
+    Tail panels live in ``t = 1/r``, or in ``u = t**alpha`` when ``inv`` is
+    ``1/alpha``, and are transformed exactly as :func:`integrate_tail` and
+    :func:`_power_mapped` transform a single tail.
+    """
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (lo + hi)
+    x = mid[:, None] + half[:, None] * _all_nodes
+    r = x.copy()
+    ok = np.ones(x.shape, dtype=bool)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore",
+                     under="ignore"):
+        u = x[tail]
+        t = u
+        if inv is not None:
+            jac = inv * np.power(u, inv - 1.0)
+            ok[tail] = (jac > 0) & np.isfinite(jac)
+            t = np.power(u, inv)
+        r[tail] = 1.0 / t
+        vals = np.zeros(x.shape)
+        vals[ok] = f(np.broadcast_to(owner[:, None], x.shape)[ok], r[ok])
+        rt = r[tail]
+        vt = vals[tail] * rt * rt
+        if inv is not None:
+            # where t collapsed onto r = inf the contribution is
+            # jac-suppressed to zero
+            vt[~np.isfinite(vt)] = 0.0
+            vt[t == 0.0] = 0.0
+            vt = np.where(ok[tail], vt * jac, 0.0)
+        vals[tail] = vt
+        # row sums, unlike a BLAS matrix-vector product, do not depend on
+        # which other panels share the batch
+        lo_est = half * (vals[:, :_LO_N] * _lo_weights).sum(axis=1)
+        hi_est = half * (vals[:, _LO_N:] * _hi_weights).sum(axis=1)
+    return hi_est, np.abs(hi_est - lo_est)
+
+
+def integrate_many(f, a, b, points, *, decay_exponent=None,
+                   abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12):
+    """Many independent :func:`integrate` problems advanced in lock-step.
+
+    Problem ``i`` is ``integrate(lambda x: f(i, x), a[i], b[i],
+    points=points[i], decay_exponent=decay_exponent, ...)``: it starts from
+    the same panels (on ``b[i] = inf`` the finite part up to
+    ``max(a[i], points[i], 1)`` and the ``1/t`` tail with its
+    ``alpha = decay_exponent - 1`` power map), meets its own tolerance and
+    bisects by its own greedy rule (worst error first, ties to the earliest
+    panel; a panel at floating point resolution is accepted; it stalls at
+    ``DEFAULT_MAX_PANELS``).  Each round bisects one panel of every unconverged problem, and
+    all nodes of a round go to one call ``f(index, x)`` with equal-shape
+    arrays of problem indices and abscissae, so the Python overhead is paid
+    per round, not per panel.
+
+    Returns ``(values, error_estimates)`` as arrays; values agree with the
+    separate :func:`integrate` calls up to the summation order of the Gauss
+    dot products.
+    """
+    a = [float(v) for v in a]
+    b = [float(v) for v in b]
+    alpha = None if decay_exponent is None else decay_exponent - 1.0
+    if alpha is not None and alpha <= 0.0 and math.inf in b:
+        raise QuadratureError(
+            "divergent endpoint singularity (left alpha=%g <= 0)" % alpha)
+    inv = 1.0 / alpha if alpha is not None and alpha < 1.0 else None
+    # one greedy heap per finite range or tail, each owned by a problem
+    owner, tail, regions = [], [], []
+    for i, (lo, hi, pts) in enumerate(zip(a, b, points)):
+        pts = tuple(pts)
+        if hi == math.inf:
+            far = max(lo, *pts, 1.0)
+            top = 1.0 / far
+            owner += [i, i]
+            tail += [False, True]
+            regions += [_pieces(lo, far, pts),
+                        [(0.0, top if inv is None else top ** alpha)]]
+        else:
+            owner.append(i)
+            tail.append(False)
+            regions.append(_pieces(lo, hi, pts))
+    owner = np.array(owner, dtype=np.intp)
+    totals, errs = _lockstep(f, owner, np.array(tail, dtype=bool), inv,
+                             regions, abs_tol, rel_tol, a, b)
+    # in heap order: a problem's finite part, then its tail
+    values = np.zeros(len(a))
+    errors = np.zeros(len(a))
+    np.add.at(values, owner, totals)
+    np.add.at(errors, owner, errs)
+    return values, errors
+
+
+def _lockstep(f, owner, tail, inv, regions, abs_tol, rel_tol, a, b):
+    """Run one :func:`adaptive_regions` heap per entry of ``regions`` in
+    lock-step; returns the arrays of totals and error estimates."""
+    n = len(regions)
+    width = max([len(r) for r in regions] + [1])
+    cap = 2 * width + 16
+    pa = np.zeros((n, cap))
+    pb = np.zeros((n, cap))
+    est = np.zeros((n, cap))
+    err = np.full((n, cap), -np.inf)   # -inf marks an empty slot
+    used = np.array([len(r) for r in regions], dtype=np.intp)
+    for h, regs in enumerate(regions):
+        for j, (lo, hi) in enumerate(regs):
+            pa[h, j], pb[h, j] = lo, hi
+    filled = np.arange(cap) < used[:, None]
+    if filled.any():
+        rows = np.nonzero(filled)[0]
+        e, r = _batch_estimates(f, owner[rows], tail[rows], inv,
+                                pa[filled], pb[filled])
+        bad = ~np.isfinite(e)
+        if bad.any():
+            k = np.argmax(bad)
+            raise QuadratureError("non-finite integrand on (%g, %g)"
+                                  % (pa[filled][k], pb[filled][k]))
+        est[filled], err[filled] = e, r
+    # sequential left-to-right sums, as adaptive_regions accumulates them
+    total = np.cumsum(np.where(filled, est, 0.0), axis=1)[:, -1]
+    total_err = np.cumsum(np.where(filled, err, 0.0), axis=1)[:, -1]
+    n_panels = used.copy()
+    live = used.copy()
+    heap = np.arange(n)          # heap id of each working row
+    out_total = np.zeros(n)
+    out_err = np.zeros(n)
+    while heap.size:
+        go = total_err > np.maximum(abs_tol, rel_tol * np.abs(total))
+        stalled = go & (n_panels >= DEFAULT_MAX_PANELS)
+        if stalled.any():
+            k = np.argmax(stalled)
+            i = owner[heap[k]]
+            raise QuadratureError(
+                "adaptive quadrature stalled on (%g, %g): error estimate "
+                "%.3e after %d panels (likely divergent or insufficiently "
+                "resolved)" % (a[i], b[i], total_err[k], n_panels[k]),
+                achieved=float(total_err[k]))
+        go &= live > 0
+        if not go.all():
+            done = ~go
+            out_total[heap[done]] = total[done]
+            out_err[heap[done]] = total_err[done]
+            heap, pa, pb, est, err, used, total, total_err, n_panels, live = (
+                v[go] for v in (heap, pa, pb, est, err, used, total,
+                                total_err, n_panels, live))
+            if not heap.size:
+                break
+        rows = np.arange(heap.size)
+        j = np.argmax(err, axis=1)
+        qa, qb, qest, qerr = pa[rows, j], pb[rows, j], est[rows, j], \
+            err[rows, j]
+        err[rows, j] = -np.inf
+        live -= 1
+        mid = 0.5 * (qa + qb)
+        split = (mid > qa) & (mid < qb)
+        # a panel at floating point resolution keeps its estimate
+        total_err[~split] -= qerr[~split]
+        s = np.nonzero(split)[0]
+        if not s.size:
+            continue
+        hs = heap[s]
+        e, r = _batch_estimates(
+            f, np.concatenate([owner[hs], owner[hs]]),
+            np.concatenate([tail[hs], tail[hs]]), inv,
+            np.concatenate([qa[s], mid[s]]), np.concatenate([mid[s], qb[s]]))
+        m = s.size
+        e1, e2, r1, r2 = e[:m], e[m:], r[:m], r[m:]
+        bad = ~(np.isfinite(e1) & np.isfinite(e2))
+        if bad.any():
+            k = s[np.argmax(bad)]
+            raise QuadratureError("non-finite integrand near (%g, %g)"
+                                  % (qa[k], qb[k]))
+        total[s] += (e1 + e2) - qest[s]
+        total_err[s] += (r1 + r2) - qerr[s]
+        if used.max() + 2 > pa.shape[1]:
+            grow = pa.shape[1]
+            pa, pb, est = (np.pad(v, ((0, 0), (0, grow))) for v in (pa, pb,
+                                                                     est))
+            err = np.pad(err, ((0, 0), (0, grow)), constant_values=-np.inf)
+        c = used[s]
+        pa[s, c], pb[s, c], est[s, c], err[s, c] = qa[s], mid[s], e1, r1
+        pa[s, c + 1], pb[s, c + 1], est[s, c + 1], err[s, c + 1] = \
+            mid[s], qb[s], e2, r2
+        used[s] += 2
+        live[s] += 2
+        n_panels[s] += 1
+    return out_total, out_err
 
 
 def fixed_gauss(f, a, b, n=_HI_N):

@@ -123,6 +123,8 @@ def test_single_sweep_case_runs():
     "energy --eps 0.1 --xa 1 --xb 0",
     "energy --eps 0.1 --domain slit-ball --radius 0 --d 2",
     "energy --eps 0.1 --field bump --bump-radius -1",
+    "energy --eps 0.1 --domain ball --n 1000",
+    "generator --point 1,2 --eps 0.1 --p 2",
     "PLEVYLAB_THREADS=abc kernel-check --eps 0.1",
     "PLEVYLAB_THREADS=0 kernel-check --eps 0.1",
     "PLEVYLAB_THREADS=-2 kernel-check --eps 0.1",

@@ -8,10 +8,10 @@ import pytest
 from plevylab import functionals as F
 from plevylab import kernels as K
 from plevylab.constants import kdp_mean
-from plevylab.fields import (Field, Gaussian, Linear, SignJump, SmoothBump,
-                             Tent, sobolev_norm_p)
+from plevylab.fields import (PIECEWISE_CONSTANT, Field, Gaussian, Linear,
+                             SignJump, SmoothBump, Tent, sobolev_norm_p)
 from plevylab.geometry import interval, interval_difference, slit_interval
-from plevylab.quadrature import QuadratureError
+from plevylab.quadrature import QuadratureError, integrate
 
 UNIT = interval(0.0, 1.0)
 SYM = interval(-1.0, 1.0)
@@ -68,6 +68,67 @@ def test_constant_field_energy_zero():
 def test_sign_jump_p2_energy_diverges():
     with pytest.raises(QuadratureError):
         F.energy(SignJump(1), SYM, K.make_stable(1, 2.0, 0.2), mode=DET)
+
+
+def _inner_reference(integ, x, floor):
+    """The oracle's inner integral at one node: the scalar set-up of
+    ``_range_value`` and one public ``integrate`` call per side."""
+    field, kernel, p = integ.field, integ.kernel, integ.p
+    slope = 0.0 if field.regularity == PIECEWISE_CONSTANT \
+        else float(field.grad([[x]])[0, 0])
+    ay, by = integ.y_lo, integ.y_hi
+    if by <= x:
+        sides = [(x - by, x - ay, -1.0)]
+    elif ay >= x:
+        sides = [(ay - x, by - x, +1.0)]
+    else:
+        sides = [(0.0, x - ay, -1.0), (0.0, by - x, +1.0)]
+    total = 0.0
+    for r_lo, r_hi, sign in sides:
+        spec = integ._range_value(x, slope, r_lo, r_hi, sign, floor)
+        if spec is None:
+            continue
+        core, start, hi, points = spec
+
+        def f(r, sign=sign):
+            du = np.abs(field.offset_diff(np.full((r.size, 1), x),
+                                          (sign * r)[:, None]))
+            if kernel.log_profile is None:
+                return kernel.profile(r) * du ** p
+            out = np.exp(p * np.log(du) + kernel.log_profile(r))
+            return np.where(du > 0.0, out, 0.0)
+
+        val, _ = integrate(f, start, hi, points=points,
+                           decay_exponent=kernel.tail_exponent,
+                           abs_tol=integ.inner_tol, rel_tol=integ.inner_rel)
+        total += core + val
+    return total
+
+
+_NODES = np.linspace(0.01, 0.99, 23)
+
+
+@pytest.mark.parametrize("field, kernel, y_iv, xs, floor", [
+    # cross-tent p = 1: partners left and right of (0, 1), with the tent
+    # kinks and the sign change of u(y) - u(x) at r = 2x inside the ranges
+    (Tent(1), K.make_stable(1, 1.0, 0.1), (-math.inf, 0.0), _NODES, 0.0),
+    (Tent(1), K.make_stable(1, 1.0, 0.1), (1.0, math.inf), _NODES, 0.0),
+    (Tent(1), K.make_stable(1, 1.0, 0.1), (-2.0, 2.0), _NODES, 0.0),
+    # the sign jump's sliver nodes next to the interface, with their floor
+    (SignJump(1), K.make_stable(1, 1.0, 0.1), (-1.0, 0.0),
+     np.array([5e-7, 1e-6, 3e-6, 0.25]), 1e-6),
+    # a power window with a cutoff and an infinite range
+    (LINEAR, F._power_window_kernel(1, 2.0, 3.0, cutoff=0.05), (0.0, 1.0),
+     _NODES, 0.0),
+], ids=["tent-left", "tent-right", "tent-both", "jump-sliver",
+        "window-cutoff"])
+def test_batched_inner_matches_per_node_integrate(field, kernel, y_iv, xs,
+                                                  floor):
+    integ = F._PairIntegrator(field, kernel, kernel.p_exp, *y_iv, 1e-10)
+    batch = integ.inner(xs, floor=floor)
+    for x, val in zip(xs, batch):
+        ref = _inner_reference(integ, float(x), floor)
+        assert abs(val - ref) <= 1e-14 * abs(ref), x
 
 
 # ---------------------------------------------------------------------------
@@ -189,25 +250,35 @@ def test_energy_lower_bound_near_limit():
         assert est.value >= 0.9 * target
 
 
+class _NanAbove(Field):
+    """u(x) = x, but NaN on (0.9, 1]."""
+
+    dim = 1
+    regularity = "smooth"
+
+    def _eval(self, pts):
+        out = pts[:, 0].copy()
+        out[pts[:, 0] > 0.9] = np.nan
+        return out
+
+    def _grad(self, pts):
+        return np.ones_like(pts)
+
+    def spec(self):
+        return {"field": "bad"}
+
+
 def test_nonfinite_field_aborts():
-    class Bad(Field):
-        dim = 1
-        regularity = "smooth"
-
-        def _eval(self, pts):
-            out = pts[:, 0].copy()
-            out[pts[:, 0] > 0.9] = np.nan
-            return out
-
-        def _grad(self, pts):
-            return np.ones_like(pts)
-
-        def spec(self):
-            return {"field": "bad"}
-
     with pytest.raises(F.EnergyError, match="non-finite"):
-        F.energy(Bad(), UNIT, K.make_stable(1, 2.0, 0.2), mode=MC,
+        F.energy(_NanAbove(), UNIT, K.make_stable(1, 2.0, 0.2), mode=MC,
                  n=10_000, seed=1)
+
+
+def test_nonfinite_field_aborts_deterministic():
+    # the oracle names the node at once instead of bisecting NaN panels
+    # until the quadrature stalls
+    with pytest.raises(F.EnergyError, match="non-finite field value near x="):
+        F.energy(_NanAbove(), UNIT, K.make_stable(1, 2.0, 0.2), mode=DET)
 
 
 # ---------------------------------------------------------------------------

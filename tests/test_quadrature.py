@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from plevylab.quadrature import (QuadratureError, adaptive, integrate,
-                                 integrate_tail)
+                                 integrate_many, integrate_tail)
 
 
 def test_smooth_integral():
@@ -75,3 +75,66 @@ def test_infinite_upper_limit_is_finite_part_plus_tail():
 def test_infinite_upper_limit_without_decay_hint():
     val, _ = integrate(lambda r: np.exp(-r), 0.0, math.inf)
     assert abs(val - 1.0) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# lock-step batches
+
+
+def _kinked(decay):
+    """Problem i integrates a profile with a kink at x = 0.3 + i / 4, which
+    no cut point names, that decays like x**(-decay) at infinity
+    (exponentially without a hint)."""
+    def f(i, x):
+        dist = 1.0 + np.abs(x - 0.3 - 0.25 * i)
+        if decay is None:
+            return np.exp(1.0 - dist)
+        return dist ** -decay
+    return f
+
+
+# (a, b, points): a finite range with a kink, infinite ranges whose finite
+# part is (0.5, 3) or empty, and two empty ranges
+_PROBLEMS = [(0.0, 2.0, (0.25, 1.5)), (0.5, math.inf, (0.5, 3.0)),
+             (2.5, math.inf, ()), (1.0, 1.0, ()), (3.0, 2.0, (2.5,)),
+             (-1.0, 0.75, (0.75, -0.5))]
+
+
+@pytest.mark.parametrize("decay", [1.5, 3.0, None])
+def test_integrate_many_matches_integrate(decay):
+    f = _kinked(decay)
+    a, b, pts = zip(*_PROBLEMS)
+    tol = dict(decay_exponent=decay, abs_tol=1e-11, rel_tol=1e-10)
+    vals, errs = integrate_many(f, a, b, pts, **tol)
+    for i, (lo, hi, p) in enumerate(_PROBLEMS):
+        ref, ref_err = integrate(lambda x, i=i: f(np.full(x.shape, i), x),
+                                 lo, hi, points=p, **tol)
+        assert abs(vals[i] - ref) <= 1e-15 * abs(ref), i
+        # the same panels leave the same error estimate, up to round-off
+        assert abs(errs[i] - ref_err) <= 1e-4 * ref_err + 1e-15, i
+
+
+def test_integrate_many_problems_are_independent():
+    f = _kinked(1.5)
+    a, b, pts = zip(*_PROBLEMS)
+    together, _ = integrate_many(f, a, b, pts, decay_exponent=1.5)
+    for i, (lo, hi, p) in enumerate(_PROBLEMS):
+        alone, _ = integrate_many(lambda j, x, i=i: f(np.full(j.shape, i), x),
+                                  [lo], [hi], [p], decay_exponent=1.5)
+        assert alone[0] == together[i]
+    order = [5, 2, 0, 4, 1, 3]
+    shuffled, _ = integrate_many(lambda j, x: f(np.take(order, j), x),
+                                 [a[k] for k in order], [b[k] for k in order],
+                                 [pts[k] for k in order], decay_exponent=1.5)
+    assert list(shuffled) == [together[k] for k in order]
+
+
+def test_integrate_many_stall_names_the_range():
+    # problem 1, a square wave with 10^4 jumps, runs out of panels
+    def f(i, x):
+        return np.where(i == 0, np.cos(x), np.sign(np.sin(3e4 * x)))
+
+    with pytest.raises(QuadratureError, match="stalled") as info:
+        integrate_many(f, [0.0, 0.0], [1.0, 1.0], [(), ()], abs_tol=1e-10)
+    assert "(0, 1)" in str(info.value)
+    assert 0 < info.value.achieved < math.inf

@@ -87,3 +87,11 @@ def test_mc_sweep_rows_have_stderr():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         S.run_sweep(small_case(kind="nonsense"))
+
+
+def test_builtin_suite_verdicts():
+    # every built-in case, at its full grid, reaches the verdict it expects
+    cases = S.builtin_suite(seed=42)
+    for case in cases:
+        report = S.run_sweep(case)
+        assert report.verdict == case.expected, case.case_id
