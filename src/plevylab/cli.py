@@ -49,6 +49,15 @@ def _at_least(kind, low):
     return parse
 
 
+def finite(text):
+    """Type of the domain and field extents; argparse reports a bad value
+    by this name."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def coordinates(text):
     """Type of --point; argparse reports a bad value by this name."""
     return [float(v) for v in text.split(",")]
@@ -120,10 +129,12 @@ def _kernel_spec(args):
                           % (spec["family"], ", ".join(_FAMILIES)))
     for key, number in _KERNEL_NUMBERS.items():
         try:
-            number(spec.get(key, "1"))
+            value = number(spec.get(key, "1"))
         except ValueError:
-            raise _UsageError("%s=%r is not a valid %s"
-                              % (key, spec[key], number.__name__)) from None
+            value = math.nan
+        if not math.isfinite(value):
+            raise _UsageError("%s=%r is not a finite %s"
+                              % (key, spec[key], number.__name__))
     if int(spec.get("d", "1")) < 1:
         raise _UsageError("d must be >= 1 (got %s)" % spec["d"])
     return spec
@@ -237,6 +248,8 @@ def _cmd_generator(args):
     point = np.zeros(fld.dim) if args.point is None \
         else np.array(args.point)
     _same_dims(kernel=fam.dim, field=fld.dim, point=point.size)
+    if fam.dim > 3:
+        raise _UsageError("generator needs d <= 3 (got d=%d)" % fam.dim)
     grid = [float(args.eps)] if args.eps is not None else fam.default_grid()
     header = ("family", "d", "p", "eps", "value")
     rows = []
@@ -341,10 +354,10 @@ def build_parser():
     p.add_argument("--domain", default="interval",
                    choices=("interval", "slit-interval", "ball",
                             "slit-ball"))
-    p.add_argument("--xa", type=float, default=0.0)
-    p.add_argument("--xb", type=float, default=1.0)
-    p.add_argument("--radius", type=float, default=1.0)
-    p.add_argument("--bump-radius", dest="bump_radius", type=float,
+    p.add_argument("--xa", type=finite, default=0.0)
+    p.add_argument("--xb", type=finite, default=1.0)
+    p.add_argument("--radius", type=finite, default=1.0)
+    p.add_argument("--bump-radius", dest="bump_radius", type=finite,
                    default=1.0)
     p.add_argument("--mode", choices=(emod.MODE_MC, emod.MODE_DET),
                    default=emod.MODE_MC)

@@ -214,9 +214,9 @@ class SmoothBump(Field):
     regularity = SMOOTH
 
     def __post_init__(self):
-        if not self.radius > 0.0:
-            raise FieldError("bump radius must be positive (got %r)"
-                             % (self.radius,))
+        if not 0.0 < self.radius < math.inf:
+            raise FieldError("bump radius must be positive and finite "
+                             "(got %r)" % (self.radius,))
 
     @property
     def support_radius(self):

@@ -290,7 +290,6 @@ class _PairIntegrator:
         node, x_of, sign_of, core, a, b, pts = \
             zip(*probs) if probs else [()] * 7
         x_of, sign_of = np.array(x_of), np.array(sign_of)
-        logprof = kernel.log_profile
 
         def f(i, r):
             x = x_of[i]
@@ -302,9 +301,7 @@ class _PairIntegrator:
             if bad.any():
                 raise EnergyError("non-finite field value near x=%s"
                                   % x[np.argmax(bad)])
-            if logprof is None:
-                return kernel.profile(r) * du ** p
-            out = np.exp(p * np.log(du) + logprof(r))
+            out = np.exp(p * np.log(du) + kernel.log_density(r))
             return np.where(du > 0.0, out, 0.0)
 
         vals, _ = integrate_many(f, a, b, pts,
@@ -609,7 +606,8 @@ def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
     def f(r):
         mean = _sphere_pair_mean(field, x0, r)
         sym = 2.0 * (mean - u0)
-        return -0.5 * area * sym * kernel.profile(r) * r ** (d - 1)
+        return -0.5 * area * sym * np.exp(kernel.log_density(r)) \
+            * r ** (d - 1)
 
     hi = kernel.support_radius
     decay = None if kernel.tail_exponent is None \
@@ -669,15 +667,6 @@ def dirac_pairing(test_fn, kernel, *, support_radius=None,
 def _power_window_kernel(dim, p_exp, gamma, *, cutoff=0.0, top=None):
     """Unnormalized |h|^(-gamma) window kernel for the fractional scalings."""
 
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        vals = np.power(r, -gamma)
-        if top is not None:
-            vals = np.where(r <= top, vals, 0.0)
-        if cutoff > 0.0:
-            vals = np.where(r > cutoff, vals, 0.0)
-        return vals
-
     def log_profile(r):
         r = np.asarray(r, dtype=float)
         out = -gamma * np.log(r)
@@ -689,7 +678,7 @@ def _power_window_kernel(dim, p_exp, gamma, *, cutoff=0.0, top=None):
 
     breaks = tuple(b for b in (cutoff, top) if b)
     return kmod.RadialKernel(
-        dim=dim, p_exp=p_exp, profile=profile, log_profile=log_profile,
+        dim=dim, p_exp=p_exp, log_profile=log_profile,
         support_radius=top, inner_radius=cutoff,
         origin_exponent=gamma if cutoff == 0.0 else None,
         origin_coefficient=1.0 if cutoff == 0.0 else None,

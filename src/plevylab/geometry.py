@@ -56,6 +56,9 @@ class Domain:
         ratio against ``volume / box_volume``.
         """
         lo, hi = self.bounding_box()
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise DomainError("cannot sample %s: its bounding box is not "
+                              "finite" % type(self).__name__)
         dim = self.dim
         out = np.empty((size, dim))
         got = 0
@@ -222,8 +225,9 @@ class Ball(Domain):
     center: tuple = None
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise DomainError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise DomainError("radius must be positive and finite (got %r)"
+                              % (self.radius,))
         c = self.center
         c = tuple(0.0 for _ in range(self.dim)) if c is None else \
             tuple(float(v) for v in c)
@@ -273,8 +277,10 @@ class SlitBall(Domain):
     def __post_init__(self):
         if self.dim < 2:
             raise DomainError("slit ball needs dim >= 2 (use slit_interval)")
-        if self.radius <= 0 or self.slab < 0 or self.slab >= self.radius:
-            raise DomainError("invalid slit ball")
+        if not (0.0 < self.radius < math.inf
+                and 0.0 <= self.slab < self.radius):
+            raise DomainError("invalid slit ball (radius %r, slab %r)"
+                              % (self.radius, self.slab))
 
     def _contains(self, pts):
         d2 = np.sum(pts * pts, axis=1)

@@ -5,18 +5,20 @@ condition ``int (1 ^ |h|^p) nu(h) dh < infty`` and normalized so that integral
 equals one.  Families indexed by a concentration parameter ``eps`` are provided:
 
 ``stable``            a_{eps,d,p} |h|^(-d-p+eps), full support
-``rescaled``          three-piece rescaling of a normalized base profile
+``rescaled``          three-piece rescaling of a normalized base kernel
 ``truncated_power``   (d+b)/(S eps^(d+b)) |h|^(b-p) on the ball B_eps
 ``smoothed_power``    (|h|+eps)^b |h|^(-p) / (S b_eps) on B_eps0
                       (b = -d switches to the log-normalized variant)
 ``log_limit``         |h|^(-d-p) / (S log(eps0/eps)) on the annulus eps<|h|<eps0
 
-``S`` is the sphere area |S^{d-1}|.  Normalization, tail mass, weighted
-moments and test-function pairings are all one radial integral of the
-weighted density (``radial_integral``): a single adaptive quadrature call
-split at the weight kink r = 1 and the kernel's breakpoints, with a power
-substitution at the origin and, for full-support kernels, the 1/t map on
-the unbounded tail.
+``S`` is the sphere area |S^{d-1}|.  Each family writes its density once, in
+log space (``log_profile``); every consumer reads it through
+``RadialKernel.log_density``, which also accepts a plain ``profile`` from
+custom kernels.  Normalization, tail mass, weighted moments and
+test-function pairings are all one radial integral of the weighted density
+(``radial_integral``): a single adaptive quadrature call split at the weight
+kink r = 1 and the kernel's breakpoints, with a power substitution at the
+origin and, for full-support kernels, the 1/t map on the unbounded tail.
 Offset sampling inverts the radial CDF of the weighted law
 ``S (1 ^ r^p) nu(r) r^{d-1} dr`` (closed form where available, otherwise a
 4096-node log-spaced table with monotone cubic interpolation) and draws the
@@ -49,18 +51,24 @@ class KernelError(ValueError):
 
 @dataclass(frozen=True)
 class RadialKernel:
-    """One radial kernel: profile, structure hints, and sampling data.
+    """One radial kernel: density, structure hints, and sampling data.
+
+    The density is ``log_profile`` (log nu(r), -inf off the support): power
+    laws exceed the float range long before the weighted density does, so
+    every consumer reads it in log space through :meth:`log_density`.
+    Custom kernels may give ``profile`` (nu(r) itself) instead; a kernel
+    needs one of the two.
 
     ``origin_exponent`` is gamma with ``nu(r) ~ r^(-gamma)`` as r -> 0 and
     ``tail_exponent`` is q with ``nu(r) ~ r^(-q)`` at infinity; both feed the
-    singular quadrature and may be None for custom profiles (the adaptive
-    fallback then detects divergence on its own).  ``breakpoints`` lists radii
-    where the profile is not smooth (support edges included).
+    singular quadrature and may be None for custom kernels (adaptive
+    quadrature then detects divergence on its own).  ``breakpoints`` lists
+    radii where the density is not smooth (support edges included).
     """
 
     dim: int
     p_exp: float
-    profile: object
+    profile: object = None
     support_radius: float = None
     inner_radius: float = 0.0
     origin_exponent: float = None
@@ -71,8 +79,6 @@ class RadialKernel:
     family_tag: str = "custom"
     eps: float = None
     params: dict = field(default_factory=dict)
-    # log nu(r), for overflow-free products with vanishing weights; power-law
-    # profiles exceed the float range long before the weighted density does
     log_profile: object = None
     # nu(r) = origin_coefficient * r^(-origin_exponent) exactly (or to ~1e-12)
     # for r < origin_pure_radius; lets integrators treat the singular core
@@ -80,22 +86,37 @@ class RadialKernel:
     origin_coefficient: float = None
     origin_pure_radius: float = None
 
+    def __post_init__(self):
+        if not (self.log_profile or self.profile):
+            raise KernelError("kernel needs a log_profile or a profile")
+
+    def log_density(self, r):
+        """log nu(r); -inf where the kernel vanishes."""
+        if self.log_profile is not None:
+            return self.log_profile(r)
+        r = np.asarray(r, dtype=float)
+        vals = np.asarray(self.profile(r), dtype=float)
+        # NaN at r = 0 or inf is left to the quadrature maps, which drop
+        # those endpoints; anywhere else it would be read as nu = 0
+        if np.any((vals < 0.0) | (np.isnan(vals) & (r > 0.0)
+                                  & (r < math.inf))):
+            raise KernelError("kernel profile is negative or NaN")
+        with np.errstate(divide="ignore"):
+            return np.log(vals)
+
     def weighted_radial_density(self, r, *, weight_beta=None):
         """S^{d-1} area times (1 ^ r^beta) nu(r) r^(d-1) (beta defaults to p).
 
-        Evaluated in log space when the kernel carries a ``log_profile`` so
-        that singular profiles never overflow under the vanishing weight.
+        Evaluated in log space, so singular densities never overflow under
+        the vanishing weight.
         """
         r = np.asarray(r, dtype=float)
         beta = self.p_exp if weight_beta is None else weight_beta
         area = sphere_area(self.dim)
-        if self.log_profile is None:
-            w = np.minimum(1.0, r ** beta)
-            return area * w * self.profile(r) * r ** (self.dim - 1)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore",
                          under="ignore"):
             lr = np.log(r)
-            expo = self.log_profile(r) + np.minimum(0.0, beta * lr)
+            expo = self.log_density(r) + np.minimum(0.0, beta * lr)
             if self.dim > 1:
                 expo = expo + (self.dim - 1) * lr
             out = area * np.exp(expo)
@@ -295,8 +316,8 @@ def make_stable(dim, p_exp, eps):
     """
     if dim < 1:
         raise KernelError("dim must be >= 1")
-    if p_exp < 1:
-        raise KernelError("p must be >= 1")
+    if not 1.0 <= p_exp < math.inf:
+        raise KernelError("p must be finite and >= 1 (got %r)" % (p_exp,))
     if not 0.0 < eps < p_exp:
         raise KernelError("stable family needs 0 < eps < p "
                           "(got eps=%g, p=%g)" % (eps, p_exp))
@@ -304,10 +325,6 @@ def make_stable(dim, p_exp, eps):
     a = eps * (p_exp - eps) / (p_exp * area)
     power = -dim - p_exp + eps
     log_a = math.log(a)
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        return a * np.power(r, power)
 
     def log_profile(r):
         return log_a + power * np.log(np.asarray(r, dtype=float))
@@ -330,7 +347,7 @@ def make_stable(dim, p_exp, eps):
         return np.where(v <= m1, lo, hi)
 
     return RadialKernel(
-        dim=dim, p_exp=p_exp, profile=profile, log_profile=log_profile,
+        dim=dim, p_exp=p_exp, log_profile=log_profile,
         origin_exponent=dim + p_exp - eps, tail_exponent=dim + p_exp - eps,
         origin_coefficient=a, origin_pure_radius=math.inf,
         radial_cdf=cdf, radial_cdf_inv=cdf_inv,
@@ -354,29 +371,16 @@ def make_rescaled(base, eps):
         raise KernelError("rescaled family needs 0 < eps <= 1")
     check_normalized(base)
     d, p = base.dim, base.p_exp
-    base_profile = base.profile
-    base_log = base.log_profile
+    base_log = base.log_density
+    log_eps = math.log(eps)
 
-    def profile(r):
+    def log_profile(r):
         r = np.asarray(r, dtype=float)
-        z = base_profile(r / eps)
-        out = np.where(r <= eps, eps ** (-d - p) * z,
-                       np.where(r <= 1.0,
-                                eps ** (-d) * np.power(r, -p) * z,
-                                eps ** (-d) * z))
-        return out
-
-    log_profile = None
-    if base_log is not None:
-        log_eps = math.log(eps)
-
-        def log_profile(r):
-            r = np.asarray(r, dtype=float)
-            z = base_log(r / eps)
-            return np.where(
-                r <= eps, -(d + p) * log_eps + z,
-                np.where(r <= 1.0, -d * log_eps - p * np.log(r) + z,
-                         -d * log_eps + z))
+        z = base_log(r / eps)
+        return np.where(
+            r <= eps, -(d + p) * log_eps + z,
+            np.where(r <= 1.0, -d * log_eps - p * np.log(r) + z,
+                     -d * log_eps + z))
 
     base_inv = _sampling_data(base.radial_cdf_inv)
     base_cdf = _sampling_data(base.radial_cdf)
@@ -398,7 +402,7 @@ def make_rescaled(base, eps):
     breaks = {eps, 1.0}
     breaks.update(eps * b for b in base.breakpoints)
     return RadialKernel(
-        dim=d, p_exp=p, profile=profile, log_profile=log_profile,
+        dim=d, p_exp=p, log_profile=log_profile,
         support_radius=support,
         inner_radius=eps * base.inner_radius,
         origin_exponent=base.origin_exponent,
@@ -412,19 +416,15 @@ def make_rescaled(base, eps):
 
 def make_truncated_power(dim, p_exp, beta, eps):
     """Compact kernel (d+beta)/(S eps^(d+beta)) |h|^(beta-p) on B_eps."""
-    if beta <= -dim:
-        raise KernelError("truncated power needs beta > -d "
-                          "(beta <= -d is not integrable at the origin)")
+    if not -dim < beta < math.inf:
+        raise KernelError("truncated power needs finite beta > -d (got %r; "
+                          "beta <= -d is not integrable at the origin)"
+                          % (beta,))
     if not 0.0 < eps < 1.0:
         raise KernelError("truncated power needs 0 < eps < 1")
     area = sphere_area(dim)
     c = (dim + beta) / (area * eps ** (dim + beta))
     log_c = math.log(c)
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        vals = c * np.power(r, beta - p_exp)
-        return np.where(r <= eps, vals, 0.0)
 
     def log_profile(r):
         r = np.asarray(r, dtype=float)
@@ -442,7 +442,7 @@ def make_truncated_power(dim, p_exp, beta, eps):
         return eps * np.power(np.clip(v, 0.0, 1.0), 1.0 / expo)
 
     return RadialKernel(
-        dim=dim, p_exp=p_exp, profile=profile, log_profile=log_profile,
+        dim=dim, p_exp=p_exp, log_profile=log_profile,
         support_radius=eps, origin_exponent=p_exp - beta,
         origin_coefficient=c, origin_pure_radius=eps,
         breakpoints=(eps,), radial_cdf=cdf, radial_cdf_inv=cdf_inv,
@@ -456,11 +456,6 @@ def make_log_limit(dim, p_exp, eps, eps0):
     area = sphere_area(dim)
     c = 1.0 / (area * math.log(eps0 / eps))
     log_c = math.log(c)
-
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        vals = c * np.power(r, -dim - p_exp)
-        return np.where((r > eps) & (r <= eps0), vals, 0.0)
 
     def log_profile(r):
         r = np.asarray(r, dtype=float)
@@ -479,7 +474,7 @@ def make_log_limit(dim, p_exp, eps, eps0):
         return eps * np.power(eps0 / eps, np.clip(v, 0.0, 1.0))
 
     return RadialKernel(
-        dim=dim, p_exp=p_exp, profile=profile, log_profile=log_profile,
+        dim=dim, p_exp=p_exp, log_profile=log_profile,
         support_radius=eps0, inner_radius=eps, breakpoints=(eps, eps0),
         radial_cdf=cdf, radial_cdf_inv=cdf_inv,
         family_tag="log_limit", eps=eps, params={"eps0": eps0})
@@ -540,11 +535,6 @@ def make_smoothed_power(dim, p_exp, beta, eps, eps0):
     denom = area * b * (abs(math.log(eps)) if beta == -dim else 1.0)
     log_denom = math.log(denom)
 
-    def profile(r):
-        r = np.asarray(r, dtype=float)
-        vals = np.power(r + eps, beta) * np.power(r, -p_exp) / denom
-        return np.where(r <= eps0, vals, 0.0)
-
     def log_profile(r):
         r = np.asarray(r, dtype=float)
         return np.where(r <= eps0,
@@ -552,7 +542,7 @@ def make_smoothed_power(dim, p_exp, beta, eps, eps0):
                         - log_denom, -np.inf)
 
     return with_tabulated_sampler(RadialKernel(
-        dim=dim, p_exp=p_exp, profile=profile, log_profile=log_profile,
+        dim=dim, p_exp=p_exp, log_profile=log_profile,
         support_radius=eps0, origin_exponent=float(p_exp),
         origin_coefficient=eps ** beta / denom,
         origin_pure_radius=1e-7 * eps, breakpoints=(eps0,),

@@ -10,8 +10,8 @@ multiplied by smooth factors), so the strategy is:
 * a power substitution ``x = a + u**(1/alpha)`` on the panel touching an
   integrable endpoint singularity ``f ~ C*(x-a)**(alpha-1)``,
 * the map ``r = 1/t`` for tails on ``(a, inf)``: :func:`integrate` with
-  ``b = inf`` integrates up to ``max(a, points, 1)`` as above and hands the
-  rest to :func:`integrate_tail`.
+  ``b = inf`` integrates up to ``max(a, points, 1)`` as above and the rest
+  in ``t``.
 
 :func:`integrate_many` runs many such problems in lock-step: each keeps the
 panels, tolerance and greedy bisection order of its own :func:`integrate`
@@ -125,15 +125,6 @@ def adaptive_regions(regions, *, abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12,
     return total, total_err
 
 
-def adaptive(f, a, b, *, abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12,
-             max_panels=DEFAULT_MAX_PANELS):
-    """Globally adaptive integral of ``f`` on ``[a, b]``."""
-    if b <= a:
-        return 0.0, 0.0
-    return adaptive_regions([(f, a, b)], abs_tol=abs_tol, rel_tol=rel_tol,
-                            max_panels=max_panels)
-
-
 def _power_mapped(f, a, alpha):
     """Wrap ``f`` for the substitution ``x = a + u**(1/alpha)``.
 
@@ -174,7 +165,7 @@ def integrate(f, a, b, *, points=(), alpha_left=None, alpha_right=None,
 
     ``b`` may be ``math.inf``: the range ``(a, far)`` with
     ``far = max(a, *points, 1)`` is integrated as a finite one, and
-    ``(far, inf)`` by :func:`integrate_tail`.
+    ``(far, inf)`` as ``(0, 1/far)`` under the map ``r = 1/t``.
 
     Parameters
     ----------
@@ -187,8 +178,9 @@ def integrate(f, a, b, *, points=(), alpha_left=None, alpha_right=None,
         near a finite ``b``).  ``alpha <= 0`` means the integral diverges and
         raises.  Hints with ``alpha >= 1`` are ignored (no true singularity).
     decay_exponent : float, optional
-        For ``b = inf``: ``q`` with ``f(x) ~ C*x**(-q)`` at infinity, passed
-        to :func:`integrate_tail`; ignored for finite ``b``.
+        For ``b = inf``: ``q`` with ``f(x) ~ C*x**(-q)`` at infinity; it
+        supplies the endpoint hint ``alpha = q - 1`` of the mapped tail
+        (``q <= 1`` diverges).  Ignored for finite ``b``.
 
     Returns ``(value, error_estimate)``; on an infinite range both are the
     sums over the finite part and the tail.
@@ -199,8 +191,14 @@ def integrate(f, a, b, *, points=(), alpha_left=None, alpha_right=None,
         tol = dict(abs_tol=abs_tol, rel_tol=rel_tol, max_panels=max_panels)
         near, near_err = integrate(f, a, far, points=points,
                                    alpha_left=alpha_left, **tol)
-        tail, tail_err = integrate_tail(f, far, decay_exponent=decay_exponent,
-                                        **tol)
+
+        def g(t):
+            r = 1.0 / t
+            return np.asarray(f(r), dtype=float) * r * r
+
+        alpha = None if decay_exponent is None else decay_exponent - 1.0
+        tail, tail_err = integrate(g, 0.0, 1.0 / far, alpha_left=alpha,
+                                   **tol)
         return near + tail, near_err + tail_err
     if b <= a:
         return 0.0, 0.0
@@ -230,32 +228,12 @@ def integrate(f, a, b, *, points=(), alpha_left=None, alpha_right=None,
                             max_panels=max_panels)
 
 
-def integrate_tail(f, a, *, decay_exponent=None, abs_tol=DEFAULT_ABS_TOL,
-                   rel_tol=1e-12, max_panels=DEFAULT_MAX_PANELS):
-    """Integrate ``f`` over ``(a, inf)`` for ``a > 0`` via ``r = 1/t``.
-
-    ``decay_exponent`` is ``q`` such that ``f(r) ~ C*r**(-q)`` at infinity;
-    it supplies the endpoint hint ``alpha = q - 1`` for the transformed
-    integrand.  ``q <= 1`` diverges.
-    """
-    if a <= 0.0:
-        raise ValueError("tail transform needs a > 0")
-
-    def g(t):
-        r = 1.0 / t
-        return np.asarray(f(r), dtype=float) * r * r
-
-    alpha = None if decay_exponent is None else decay_exponent - 1.0
-    return integrate(g, 0.0, 1.0 / a, alpha_left=alpha, abs_tol=abs_tol,
-                     rel_tol=rel_tol, max_panels=max_panels)
-
-
 def _batch_estimates(f, owner, tail, inv, lo, hi):
     """(high-order estimates, error estimates) of many panels from one call
     of ``f(owner, x)``.
 
     Tail panels live in ``t = 1/r``, or in ``u = t**alpha`` when ``inv`` is
-    ``1/alpha``, and are transformed exactly as :func:`integrate_tail` and
+    ``1/alpha``, and are transformed exactly as :func:`integrate` and
     :func:`_power_mapped` transform a single tail.
     """
     half = 0.5 * (hi - lo)

@@ -12,8 +12,9 @@ def run(*args, env=None):
     full_env = dict(os.environ)
     if env:
         full_env.update(env)
+    # a hang fails the test instead of stalling the run
     return subprocess.run(BASE + list(args), capture_output=True,
-                          text=True, env=full_env)
+                          text=True, env=full_env, timeout=120)
 
 
 def test_constant_row():
@@ -125,6 +126,16 @@ def test_single_sweep_case_runs():
     "energy --eps 0.1 --field bump --bump-radius -1",
     "energy --eps 0.1 --domain ball --n 1000",
     "generator --point 1,2 --eps 0.1 --p 2",
+    "energy --eps 0.1 --domain ball --radius nan --d 2 --n 10",
+    "energy --eps 0.1 --domain ball --radius inf --d 2 --n 10",
+    "energy --eps 0.1 --domain slit-ball --radius nan --d 2 --n 10",
+    "energy --eps 0.1 --xb inf --n 10",
+    "energy --eps 0.1 --field bump --bump-radius inf --n 10",
+    "kernel-check --p inf --eps 0.1",
+    "kernel-check --family truncated_power --beta nan --eps 0.1",
+    "kernel-check --family truncated_power --beta inf --eps 0.1",
+    "kernel-check --config {nonfinite}",
+    "generator --d 4 --eps 0.1 --p 2",
     "PLEVYLAB_THREADS=abc kernel-check --eps 0.1",
     "PLEVYLAB_THREADS=0 kernel-check --eps 0.1",
     "PLEVYLAB_THREADS=-2 kernel-check --eps 0.1",
@@ -136,8 +147,11 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, line):
     bad_family.write_text("family=bogus\n")
     binary = tmp_path / "binary.cfg"
     binary.write_bytes(b"\xff\xfe=1\n")
+    nonfinite = tmp_path / "nonfinite.cfg"
+    nonfinite.write_text("family=stable\neps=0.1\np=inf\n")
     args = line.format(bad_config=bad_config, bad_family=bad_family,
-                       binary=binary, missing=tmp_path / "missing.cfg").split()
+                       binary=binary, nonfinite=nonfinite,
+                       missing=tmp_path / "missing.cfg").split()
     env = dict([args.pop(0).split("=")]) if "=" in args[0] else None
     out = run(*args, env=env)
     assert out.returncode == 1

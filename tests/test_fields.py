@@ -43,7 +43,7 @@ def test_bump_is_smooth_and_compact():
     assert abs(float(b.grad([[x]])[0, 0]) - fd) < 1e-6
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
 def test_bump_radius_must_be_positive(radius):
     with pytest.raises(FieldError):
         SmoothBump(1, radius)

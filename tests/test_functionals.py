@@ -93,9 +93,7 @@ def _inner_reference(integ, x, floor):
         def f(r, sign=sign):
             du = np.abs(field.offset_diff(np.full((r.size, 1), x),
                                           (sign * r)[:, None]))
-            if kernel.log_profile is None:
-                return kernel.profile(r) * du ** p
-            out = np.exp(p * np.log(du) + kernel.log_profile(r))
+            out = np.exp(p * np.log(du) + kernel.log_density(r))
             return np.where(du > 0.0, out, 0.0)
 
         val, _ = integrate(f, start, hi, points=points,

@@ -31,6 +31,22 @@ def test_interval_union_validation():
         IntervalUnion(((1.0, 1.0),))
 
 
+@pytest.mark.parametrize("make", [
+    lambda r: Ball(r, 2), lambda r: SlitBall(r, 2), lambda r: SlitBall(r, 3)])
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_ball_radius_must_be_positive_and_finite(make, radius):
+    with pytest.raises(DomainError):
+        make(radius)
+
+
+def test_unbounded_interval_union_is_legal_but_not_sampled():
+    # unbounded unions serve as partner sets; only sampling needs a box
+    half_line = IntervalUnion(((0.0, math.inf),))
+    assert half_line.contains([[1e300]])[0]
+    with pytest.raises(DomainError, match="not finite"):
+        half_line.sample_uniform(rng(0), 10)
+
+
 def test_shrink_and_grow():
     iv = interval(0.0, 1.0)
     assert iv.inner_shrink(0.1).intervals == ((0.1, 0.9),)

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from plevylab import functionals as F
 from plevylab import kernels as K
+from plevylab.constants import sphere_area
 from plevylab.quadrature import QuadratureError
 
 RNG = lambda seed: np.random.Generator(np.random.Philox(key=[seed, 0]))
@@ -19,7 +21,8 @@ def stable_tail(p, eps, delta):
 def test_stable_normalizer_value():
     k = K.make_stable(1, 2.0, 0.5)
     # a = eps (p - eps) / (p |S^0|) with |S^0| = 2
-    assert abs(float(k.profile(np.array([1.0]))[0]) - 0.1875) < 1e-15
+    assert abs(float(np.exp(k.log_density(np.array([1.0])))[0]) - 0.1875) \
+        < 1e-15
 
 
 @pytest.mark.parametrize("d,p", [(1, 1.0), (1, 2.0), (2, 1.0), (3, 2.0)])
@@ -37,6 +40,9 @@ def test_stable_rejects_bad_eps():
         K.make_stable(1, 2.0, -0.1)
     with pytest.raises(K.KernelError):
         K.make_stable(1, 2.0, 2.5)
+    for p in (math.inf, math.nan, 0.5):
+        with pytest.raises(K.KernelError):
+            K.make_stable(1, p, 0.1)
 
 
 def test_stable_tail_closed_form():
@@ -80,7 +86,8 @@ def test_rescaled_identity_at_one():
     base = K.make_stable(1, 2.0, 0.5)
     k = K.make_rescaled(base, 1.0)
     r = np.array([0.3, 0.7, 1.5, 3.0])
-    assert np.allclose(k.profile(r), base.profile(r), rtol=1e-13)
+    assert np.allclose(np.exp(k.log_density(r)), np.exp(base.log_density(r)),
+                       rtol=1e-13)
 
 
 def test_rescaled_concentrates():
@@ -104,15 +111,16 @@ def test_truncated_power_analytic():
     # compact support: nothing outside radii >= eps
     assert K.mass_outside(k, 0.5) == 0.0
     assert K.mass_outside(k, 0.7) == 0.0
-    with pytest.raises(K.KernelError):
-        K.make_truncated_power(1, 2.0, -1.0, 0.5)
+    for beta in (-1.0, math.nan, math.inf):
+        with pytest.raises(K.KernelError):
+            K.make_truncated_power(1, 2.0, beta, 0.5)
 
 
 def test_truncated_power_beta_p_is_uniform():
     # beta = p cancels the |h|^(beta-p) factor
     k = K.make_truncated_power(1, 2.0, 2.0, 0.5)
     r = np.array([0.1, 0.3, 0.49])
-    vals = k.profile(r)
+    vals = np.exp(k.log_density(r))
     assert np.allclose(vals, vals[0])
 
 
@@ -120,8 +128,8 @@ def test_log_limit_analytic():
     k = K.make_log_limit(1, 1.0, 0.1, 0.5)
     assert abs(K.normalization(k) - 1.0) < 1e-12
     # annulus support
-    assert float(k.profile(np.array([0.05]))[0]) == 0.0
-    assert float(k.profile(np.array([0.6]))[0]) == 0.0
+    assert float(np.exp(k.log_density(np.array([0.05])))[0]) == 0.0
+    assert float(np.exp(k.log_density(np.array([0.6])))[0]) == 0.0
 
 
 def test_smoothed_power_normalization():
@@ -292,4 +300,83 @@ def test_kernel_spec_roundtrip():
         kern = K.kernel_from_spec(spec)
         again = K.kernel_from_spec(dict(kern.spec()))
         r = np.array([0.05, 0.2, 0.9])
-        assert np.allclose(kern.profile(r), again.profile(r))
+        assert np.allclose(np.exp(kern.log_density(r)),
+                           np.exp(again.log_density(r)))
+
+
+def _stable_nu(d, p, eps, r):
+    return eps * (p - eps) / (p * sphere_area(d)) * r ** (-d - p + eps)
+
+
+def _rescaled_nu(r):
+    # make_rescaled(make_stable(1, 2.0, 0.5), 0.1): d = 1, p = 2
+    z = _stable_nu(1, 2.0, 0.5, r / 0.1)
+    return np.where(r <= 0.1, 0.1 ** -3 * z,
+                    np.where(r <= 1.0, 0.1 ** -1 * r ** -2.0 * z,
+                             0.1 ** -1 * z))
+
+
+def _smoothed_nu(r):
+    # make_smoothed_power(2, 2.0, -0.5, 0.1, 0.5)
+    denom = sphere_area(2) * K.smoothing_constant(2, -0.5, 0.1, 0.5)
+    return np.where(r <= 0.5, (r + 0.1) ** -0.5 * r ** -2.0 / denom, 0.0)
+
+
+# (built-in kernel, its closed-form density, interior, edge and outside radii)
+BUILTIN_DENSITIES = {
+    "stable": (lambda: K.make_stable(2, 1.5, 0.1),
+               lambda r: _stable_nu(2, 1.5, 0.1, r), (1e-6, 0.3, 1.0, 50.0)),
+    "rescaled": (lambda: K.make_rescaled(K.make_stable(1, 2.0, 0.5), 0.1),
+                 _rescaled_nu, (0.03, 0.1, 0.5, 1.0, 3.0)),
+    "truncated_power": (
+        lambda: K.make_truncated_power(2, 2.0, 1.0, 0.3),
+        lambda r: np.where(r <= 0.3, 3.0 / (sphere_area(2) * 0.3 ** 3) / r,
+                           0.0), (1e-6, 0.1, 0.3, 0.6)),
+    "smoothed_power": (lambda: K.make_smoothed_power(2, 2.0, -0.5, 0.1, 0.5),
+                       _smoothed_nu, (1e-6, 0.1, 0.5, 0.7)),
+    "log_limit": (
+        lambda: K.make_log_limit(1, 1.0, 0.1, 0.5),
+        lambda r: np.where((r > 0.1) & (r <= 0.5),
+                           r ** -2.0 / (2.0 * math.log(5.0)), 0.0),
+        (0.05, 0.1, 0.3, 0.5, 0.6)),
+    "power_window": (
+        lambda: F._power_window_kernel(1, 2.0, 3.0, cutoff=0.1, top=0.5),
+        lambda r: np.where((r > 0.1) & (r <= 0.5), r ** -3.0, 0.0),
+        (0.05, 0.1, 0.3, 0.5, 0.6)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_DENSITIES))
+def test_builtin_kernels_carry_only_a_log_density(name):
+    make, closed, radii = BUILTIN_DENSITIES[name]
+    kern = make()
+    assert kern.profile is None
+    r = np.array(radii)
+    got = np.exp(kern.log_density(r))
+    want = closed(r)
+    assert np.array_equal(got == 0.0, want == 0.0)
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_custom_profile_is_read_in_log_space():
+    kern = _box_kernel(0.5)
+    assert kern.log_profile is None
+    r = np.array([1e-3, 0.2, 0.5, 0.7])
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(kern.log_density(r), np.log(kern.profile(r)))
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_negative_or_nan_custom_profile_raises(bad):
+    kern = K.RadialKernel(dim=1, p_exp=2.0,
+                          profile=lambda r: np.where(r <= 1.0, bad, 0.0),
+                          support_radius=1.0, breakpoints=(1.0,))
+    with pytest.raises(K.KernelError, match="negative or NaN"):
+        kern.log_density(np.array([0.5]))
+    with pytest.raises(K.KernelError, match="negative or NaN"):
+        K.normalization(kern)
+
+
+def test_kernel_needs_a_density():
+    with pytest.raises(K.KernelError, match="log_profile or a profile"):
+        K.RadialKernel(dim=1, p_exp=2.0, support_radius=1.0)
