@@ -109,8 +109,6 @@ def _load_config(path):
     return spec
 
 
-_FAMILIES = ("stable", "rescaled", "truncated_power", "smoothed_power",
-             "log_limit")
 _KERNEL_NUMBERS = {"d": int, "p": float, "eps": float, "beta": float,
                    "eps0": float, "base_eps": float}
 
@@ -124,9 +122,9 @@ def _kernel_spec(args):
         val = getattr(args, key)
         if val is not None:
             spec[key] = str(val)
-    if spec["family"] not in _FAMILIES:
+    if spec["family"] not in kmod.FAMILY_KINDS:
         raise _UsageError("unknown family %r; known: %s"
-                          % (spec["family"], ", ".join(_FAMILIES)))
+                          % (spec["family"], ", ".join(kmod.FAMILY_KINDS)))
     for key, number in _KERNEL_NUMBERS.items():
         try:
             value = number(spec.get(key, "1"))
@@ -305,7 +303,7 @@ def _add_samples(sub):
 
 
 def _add_kernel_flags(sub):
-    sub.add_argument("--family", default=None, choices=_FAMILIES,
+    sub.add_argument("--family", default=None, choices=kmod.FAMILY_KINDS,
                      help="default: family= in --config, else stable")
     sub.add_argument("--d", default=None)
     sub.add_argument("--p", default=None)

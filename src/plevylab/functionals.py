@@ -32,10 +32,11 @@ Deterministic (dimension one)
     Monte Carlo estimates are checked against, and serves the jump fields
     whose MC weights are heavy-tailed.
 
-Also here: the symmetrized-difference operator at a point (p = 2), the
+Also here: the symmetrized-difference operator at a point (p = 2) and the
 pairing of a test function against the kernel's unit-mass measure (p = 1),
-truncated fractional seminorms, and the three fractional rescalings that
-recover the gradient energy.
+each one radial kernel integral (:func:`~plevylab.kernels.radial_integral`)
+of a sphere mean; truncated fractional seminorms; and the three fractional
+rescalings that recover the gradient energy.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as kmod
-from .constants import sphere_area
 from .fields import PIECEWISE_CONSTANT, FieldError
 from .geometry import IntervalUnion, containment_margin
 from .quadrature import QuadratureError, integrate, integrate_many
@@ -544,13 +544,18 @@ def local_measure(field, domain, subdomain, kernel, *, mode=MODE_MC,
 # pointwise operator and test-function pairing
 
 
-def _sphere_pair_mean(field, center, radii, n_angle=128):
-    """Mean over directions of u(x + r w) at each radius (d <= 3)."""
-    d = field.dim
+def _sphere_pair_mean(evaluate, center, radii, n_angle=128):
+    """Mean over directions w of ``evaluate(center + r w)`` at each radius
+    (``center`` has d <= 3 entries; ``evaluate`` maps (n, d) points to n
+    values)."""
+    d = center.size
     radii = np.asarray(radii, dtype=float)
+
+    def values(pts):
+        return np.asarray(evaluate(pts.reshape(-1, d)), dtype=float)
+
     if d == 1:
-        pts = np.concatenate([center[0] + radii, center[0] - radii])
-        vals = field.eval(pts.reshape(-1, 1))
+        vals = values(np.concatenate([center[0] + radii, center[0] - radii]))
         return 0.5 * (vals[:radii.size] + vals[radii.size:])
     if d == 2:
         theta = (np.arange(n_angle) + 0.5) * (2.0 * math.pi / n_angle)
@@ -565,13 +570,11 @@ def _sphere_pair_mean(field, center, radii, n_angle=128):
             for p0 in phi])
         weights = np.tile(wt / 2.0, n_angle) / n_angle
         pts = center[None, None, :] + radii[:, None, None] * dirs[None, :, :]
-        vals = field.eval(pts.reshape(-1, d)).reshape(radii.size, -1)
-        return vals @ weights
+        return values(pts).reshape(radii.size, -1) @ weights
     else:
         raise EnergyError("sphere averages implemented for d <= 3")
     pts = center[None, None, :] + radii[:, None, None] * dirs[None, :, :]
-    vals = field.eval(pts.reshape(-1, d)).reshape(radii.size, -1)
-    return vals.mean(axis=1)
+    return values(pts).reshape(radii.size, -1).mean(axis=1)
 
 
 def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
@@ -582,7 +585,8 @@ def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
     term, so the integrand is O(|h|^2) at the origin; below ``core_radius``
     that quadratic part is integrated via the field's Laplacian and the
     kernel's second moment (the raw difference there is pure float
-    cancellation).
+    cancellation).  Beyond it the value is the kernel's radial integral
+    with weight 1 (``weight_beta = 0``) of ``u(x) - mean_{|w|=1} u(x + r w)``.
     """
     if kernel.p_exp != 2.0:
         raise EnergyError("the difference operator is defined for p = 2 "
@@ -590,6 +594,8 @@ def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
     if not hasattr(field, "laplacian"):
         raise FieldError("generator needs a field with an analytic "
                          "laplacian (C^2)")
+    if not core_radius > 0.0:
+        raise EnergyError("core_radius must be positive")
     x0 = np.asarray(point, dtype=float).reshape(-1)
     if x0.size != field.dim or field.dim != kernel.dim:
         raise EnergyError("point/field/kernel dimension mismatch")
@@ -601,28 +607,12 @@ def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
     if kernel.inner_radius < rc:
         m2 = kmod.weighted_moment(kernel, 2.0, rc)
         core = -(lap / (2.0 * d)) * m2
-    area = sphere_area(d)
 
-    def f(r):
-        mean = _sphere_pair_mean(field, x0, r)
-        sym = 2.0 * (mean - u0)
-        return -0.5 * area * sym * np.exp(kernel.log_density(r)) \
-            * r ** (d - 1)
+    def gap(r):
+        return u0 - _sphere_pair_mean(field.eval, x0, r)
 
-    hi = kernel.support_radius
-    decay = None if kernel.tail_exponent is None \
-        else kernel.tail_exponent - (d - 1)
-    numeric, _ = integrate(f, max(rc, kernel.inner_radius),
-                           math.inf if hi is None else hi,
-                           points=kernel.breakpoints, decay_exponent=decay,
-                           abs_tol=abs_tol)
-    return core + numeric
-
-
-def _test_fn_eval(test_fn, pts):
-    if hasattr(test_fn, "eval"):
-        return np.asarray(test_fn.eval(pts), dtype=float)
-    return np.asarray(test_fn(pts), dtype=float)
+    return core + kmod.radial_integral(kernel, rc, None, weight_beta=0.0,
+                                       factor=gap, abs_tol=abs_tol)
 
 
 def dirac_pairing(test_fn, kernel, *, support_radius=None,
@@ -643,18 +633,11 @@ def dirac_pairing(test_fn, kernel, *, support_radius=None,
     if rad is None:
         raise EnergyError("test function must be compactly supported "
                           "(give support_radius)")
-    d = kernel.dim
-    center = np.zeros(d)
-
-    class _Probe:
-        dim = d
-
-        @staticmethod
-        def eval(pts):
-            return _test_fn_eval(test_fn, pts)
+    evaluate = getattr(test_fn, "eval", test_fn)
+    center = np.zeros(kernel.dim)
 
     def sphere_mean(r):
-        return _sphere_pair_mean(_Probe, center, r, n_angle=n_angle)
+        return _sphere_pair_mean(evaluate, center, r, n_angle=n_angle)
 
     return kmod.radial_integral(kernel, 0.0, rad, factor=sphere_mean,
                                 abs_tol=abs_tol)

@@ -14,11 +14,12 @@ equals one.  Families indexed by a concentration parameter ``eps`` are provided:
 ``S`` is the sphere area |S^{d-1}|.  Each family writes its density once, in
 log space (``log_profile``); every consumer reads it through
 ``RadialKernel.log_density``, which also accepts a plain ``profile`` from
-custom kernels.  Normalization, tail mass, weighted moments and
-test-function pairings are all one radial integral of the weighted density
-(``radial_integral``): a single adaptive quadrature call split at the weight
-kink r = 1 and the kernel's breakpoints, with a power substitution at the
-origin and, for full-support kernels, the 1/t map on the unbounded tail.
+custom kernels.  Normalization, tail mass, weighted moments, test-function
+pairings and the difference operator are all one radial integral of the
+weighted density (``radial_integral``): a single adaptive quadrature call
+split at the weight kink r = 1 and the kernel's breakpoints, with a power
+substitution at the origin and, for full-support kernels, the 1/t map on
+the unbounded tail.
 Offset sampling inverts the radial CDF of the weighted law
 ``S (1 ^ r^p) nu(r) r^{d-1} dr`` (closed form where available, otherwise a
 4096-node log-spaced table with monotone cubic interpolation) and draws the
@@ -57,7 +58,8 @@ class RadialKernel:
     laws exceed the float range long before the weighted density does, so
     every consumer reads it in log space through :meth:`log_density`.
     Custom kernels may give ``profile`` (nu(r) itself) instead; a kernel
-    needs one of the two.
+    needs one of the two.  A density that is NaN at a radius in (0, inf)
+    raises :class:`KernelError` when it is read.
 
     ``origin_exponent`` is gamma with ``nu(r) ~ r^(-gamma)`` as r -> 0 and
     ``tail_exponent`` is q with ``nu(r) ~ r^(-q)`` at infinity; both feed the
@@ -120,6 +122,12 @@ class RadialKernel:
             if self.dim > 1:
                 expo = expo + (self.dim - 1) * lr
             out = area * np.exp(expo)
+        nan = np.isnan(expo)
+        # NaN at r = 0 or inf is an artifact of the quadrature maps, which
+        # drop those endpoints; anywhere else it would be read as nu = 0
+        if nan.any() and np.any(nan & (r > 0.0) & (r < math.inf)):
+            raise KernelError("kernel log density is NaN at a radius in "
+                              "(0, inf)")
         return np.where(np.isfinite(out), out, 0.0)
 
     def spec(self):
@@ -306,6 +314,13 @@ def sample_offset(kernel, rng, size=1):
 # family constructors
 
 
+def _check_dim_p(dim, p_exp):
+    if not dim >= 1:
+        raise KernelError("dim must be >= 1")
+    if not 1.0 <= p_exp < math.inf:
+        raise KernelError("p must be finite and >= 1 (got %r)" % (p_exp,))
+
+
 def make_stable(dim, p_exp, eps):
     """Fractional-type kernel a_{eps,d,p} |h|^(-d-p+eps) with closed forms.
 
@@ -314,10 +329,7 @@ def make_stable(dim, p_exp, eps):
     The weighted radial law is piecewise power: ~ r^(eps-1) inside the unit
     ball and ~ r^(eps-p-1) outside, so CDF and inverse are explicit.
     """
-    if dim < 1:
-        raise KernelError("dim must be >= 1")
-    if not 1.0 <= p_exp < math.inf:
-        raise KernelError("p must be finite and >= 1 (got %r)" % (p_exp,))
+    _check_dim_p(dim, p_exp)
     if not 0.0 < eps < p_exp:
         raise KernelError("stable family needs 0 < eps < p "
                           "(got eps=%g, p=%g)" % (eps, p_exp))
@@ -416,6 +428,7 @@ def make_rescaled(base, eps):
 
 def make_truncated_power(dim, p_exp, beta, eps):
     """Compact kernel (d+beta)/(S eps^(d+beta)) |h|^(beta-p) on B_eps."""
+    _check_dim_p(dim, p_exp)
     if not -dim < beta < math.inf:
         raise KernelError("truncated power needs finite beta > -d (got %r; "
                           "beta <= -d is not integrable at the origin)"
@@ -451,6 +464,7 @@ def make_truncated_power(dim, p_exp, beta, eps):
 
 def make_log_limit(dim, p_exp, eps, eps0):
     """Annulus kernel |h|^(-d-p) / (S log(eps0/eps)) on eps < |h| < eps0."""
+    _check_dim_p(dim, p_exp)
     if not 0.0 < eps < eps0 < 1.0:
         raise KernelError("log limit needs 0 < eps < eps0 < 1")
     area = sphere_area(dim)
@@ -484,41 +498,33 @@ def smoothing_constant(dim, beta, eps, eps0, *, abs_tol=1e-13):
     """The normalizer b_eps of the smoothed-power family, two ways.
 
     Primary route: deterministic quadrature of the t-integral
-    ``eps^(d+beta) int_{eps/(eps+eps0)}^1 t^(-d-beta-1) (1-t)^(d-1) dt``
-    (beta = -d uses the log-normalized variant).  The result is cross-checked
-    against the direct radial integral ``int_0^eps0 (r+eps)^beta r^(d-1) dr``;
-    disagreement raises, so a transcription error cannot pass silently.
+    ``eps^(d+beta) int_{eps/(eps+eps0)}^1 t^(-d-beta-1) (1-t)^(d-1) dt``.
+    The result is cross-checked against the direct radial integral
+    ``int_0^eps0 (r+eps)^beta r^(d-1) dr``; disagreement raises, so a
+    transcription error cannot pass silently.  At beta = -d both integrals
+    equal ``b_eps |log eps|`` (the log-normalized variant), and only the
+    final division by ``|log eps|`` differs.
     """
     if not 0.0 < eps < eps0 < 1.0:
         raise KernelError("needs 0 < eps < eps0 < 1")
     if beta < -dim:
         raise KernelError("needs beta >= -d")
     t0 = eps / (eps + eps0)
-    if beta == -dim:
-        def tf(t):
-            return np.power(t, -1.0) * np.power(1.0 - t, dim - 1)
-        tval, _ = integrate(tf, t0, 1.0, abs_tol=abs_tol,
-                            alpha_right=float(dim))
-        b = tval / abs(math.log(eps))
-        direct_scale = abs(math.log(eps))
-    else:
-        def tf(t):
-            return np.power(t, -dim - beta - 1.0) * np.power(1.0 - t,
-                                                             dim - 1)
-        tval, _ = integrate(tf, t0, 1.0, abs_tol=abs_tol,
-                            alpha_right=float(dim))
-        b = eps ** (dim + beta) * tval
-        direct_scale = 1.0
+
+    def tf(t):
+        return np.power(t, -dim - beta - 1.0) * np.power(1.0 - t, dim - 1)
+    tval, _ = integrate(tf, t0, 1.0, abs_tol=abs_tol)
+    # b_eps, or b_eps |log eps| for beta = -d (where eps^(d+beta) = 1)
+    scaled = eps ** (dim + beta) * tval
 
     def rf(r):
         return np.power(r + eps, beta) * np.power(r, dim - 1.0)
     direct, _ = integrate(rf, 0.0, eps0, abs_tol=abs_tol)
-    if abs(b * direct_scale - direct) > 1e-8 * max(1.0, abs(direct)):
+    if abs(scaled - direct) > 1e-8 * max(1.0, abs(direct)):
         raise QuadratureError(
             "b_eps cross-check failed: t-integral %.12g vs radial %.12g"
-            % (b * direct_scale, direct),
-            achieved=abs(b * direct_scale - direct))
-    return b
+            % (scaled, direct), achieved=abs(scaled - direct))
+    return scaled / abs(math.log(eps)) if beta == -dim else scaled
 
 
 def make_smoothed_power(dim, p_exp, beta, eps, eps0):
@@ -528,6 +534,7 @@ def make_smoothed_power(dim, p_exp, beta, eps, eps0):
     ``1/|log eps|`` factor.  No closed-form CDF exists here, so sampling goes
     through the tabulated inverse.
     """
+    _check_dim_p(dim, p_exp)
     if beta < -dim:
         raise KernelError("smoothed power needs beta >= -d")
     b = smoothing_constant(dim, beta, eps, eps0)
@@ -553,6 +560,9 @@ def make_smoothed_power(dim, p_exp, beta, eps, eps0):
 # ---------------------------------------------------------------------------
 # eps -> kernel families
 
+FAMILY_KINDS = ("stable", "rescaled", "truncated_power", "smoothed_power",
+                "log_limit")
+
 
 @dataclass(frozen=True)
 class KernelFamily:
@@ -571,6 +581,10 @@ class KernelFamily:
     beta: float = None
     eps0: float = None
     base: RadialKernel = None
+
+    def __post_init__(self):
+        if self.kind not in FAMILY_KINDS:
+            raise KernelError("unknown family kind %r" % (self.kind,))
 
     def eps_max(self):
         if self.kind == "stable":
@@ -592,9 +606,8 @@ class KernelFamily:
         if self.kind == "smoothed_power":
             return make_smoothed_power(self.dim, self.p_exp, self.beta,
                                        eps, self.eps0)
-        if self.kind == "log_limit":
-            return make_log_limit(self.dim, self.p_exp, eps, self.eps0)
-        raise KernelError("unknown family kind %r" % self.kind)
+        # log_limit: __post_init__ admits no other kind
+        return make_log_limit(self.dim, self.p_exp, eps, self.eps0)
 
     def default_grid(self):
         # annulus kernels only concentrate once eps drops below the probe
@@ -619,8 +632,6 @@ def family_from_spec(spec):
     kind = spec["family"]
     dim = int(spec.get("d", 1))
     p_exp = float(spec.get("p", 2.0))
-    if kind == "stable":
-        return KernelFamily("stable", dim, p_exp)
     if kind == "rescaled":
         base_eps = float(spec.get("base_eps", 0.5))
         base = make_stable(dim, p_exp, base_eps)
@@ -635,7 +646,8 @@ def family_from_spec(spec):
     if kind == "log_limit":
         return KernelFamily("log_limit", dim, p_exp,
                             eps0=float(spec.get("eps0", 0.5)))
-    raise KernelError("unknown family kind %r" % kind)
+    # stable, or an unknown kind that KernelFamily rejects
+    return KernelFamily(kind, dim, p_exp)
 
 
 def kernel_from_spec(spec):

@@ -8,17 +8,27 @@ multiplied by smooth factors), so the strategy is:
 * explicit split points at known kinks, so every panel sees a smooth
   integrand,
 * a power substitution ``x = a + u**(1/alpha)`` on the panel touching an
-  integrable endpoint singularity ``f ~ C*(x-a)**(alpha-1)``,
+  integrable singularity ``f ~ C*(x-a)**(alpha-1)`` at the left endpoint
+  (radial integrals are singular only at the origin, their lower limit),
 * the map ``r = 1/t`` for tails on ``(a, inf)``: :func:`integrate` with
   ``b = inf`` integrates up to ``max(a, points, 1)`` as above and the rest
   in ``t``.
+
+Every driver gives up after ``DEFAULT_MAX_PANELS`` panels per problem.
 
 :func:`integrate_many` runs many such problems in lock-step: each keeps the
 panels, tolerance and greedy bisection order of its own :func:`integrate`
 call, and every round evaluates one panel pair of every unconverged problem
 through one call of a batched integrand ``f(index, x)``.  It serves the
-nested 1-D oracle, whose inner integrals are many short problems; single
-integrals go through :func:`integrate`, which has no per-round array cost.
+nested 1-D oracle, whose inner integrals are many short problems.  Single
+integrals go through :func:`integrate`, a scalar heap with no per-round
+array cost.  The two drivers stay separate on purpose: with
+:func:`integrate` as a one-problem lock-step call, the kernel-check
+workload of ``perfbench`` (2-vCPU VM) went from 1.72-1.86 s to 2.00-2.12 s
+per pass and its peak RSS from 106.9 to 129.8 MB.  Short kernel-calculus
+integrals paid about 100 us of array bookkeeping per bisection round, and a
+lock-step round evaluates both halves and the tail heap in one integrand
+call, which doubled the sphere-mean arrays of ``dirac_pairing`` in d = 3.
 
 Integrands must be vectorized (``f(ndarray) -> ndarray``).  Failure to reach
 the requested tolerance raises :class:`QuadratureError` carrying the achieved
@@ -71,14 +81,13 @@ def _panel_estimates(f, a, b):
     return hi, abs(hi - lo)
 
 
-def adaptive_regions(regions, *, abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12,
-                     max_panels=DEFAULT_MAX_PANELS):
+def _adaptive_pool(regions, *, abs_tol, rel_tol):
     """Globally adaptive integral over a pool of ``(f, a, b)`` regions.
 
     All regions share one error budget: the panel with the worst error
     estimate anywhere in the pool is bisected until the summed estimate
-    drops below ``max(abs_tol, rel_tol*|I|)``.  Returns
-    ``(value, error_estimate)``.
+    drops below ``max(abs_tol, rel_tol*|I|)``; the pool stalls at
+    ``DEFAULT_MAX_PANELS``.  Returns ``(value, error_estimate)``.
     """
     heap = []
     counter = 0
@@ -97,7 +106,7 @@ def adaptive_regions(regions, *, abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12,
         total_err += err
         n_panels += 1
     while total_err > max(abs_tol, rel_tol * abs(total)):
-        if n_panels >= max_panels:
+        if n_panels >= DEFAULT_MAX_PANELS:
             raise QuadratureError(
                 "adaptive quadrature stalled: error estimate %.3e after %d "
                 "panels (likely divergent or insufficiently resolved)"
@@ -158,37 +167,39 @@ def _pieces(a, b, points):
     return list(zip(edges[:-1], edges[1:]))
 
 
-def integrate(f, a, b, *, points=(), alpha_left=None, alpha_right=None,
-              decay_exponent=None, abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12,
-              max_panels=DEFAULT_MAX_PANELS):
+def integrate(f, a, b, *, points=(), alpha_left=None, decay_exponent=None,
+              abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12):
     """Integrate ``f`` over ``(a, b)`` with known kinks and endpoint hints.
 
     ``b`` may be ``math.inf``: the range ``(a, far)`` with
     ``far = max(a, *points, 1)`` is integrated as a finite one, and
-    ``(far, inf)`` as ``(0, 1/far)`` under the map ``r = 1/t``.
+    ``(far, inf)`` as ``(0, 1/far)`` under the map ``r = 1/t``.  Only the
+    left endpoint takes a singularity hint; every radial integral of the
+    package is singular at most at its lower limit (the origin).
 
     Parameters
     ----------
     points : iterable of float
         Interior kink locations; the interval is split there so every
         sub-panel is smooth inside.
-    alpha_left, alpha_right : float, optional
-        Endpoint singularity exponents: the integrand behaves like
-        ``(x-a)**(alpha_left-1)`` near ``a`` (resp. ``(b-x)**(alpha_right-1)``
-        near a finite ``b``).  ``alpha <= 0`` means the integral diverges and
-        raises.  Hints with ``alpha >= 1`` are ignored (no true singularity).
+    alpha_left : float, optional
+        Endpoint singularity exponent: the integrand behaves like
+        ``(x-a)**(alpha_left-1)`` near ``a``.  ``alpha_left <= 0`` means the
+        integral diverges and raises.  A hint ``>= 1`` is ignored (no true
+        singularity).
     decay_exponent : float, optional
         For ``b = inf``: ``q`` with ``f(x) ~ C*x**(-q)`` at infinity; it
         supplies the endpoint hint ``alpha = q - 1`` of the mapped tail
         (``q <= 1`` diverges).  Ignored for finite ``b``.
 
     Returns ``(value, error_estimate)``; on an infinite range both are the
-    sums over the finite part and the tail.
+    sums over the finite part and the tail.  More than
+    ``DEFAULT_MAX_PANELS`` panels raise :class:`QuadratureError`.
     """
     if b == math.inf:
         points = tuple(points)
         far = max(a, *points, 1.0)
-        tol = dict(abs_tol=abs_tol, rel_tol=rel_tol, max_panels=max_panels)
+        tol = dict(abs_tol=abs_tol, rel_tol=rel_tol)
         near, near_err = integrate(f, a, far, points=points,
                                    alpha_left=alpha_left, **tol)
 
@@ -202,30 +213,15 @@ def integrate(f, a, b, *, points=(), alpha_left=None, alpha_right=None,
         return near + tail, near_err + tail_err
     if b <= a:
         return 0.0, 0.0
-    for name, alpha in (("left", alpha_left), ("right", alpha_right)):
-        if alpha is not None and alpha <= 0.0:
-            raise QuadratureError(
-                "divergent endpoint singularity (%s alpha=%g <= 0)"
-                % (name, alpha))
-    pieces = _pieces(a, b, points)
-    if len(pieces) == 1 and alpha_left is not None \
-            and alpha_right is not None \
-            and alpha_left < 1.0 and alpha_right < 1.0:
-        pieces = _pieces(a, b, [0.5 * (a + b)])
-    regions = []
-    for i, (lo, hi) in enumerate(pieces):
-        if i == 0 and alpha_left is not None and alpha_left < 1.0:
-            regions.append((_power_mapped(f, lo, alpha_left),
-                            0.0, (hi - lo) ** alpha_left))
-        elif i == len(pieces) - 1 and alpha_right is not None \
-                and alpha_right < 1.0:
-            regions.append((_power_mapped(lambda x, _h=hi: f(2.0 * _h - x),
-                                          hi, alpha_right),
-                            0.0, (hi - lo) ** alpha_right))
-        else:
-            regions.append((f, lo, hi))
-    return adaptive_regions(regions, abs_tol=abs_tol, rel_tol=rel_tol,
-                            max_panels=max_panels)
+    if alpha_left is not None and alpha_left <= 0.0:
+        raise QuadratureError(
+            "divergent endpoint singularity (left alpha=%g <= 0)" % alpha_left)
+    regions = [(f, lo, hi) for lo, hi in _pieces(a, b, points)]
+    if alpha_left is not None and alpha_left < 1.0:
+        _, lo, hi = regions[0]
+        regions[0] = (_power_mapped(f, lo, alpha_left), 0.0,
+                      (hi - lo) ** alpha_left)
+    return _adaptive_pool(regions, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
 def _batch_estimates(f, owner, tail, inv, lo, hi):
@@ -322,7 +318,7 @@ def integrate_many(f, a, b, points, *, decay_exponent=None,
 
 
 def _lockstep(f, owner, tail, inv, regions, abs_tol, rel_tol, a, b):
-    """Run one :func:`adaptive_regions` heap per entry of ``regions`` in
+    """Run one :func:`_adaptive_pool` heap per entry of ``regions`` in
     lock-step; returns the arrays of totals and error estimates."""
     n = len(regions)
     width = max([len(r) for r in regions] + [1])
@@ -346,7 +342,7 @@ def _lockstep(f, owner, tail, inv, regions, abs_tol, rel_tol, a, b):
             raise QuadratureError("non-finite integrand on (%g, %g)"
                                   % (pa[filled][k], pb[filled][k]))
         est[filled], err[filled] = e, r
-    # sequential left-to-right sums, as adaptive_regions accumulates them
+    # sequential left-to-right sums, as _adaptive_pool accumulates them
     total = np.cumsum(np.where(filled, est, 0.0), axis=1)[:, -1]
     total_err = np.cumsum(np.where(filled, err, 0.0), axis=1)[:, -1]
     n_panels = used.copy()

@@ -77,6 +77,15 @@ def test_numerical_error_exit_code():
     assert "numerical failure" in out.stderr
 
 
+def test_kernel_p_below_one_is_a_numerical_failure():
+    out = run("kernel-check", "--family", "truncated_power", "--p", "0.5",
+              "--eps", "0.1")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+
+
 def test_config_file_merged_under_flags(tmp_path):
     cfg = tmp_path / "kernel.cfg"
     cfg.write_text("family=stable\nd=2\np=1\neps=0.1\n")

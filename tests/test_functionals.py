@@ -7,7 +7,7 @@ import pytest
 
 from plevylab import functionals as F
 from plevylab import kernels as K
-from plevylab.constants import kdp_mean
+from plevylab.constants import kdp_mean, sphere_area
 from plevylab.fields import (PIECEWISE_CONSTANT, Field, Gaussian, Linear,
                              SignJump, SmoothBump, Tent, sobolev_norm_p)
 from plevylab.geometry import interval, interval_difference, slit_interval
@@ -378,6 +378,50 @@ def test_generator_gaussian_stable_closed_form():
             val = F.generator(Gaussian(d), np.zeros(d),
                               K.make_stable(d, 2.0, eps))
             assert abs(val - math.gamma(1.0 + eps / 2.0)) < 1e-9
+
+
+def _generator_reference(field, x0, kernel, abs_tol=1e-10, rc=1e-4):
+    """generator() as a hand-built integral: its own range, cuts at the
+    kernel's breakpoints only and a tail hint."""
+    d = kernel.dim
+    u0 = float(field.eval(x0.reshape(1, -1))[0])
+    lap = float(field.laplacian(x0.reshape(1, -1))[0])
+    rc = min(rc, kernel.support_radius or rc)
+    core = 0.0
+    if kernel.inner_radius < rc:
+        core = -(lap / (2.0 * d)) * K.weighted_moment(kernel, 2.0, rc)
+    area = sphere_area(d)
+
+    def f(r):
+        sym = 2.0 * (F._sphere_pair_mean(field.eval, x0, r) - u0)
+        return -0.5 * area * sym * np.exp(kernel.log_density(r)) \
+            * r ** (d - 1)
+
+    hi = kernel.support_radius
+    decay = None if kernel.tail_exponent is None \
+        else kernel.tail_exponent - (d - 1)
+    numeric, _ = integrate(f, max(rc, kernel.inner_radius),
+                           math.inf if hi is None else hi,
+                           points=kernel.breakpoints, decay_exponent=decay,
+                           abs_tol=abs_tol)
+    return core + numeric
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_generator_is_the_radial_integral_of_the_sphere_gap(d):
+    for kern in (K.make_stable(d, 2.0, 0.1),
+                 K.make_truncated_power(d, 2.0, 0.0, 0.1),
+                 K.make_rescaled(K.make_stable(d, 2.0, 0.5), 0.1)):
+        x0 = np.full(d, 0.2)
+        want = _generator_reference(Gaussian(d), x0, kern)
+        got = F.generator(Gaussian(d), x0, kern)
+        assert abs(got - want) <= 1e-14 * abs(want), kern.family_tag
+
+
+def test_generator_needs_a_positive_core_radius():
+    with pytest.raises(F.EnergyError, match="core_radius"):
+        F.generator(Gaussian(1), [0.0], K.make_stable(1, 2.0, 0.1),
+                    core_radius=0.0)
 
 
 def test_generator_linear_vanishes():

@@ -157,6 +157,63 @@ def test_smoothing_constant_log_variant_tends_to_one():
     assert all(abs(b - pow_limit) < 1e-12 for b in pow_bs)
 
 
+# b_eps |log eps| = int_{t0}^1 t^(-1) (1-t)^(d-1) dt, t0 = eps/(eps+eps0)
+LOG_VARIANT_T_INTEGRAL = {
+    1: lambda t0: -math.log(t0),
+    2: lambda t0: -math.log(t0) - (1.0 - t0),
+    3: lambda t0: -math.log(t0) - 2.0 * (1.0 - t0) + (1.0 - t0 ** 2) / 2.0,
+}
+
+
+@pytest.mark.parametrize("d", sorted(LOG_VARIANT_T_INTEGRAL))
+def test_smoothing_constant_log_variant_closed_form(d):
+    eps0 = 0.5
+    for eps in (0.2, 0.05, 0.01):
+        t0 = eps / (eps + eps0)
+        want = LOG_VARIANT_T_INTEGRAL[d](t0) / abs(math.log(eps))
+        got = K.smoothing_constant(d, -float(d), eps, eps0)
+        assert abs(got - want) <= 1e-12 * want
+
+
+def _each_constructor(dim, p):
+    yield lambda: K.make_stable(dim, p, 0.1)
+    yield lambda: K.make_truncated_power(dim, p, 0.0, 0.1)
+    yield lambda: K.make_log_limit(dim, p, 0.1, 0.5)
+    yield lambda: K.make_smoothed_power(dim, p, -0.5, 0.1, 0.5)
+
+
+@pytest.mark.parametrize("dim,p", [(1, math.inf), (1, math.nan), (1, 0.5),
+                                   (0, 2.0)])
+def test_constructors_reject_bad_dim_or_p(dim, p):
+    for make in _each_constructor(dim, p):
+        with pytest.raises(K.KernelError):
+            make()
+
+
+def test_nan_log_profile_raises():
+    # NaN on (0, 0.5] must not be read as nu = 0
+    def log_profile(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r <= 0.5, np.nan,
+                        np.where(r <= 1.0, math.log(1.5), -np.inf))
+
+    kern = K.RadialKernel(dim=1, p_exp=2.0, log_profile=log_profile,
+                          support_radius=1.0, breakpoints=(0.5, 1.0))
+    with pytest.raises(K.KernelError, match="NaN"):
+        K.normalization(kern)
+    # at r = 0 and r = inf the weight exponent 0 * log r is NaN: those
+    # endpoints are quadrature artifacts and still read as 0
+    unit = K.make_stable(1, 2.0, 0.1)
+    ends = unit.weighted_radial_density(np.array([0.0, np.inf]),
+                                        weight_beta=0.0)
+    assert np.all(ends == 0.0)
+
+
+def test_unknown_family_kind_raises():
+    with pytest.raises(K.KernelError, match="unknown family kind"):
+        K.KernelFamily("foo", 1, 2.0)
+
+
 def test_normalization_examples():
     ind = K.RadialKernel(dim=1, p_exp=2.0,
                          profile=lambda r: np.where(r <= 1.0, 1.0, 0.0),
@@ -296,7 +353,11 @@ def test_kernel_spec_roundtrip():
                  {"family": "truncated_power", "d": "2", "p": "1.0",
                   "beta": "1.0", "eps": "0.3"},
                  {"family": "log_limit", "d": "1", "p": "1.0",
-                  "eps0": "0.5", "eps": "0.05"}):
+                  "eps0": "0.5", "eps": "0.05"},
+                 {"family": "rescaled", "d": "1", "p": "2.0",
+                  "base_eps": "0.5", "eps": "0.1"},
+                 {"family": "smoothed_power", "d": "2", "p": "2.0",
+                  "beta": "-0.5", "eps0": "0.5", "eps": "0.1"}):
         kern = K.kernel_from_spec(spec)
         again = K.kernel_from_spec(dict(kern.spec()))
         r = np.array([0.05, 0.2, 0.9])
