@@ -470,6 +470,9 @@ def _estimate(kind, field, kernel, domain, x_set, accept, partners, *,
     pairs whose partner y passes ``accept``, the 1-D oracle integrates y
     over ``partners()``.  ``domain`` names the estimate; ``kind`` and the
     ids of ``domain``, ``tag_sets`` and the field key the sample streams."""
+    if mode not in (MODE_MC, MODE_DET):
+        raise EnergyError("unknown estimator mode %r (expected %r or %r)"
+                          % (mode, MODE_MC, MODE_DET))
     if field.dim != domain.dim or field.dim != kernel.dim:
         raise EnergyError("field/domain/kernel dimension mismatch")
     kernel_id, domain_id = _ident(kernel.spec()), _ident(domain.spec())
@@ -484,7 +487,6 @@ def _estimate(kind, field, kernel, domain, x_set, accept, partners, *,
         tag = _case_tag(kind, kernel_id, domain_id,
                         *(_ident(s.spec()) for s in tag_sets), field_id)
         value, stderr = _mc_double(field, x_set, kernel, accept, n, seed, tag)
-        mode = MODE_MC
     return EnergyEstimate(value, stderr, n, kernel.eps, kernel_id, domain_id,
                           field_id, mode, seed)
 

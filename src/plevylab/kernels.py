@@ -22,9 +22,11 @@ substitution at the origin and, for full-support kernels, the 1/t map on
 the unbounded tail.
 Offset sampling inverts the radial CDF of the weighted law
 ``S (1 ^ r^p) nu(r) r^{d-1} dr`` (closed form where available, otherwise a
-4096-node log-spaced table with monotone cubic interpolation) and draws the
-direction uniformly on the sphere.  Sampling reads the CDF data the kernel
-carries; custom kernels get a table from ``with_tabulated_sampler``.
+4096-node log-spaced table under ``_monotone_cubic``, a numpy
+Fritsch-Butland PCHIP interpolant that agrees bit for bit with SciPy's
+``PchipInterpolator``) and draws the direction uniformly on the sphere.
+Sampling reads the CDF data the kernel carries; custom kernels get a table
+from ``with_tabulated_sampler``.
 Kernels are immutable; samplers take a caller-owned generator.
 """
 
@@ -34,7 +36,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .constants import sphere_area
 from .quadrature import QuadratureError, fixed_gauss, integrate
@@ -214,8 +215,54 @@ def check_normalized(kernel, *, tol=NORMALIZATION_ACCEPT_TOL):
 # sampling
 
 
+def _monotone_cubic(x, y):
+    """Monotone piecewise cubic through the nodes (x, y), x strictly
+    increasing: Fritsch-Butland PCHIP (SIAM J. Sci. Comput. 5, 1984).
+
+    Returns the interpolant as a function of an array in [x[0], x[-1]].
+    Slopes, coefficients and evaluation order follow SciPy's
+    ``PchipInterpolator``, whose values it reproduces bit for bit.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    dk = np.empty_like(y)
+    if x.size == 2:
+        dk[:] = m[0]
+    else:
+        # weighted harmonic mean of the neighbouring secants, 0 where they
+        # differ in sign or either is flat
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        sign = np.sign(m)
+        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
+            dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
+        # one-sided three-point end slopes, limited to keep the shape
+        for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
+                                    (-1, h[-1], h[-2], m[-1], m[-2])):
+            d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+            if np.sign(d) != np.sign(m0):
+                d = 0.0
+            elif np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+                d = 3.0 * m0
+            dk[end] = d
+    t = (dk[:-1] + dk[1:] - 2.0 * m) / h
+    c0, c1, c2, c3 = t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]
+    last = x.size - 2
+
+    def evaluate(v):
+        i = np.minimum(np.searchsorted(x, v, side="right") - 1, last)
+        s = v - x[i]
+        s2 = s * s
+        return c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
+
+    return evaluate
+
+
 def _tabulated_cdf(kernel):
-    """Log-spaced CDF table of the weighted radial law, PCHIP-interpolated.
+    """Log-spaced CDF table of the weighted radial law, interpolated by the
+    monotone cubic ``_monotone_cubic`` (SciPy's PCHIP, bit for bit).
 
     Nodes span all but ~1e-9 of the mass.  Non-finite or non-monotone tables
     are reported as construction failures.
@@ -246,8 +293,8 @@ def _tabulated_cdf(kernel):
     if cdf_k[0] > 0.0:
         cdf_k = np.concatenate(([0.0], cdf_k))
         nodes_k = np.concatenate(([max(lo, r_lo * 0.5)], nodes_k))
-    fwd = PchipInterpolator(nodes_k, cdf_k, extrapolate=False)
-    inv = PchipInterpolator(cdf_k, nodes_k, extrapolate=False)
+    fwd = _monotone_cubic(nodes_k, cdf_k)
+    inv = _monotone_cubic(cdf_k, nodes_k)
     r_min, r_max = nodes_k[0], nodes_k[-1]
 
     def cdf_fn(r):

@@ -167,3 +167,14 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, line):
     assert out.stdout == ""
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+
+def test_import_loads_no_scipy():
+    # scipy's import alone costs more than the package's own start-up
+    probe = ("import plevylab, plevylab.cli, sys; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -4,13 +4,17 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from plevylab import functionals as F
 from plevylab import kernels as K
 from plevylab.constants import kdp_mean, sphere_area
 from plevylab.fields import (PIECEWISE_CONSTANT, Field, Gaussian, Linear,
-                             SignJump, SmoothBump, Tent, sobolev_norm_p)
-from plevylab.geometry import interval, interval_difference, slit_interval
+                             Scaled, Shifted, SignJump, SmoothBump, Tent,
+                             sobolev_norm_p)
+from plevylab.geometry import (IntervalUnion, interval, interval_difference,
+                               slit_interval)
 from plevylab.quadrature import QuadratureError, integrate
 
 UNIT = interval(0.0, 1.0)
@@ -214,6 +218,43 @@ def test_energy_shift_invariant():
     base = F.energy(LINEAR, UNIT, kern, mode=DET)
     shifted = F.energy(LINEAR.shifted(7.0), UNIT, kern, mode=DET)
     assert abs(shifted.value - base.value) < 1e-9
+
+
+@st.composite
+def _interval_unions(draw):
+    k = draw(st.sampled_from((2, 4)))
+    ends = sorted(draw(st.lists(st.floats(-1.0, 1.5), min_size=k,
+                                max_size=k)))
+    assume(min(np.diff(ends)) >= 0.05)
+    return IntervalUnion(tuple(zip(ends[::2], ends[1::2])))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(_interval_unions(),
+       st.sampled_from((Linear((1.0,)), Tent(1), Gaussian(1))),
+       st.sampled_from((K.make_stable(1, 2.0, 0.1),
+                        K.make_truncated_power(1, 1.0, 0.0, 0.1))))
+def test_oracle_symmetries(domain, field, kern):
+    # sign flips and constant shifts leave every pair difference's modulus
+    # unchanged bit for bit; a factor c scales the energy by |c|^p
+    base = F.energy(field, domain, kern, mode=DET).value
+    assert F.energy(Scaled(field, -1.0), domain, kern, mode=DET).value == base
+    assert F.energy(Shifted(field, 0.75), domain, kern, mode=DET).value \
+        == base
+    doubled = F.energy(Scaled(field, 2.0), domain, kern, mode=DET).value
+    assert abs(doubled / 2.0 ** kern.p_exp - base) <= 1e-9 * abs(base)
+
+
+@pytest.mark.parametrize("mode", ["det", "bogus", None])
+def test_unknown_mode_raises(mode):
+    kern = K.make_stable(1, 2.0, 0.1)
+    with pytest.raises(F.EnergyError, match="unknown estimator mode"):
+        F.energy(LINEAR, UNIT, kern, mode=mode, n=1000)
+    with pytest.raises(F.EnergyError, match="unknown estimator mode"):
+        F.cross_energy(LINEAR, UNIT, kern, mode=mode, n=1000)
+    with pytest.raises(F.EnergyError, match="unknown estimator mode"):
+        F.local_measure(LINEAR, UNIT, interval(0.25, 0.75), kern,
+                        mode=mode, n=1000)
 
 
 def test_energy_nonnegative():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plevylab import functionals as F
 from plevylab import kernels as K
@@ -317,6 +319,66 @@ def test_custom_kernels_sample_their_own_law():
         kern = K.with_tabulated_sampler(_box_kernel(radius))
         _, radii = K.sample_offset_with_radii(kern, RNG(i), 1000)
         assert radii.max() <= radius * (1.0 + 1e-12), i
+
+
+def test_tabulated_sampler_draws_are_pinned():
+    # radii drawn through the tabulated inverse CDF, pinned bit for bit
+    kern = K.with_tabulated_sampler(_box_kernel(0.3))
+    _, radii = K.sample_offset_with_radii(kern, RNG(5), 6)
+    pinned = ["0x1.151424dfa637ap-2", "0x1.01bb128d5ef7dp-2",
+              "0x1.6beb866b1c849p-3", "0x1.d47e9007ee74dp-3",
+              "0x1.8287c760b5a05p-3", "0x1.0dd26145cb067p-2"]
+    assert [float(r).hex() for r in radii] == pinned
+
+
+# tables for the monotone cubic: strictly increasing x, evenly jittered or
+# geometric, and y built from steps that may be flat or change sign
+_gaps = st.floats(1e-3, 10.0)
+_steps = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def _tables(draw, monotone=False):
+    n = draw(st.integers(2, 64))
+    if draw(st.booleans()):
+        lo = draw(st.floats(1e-12, 1.0))
+        x = np.geomspace(lo, lo * draw(st.floats(2.0, 1e12)), n)
+    else:
+        x = np.cumsum([draw(_gaps) for _ in range(n)])
+    steps = np.array([draw(_steps) for _ in range(n - 1)])
+    if monotone:
+        steps = np.abs(steps)
+    y = np.concatenate(([draw(st.floats(-10.0, 10.0))], steps)).cumsum()
+    return x, y, draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _probe_points(x, seed):
+    inner = np.random.default_rng(seed).uniform(x[0], x[-1], 2000)
+    return np.concatenate((x, inner, [x[0], x[-1]]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          database=None)
+@given(_tables())
+def test_monotone_cubic_matches_scipy_pchip_bit_for_bit(table):
+    interpolate = pytest.importorskip("scipy.interpolate")
+    x, y, seed = table
+    v = _probe_points(x, seed)
+    want = interpolate.PchipInterpolator(x, y, extrapolate=False)(v)
+    assert np.array_equal(K._monotone_cubic(x, y)(v), want)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          database=None)
+@given(_tables(monotone=True))
+def test_monotone_cubic_keeps_monotone_data_monotone(table):
+    x, y, seed = table
+    v = np.sort(_probe_points(x, seed))
+    vals = K._monotone_cubic(x, y)(v)
+    # exact in exact arithmetic; evaluating the cubic rounds a few ulps
+    ulps = 4.0 * np.spacing(np.abs(y).max())
+    assert np.all(np.diff(vals) >= -ulps)
+    assert vals.min() >= y[0] - ulps and vals.max() <= y[-1] + ulps
 
 
 def test_sampling_needs_sampling_data():
