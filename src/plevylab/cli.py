@@ -109,8 +109,8 @@ def _load_config(path):
     return spec
 
 
-_KERNEL_NUMBERS = {"d": int, "p": float, "eps": float, "beta": float,
-                   "eps0": float, "base_eps": float}
+_KERNEL_NUMBERS = {"d": int, "p": float, "eps": float,
+                   **dict.fromkeys(kmod.FAMILY_PARAM_NAMES, float)}
 
 
 def _kernel_spec(args):
@@ -308,9 +308,9 @@ def _add_kernel_flags(sub):
     sub.add_argument("--d", default=None)
     sub.add_argument("--p", default=None)
     sub.add_argument("--eps", default=None)
-    sub.add_argument("--beta", default=None)
-    sub.add_argument("--eps0", default=None)
-    sub.add_argument("--base-eps", dest="base_eps", default=None)
+    for name in kmod.FAMILY_PARAM_NAMES:
+        sub.add_argument("--" + name.replace("_", "-"), dest=name,
+                         default=None)
     sub.add_argument("--config", default=None,
                      help="key=value kernel file merged under explicit flags")
 

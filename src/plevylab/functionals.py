@@ -221,9 +221,7 @@ class _PairIntegrator:
         kernel sees nothing of the range."""
         kernel, p = self.kernel, self.p
         lo = max(r_lo, kernel.inner_radius, floor)
-        hi = r_hi
-        if kernel.support_radius is not None:
-            hi = min(hi, kernel.support_radius)
+        hi = min(r_hi, kernel.support_radius)
         if hi <= lo:
             return None
         cuts = set()
@@ -240,14 +238,12 @@ class _PairIntegrator:
         # closed-form singular core below floating point comfort, where the
         # field is replaced by its local slope; the core must not reach past
         # the first field kink on this side
-        if lo == 0.0 and kernel.origin_exponent is not None \
-                and kernel.origin_coefficient is not None:
+        if lo == 0.0 and kernel.origin_pure_radius > 0.0:
             gamma = kernel.origin_exponent
-            pure = kernel.origin_pure_radius or 0.0
             core_top = _SMALL_R \
                 if self.field.regularity == PIECEWISE_CONSTANT \
                 else min(1e-4 * max(1.0, abs(x)), first)
-            r_cl = min(core_top, pure, first * 0.5,
+            r_cl = min(core_top, kernel.origin_pure_radius, first * 0.5,
                        hi * 0.5 if math.isfinite(hi) else core_top)
             if r_cl > 0.0:
                 a_in = p - gamma + 1.0
@@ -315,12 +311,10 @@ class _PairIntegrator:
     # -- outer integral -----------------------------------------------------
 
     def _outer_cuts(self, ax, bx):
-        radii = {0.0, 1.0}
-        radii.update(b for b in self.kernel.breakpoints)
-        if self.kernel.support_radius is not None:
-            radii.add(self.kernel.support_radius)
-        if self.kernel.inner_radius > 0:
-            radii.add(self.kernel.inner_radius)
+        kernel = self.kernel
+        # an infinite support radius puts no cut inside the finite (ax, bx)
+        radii = {0.0, 1.0, kernel.inner_radius, kernel.support_radius,
+                 *kernel.breakpoints}
         marks = set(self.marks)
         for m in (self.y_lo, self.y_hi):
             if math.isfinite(m):
@@ -381,8 +375,8 @@ class _PairIntegrator:
         sing_lo = self._jump_singular(lo, toward_right=True)
         sing_hi = self._jump_singular(hi, toward_right=False)
         val = 0.0
-        pure = self.kernel.origin_pure_radius or math.inf
-        base_w = min(1e-6 * (hi - lo), 0.45 * pure)
+        # slivers take the closed-form core: none without one
+        base_w = min(1e-6 * (hi - lo), 0.45 * self.kernel.origin_pure_radius)
         for m in self.marks:
             gap = min(abs(lo - m), abs(hi - m))
             if gap > 0:
@@ -417,21 +411,15 @@ class _PairIntegrator:
         return sum(self.piece_value(lo, hi, tol) for lo, hi in pieces)
 
 
-def _constant_on_hull(field, lo, hi):
-    """True when a piecewise-constant field has no jump inside (lo, hi)."""
-    if field.regularity != PIECEWISE_CONSTANT:
-        return False
-    return not any(lo < j < hi for j in field.jump_points)
-
-
 def _pair_energy(field, kernel, p_exp, x_iv, y_iv, tol):
     ax, bx = x_iv
     ay, by = y_iv
     if field.regularity == PIECEWISE_CONSTANT:
+        # a piecewise-constant field with no jump inside the hull is constant
         lo = min(ax, ay)
         hi = max(bx, by)
         if math.isfinite(lo) and math.isfinite(hi) \
-                and _constant_on_hull(field, lo, hi):
+                and not any(lo < j < hi for j in field.jump_points):
             return 0.0
     integ = _PairIntegrator(field, kernel, p_exp, ay, by, tol)
     return integ.integral_over(ax, bx)
@@ -604,7 +592,7 @@ def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
     d = kernel.dim
     u0 = float(field.eval(x0.reshape(1, -1))[0])
     lap = float(field.laplacian(x0.reshape(1, -1))[0])
-    rc = min(core_radius, kernel.support_radius or core_radius)
+    rc = min(core_radius, kernel.support_radius)
     core = 0.0
     if kernel.inner_radius < rc:
         m2 = kmod.weighted_moment(kernel, 2.0, rc)
@@ -613,7 +601,7 @@ def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
     def gap(r):
         return u0 - _sphere_pair_mean(field.eval, x0, r)
 
-    return core + kmod.radial_integral(kernel, rc, None, weight_beta=0.0,
+    return core + kmod.radial_integral(kernel, rc, math.inf, weight_beta=0.0,
                                        factor=gap, abs_tol=abs_tol)
 
 
@@ -649,25 +637,28 @@ def dirac_pairing(test_fn, kernel, *, support_radius=None,
 # fractional seminorms
 
 
-def _power_window_kernel(dim, p_exp, gamma, *, cutoff=0.0, top=None):
-    """Unnormalized |h|^(-gamma) window kernel for the fractional scalings."""
+def _power_window_kernel(dim, p_exp, gamma, *, cutoff=0.0, top=math.inf):
+    """Unnormalized |h|^(-gamma) window kernel for the fractional scalings:
+    the exact power law on ``cutoff < r <= top``, a closed-form core when
+    ``cutoff = 0``."""
 
     def log_profile(r):
         r = np.asarray(r, dtype=float)
         out = -gamma * np.log(r)
-        if top is not None:
+        if top < math.inf:
             out = np.where(r <= top, out, -np.inf)
         if cutoff > 0.0:
             out = np.where(r > cutoff, out, -np.inf)
         return out
 
-    breaks = tuple(b for b in (cutoff, top) if b)
+    core = cutoff == 0.0
+    breaks = tuple(b for b in (cutoff, top) if 0.0 < b < math.inf)
     return kmod.RadialKernel(
         dim=dim, p_exp=p_exp, log_profile=log_profile,
         support_radius=top, inner_radius=cutoff,
-        origin_exponent=gamma if cutoff == 0.0 else None,
-        origin_coefficient=1.0 if cutoff == 0.0 else None,
-        origin_pure_radius=math.inf if cutoff == 0.0 else None,
+        origin_exponent=gamma if core else None,
+        origin_coefficient=1.0 if core else None,
+        origin_pure_radius=math.inf if core else 0.0,
         tail_exponent=gamma, breakpoints=breaks,
         family_tag="power_window",
         params={"gamma": gamma, "cutoff": cutoff})

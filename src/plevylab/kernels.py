@@ -44,7 +44,6 @@ NORMALIZATION_ACCEPT_TOL = 1e-6   # accepted deviation from unit mass
 NORMALIZATION_REQUEST_TOL = 1e-10  # accuracy requested from quadrature
 DEFAULT_EPS_GRID = (0.4, 0.2, 0.1, 0.05, 0.02)
 _TABLE_NODES = 4096
-_TABLE_TAIL_MASS = 1e-9
 
 
 class KernelError(ValueError):
@@ -62,17 +61,25 @@ class RadialKernel:
     needs one of the two.  A density that is NaN at a radius in (0, inf)
     raises :class:`KernelError` when it is read.
 
+    The kernel lives on the annulus ``inner_radius < r <= support_radius``;
+    the neutral values 0 and ``math.inf`` mean no hole and full support.
     ``origin_exponent`` is gamma with ``nu(r) ~ r^(-gamma)`` as r -> 0 and
     ``tail_exponent`` is q with ``nu(r) ~ r^(-q)`` at infinity; both feed the
     singular quadrature and may be None for custom kernels (adaptive
     quadrature then detects divergence on its own).  ``breakpoints`` lists
     radii where the density is not smooth (support edges included).
+
+    A closed-form core ``nu(r) = origin_coefficient * r^(-origin_exponent)``
+    (exact, or to ~1e-12) on ``r < origin_pure_radius`` lets integrators
+    treat the singular core in closed form below floating point resolution.
+    The neutral ``origin_pure_radius = 0`` claims no core; a positive one
+    needs both the coefficient and the exponent.
     """
 
     dim: int
     p_exp: float
     profile: object = None
-    support_radius: float = None
+    support_radius: float = math.inf
     inner_radius: float = 0.0
     origin_exponent: float = None
     tail_exponent: float = None
@@ -83,15 +90,17 @@ class RadialKernel:
     eps: float = None
     params: dict = field(default_factory=dict)
     log_profile: object = None
-    # nu(r) = origin_coefficient * r^(-origin_exponent) exactly (or to ~1e-12)
-    # for r < origin_pure_radius; lets integrators treat the singular core
-    # in closed form below floating point resolution
     origin_coefficient: float = None
-    origin_pure_radius: float = None
+    origin_pure_radius: float = 0.0
 
     def __post_init__(self):
         if not (self.log_profile or self.profile):
             raise KernelError("kernel needs a log_profile or a profile")
+        if self.origin_pure_radius > 0.0 and (
+                self.origin_coefficient is None
+                or self.origin_exponent is None):
+            raise KernelError("a closed-form core (origin_pure_radius > 0) "
+                              "needs origin_coefficient and origin_exponent")
 
     def log_density(self, r):
         """log nu(r); -inf where the kernel vanishes."""
@@ -144,8 +153,8 @@ def radial_integral(kernel, lo, hi, *, weight_beta=None, factor=None,
                     abs_tol):
     """Integral of S (1 ^ r^beta) nu(r) r^(d-1) over (lo, hi].
 
-    ``hi = None`` integrates to infinity (full-support kernels), using the
-    tail-decay hint when present; the range is clipped to the kernel's
+    ``hi = math.inf`` integrates to infinity (full-support kernels), using
+    the tail-decay hint when present; the range is clipped to the kernel's
     annulus ``(inner_radius, support_radius)``.  ``factor``, when given, is
     a radial function multiplying the weighted density.
     """
@@ -157,9 +166,7 @@ def radial_integral(kernel, lo, hi, *, weight_beta=None, factor=None,
         return dens if factor is None else factor(r) * dens
 
     lo = max(lo, kernel.inner_radius)
-    hi = math.inf if hi is None else hi
-    if kernel.support_radius is not None:
-        hi = min(hi, kernel.support_radius)
+    hi = min(hi, kernel.support_radius)
     alpha0 = None
     if lo == 0.0 and kernel.origin_exponent is not None:
         alpha0 = d + beta - kernel.origin_exponent
@@ -182,14 +189,14 @@ def normalization(kernel, *, abs_tol=NORMALIZATION_REQUEST_TOL):
     Divergent profiles raise :class:`QuadratureError` instead of returning a
     number.
     """
-    return radial_integral(kernel, 0.0, None, abs_tol=abs_tol)
+    return radial_integral(kernel, 0.0, math.inf, abs_tol=abs_tol)
 
 
 def mass_outside(kernel, delta, *, abs_tol=NORMALIZATION_REQUEST_TOL):
     """Weighted tail mass int_{|h| > delta} (1 ^ |h|^p) nu(h) dh."""
     if delta <= 0:
         raise KernelError("delta must be positive")
-    return radial_integral(kernel, delta, None, abs_tol=abs_tol)
+    return radial_integral(kernel, delta, math.inf, abs_tol=abs_tol)
 
 
 def weighted_moment(kernel, beta, big_r, *, abs_tol=NORMALIZATION_REQUEST_TOL):
@@ -264,12 +271,14 @@ def _tabulated_cdf(kernel):
     """Log-spaced CDF table of the weighted radial law, interpolated by the
     monotone cubic ``_monotone_cubic`` (SciPy's PCHIP, bit for bit).
 
-    Nodes span all but ~1e-9 of the mass.  Non-finite or non-monotone tables
-    are reported as construction failures.
+    The nodes run from ``support_radius * 1e-12`` (or the inner radius, if
+    larger) to the support radius; the mass below the first node is added
+    by :func:`radial_integral`.  Non-finite or non-monotone tables are
+    reported as construction failures.
     """
     lo = kernel.inner_radius
     hi = kernel.support_radius
-    if hi is None:
+    if not math.isfinite(hi):
         raise KernelError("cdf tabulation needs a compactly supported "
                           "profile; supply a closed-form cdf instead")
     r_lo = max(lo, hi * 1e-12)
@@ -427,7 +436,8 @@ def make_rescaled(base, eps):
     if not isinstance(base, RadialKernel):
         raise KernelError("base must be a RadialKernel")
     if not 0.0 < eps <= 1.0:
-        raise KernelError("rescaled family needs 0 < eps <= 1")
+        raise KernelError("rescaled family needs 0 < eps <= 1 (got eps=%g)"
+                          % eps)
     check_normalized(base)
     d, p = base.dim, base.p_exp
     base_log = base.log_density
@@ -450,19 +460,15 @@ def make_rescaled(base, eps):
     def cdf_inv(v):
         return eps * np.asarray(base_inv(v), dtype=float)
 
-    origin_c = None
-    origin_pure = None
-    if base.origin_coefficient is not None and base.origin_exponent is not None:
-        origin_c = base.origin_coefficient * eps ** (base.origin_exponent
-                                                     - d - p)
-        origin_pure = eps * min(1.0, base.origin_pure_radius or 1.0)
-    support = None if base.support_radius is None \
-        else eps * base.support_radius
+    # the base core, contracted by eps, holds up to the first rescaling seam
+    origin_pure = eps * min(1.0, base.origin_pure_radius)
+    origin_c = None if origin_pure == 0.0 else \
+        base.origin_coefficient * eps ** (base.origin_exponent - d - p)
     breaks = {eps, 1.0}
     breaks.update(eps * b for b in base.breakpoints)
     return RadialKernel(
         dim=d, p_exp=p, log_profile=log_profile,
-        support_radius=support,
+        support_radius=eps * base.support_radius,
         inner_radius=eps * base.inner_radius,
         origin_exponent=base.origin_exponent,
         tail_exponent=base.tail_exponent,
@@ -481,7 +487,8 @@ def make_truncated_power(dim, p_exp, beta, eps):
                           "beta <= -d is not integrable at the origin)"
                           % (beta,))
     if not 0.0 < eps < 1.0:
-        raise KernelError("truncated power needs 0 < eps < 1")
+        raise KernelError("truncated power needs 0 < eps < 1 (got eps=%g)"
+                          % eps)
     area = sphere_area(dim)
     c = (dim + beta) / (area * eps ** (dim + beta))
     log_c = math.log(c)
@@ -513,7 +520,8 @@ def make_log_limit(dim, p_exp, eps, eps0):
     """Annulus kernel |h|^(-d-p) / (S log(eps0/eps)) on eps < |h| < eps0."""
     _check_dim_p(dim, p_exp)
     if not 0.0 < eps < eps0 < 1.0:
-        raise KernelError("log limit needs 0 < eps < eps0 < 1")
+        raise KernelError("log limit needs 0 < eps < eps0 < 1 (got eps=%g, "
+                          "eps0=%g)" % (eps, eps0))
     area = sphere_area(dim)
     c = 1.0 / (area * math.log(eps0 / eps))
     log_c = math.log(c)
@@ -553,7 +561,8 @@ def smoothing_constant(dim, beta, eps, eps0, *, abs_tol=1e-13):
     final division by ``|log eps|`` differs.
     """
     if not 0.0 < eps < eps0 < 1.0:
-        raise KernelError("needs 0 < eps < eps0 < 1")
+        raise KernelError("needs 0 < eps < eps0 < 1 (got eps=%g, eps0=%g)"
+                          % (eps, eps0))
     if beta < -dim:
         raise KernelError("needs beta >= -d")
     t0 = eps / (eps + eps0)
@@ -607,19 +616,30 @@ def make_smoothed_power(dim, p_exp, beta, eps, eps0):
 # ---------------------------------------------------------------------------
 # eps -> kernel families
 
-FAMILY_KINDS = ("stable", "rescaled", "truncated_power", "smoothed_power",
-                "log_limit")
+# every family's parameters and their defaults, stated once
+FAMILY_PARAMS = {
+    "stable": {},
+    "rescaled": {"base_eps": 0.5},
+    "truncated_power": {"beta": 0.0},
+    "smoothed_power": {"beta": -0.5, "eps0": 0.5},
+    "log_limit": {"eps0": 0.5},
+}
+FAMILY_KINDS = tuple(FAMILY_PARAMS)
+FAMILY_PARAM_NAMES = tuple(dict.fromkeys(
+    name for params in FAMILY_PARAMS.values() for name in params))
 
 
 @dataclass(frozen=True)
 class KernelFamily:
     """Generator of kernels along a concentration grid.
 
-    ``kind`` is one of stable / rescaled / truncated_power / smoothed_power /
-    log_limit.  Every kernel it produces satisfies the unit-mass axiom; the
+    ``kind`` is one of :data:`FAMILY_KINDS`; it takes the parameters
+    :data:`FAMILY_PARAMS` lists for it, unset ones at their defaults, and no
+    others.  ``rescaled`` rescales the stable kernel of order ``base_eps``.
+    Every kernel it produces satisfies the unit-mass axiom, and each
+    ``make_*`` constructor rejects an eps outside its family's window.  The
     concentration behaviour differs per family (see the package docs), which
-    is why each family carries its own default grid inside its validity
-    window.
+    is why each family carries its own default grid inside that window.
     """
 
     kind: str
@@ -627,74 +647,56 @@ class KernelFamily:
     p_exp: float
     beta: float = None
     eps0: float = None
-    base: RadialKernel = None
+    base_eps: float = None
 
     def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
+        if self.kind not in FAMILY_PARAMS:
             raise KernelError("unknown family kind %r" % (self.kind,))
-
-    def eps_max(self):
-        if self.kind == "stable":
-            return self.p_exp
-        if self.kind in ("rescaled", "truncated_power"):
-            return 1.0
-        return self.eps0
+        params = FAMILY_PARAMS[self.kind]
+        for name in FAMILY_PARAM_NAMES:
+            if name in params:
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, params[name])
+            elif getattr(self, name) is not None:
+                raise KernelError("the %s family takes no %s"
+                                  % (self.kind, name))
 
     def kernel(self, eps):
-        if not 0.0 < eps < self.eps_max():
-            raise KernelError("eps=%g outside the %s validity window (0, %g)"
-                              % (eps, self.kind, self.eps_max()))
+        d, p = self.dim, self.p_exp
         if self.kind == "stable":
-            return make_stable(self.dim, self.p_exp, eps)
+            return make_stable(d, p, eps)
         if self.kind == "rescaled":
-            return make_rescaled(self.base, eps)
+            return make_rescaled(make_stable(d, p, self.base_eps), eps)
         if self.kind == "truncated_power":
-            return make_truncated_power(self.dim, self.p_exp, self.beta, eps)
+            return make_truncated_power(d, p, self.beta, eps)
         if self.kind == "smoothed_power":
-            return make_smoothed_power(self.dim, self.p_exp, self.beta,
-                                       eps, self.eps0)
+            return make_smoothed_power(d, p, self.beta, eps, self.eps0)
         # log_limit: __post_init__ admits no other kind
-        return make_log_limit(self.dim, self.p_exp, eps, self.eps0)
+        return make_log_limit(d, p, eps, self.eps0)
 
     def default_grid(self):
         # annulus kernels only concentrate once eps drops below the probe
-        # radii, hence the lower grid
+        # radii, hence the lower grid; the others stop below their window's
+        # top (stable's window (0, p) contains (0, 1), as p >= 1)
         if self.kind == "log_limit":
             return (0.08, 0.04, 0.02, 0.01, 0.005)
-        return tuple(e for e in DEFAULT_EPS_GRID if e < self.eps_max())
+        top = self.eps0 if self.kind == "smoothed_power" else 1.0
+        return tuple(e for e in DEFAULT_EPS_GRID if e < top)
 
     def spec(self):
         out = {"family": self.kind, "d": str(self.dim), "p": repr(self.p_exp)}
-        if self.beta is not None:
-            out["beta"] = repr(self.beta)
-        if self.eps0 is not None:
-            out["eps0"] = repr(self.eps0)
-        if self.base is not None:
-            out["base"] = self.base.family_tag
-            out["base_eps"] = repr(self.base.eps)
+        out.update((name, repr(getattr(self, name)))
+                   for name in FAMILY_PARAMS[self.kind])
         return out
 
 
 def family_from_spec(spec):
     kind = spec["family"]
-    dim = int(spec.get("d", 1))
-    p_exp = float(spec.get("p", 2.0))
-    if kind == "rescaled":
-        base_eps = float(spec.get("base_eps", 0.5))
-        base = make_stable(dim, p_exp, base_eps)
-        return KernelFamily("rescaled", dim, p_exp, base=base)
-    if kind == "truncated_power":
-        return KernelFamily("truncated_power", dim, p_exp,
-                            beta=float(spec.get("beta", 0.0)))
-    if kind == "smoothed_power":
-        return KernelFamily("smoothed_power", dim, p_exp,
-                            beta=float(spec.get("beta", -0.5)),
-                            eps0=float(spec.get("eps0", 0.5)))
-    if kind == "log_limit":
-        return KernelFamily("log_limit", dim, p_exp,
-                            eps0=float(spec.get("eps0", 0.5)))
-    # stable, or an unknown kind that KernelFamily rejects
-    return KernelFamily(kind, dim, p_exp)
+    # an unknown kind takes no parameters here and KernelFamily rejects it
+    params = {name: float(spec[name])
+              for name in FAMILY_PARAMS.get(kind, ()) if name in spec}
+    return KernelFamily(kind, int(spec.get("d", 1)),
+                        float(spec.get("p", 2.0)), **params)
 
 
 def kernel_from_spec(spec):
@@ -704,11 +706,4 @@ def kernel_from_spec(spec):
 
 def default_families(dim=1, p_exp=2.0):
     """The five family kinds with their default parameters."""
-    return (
-        KernelFamily("stable", dim, p_exp),
-        KernelFamily("rescaled", dim, p_exp,
-                     base=make_stable(dim, p_exp, 0.5 * min(p_exp, 1.0))),
-        KernelFamily("truncated_power", dim, p_exp, beta=0.0),
-        KernelFamily("smoothed_power", dim, p_exp, beta=-0.5, eps0=0.5),
-        KernelFamily("log_limit", dim, p_exp, eps0=0.5),
-    )
+    return tuple(KernelFamily(kind, dim, p_exp) for kind in FAMILY_KINDS)

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from plevylab import functionals as F
 from plevylab import kernels as K
 from plevylab.constants import kdp_mean, sphere_area
-from plevylab.fields import (PIECEWISE_CONSTANT, Field, Gaussian, Linear,
-                             Scaled, Shifted, SignJump, SmoothBump, Tent,
-                             sobolev_norm_p)
+from plevylab.fields import (LIPSCHITZ, PIECEWISE_CONSTANT, Field,
+                             Gaussian, Linear, Scaled, Shifted, SignJump,
+                             SmoothBump, Tent, sobolev_norm_p)
 from plevylab.geometry import (IntervalUnion, interval, interval_difference,
                                slit_interval)
 from plevylab.quadrature import QuadratureError, integrate
@@ -171,6 +171,17 @@ def test_det_custom_kernel_without_origin_hints_terminates():
     assert abs(out["value"] - 1.0 / 6.0) < 1e-8
 
 
+def test_det_custom_kernel_with_only_an_origin_exponent():
+    # 0.25 r^-1.5 on (0, 1] claims no closed-form core, so no jump sliver
+    # is taken; the unit jump on (-1, 1) has energy 2 * 2 * 0.25 = 1
+    kern = K.RadialKernel(
+        dim=1, p_exp=2.0,
+        profile=lambda r: np.where(r <= 1.0, 0.25 * np.power(r, -1.5), 0.0),
+        support_radius=1.0, breakpoints=(1.0,), origin_exponent=1.5)
+    value = F.energy(SignJump(1), SYM, kern, mode=DET).value
+    assert abs(value - 1.0) < 1e-9
+
+
 def test_det_matches_mc_smooth_bump():
     # the oracle reads the bump's exact offset differences down to r = 0
     kern = K.make_truncated_power(1, 2.0, 0.0, 0.1)
@@ -229,6 +240,7 @@ def _interval_unions(draw):
     return IntervalUnion(tuple(zip(ends[::2], ends[1::2])))
 
 
+@pytest.mark.slow
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
 @given(_interval_unions(),
        st.sampled_from((Linear((1.0,)), Tent(1), Gaussian(1))),
@@ -243,6 +255,61 @@ def test_oracle_symmetries(domain, field, kern):
         == base
     doubled = F.energy(Scaled(field, 2.0), domain, kern, mode=DET).value
     assert abs(doubled / 2.0 ** kern.p_exp - base) <= 1e-9 * abs(base)
+
+
+class _PiecewiseLinear(Field):
+    """Continuous 1-D field with slope ``slopes[i]`` between consecutive
+    ``kinks`` (unbounded end pieces) and u(0) = 0."""
+
+    dim = 1
+    regularity = LIPSCHITZ
+
+    def __init__(self, kinks, slopes):
+        self.kinks = tuple(kinks)
+        self.slopes = np.asarray(slopes, dtype=float)
+        self.edges = np.array([-np.inf, *self.kinks, np.inf])
+
+    def _offset_diff(self, pts, off):
+        # slope times the overlap of each piece with the segment [x, x+h],
+        # in offsets from x: within one piece that overlap is h itself
+        h = off[:, 0]
+        rel = self.edges[None, :] - pts[:, :1]
+        a, b = np.minimum(h, 0.0)[:, None], np.maximum(h, 0.0)[:, None]
+        overlap = np.maximum(np.minimum(b, rel[:, 1:])
+                             - np.maximum(a, rel[:, :-1]), 0.0)
+        return np.sign(h) * (overlap @ self.slopes)
+
+    def _eval(self, pts):
+        return self._offset_diff(np.zeros_like(pts), pts)
+
+    def _grad(self, pts):
+        piece = np.searchsorted(self.kinks, pts[:, 0], side="right")
+        return self.slopes[piece][:, None]
+
+    def spec(self):
+        return {"field": "piecewise_linear",
+                "kinks": ",".join(map(repr, self.kinks)),
+                "slopes": ",".join(map(repr, self.slopes.tolist()))}
+
+
+@st.composite
+def _piecewise_linear_fields(draw):
+    kinks = sorted(draw(st.lists(st.floats(0.05, 0.95), min_size=2,
+                                 max_size=4, unique=True)))
+    assume(min(np.diff(kinks)) >= 0.02)
+    slopes = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(kinks) + 1,
+                           max_size=len(kinks) + 1))
+    assume(max(abs(s) for s in slopes) >= 0.1)
+    return _PiecewiseLinear(kinks, slopes)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(_piecewise_linear_fields())
+def test_oracle_matches_mc_on_piecewise_linear_fields(field):
+    kern = K.make_stable(1, 2.0, 0.1)
+    det = F.energy(field, UNIT, kern, mode=DET)
+    mc = F.energy(field, UNIT, kern, mode=MC, n=400_000, seed=17)
+    assert abs(mc.value - det.value) <= 4.0 * mc.stderr
 
 
 @pytest.mark.parametrize("mode", ["det", "bogus", None])
@@ -427,7 +494,7 @@ def _generator_reference(field, x0, kernel, abs_tol=1e-10, rc=1e-4):
     d = kernel.dim
     u0 = float(field.eval(x0.reshape(1, -1))[0])
     lap = float(field.laplacian(x0.reshape(1, -1))[0])
-    rc = min(rc, kernel.support_radius or rc)
+    rc = min(rc, kernel.support_radius)
     core = 0.0
     if kernel.inner_radius < rc:
         core = -(lap / (2.0 * d)) * K.weighted_moment(kernel, 2.0, rc)
@@ -438,11 +505,10 @@ def _generator_reference(field, x0, kernel, abs_tol=1e-10, rc=1e-4):
         return -0.5 * area * sym * np.exp(kernel.log_density(r)) \
             * r ** (d - 1)
 
-    hi = kernel.support_radius
     decay = None if kernel.tail_exponent is None \
         else kernel.tail_exponent - (d - 1)
     numeric, _ = integrate(f, max(rc, kernel.inner_radius),
-                           math.inf if hi is None else hi,
+                           kernel.support_radius,
                            points=kernel.breakpoints, decay_exponent=decay,
                            abs_tol=abs_tol)
     return core + numeric

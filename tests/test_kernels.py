@@ -269,6 +269,70 @@ def test_family_validity_window():
         K.KernelFamily("log_limit", 1, 1.0, eps0=0.5).kernel(0.6)
 
 
+def test_every_family_builds_with_its_default_parameters():
+    # parameters left unset take FAMILY_PARAMS' defaults
+    for kind in K.FAMILY_KINDS:
+        fam = K.KernelFamily(kind, 1, 2.0)
+        K.check_normalized(fam.kernel(fam.default_grid()[0]))
+
+
+@pytest.mark.parametrize("kind", K.FAMILY_KINDS)
+def test_family_spec_roundtrip(kind):
+    other = {"beta": 1.0, "eps0": 0.3, "base_eps": 0.25}
+    params = {k: other[k] for k in K.FAMILY_PARAMS[kind]}
+    for fam in (K.KernelFamily(kind, 1, 2.0),
+                K.KernelFamily(kind, 1, 2.0, **params)):
+        assert set(fam.spec()) == {"family", "d", "p",
+                                   *K.FAMILY_PARAMS[kind]}
+        again = K.family_from_spec(fam.spec())
+        assert again == fam
+        eps = fam.default_grid()[-1]
+        r = np.geomspace(1e-3, 2.0, 9)
+        assert np.array_equal(again.kernel(eps).log_density(r),
+                              fam.kernel(eps).log_density(r))
+
+
+def test_family_rejects_a_parameter_its_kind_does_not_take():
+    with pytest.raises(K.KernelError, match="takes no beta"):
+        K.KernelFamily("stable", 1, 2.0, beta=1.0)
+    with pytest.raises(K.KernelError, match="takes no eps0"):
+        K.KernelFamily("truncated_power", 1, 2.0, eps0=0.5)
+
+
+def test_rescaled_family_reaches_eps_one():
+    # the family's window is make_rescaled's own, 0 < eps <= 1
+    kern = K.KernelFamily("rescaled", 1, 2.0).kernel(1.0)
+    want = K.make_rescaled(K.make_stable(1, 2.0, 0.5), 1.0)
+    r = np.array([1e-3, 0.3, 1.0, 2.5])
+    assert np.array_equal(kern.log_density(r), want.log_density(r))
+    assert kern.spec() == want.spec()
+
+
+def test_rescaled_custom_base_without_a_core_claims_none():
+    # 1.25 r^-0.5 on (0, 1] has unit mass and gives its origin coefficient
+    # and exponent, but claims no closed-form core (no pure radius)
+    base = K.with_tabulated_sampler(K.RadialKernel(
+        dim=1, p_exp=2.0,
+        profile=lambda r: np.where(r <= 1.0, 1.25 * np.power(r, -0.5), 0.0),
+        support_radius=1.0, breakpoints=(1.0,), origin_exponent=0.5,
+        origin_coefficient=1.25))
+    kern = K.make_rescaled(base, 0.2)
+    assert kern.origin_pure_radius == 0.0
+    assert kern.support_radius == 0.2
+
+
+def test_closed_form_core_needs_coefficient_and_exponent():
+    box = dict(dim=1, p_exp=2.0, profile=lambda r: np.ones_like(r),
+               support_radius=1.0)
+    with pytest.raises(K.KernelError, match="closed-form core"):
+        K.RadialKernel(origin_pure_radius=0.5, origin_exponent=0.0, **box)
+    with pytest.raises(K.KernelError, match="closed-form core"):
+        K.RadialKernel(origin_pure_radius=0.5, origin_coefficient=1.0, **box)
+    assert K.RadialKernel(**box).origin_pure_radius == 0.0
+    assert K.RadialKernel(dim=1, p_exp=2.0,
+                          profile=box["profile"]).support_radius == math.inf
+
+
 def test_cdf_axioms():
     for make in (lambda: K.make_stable(1, 2.0, 0.1),
                  lambda: K.make_truncated_power(2, 2.0, 1.0, 0.3),

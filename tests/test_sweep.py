@@ -89,6 +89,7 @@ def test_unknown_kind_rejected():
         S.run_sweep(small_case(kind="nonsense"))
 
 
+@pytest.mark.slow
 def test_builtin_suite_verdicts():
     # every built-in case, at its full grid, reaches the verdict it expects
     cases = S.builtin_suite(seed=42)
