@@ -41,7 +41,9 @@ rescalings that recover the gradient energy.
 
 from __future__ import annotations
 
+import functools
 import math
+import numbers
 import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -534,19 +536,14 @@ def local_measure(field, domain, subdomain, kernel, *, mode=MODE_MC,
 # pointwise operator and test-function pairing
 
 
-def _sphere_pair_mean(evaluate, center, radii, n_angle=128):
-    """Mean over directions w of ``evaluate(center + r w)`` at each radius
-    (``center`` has d <= 3 entries; ``evaluate`` maps (n, d) points to n
-    values)."""
-    d = center.size
-    radii = np.asarray(radii, dtype=float)
-
-    def values(pts):
-        return np.asarray(evaluate(pts.reshape(-1, d)), dtype=float)
-
-    if d == 1:
-        vals = values(np.concatenate([center[0] + radii, center[0] - radii]))
-        return 0.5 * (vals[:radii.size] + vals[radii.size:])
+@functools.lru_cache(maxsize=16)
+def _sphere_rule(d, n_angle):
+    """Directions ``(n_dirs, d)`` and weights of the sphere-mean rule in
+    d = 2 or 3, built once per ``(d, n_angle)`` and returned read-only
+    (every caller shares them).  d = 2 takes ``n_angle`` equally weighted
+    midpoint angles (weights ``None``); d = 3 takes ``n_angle`` midpoint
+    longitudes times 48 Gauss-Legendre heights."""
+    weights = None
     if d == 2:
         theta = (np.arange(n_angle) + 0.5) * (2.0 * math.pi / n_angle)
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -559,12 +556,41 @@ def _sphere_pair_mean(evaluate, center, radii, n_angle=128):
             np.column_stack([st * math.cos(p0), st * math.sin(p0), t])
             for p0 in phi])
         weights = np.tile(wt / 2.0, n_angle) / n_angle
-        pts = center[None, None, :] + radii[:, None, None] * dirs[None, :, :]
-        return values(pts).reshape(radii.size, -1) @ weights
+        weights.flags.writeable = False
     else:
         raise EnergyError("sphere averages implemented for d <= 3")
-    pts = center[None, None, :] + radii[:, None, None] * dirs[None, :, :]
-    return values(pts).reshape(radii.size, -1).mean(axis=1)
+    dirs.flags.writeable = False
+    return dirs, weights
+
+
+def _sphere_pair_mean(evaluate, center, radii, n_angle=128):
+    """Mean over directions w of ``evaluate(center + r w)`` at each radius
+    (``center`` has d <= 3 entries; ``evaluate`` maps (n, d) points to n
+    values).
+
+    The direction rule comes from :func:`_sphere_rule`, built once per
+    ``(d, n_angle)``.  The points are formed as one long row per radius,
+    ``r * dirs.ravel() + tile(center)``: the same product and sum per
+    element as broadcasting over ``(radii, dirs, d)``, without an inner
+    loop of length d.  The values are reduced as one ``(n_radii, n_dirs)``
+    array, ``@ weights`` in d = 3 and ``.mean(axis=1)`` in d = 2, and that
+    shape must stay: the last bit of a BLAS row sum depends on the batch
+    shape, and ``generator`` turns such noise into about 5e-10.
+    """
+    d = center.size
+    radii = np.asarray(radii, dtype=float)
+
+    def values(pts):
+        return np.asarray(evaluate(pts.reshape(-1, d)), dtype=float)
+
+    if d == 1:
+        vals = values(np.concatenate([center[0] + radii, center[0] - radii]))
+        return 0.5 * (vals[:radii.size] + vals[radii.size:])
+    dirs, weights = _sphere_rule(d, n_angle)
+    pts = radii[:, None] * dirs.reshape(1, -1)
+    pts += np.tile(center, dirs.shape[0])
+    vals = values(pts).reshape(radii.size, -1)
+    return vals.mean(axis=1) if weights is None else vals @ weights
 
 
 def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
@@ -613,10 +639,19 @@ def dirac_pairing(test_fn, kernel, *, support_radius=None,
     As the family concentrates this tends to the value at the origin.  The
     convergence statement is for p = 1 families; other exponents are
     admitted only behind ``allow_any_p`` as an experiment, never asserted.
+    ``n_angle``, a positive integer, sets the angles of the sphere mean in
+    d = 2 and 3; a test function that states its ``dim`` must share the
+    kernel's.
     """
     if kernel.p_exp != 1.0 and not allow_any_p:
         raise EnergyError("pairing is asserted for p = 1 kernels; pass "
                           "allow_any_p=True to experiment")
+    if getattr(test_fn, "dim", kernel.dim) != kernel.dim:
+        raise EnergyError("test function/kernel dimension mismatch")
+    if isinstance(n_angle, bool) or not isinstance(n_angle, numbers.Integral) \
+            or n_angle < 1:
+        raise EnergyError("n_angle must be a positive integer, got %r"
+                          % (n_angle,))
     rad = support_radius
     if rad is None:
         rad = getattr(test_fn, "support_radius", None)

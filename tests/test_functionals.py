@@ -609,6 +609,106 @@ def test_dirac_pairing_divergent_origin_raises():
         F.dirac_pairing(SmoothBump(1, 0.5), kern)
 
 
+def test_dirac_pairing_rejects_a_test_function_of_another_dimension():
+    with pytest.raises(F.EnergyError, match="dimension mismatch"):
+        F.dirac_pairing(SmoothBump(2, 0.5), K.make_stable(3, 1.0, 0.1))
+
+
+@pytest.mark.parametrize("n_angle", [0, -3, 2.5])
+def test_dirac_pairing_rejects_a_bad_angle_count(n_angle):
+    bump = SmoothBump(2, 0.5)
+    calls = []
+
+    class Counted:
+        support_radius = bump.support_radius
+
+        @staticmethod
+        def eval(pts):
+            calls.append(len(pts))
+            return bump.eval(pts)
+
+    with pytest.raises(F.EnergyError, match="n_angle"):
+        F.dirac_pairing(Counted(), K.make_stable(2, 1.0, 0.1),
+                        n_angle=n_angle)
+    assert calls == []
+
+
+def test_pointwise_values_pinned():
+    # values of the code that rebuilt the direction rule on every call
+    assert F.dirac_pairing(SmoothBump(3, 0.5),
+                           K.make_stable(3, 1.0, 0.1)) == 0.7927005983331726
+    assert F.generator(Gaussian(3), np.full(3, 0.2),
+                       K.make_stable(3, 2.0, 0.1)) == 0.7977211433995324
+
+
+# ---------------------------------------------------------------------------
+# sphere means
+
+SPHERE_RADII = np.array([0.0, 0.05, 0.3, 1.0, 1.7, 4.5])
+SPHERE_CENTERS = {2: np.array([0.7, -0.4]), 3: np.array([0.7, -0.4, 1.3])}
+
+
+def _sphere_poly(pts):
+    return pts[:, 0] + 3.0 * pts[:, 1] ** 2 + pts[:, 0] * pts[:, -1]
+
+
+def _sphere_mean_broadcast(evaluate, center, radii, n_angle):
+    """The sphere mean with its direction rule built on every call and its
+    points broadcast over (radii, directions, d)."""
+    d = center.size
+    weights = None
+    if d == 2:
+        theta = (np.arange(n_angle) + 0.5) * (2.0 * math.pi / n_angle)
+        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+    else:
+        t, wt = np.polynomial.legendre.leggauss(48)
+        phi = (np.arange(n_angle) + 0.5) * (2.0 * math.pi / n_angle)
+        st = np.sqrt(1.0 - t ** 2)
+        dirs = np.concatenate([
+            np.column_stack([st * math.cos(p0), st * math.sin(p0), t])
+            for p0 in phi])
+        weights = np.tile(wt / 2.0, n_angle) / n_angle
+    pts = center[None, None, :] + radii[:, None, None] * dirs[None, :, :]
+    vals = np.asarray(evaluate(pts.reshape(-1, d)), dtype=float)
+    vals = vals.reshape(radii.size, -1)
+    return vals.mean(axis=1) if weights is None else vals @ weights
+
+
+@pytest.mark.parametrize("n_angle", [128, 256])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_pair_mean_exact_on_an_off_centre_polynomial(d, n_angle):
+    # the mean of x0 + 3 x1^2 + x0 x_{d-1} over the sphere of radius r
+    # about c is c0 + 3 (c1^2 + r^2 / d) + c0 c_{d-1}
+    c = SPHERE_CENTERS[d]
+    got = F._sphere_pair_mean(_sphere_poly, c, SPHERE_RADII, n_angle=n_angle)
+    want = c[0] + 3.0 * (c[1] ** 2 + SPHERE_RADII ** 2 / d) + c[0] * c[-1]
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+@pytest.mark.parametrize("n_angle", [128, 256])
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_pair_mean_equals_the_broadcast_construction(d, n_angle):
+    c = SPHERE_CENTERS[d]
+    for evaluate in (_sphere_poly, Gaussian(d).eval, SmoothBump(d, 2.0).eval):
+        got = F._sphere_pair_mean(evaluate, c, SPHERE_RADII, n_angle=n_angle)
+        want = _sphere_mean_broadcast(evaluate, c, SPHERE_RADII, n_angle)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_rule_is_built_once_and_read_only(d):
+    dirs, weights = F._sphere_rule(d, 128)
+    assert F._sphere_rule(d, 128)[0] is dirs
+    assert dirs.shape == (128 if d == 2 else 128 * 48, d)
+    for arr in (dirs, weights):
+        if arr is None:
+            continue
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert (weights is None) == (d == 2)
+
+
 # ---------------------------------------------------------------------------
 # fractional seminorms
 
