@@ -139,9 +139,19 @@ class Gaussian(Field):
 
     def _offset_diff(self, pts, off):
         # u(x+h) - u(x) = exp(-|x|^2) expm1(-(2 x.h + |h|^2)); the exponent
-        # difference is formed from the offset itself, so no cancellation
+        # difference is formed from the offset itself, so no cancellation.
+        # Where exp(-|x|^2) is subnormal (|x| > 26.6) a step toward the
+        # origin would read 0 * inf or lost bits: there the difference is
+        # anchored on the larger value exp(-|x+h|^2), as SmoothBump does
         delta = 2.0 * _dot(pts, off) + _dot(off, off)
-        return self._eval(pts) * np.expm1(-delta)
+        ux = self._eval(pts)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = ux * np.expm1(-delta)
+        far = (ux < np.finfo(float).tiny) & (delta < 0.0)
+        if far.any():
+            y = pts[far] + off[far]
+            out[far] = -np.exp(-_dot(y, y)) * np.expm1(delta[far])
+        return out
 
     def radial_gradient_magnitude(self, r):
         return 2.0 * np.asarray(r) * np.exp(-np.asarray(r) ** 2)

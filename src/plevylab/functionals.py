@@ -631,17 +631,18 @@ def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
                                        factor=gap, abs_tol=abs_tol)
 
 
-def dirac_pairing(test_fn, kernel, *, support_radius=None,
-                  allow_any_p=False, abs_tol=1e-10, n_angle=256):
+def dirac_pairing(test_fn, kernel, *, allow_any_p=False, abs_tol=1e-10,
+                  n_angle=256):
     """Pairing of a smooth compactly supported function with the kernel's
     unit-mass measure ``(1 ^ |h|^p) nu(h) dh``.
 
     As the family concentrates this tends to the value at the origin.  The
     convergence statement is for p = 1 families; other exponents are
     admitted only behind ``allow_any_p`` as an experiment, never asserted.
-    ``n_angle``, a positive integer, sets the angles of the sphere mean in
-    d = 2 and 3; a test function that states its ``dim`` must share the
-    kernel's.
+    The test function states its ``support_radius``, a positive finite
+    number, which bounds the radial integral.  ``n_angle``, a positive
+    integer, sets the angles of the sphere mean in d = 2 and 3; a test
+    function that states its ``dim`` must share the kernel's.
     """
     if kernel.p_exp != 1.0 and not allow_any_p:
         raise EnergyError("pairing is asserted for p = 1 kernels; pass "
@@ -652,12 +653,10 @@ def dirac_pairing(test_fn, kernel, *, support_radius=None,
             or n_angle < 1:
         raise EnergyError("n_angle must be a positive integer, got %r"
                           % (n_angle,))
-    rad = support_radius
-    if rad is None:
-        rad = getattr(test_fn, "support_radius", None)
-    if rad is None:
-        raise EnergyError("test function must be compactly supported "
-                          "(give support_radius)")
+    rad = getattr(test_fn, "support_radius", None)
+    if not isinstance(rad, numbers.Real) or not 0.0 < rad < math.inf:
+        raise EnergyError("test function must state a positive finite "
+                          "support_radius (got %r)" % (rad,))
     evaluate = getattr(test_fn, "eval", test_fn)
     center = np.zeros(kernel.dim)
 

@@ -1,8 +1,8 @@
 """Open domains with exact membership, closed-form volume, and sampling.
 
 Supported kinds: unions of disjoint open intervals (dimension one), axis
-boxes, balls, slit balls (a ball with the hyperplane ``x_d = 0`` removed,
-optionally thickened to a slab by inner shrinking), and the full space.
+boxes, balls, slit balls (a ball with the hyperplane ``x_d = 0`` removed),
+and the full space.
 Points are always ``(n, dim)`` float arrays.  Sampling is rejection from the
 bounding box with a caller-owned generator, so parallel callers stay
 independent and every run is reproducible.
@@ -78,14 +78,6 @@ class Domain:
     def _contains(self, pts):
         raise NotImplementedError
 
-    def inner_shrink(self, delta):
-        raise DomainError("inner_shrink unsupported for %s"
-                          % type(self).__name__)
-
-    def outer_grow(self, delta):
-        raise DomainError("outer_grow unsupported for %s"
-                          % type(self).__name__)
-
     def spec(self):
         raise NotImplementedError
 
@@ -124,28 +116,6 @@ class IntervalUnion(Domain):
         a = min(a for a, _ in self.intervals)
         b = max(b for _, b in self.intervals)
         return np.array([a]), np.array([b])
-
-    def inner_shrink(self, delta):
-        if delta <= 0:
-            raise DomainError("delta must be positive")
-        kept = [(a + delta, b - delta) for a, b in self.intervals
-                if b - delta > a + delta]
-        if not kept:
-            raise DomainError("inner_shrink(%g) empties the domain" % delta)
-        return IntervalUnion(tuple(kept))
-
-    def outer_grow(self, delta):
-        if delta <= 0:
-            raise DomainError("delta must be positive")
-        grown = sorted((a - delta, b + delta) for a, b in self.intervals)
-        merged = [grown[0]]
-        for a, b in grown[1:]:
-            la, lb = merged[-1]
-            if a <= lb:
-                merged[-1] = (la, max(lb, b))
-            else:
-                merged.append((a, b))
-        return IntervalUnion(tuple(merged))
 
     def complement_pieces(self):
         """Open complement as (a, b) pairs, with +-inf end pieces."""
@@ -201,17 +171,6 @@ class Box(Domain):
     def bounding_box(self):
         return np.asarray(self.lo), np.asarray(self.hi)
 
-    def inner_shrink(self, delta):
-        lo = [l + delta for l in self.lo]
-        hi = [h - delta for h in self.hi]
-        if any(h <= l for l, h in zip(lo, hi)):
-            raise DomainError("inner_shrink empties the box")
-        return Box(tuple(lo), tuple(hi))
-
-    def outer_grow(self, delta):
-        return Box(tuple(l - delta for l in self.lo),
-                   tuple(h + delta for h in self.hi))
-
     def spec(self):
         return {"domain": "box",
                 "lo": ",".join(repr(v) for v in self.lo),
@@ -246,79 +205,49 @@ class Ball(Domain):
         c = np.asarray(self.center)
         return c - self.radius, c + self.radius
 
-    def inner_shrink(self, delta):
-        if self.radius - delta <= 0:
-            raise DomainError("inner_shrink empties the ball")
-        return Ball(self.radius - delta, self.dim, self.center)
-
-    def outer_grow(self, delta):
-        return Ball(self.radius + delta, self.dim, self.center)
-
     def spec(self):
-        return {"domain": "ball", "radius": repr(self.radius),
-                "d": str(self.dim)}
+        out = {"domain": "ball", "radius": repr(self.radius),
+               "d": str(self.dim)}
+        if any(self.center):
+            out["center"] = ",".join(repr(v) for v in self.center)
+        return out
 
 
 @dataclass(frozen=True)
 class SlitBall(Domain):
-    """Ball centered at the origin minus the slab ``|x_d| <= slab``.
+    """Ball centered at the origin minus the hyperplane ``x_d = 0``.
 
-    ``slab = 0`` is the slit ball of the counterexample domains: the
-    hyperplane itself is excluded (open-set convention) even though it has
-    measure zero.  Inner shrinking both reduces the radius and thickens the
-    slab, which is exactly the set of points at distance > delta from the
-    boundary.
+    This is the slit ball of the counterexample domains: the hyperplane is
+    excluded (open-set convention) even though it has measure zero.
     """
 
     radius: float
     dim: int = 2
-    slab: float = 0.0
 
     def __post_init__(self):
         if self.dim < 2:
             raise DomainError("slit ball needs dim >= 2 (use slit_interval)")
-        if not (0.0 < self.radius < math.inf
-                and 0.0 <= self.slab < self.radius):
-            raise DomainError("invalid slit ball (radius %r, slab %r)"
-                              % (self.radius, self.slab))
+        if not 0.0 < self.radius < math.inf:
+            raise DomainError("invalid slit ball (radius %r)"
+                              % (self.radius,))
 
     def _contains(self, pts):
         d2 = np.sum(pts * pts, axis=1)
-        return (d2 < self.radius ** 2) & (np.abs(pts[:, -1]) > self.slab)
+        return (d2 < self.radius ** 2) & (np.abs(pts[:, -1]) > 0.0)
 
     def volume(self):
-        return (unit_ball_volume(self.dim) * self.radius ** self.dim
-                - self._slab_volume())
-
-    def _slab_volume(self):
-        w, big_r, d = self.slab, self.radius, self.dim
-        if w == 0.0:
-            return 0.0
-        if d == 2:
-            return 2.0 * (w * math.sqrt(big_r ** 2 - w ** 2)
-                          + big_r ** 2 * math.asin(w / big_r))
-        if d == 3:
-            return 2.0 * math.pi * (big_r ** 2 * w - w ** 3 / 3.0)
-        raise DomainError("slab volume closed form implemented for d <= 3")
+        return unit_ball_volume(self.dim) * self.radius ** self.dim
 
     def bounding_box(self):
         r = self.radius
         return np.full(self.dim, -r), np.full(self.dim, r)
 
-    def inner_shrink(self, delta):
-        if self.radius - delta <= self.slab + delta:
-            raise DomainError("inner_shrink empties the slit ball")
-        return SlitBall(self.radius - delta, self.dim, self.slab + delta)
-
-    def outer_grow(self, delta):
-        # growing past the slab fills the slit completely
-        if self.slab - delta <= 0:
-            return Ball(self.radius + delta, self.dim)
-        return SlitBall(self.radius + delta, self.dim, self.slab - delta)
-
     def spec(self):
+        # "slab" stays in the record: the spec string keys the Monte Carlo
+        # stream (functionals._case_tag), so dropping it would move every
+        # slit-ball MC value
         return {"domain": "slit_ball", "radius": repr(self.radius),
-                "d": str(self.dim), "slab": repr(self.slab)}
+                "d": str(self.dim), "slab": "0.0"}
 
 
 @dataclass(frozen=True)
@@ -355,28 +284,6 @@ def containment_margin(outer, inner):
                       % (type(inner).__name__, type(outer).__name__))
 
 
-def interval_difference(big, small):
-    """Open set difference big \\ closure(small) for interval unions."""
-    pieces = []
-    for a, b in big.intervals:
-        cur = [(a, b)]
-        for c, d in small.intervals:
-            nxt = []
-            for lo, hi in cur:
-                if d <= lo or c >= hi:
-                    nxt.append((lo, hi))
-                else:
-                    if lo < c:
-                        nxt.append((lo, c))
-                    if d < hi:
-                        nxt.append((d, hi))
-            cur = nxt
-        pieces.extend(cur)
-    if not pieces:
-        raise DomainError("difference is empty")
-    return IntervalUnion(tuple(pieces))
-
-
 def from_spec(spec):
     """Rebuild a domain from its flat key-value record."""
     kind = spec.get("domain")
@@ -393,10 +300,15 @@ def from_spec(spec):
         hi = tuple(float(v) for v in spec["hi"].split(","))
         return Box(lo, hi)
     if kind == "ball":
-        return Ball(float(spec["radius"]), int(spec.get("d", 2)))
+        center = spec.get("center")
+        if center is not None:
+            center = tuple(float(v) for v in center.split(","))
+        return Ball(float(spec["radius"]), int(spec.get("d", 2)), center)
     if kind == "slit_ball":
-        return SlitBall(float(spec["radius"]), int(spec.get("d", 2)),
-                        float(spec.get("slab", 0.0)))
+        if float(spec.get("slab", 0.0)) != 0.0:
+            raise DomainError("slit ball has no slab (got %r)"
+                              % (spec["slab"],))
+        return SlitBall(float(spec["radius"]), int(spec.get("d", 2)))
     if kind == "full_space":
         return FullSpace(int(spec.get("d", 1)))
     raise DomainError("unknown domain kind %r" % kind)

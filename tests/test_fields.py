@@ -189,3 +189,24 @@ def test_offset_diff_large_offsets_match_subtraction(field):
     x, h = x[big], h[big]
     sub = field.eval(x + h) - field.eval(x)
     assert np.max(np.abs(field.offset_diff(x, h) - sub)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_offset_diff_far_from_the_origin(dim):
+    # exp(-|x|^2) leaves the normal range at |x| = 26.6; a step from there
+    # back to |x + h| <= 26 reads u(x + h), since u(x)/u(x + h) < e^-53
+    rng = np.random.default_rng(5)
+    field, n = Gaussian(dim), 600
+    far = rng.choice([27.0, 30.0, 100.0, 1e3], (n, 1))
+    near = rng.uniform(0.0, 26.0, (n, 1))
+    x = far * _directions(rng, n, dim)
+    h = near * _directions(rng, n, dim) - x
+    got = field.offset_diff(x, h)
+    want = field.eval(x + h)
+    assert np.all(np.abs(got - want) <= 1e-13 * want)
+    # steps that stay far out, in either direction, read (almost) zero
+    h_out = rng.uniform(-0.5, 2.0, (n, 1)) * x
+    stay = np.linalg.norm(x + h_out, axis=1) >= 27.0
+    out = field.offset_diff(x[stay], h_out[stay])
+    assert np.all(np.isfinite(out))
+    assert np.all(np.abs(out) <= np.finfo(float).tiny)

@@ -13,8 +13,7 @@ from plevylab.constants import kdp_mean, sphere_area
 from plevylab.fields import (LIPSCHITZ, PIECEWISE_CONSTANT, Field,
                              Gaussian, Linear, Scaled, Shifted, SignJump,
                              SmoothBump, Tent, sobolev_norm_p)
-from plevylab.geometry import (IntervalUnion, interval, interval_difference,
-                               slit_interval)
+from plevylab.geometry import IntervalUnion, interval, slit_interval
 from plevylab.quadrature import QuadratureError, integrate
 
 UNIT = interval(0.0, 1.0)
@@ -422,7 +421,7 @@ def test_pair_set_decomposition():
     tent = Tent(1)
     kern = K.make_stable(1, 2.0, 0.1)
     big = interval(-2.0, 2.0)
-    rest = interval_difference(big, UNIT)
+    rest = IntervalUnion(((-2.0, 0.0), (1.0, 2.0)))
     total = F.energy(tent, big, kern, mode=DET, abs_tol=1e-9).value
     inside = F.energy(tent, UNIT, kern, mode=DET, abs_tol=1e-9).value
     outside = F.energy(tent, rest, kern, mode=DET, abs_tol=1e-9).value
@@ -612,6 +611,26 @@ def test_dirac_pairing_divergent_origin_raises():
 def test_dirac_pairing_rejects_a_test_function_of_another_dimension():
     with pytest.raises(F.EnergyError, match="dimension mismatch"):
         F.dirac_pairing(SmoothBump(2, 0.5), K.make_stable(3, 1.0, 0.1))
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf,
+                                    "missing"])
+def test_dirac_pairing_rejects_a_bad_support_radius(radius):
+    bump = SmoothBump(1, 0.5)
+    calls = []
+
+    class Probe:
+        @staticmethod
+        def eval(pts):
+            calls.append(len(pts))
+            return bump.eval(pts)
+
+    probe = Probe()
+    if radius != "missing":
+        probe.support_radius = radius
+    with pytest.raises(F.EnergyError, match="support_radius"):
+        F.dirac_pairing(probe, K.make_truncated_power(1, 1.0, 1.0, 0.1))
+    assert calls == []
 
 
 @pytest.mark.parametrize("n_angle", [0, -3, 2.5])

@@ -5,7 +5,7 @@ import pytest
 
 from plevylab.geometry import (Ball, Box, DomainError, FullSpace,
                                IntervalUnion, SlitBall, containment_margin,
-                               interval, interval_difference, slit_interval)
+                               from_spec, interval, slit_interval)
 
 
 def rng(seed=0):
@@ -47,31 +47,6 @@ def test_unbounded_interval_union_is_legal_but_not_sampled():
         half_line.sample_uniform(rng(0), 10)
 
 
-def test_shrink_and_grow():
-    iv = interval(0.0, 1.0)
-    assert iv.inner_shrink(0.1).intervals == ((0.1, 0.9),)
-    grown = Ball(1.0, 2).outer_grow(0.2)
-    assert grown.radius == 1.2
-    # growing a slit interval fills the slit
-    assert slit_interval().outer_grow(0.2).intervals == ((-1.2, 1.2),)
-    with pytest.raises(DomainError):
-        interval(0.0, 1.0).inner_shrink(0.5)
-
-
-def test_shrink_grow_bracket_volume():
-    dom = interval(0.0, 1.0)
-    assert dom.inner_shrink(0.1).volume() < dom.volume() \
-        < dom.outer_grow(0.1).volume()
-
-
-def test_shrink_containment():
-    dom = slit_interval()
-    small = dom.inner_shrink(0.05)
-    pts = small.sample_uniform(rng(3), 2000)
-    assert small.contains(pts).all()
-    assert dom.contains(pts).all()
-
-
 def test_sampler_matches_membership():
     for dom in (slit_interval(), Ball(1.0, 2), Box((0, 0), (1, 2)),
                 SlitBall(1.0, 2)):
@@ -97,29 +72,10 @@ def test_full_space_rejects_sampling():
         fs.sample_uniform(rng(0), 10)
 
 
-def test_slit_ball_shrink_is_slab():
-    sb = SlitBall(1.0, 2)
-    small = sb.inner_shrink(0.1)
-    assert small.slab == 0.1 and small.radius == 0.9
-    assert not small.contains([[0.5, 0.05]])[0]
-    assert small.contains([[0.5, 0.2]])[0]
-    # slab volume: closed form cross-check in d=2
-    quad = 2 * (0.1 * math.sqrt(0.9 ** 2 - 0.1 ** 2)
-                + 0.81 * math.asin(0.1 / 0.9))
-    assert abs((Ball(0.9, 2).volume() - small.volume()) - quad) < 1e-12
-
-
 def test_containment_margin():
     assert containment_margin(interval(0, 1), interval(0.25, 0.75)) == 0.25
     assert containment_margin(interval(0, 1), interval(0.0, 0.5)) == 0.0
     assert containment_margin(Ball(1.0, 2), Ball(0.5, 2)) == 0.5
-
-
-def test_interval_difference():
-    big = interval(-2.0, 2.0)
-    small = interval(0.0, 1.0)
-    assert interval_difference(big, small).intervals == \
-        ((-2.0, 0.0), (1.0, 2.0))
 
 
 def test_complement_pieces():
@@ -129,7 +85,6 @@ def test_complement_pieces():
 
 
 def test_spec_roundtrip():
-    from plevylab.geometry import from_spec
     probes = np.array([[0.3], [-0.7]])
     for dom in (slit_interval(), interval(0.25, 0.75)):
         again = from_spec(dom.spec())
@@ -138,3 +93,75 @@ def test_spec_roundtrip():
     ball = Ball(1.5, 2)
     again = from_spec(ball.spec())
     assert again.radius == ball.radius and again.dim == ball.dim
+
+
+SPEC_DOMAINS = [
+    IntervalUnion(((-math.inf, -1.0), (0.5, math.inf))),
+    slit_interval(),
+    Box((0, 0), (1, 2)),
+    Ball(1.0, 2),
+    Ball(0.5, 2, center=(0.4, 0.0)),
+    Ball(0.75, 3, center=(-0.25, 0.5, 0.1)),
+    SlitBall(1.0, 2),
+    SlitBall(0.8, 3),
+    FullSpace(2),
+]
+
+
+def _spec_probes(dim):
+    # random points plus points on the slit hyperplane x_d = 0
+    pts = rng(11).uniform(-1.5, 1.5, (400, dim))
+    on_slit = pts[:50].copy()
+    on_slit[:, -1] = 0.0
+    return np.concatenate([pts, on_slit])
+
+
+@pytest.mark.parametrize("dom", SPEC_DOMAINS,
+                         ids=lambda d: ",".join(d.spec().values()))
+def test_spec_roundtrip_every_kind(dom):
+    again = from_spec(dom.spec())
+    assert type(again) is type(dom) and again.dim == dom.dim
+    assert again.spec() == dom.spec()
+    probes = _spec_probes(dom.dim)
+    assert (again.contains(probes) == dom.contains(probes)).all()
+    try:
+        vol = dom.volume()
+    except DomainError:
+        with pytest.raises(DomainError):
+            again.volume()
+    else:
+        assert again.volume() == vol
+
+
+def test_slit_ball_excludes_the_hyperplane():
+    for dim in (2, 3):
+        sb = SlitBall(1.0, dim)
+        on = np.zeros((1, dim))
+        on[0, 0] = 0.5
+        near = on.copy()
+        near[0, -1] = 1e-300
+        assert not sb.contains(on)[0] and sb.contains(near)[0]
+        assert sb.volume() == Ball(1.0, dim).volume()
+
+
+def test_specs_that_key_mc_streams_are_pinned():
+    # these strings are hashed into the Monte Carlo stream key
+    assert Ball(1.0, 2).spec() == {"domain": "ball", "radius": "1.0",
+                                   "d": "2"}
+    assert Ball(1.0, 2, center=(0.0, 0.0)).spec() == Ball(1.0, 2).spec()
+    # an off-centre ball keys its own stream
+    assert Ball(0.5, 2, center=(0.4, 0.0)).spec() == {
+        "domain": "ball", "radius": "0.5", "d": "2", "center": "0.4,0.0"}
+    assert SlitBall(1.0, 2).spec() == {"domain": "slit_ball", "radius": "1.0",
+                                       "d": "2", "slab": "0.0"}
+    assert SlitBall(1.0, 3).spec() == {"domain": "slit_ball", "radius": "1.0",
+                                       "d": "3", "slab": "0.0"}
+    assert Box((0, 0), (1, 2)).spec() == {"domain": "box", "lo": "0.0,0.0",
+                                          "hi": "1.0,2.0"}
+
+
+@pytest.mark.parametrize("slab", ["0.1", "-0.5", "nan"])
+def test_from_spec_rejects_a_slit_ball_slab(slab):
+    spec = dict(SlitBall(1.0, 2).spec(), slab=slab)
+    with pytest.raises(DomainError, match="slab"):
+        from_spec(spec)
