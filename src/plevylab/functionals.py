@@ -126,10 +126,8 @@ def _quotients(field, xs, h, r):
     if not np.all(np.isfinite(du)):
         bad = np.argmax(~np.isfinite(du))
         raise EnergyError("non-finite field value near x=%s" % xs[bad])
-    q = np.zeros_like(du)
-    pos = r > 0.0
-    q[pos] = du[pos] / np.minimum(1.0, r[pos])
-    return q
+    return np.divide(du, np.minimum(1.0, r), out=np.zeros_like(du),
+                     where=r > 0.0)
 
 
 def _mc_double(field, sample_domain, kernel, accept, n, seed, tag):
@@ -141,16 +139,17 @@ def _mc_double(field, sample_domain, kernel, accept, n, seed, tag):
         rng = _chunk_rng(seed, tag, index)
         xs = sample_domain.sample_uniform(rng, m)
         h, radii = kmod.sample_offset_with_radii(kernel, rng, m)
-        ys = xs + h
-        keep = accept(ys)
+        # row indices select faster than a boolean mask on 2-D arrays
+        idx = np.flatnonzero(accept(xs + h))
         s1 = s2 = 0.0
-        if np.any(keep):
-            hk = h[keep]
-            r = radii[keep]
-            q = _quotients(field, xs[keep], hk, r)
-            w = vol * q ** p_exp
+        if idx.size:
+            w = _quotients(field, np.take(xs, idx, axis=0),
+                           np.take(h, idx, axis=0), np.take(radii, idx))
+            w **= p_exp
+            w *= vol
             s1 = float(w.sum())
-            s2 = float((w * w).sum())
+            w *= w
+            s2 = float(w.sum())
         return index, s1, s2
 
     chunks = []

@@ -22,6 +22,33 @@ class DomainError(ValueError):
     pass
 
 
+def _check_dim(dim, least=1):
+    if isinstance(dim, (bool, np.bool_)) or not isinstance(
+            dim, (int, np.integer)) or dim < least:
+        raise DomainError("dim must be an integer >= %d (got %r)"
+                          % (least, dim))
+    return int(dim)
+
+
+def _row_sq_norms(pts, center=None):
+    """Row sums of squares of ``pts - center``, added column by column.
+
+    This is the order ``np.sum(..., axis=1)`` and ``np.linalg.norm(...,
+    axis=1)`` add a row in, so the bits agree with theirs, without the
+    (n, dim) temporaries.
+    """
+    col = np.empty(pts.shape[0])
+    d2 = None
+    for j in range(pts.shape[1]):
+        x = pts[:, j] if center is None else \
+            np.subtract(pts[:, j], center[j], out=col)
+        if d2 is None:
+            d2 = np.multiply(x, x)
+        else:
+            d2 += np.multiply(x, x, out=col)
+    return d2
+
+
 def _as_points(x, dim):
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
@@ -53,26 +80,32 @@ class Domain:
         """Rejection sampling from the bounding box.
 
         Returns ``(points, n_proposed)`` so callers can audit the acceptance
-        ratio against ``volume / box_volume``.
+        ratio against ``volume / box_volume``.  Each round draws as many
+        candidates as points are missing, scales them in place column by
+        column and moves the accepted ones into the output in one
+        compaction.
         """
         lo, hi = self.bounding_box()
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise DomainError("cannot sample %s: its bounding box is not "
                               "finite" % type(self).__name__)
-        dim = self.dim
-        out = np.empty((size, dim))
-        got = 0
-        proposed = 0
+        span = hi - lo
+        out = np.empty((size, self.dim))
+        buf = np.empty_like(out)
+        got = proposed = 0
         while got < size:
-            batch = max(size - got, 1)
-            cand = rng.random((batch, dim)) * (hi - lo) + lo
-            proposed += batch
-            keep = self._contains(cand)
-            k = int(keep.sum())
-            if k:
-                take = min(k, size - got)
-                out[got:got + take] = cand[keep][:take]
-                got += take
+            cand = rng.random(out=buf[:size - got])
+            proposed += size - got
+            for j in range(self.dim):
+                col = cand[:, j]
+                col *= span[j]
+                col += lo[j]
+            idx = np.flatnonzero(self._contains(cand))
+            k = idx.size
+            # mode="clip" never clips these indices; unlike np.compress it
+            # writes straight into ``out`` instead of through a copy
+            np.take(cand, idx, axis=0, out=out[got:got + k], mode="clip")
+            got += k
         return out, proposed
 
     def _contains(self, pts):
@@ -151,8 +184,9 @@ class Box(Domain):
         hi = tuple(float(v) for v in self.hi)
         if len(lo) != len(hi) or not lo:
             raise DomainError("corner size mismatch")
-        if any(h <= l for l, h in zip(lo, hi)):
-            raise DomainError("box has empty side")
+        # infinite corners are legal (half-spaces, slabs); NaN is not
+        if not all(h > l for l, h in zip(lo, hi)):
+            raise DomainError("box has an empty or NaN side")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -161,9 +195,11 @@ class Box(Domain):
         return len(self.lo)
 
     def _contains(self, pts):
-        lo = np.asarray(self.lo)
-        hi = np.asarray(self.hi)
-        return np.all((pts > lo) & (pts < hi), axis=1)
+        keep = np.ones(pts.shape[0], dtype=bool)
+        for j, (lo, hi) in enumerate(zip(self.lo, self.hi)):
+            keep &= pts[:, j] > lo
+            keep &= pts[:, j] < hi
+        return keep
 
     def volume(self):
         return float(np.prod([h - l for l, h in zip(self.lo, self.hi)]))
@@ -187,16 +223,19 @@ class Ball(Domain):
         if not 0.0 < self.radius < math.inf:
             raise DomainError("radius must be positive and finite (got %r)"
                               % (self.radius,))
+        dim = _check_dim(self.dim)
         c = self.center
-        c = tuple(0.0 for _ in range(self.dim)) if c is None else \
+        c = tuple(0.0 for _ in range(dim)) if c is None else \
             tuple(float(v) for v in c)
-        if len(c) != self.dim:
+        if len(c) != dim:
             raise DomainError("center/dim mismatch")
+        if not all(math.isfinite(v) for v in c):
+            raise DomainError("center must be finite (got %r)" % (c,))
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "center", c)
 
     def _contains(self, pts):
-        d2 = np.sum((pts - np.asarray(self.center)) ** 2, axis=1)
-        return d2 < self.radius ** 2
+        return _row_sq_norms(pts, self.center) < self.radius ** 2
 
     def volume(self):
         return unit_ball_volume(self.dim) * self.radius ** self.dim
@@ -225,15 +264,16 @@ class SlitBall(Domain):
     dim: int = 2
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise DomainError("slit ball needs dim >= 2 (use slit_interval)")
+        # the one-dimensional slit domain is slit_interval()
+        object.__setattr__(self, "dim", _check_dim(self.dim, 2))
         if not 0.0 < self.radius < math.inf:
             raise DomainError("invalid slit ball (radius %r)"
                               % (self.radius,))
 
     def _contains(self, pts):
-        d2 = np.sum(pts * pts, axis=1)
-        return (d2 < self.radius ** 2) & (np.abs(pts[:, -1]) > 0.0)
+        keep = _row_sq_norms(pts) < self.radius ** 2
+        keep &= pts[:, -1] != 0.0
+        return keep
 
     def volume(self):
         return unit_ball_volume(self.dim) * self.radius ** self.dim
@@ -253,6 +293,9 @@ class SlitBall(Domain):
 @dataclass(frozen=True)
 class FullSpace(Domain):
     dim: int = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", _check_dim(self.dim))
 
     def _contains(self, pts):
         return np.ones(pts.shape[0], dtype=bool)

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .constants import sphere_area
+from .geometry import _row_sq_norms
 from .quadrature import QuadratureError, fixed_gauss, integrate
 
 NORMALIZATION_ACCEPT_TOL = 1e-6   # accepted deviation from unit mass
@@ -337,13 +338,21 @@ def radial_cdf(kernel):
 
 
 def sample_directions(rng, size, dim):
-    """Uniform points on S^{dim-1}; normalized Gaussians for dim >= 2."""
+    """Uniform points on S^{dim-1}; normalized Gaussians for dim >= 2.
+
+    The squared norms add each row in the order ``np.linalg.norm`` does,
+    and the rows are divided in place.
+    """
     if dim == 1:
-        return (rng.integers(0, 2, size=(size, 1)) * 2.0 - 1.0)
+        signs = rng.integers(0, 2, size=(size, 1)) * 2.0
+        signs -= 1.0
+        return signs
     g = rng.normal(size=(size, dim))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = _row_sq_norms(g)
+    np.sqrt(norms, out=norms)
     norms[norms == 0.0] = 1.0
-    return g / norms
+    g /= norms[:, None]
+    return g
 
 
 def sample_offset_with_radii(kernel, rng, size=1):
@@ -357,8 +366,9 @@ def sample_offset_with_radii(kernel, rng, size=1):
     radii = np.asarray(inv(rng.random(size)), dtype=float)
     if not np.all(np.isfinite(radii)):
         raise KernelError("sampler produced non-finite radii")
-    dirs = sample_directions(rng, size, kernel.dim)
-    return radii[:, None] * dirs, radii
+    h = sample_directions(rng, size, kernel.dim)
+    h *= radii[:, None]
+    return h, radii
 
 
 def sample_offset(kernel, rng, size=1):
@@ -407,12 +417,21 @@ def make_stable(dim, p_exp, eps):
         return np.where(r <= 1.0, inner, outer)
 
     def cdf_inv(v):
+        # both branches over every sample, each formed in place in its own
+        # buffer: gathering each branch's samples costs more than the
+        # second power when the branches mix
         v = np.asarray(v, dtype=float)
-        lo = np.power(np.clip(v, 0.0, m1) / m1, 1.0 / eps)
+        lo = np.clip(v, 0.0, m1, out=np.empty_like(v))
+        lo /= m1
+        np.power(lo, 1.0 / eps, out=lo)
         # 1 - (v - m1) p / eps rewritten as (1 - v) p / eps: stable near v=1
-        w = np.maximum(1.0 - v, 1e-300)
-        hi = np.power(w * p_exp / eps, -1.0 / (p_exp - eps))
-        return np.where(v <= m1, lo, hi)
+        hi = np.subtract(1.0, v, out=np.empty_like(v))
+        np.maximum(hi, 1e-300, out=hi)
+        hi *= p_exp
+        hi /= eps
+        np.power(hi, -1.0 / (p_exp - eps), out=hi)
+        np.copyto(hi, lo, where=v <= m1)
+        return hi
 
     return RadialKernel(
         dim=dim, p_exp=p_exp, log_profile=log_profile,

@@ -1,5 +1,4 @@
 import math
-import os
 import threading
 
 import numpy as np
@@ -13,7 +12,8 @@ from plevylab.constants import kdp_mean, sphere_area
 from plevylab.fields import (LIPSCHITZ, PIECEWISE_CONSTANT, Field,
                              Gaussian, Linear, Scaled, Shifted, SignJump,
                              SmoothBump, Tent, sobolev_norm_p)
-from plevylab.geometry import IntervalUnion, interval, slit_interval
+from plevylab.geometry import (Ball, Box, IntervalUnion, SlitBall,
+                               interval, slit_interval)
 from plevylab.quadrature import QuadratureError, integrate
 
 UNIT = interval(0.0, 1.0)
@@ -199,16 +199,84 @@ def test_mc_seed_determinism():
     assert c.value != a.value
 
 
-def test_mc_thread_count_invariance():
-    kern = K.make_stable(1, 2.0, 0.1)
-    base = F.energy(LINEAR, UNIT, kern, mode=MC, n=600_000, seed=5)
-    os.environ["PLEVYLAB_THREADS"] = "3"
-    try:
-        threaded = F.energy(LINEAR, UNIT, kern, mode=MC, n=600_000, seed=5)
-    finally:
-        os.environ.pop("PLEVYLAB_THREADS")
-    assert threaded.value == base.value
-    assert threaded.stderr == base.stderr
+_THREAD_CASES = {
+    "d1-interval-energy": lambda: F.energy(
+        LINEAR, UNIT, K.make_stable(1, 2.0, 0.1), mode=MC, n=600_000,
+        seed=5),
+    "d3-slit-ball-energy": lambda: F.energy(
+        Linear((1.0, 0.0, 0.5)), SlitBall(1.0, 3), K.make_stable(3, 2.0, 0.3),
+        mode=MC, n=600_000, seed=6),
+    "d2-offcentre-ball-cross": lambda: F.cross_energy(
+        Gaussian(2), Ball(0.5, 2, center=(0.4, 0.0)),
+        K.make_truncated_power(2, 2.0, 0.0, 0.2), mode=MC, n=600_000,
+        seed=7),
+}
+
+
+def test_mc_thread_count_invariance(monkeypatch):
+    for case, run in _THREAD_CASES.items():
+        results = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("PLEVYLAB_THREADS", threads)
+            est = run()
+            results.append((est.value, est.stderr))
+        assert results[1] == results[0], case
+        assert results[2] == results[0], case
+
+
+# value and stderr as float.hex, recorded from the allocate-per-round
+# sampler; n = 300_001 ends in a short chunk
+_PINNED_N = 300_001
+_PINNED = {
+    "d1-interval-energy": (
+        lambda: F.energy(LINEAR, UNIT, K.make_stable(1, 2.0, 0.1), mode=MC,
+                         n=_PINNED_N, seed=21),
+        "0x1.ba162d954d1f8p-1", "0x1.48ae0d209d322p-11"),
+    "d1-complement-cross": (
+        lambda: F.cross_energy(Tent(1), interval(-1.0, 1.0),
+                               K.make_truncated_power(1, 2.0, 0.0, 0.2),
+                               mode=MC, n=_PINNED_N, seed=22),
+        "0x1.0d43fa23e0ebfp-5", "0x1.770b4d6a5286fp-12"),
+    "d2-offcentre-ball-energy": (
+        lambda: F.energy(Gaussian(2), Ball(0.5, 2, center=(0.4, 0.0)),
+                         K.make_stable(2, 2.0, 0.1), mode=MC, n=_PINNED_N,
+                         seed=23),
+        "0x1.540db1fd52539p-3", "0x1.5467655a32375p-12"),
+    "d2-slit-ball-energy": (
+        lambda: F.energy(SignJump(2), SlitBall(1.0, 2),
+                         K.make_stable(2, 1.0, 0.2), mode=MC, n=_PINNED_N,
+                         seed=24),
+        "0x1.f076a29919bdap-1", "0x1.01d70f8dbd72ap-3"),
+    "d2-box-cross": (
+        lambda: F.cross_energy(Linear((1.0, 0.5)), Box((0.0, 0.0), (1.0, 2.0)),
+                               K.make_log_limit(2, 2.0, 0.05, 0.5), mode=MC,
+                               n=_PINNED_N, seed=25),
+        "0x1.e4c8f2497011ap-3", "0x1.2e8af698fadd9p-10"),
+    "d3-ball-local": (
+        lambda: F.local_measure(Gaussian(3), Ball(1.0, 3), Ball(0.5, 3),
+                                K.make_rescaled(K.make_stable(3, 2.0, 0.5),
+                                                0.1),
+                                mode=MC, n=_PINNED_N, seed=26),
+        "0x1.358550bb9be13p-4", "0x1.282892eb561f8p-13"),
+    "d3-slit-ball-energy": (
+        lambda: F.energy(Linear((1.0, 0.0, 0.5)), SlitBall(1.0, 3),
+                         K.make_stable(3, 2.0, 0.3), mode=MC, n=_PINNED_N,
+                         seed=27),
+        "0x1.471f25cda99ffp+0", "0x1.76eccc9c79f94p-9"),
+    "d3-offcentre-ball-energy": (
+        lambda: F.energy(SmoothBump(3, 0.6),
+                         Ball(0.75, 3, center=(-0.25, 0.5, 0.1)),
+                         K.make_truncated_power(3, 2.0, 0.0, 0.1), mode=MC,
+                         n=_PINNED_N, seed=28),
+        "0x1.cc25d5b62f711p-1", "0x1.5156505b2534ep-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_mc_estimates_are_bit_pinned(case):
+    run, value, stderr = _PINNED[case]
+    est = run()
+    assert (est.value.hex(), est.stderr.hex()) == (value, stderr)
 
 
 def test_energy_scaling_homogeneous():
@@ -781,7 +849,6 @@ def test_mc_energy_dimension_two():
     # 2-D: Gaussian on a disk large enough to hold the support mass; at
     # eps = 0.05 the energy sits within a percent of the gradient target
     from plevylab.fields import grad_lp_norm
-    from plevylab.geometry import Ball
     g2, dom = Gaussian(2), Ball(3.0, 2)
     est = F.energy(g2, dom, K.make_stable(2, 2.0, 0.05), mode=MC,
                    n=200_000, seed=11)
@@ -790,7 +857,6 @@ def test_mc_energy_dimension_two():
 
 
 def test_det_mode_needs_interval_union():
-    from plevylab.geometry import Ball
     with pytest.raises(F.EnergyError):
         F.energy(Gaussian(2), Ball(1.0, 2), K.make_stable(2, 2.0, 0.1),
                  mode=DET)

@@ -165,3 +165,110 @@ def test_from_spec_rejects_a_slit_ball_slab(slab):
     spec = dict(SlitBall(1.0, 2).spec(), slab=slab)
     with pytest.raises(DomainError, match="slab"):
         from_spec(spec)
+
+
+# ---------------------------------------------------------------------------
+# rejection sampler parity with the allocate-per-round loop it replaced
+
+
+def _oracle_contains(dom, pts):
+    # membership as the loop below first formed it: whole-array temporaries
+    # and reductions over the short axis
+    if isinstance(dom, IntervalUnion):
+        x = pts[:, 0]
+        keep = np.zeros(x.shape, dtype=bool)
+        for a, b in dom.intervals:
+            keep |= (x > a) & (x < b)
+        return keep
+    if isinstance(dom, Box):
+        return np.all((pts > np.asarray(dom.lo)) & (pts < np.asarray(dom.hi)),
+                      axis=1)
+    if isinstance(dom, SlitBall):
+        d2 = np.sum(pts * pts, axis=1)
+        return (d2 < dom.radius ** 2) & (np.abs(pts[:, -1]) > 0.0)
+    d2 = np.sum((pts - np.asarray(dom.center)) ** 2, axis=1)
+    return d2 < dom.radius ** 2
+
+
+def _oracle_sample(dom, rng, size):
+    lo, hi = dom.bounding_box()
+    dim = dom.dim
+    out = np.empty((size, dim))
+    got = 0
+    proposed = 0
+    while got < size:
+        batch = max(size - got, 1)
+        cand = rng.random((batch, dim)) * (hi - lo) + lo
+        proposed += batch
+        keep = _oracle_contains(dom, cand)
+        k = int(keep.sum())
+        if k:
+            take = min(k, size - got)
+            out[got:got + take] = cand[keep][:take]
+            got += take
+    return out, proposed
+
+
+@pytest.mark.parametrize("dom", [
+    IntervalUnion(((-1.0, -0.25), (0.5, 2.0))),
+    Box((0.0, -1.0), (1.0, 2.0)),
+    Ball(0.5, 2, center=(0.4, -0.1)),
+    Ball(0.75, 3, center=(-0.25, 0.5, 0.1)),
+    SlitBall(1.0, 2),
+    SlitBall(0.8, 3),
+], ids=lambda d: ",".join(d.spec().values()))
+@pytest.mark.parametrize("size", [0, 1, 300_000])
+def test_sampler_matches_reference_loop(dom, size):
+    gen, oracle_gen = rng(3), rng(3)
+    pts, proposed = dom.sample_uniform_with_stats(gen, size)
+    want, want_proposed = _oracle_sample(dom, oracle_gen, size)
+    assert pts.shape == (size, dom.dim)
+    assert np.array_equal(pts, want)
+    assert proposed == want_proposed
+    # both leave the stream at the same place for the draws that follow
+    assert gen.random() == oracle_gen.random()
+    probes = _spec_probes(dom.dim)
+    assert np.array_equal(dom.contains(probes), _oracle_contains(dom, probes))
+
+
+# ---------------------------------------------------------------------------
+# constructor validation
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Box((math.nan, 0.0), (1.0, 1.0)),
+    lambda: Box((0.0, 0.0), (1.0, math.nan)),
+    lambda: Box((math.inf,), (math.inf,)),
+    lambda: SlitBall(1.0, 2.5),
+    lambda: SlitBall(1.0, 1),
+    lambda: SlitBall(1.0, True),
+    lambda: Ball(1.0, 0),
+    lambda: Ball(1.0, 2.0),
+    lambda: Ball(1.0, 2, center=(math.nan, 0.0)),
+    lambda: Ball(1.0, 2, center=(0.0, math.inf)),
+    lambda: FullSpace(-1),
+    lambda: FullSpace(0),
+    lambda: FullSpace(1.5),
+], ids=["box-nan-lo", "box-nan-hi", "box-inf-inf", "slit-ball-dim-2.5",
+        "slit-ball-dim-1", "slit-ball-dim-bool", "ball-dim-0",
+        "ball-dim-float", "ball-nan-center", "ball-inf-center",
+        "full-space-dim-neg", "full-space-dim-0", "full-space-dim-float"])
+def test_invalid_domains_are_rejected(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_unbounded_box_is_legal_but_not_sampled():
+    # half-spaces and slabs are boxes with infinite corners
+    half = Box((-math.inf, 0.0), (math.inf, math.inf))
+    assert half.dim == 2 and half.volume() == math.inf
+    assert half.contains([[-1e300, 1e-300]])[0]
+    assert not half.contains([[0.0, 0.0]])[0]
+    with pytest.raises(DomainError, match="not finite"):
+        half.sample_uniform(rng(0), 10)
+
+
+def test_integer_dims_of_any_integer_type():
+    assert Ball(1.0, np.int64(3)).dim == 3
+    assert type(SlitBall(1.0, np.int32(2)).dim) is int
+    assert FullSpace(np.int64(2)).spec() == FullSpace(2).spec()

@@ -567,3 +567,77 @@ def test_negative_or_nan_custom_profile_raises(bad):
 def test_kernel_needs_a_density():
     with pytest.raises(K.KernelError, match="log_profile or a profile"):
         K.RadialKernel(dim=1, p_exp=2.0, support_radius=1.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_directions_are_unit_rows(dim):
+    dirs = K.sample_directions(RNG(8), 100_000, dim)
+    assert dirs.shape == (100_000, dim)
+    norms = np.sqrt(np.sum(dirs * dirs, axis=1))
+    assert np.all(np.abs(norms - 1.0) <= 2.0 * np.spacing(1.0))
+
+
+def test_directions_in_one_dimension_are_signs():
+    dirs = K.sample_directions(RNG(9), 10_000, 1)
+    assert dirs.shape == (10_000, 1)
+    assert set(np.unique(dirs)) == {-1.0, 1.0}
+
+
+class _ZeroRowGenerator:
+    """Gaussian draws whose second row is exactly zero."""
+
+    def normal(self, size):
+        g = RNG(10).normal(size=size)
+        g[1] = 0.0
+        return g
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_zero_gaussian_row_gives_a_zero_direction(dim):
+    dirs = K.sample_directions(_ZeroRowGenerator(), 5, dim)
+    assert np.all(np.isfinite(dirs))
+    assert np.array_equal(dirs[1], np.zeros(dim))
+    assert np.all(np.abs(np.linalg.norm(dirs[[0, 2, 3, 4]], axis=1) - 1.0)
+                  <= 2.0 * np.spacing(1.0))
+
+
+def _stable_inverse_both_branches(v, p, eps):
+    # the piecewise inverse with both branches formed over every sample
+    m1 = (p - eps) / p
+    lo = np.power(np.clip(v, 0.0, m1) / m1, 1.0 / eps)
+    w = np.maximum(1.0 - v, 1e-300)
+    hi = np.power(w * p / eps, -1.0 / (p - eps))
+    return np.where(v <= m1, lo, hi)
+
+
+def _reference_offsets(dim, p, eps, rng, size):
+    # the stable sampler formed with whole-array temporaries: radii, then
+    # directions normalized by np.linalg.norm, then scaled by the radii
+    radii = _stable_inverse_both_branches(rng.random(size), p, eps)
+    if dim == 1:
+        dirs = rng.integers(0, 2, size=(size, 1)) * 2.0 - 1.0
+    else:
+        g = rng.normal(size=(size, dim))
+        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        dirs = g / norms
+    return radii[:, None] * dirs, radii
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stable_offsets_match_reference_bit_for_bit(dim):
+    # the in-place inverse branches, norms and scaling give the same bits
+    # as the whole-array forms
+    h, radii = K.sample_offset_with_radii(K.make_stable(dim, 2.0, 0.3),
+                                          RNG(12), 300_000)
+    want_h, want_radii = _reference_offsets(dim, 2.0, 0.3, RNG(12), 300_000)
+    assert np.array_equal(radii, want_radii)
+    assert np.array_equal(h, want_h)
+
+
+def test_stable_inverse_cdf_edges_and_scalars():
+    kern = K.make_stable(2, 2.0, 0.3)
+    v = np.array([0.0, 0.85, 1.0, -0.5, 1.5, 0.25, 0.99])
+    want = _stable_inverse_both_branches(v, 2.0, 0.3)
+    assert np.array_equal(kern.radial_cdf_inv(v), want)
+    assert [float(kern.radial_cdf_inv(x)) for x in v] == list(want)
