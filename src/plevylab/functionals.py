@@ -24,13 +24,15 @@ Deterministic (dimension one)
     exact power law below floating point resolution, are integrated in closed
     form: the inner integral over ``(0, r_c)`` uses the local slope, and the
     outer integral gets an analytic sliver at jump interfaces whose adjacent
-    behaviour is ``|x - e|^(1-gamma)``.  Each call of the outer integrand
-    evaluates the inner integrals of all its nodes as one lock-step batch
-    (:func:`~plevylab.quadrature.integrate_many`): every node and side keeps
-    the panels and tolerance of its own adaptive integral, while fields and
-    kernels see one array per bisection round.  This mode is the oracle the
-    Monte Carlo estimates are checked against, and serves the jump fields
-    whose MC weights are heavy-tailed.
+    behaviour is ``|x - e|^(1-gamma)``.  Both levels run in lock-step
+    (:func:`~plevylab.quadrature.integrate_many`).  Every outer piece of
+    every interval pair of an estimate is one problem of a single outer
+    call, and each round of it evaluates the inner integrals of all its
+    nodes, each against its own partner interval, as one inner batch.  Every
+    piece, node and side keeps the panels and tolerance of its own adaptive
+    integral, while fields and kernels see one array per inner round.  This
+    mode is the oracle the Monte Carlo estimates are checked against, and
+    serves the jump fields whose MC weights are heavy-tailed.
 
 Also here: the symmetrized-difference operator at a point (p = 2) and the
 pairing of a test function against the kernel's unit-mass measure (p = 1),
@@ -54,7 +56,7 @@ import numpy as np
 from . import kernels as kmod
 from .fields import PIECEWISE_CONSTANT, FieldError
 from .geometry import IntervalUnion, containment_margin
-from .quadrature import QuadratureError, integrate, integrate_many
+from .quadrature import QuadratureError, integrate_many
 
 MODE_MC = "mc"
 MODE_DET = "deterministic-1d"
@@ -199,15 +201,17 @@ def _geo_refine(lo, hi, cuts, *, origin=0.0, factor=8.0):
     return sorted(pts)
 
 
-class _PairIntegrator:
-    """Double integral of |u(x)-u(y)|^p nu(|x-y|) over one interval pair."""
+class _Oracle:
+    """The 1-D oracle of one estimate: the field, kernel, exponent and
+    tolerances that every interval pair of the estimate shares.
 
-    def __init__(self, field, kernel, p_exp, y_lo, y_hi, tol):
+    ``tol`` is the error budget of one interval pair.
+    """
+
+    def __init__(self, field, kernel, p_exp, tol):
         self.field = field
         self.kernel = kernel
         self.p = p_exp
-        self.y_lo = y_lo
-        self.y_hi = y_hi
         self.tol = tol
         self.marks = _field_marks(field)
         self.inner_tol = max(tol * 1e-2, 1e-12)
@@ -262,18 +266,25 @@ class _PairIntegrator:
         top = hi if math.isfinite(hi) else max([start] + cuts + [1.0])
         return total, start, hi, _geo_refine(start, top, cuts)
 
-    def inner(self, xs, floor=0.0):
-        """Inner integrals over y at every node of ``xs``: one lock-step
-        batch of the per-node, per-side quadrature problems."""
+    def inner(self, xs, y_lo, y_hi, floor=0.0):
+        """Inner integrals over y in ``(y_lo, y_hi)``, beyond ``|y - x| >
+        floor``, at every node of ``xs``: one lock-step batch of the
+        per-node, per-side quadrature problems.  The partner range and the
+        floor are scalars or arrays with one entry per node.
+
+        A :class:`QuadratureError` of the batch names in ``problem`` the
+        node it happened at."""
         xs = np.asarray(xs, dtype=float)
         field, kernel, p = self.field, self.kernel, self.p
         if field.regularity == PIECEWISE_CONSTANT:
             slopes = np.zeros(xs.size)
         else:
             slopes = field.grad(xs[:, None])[:, 0]
-        ay, by = self.y_lo, self.y_hi
+        per_node = (np.broadcast_to(v, xs.shape).tolist()
+                    for v in (y_lo, y_hi, floor))
         probs = []      # (node, x, sign, core, start, hi, points)
-        for k, (x, slope) in enumerate(zip(xs.tolist(), slopes.tolist())):
+        for k, (x, slope, ay, by, fl) in enumerate(
+                zip(xs.tolist(), slopes.tolist(), *per_node)):
             if by <= x:
                 sides = ((x - by, x - ay, -1.0),)
             elif ay >= x:
@@ -281,7 +292,7 @@ class _PairIntegrator:
             else:
                 sides = ((0.0, x - ay, -1.0), (0.0, by - x, +1.0))
             for r_lo, r_hi, sign in sides:
-                spec = self._range_value(x, slope, r_lo, r_hi, sign, floor)
+                spec = self._range_value(x, slope, r_lo, r_hi, sign, fl)
                 if spec is not None:
                     probs.append((k, x, sign, *spec))
         node, x_of, sign_of, core, a, b, pts = \
@@ -290,34 +301,46 @@ class _PairIntegrator:
 
         def f(i, r):
             x = x_of[i]
+            # |du|^p nu(r) = exp(p log|du| + log nu(r)), formed in du itself
             du = np.abs(field._offset_diff(x[:, None],
-                                           (sign_of[i] * r)[:, None]))
+                                           (sign_of[i] * r)[:, None]),
+                        dtype=float)
             # r = inf only arises where the tail map reaches t = 0, whose
             # contribution the map zeroes itself
             bad = ~np.isfinite(du) & np.isfinite(r)
             if bad.any():
                 raise EnergyError("non-finite field value near x=%s"
                                   % x[np.argmax(bad)])
-            out = np.exp(p * np.log(du) + kernel.log_density(r))
-            return np.where(du > 0.0, out, 0.0)
+            zero = ~(du > 0.0)
+            np.log(du, out=du)
+            du *= p
+            du += kernel.log_density(r)
+            np.exp(du, out=du)
+            du[zero] = 0.0
+            return du
 
-        vals, _ = integrate_many(f, a, b, pts,
-                                 decay_exponent=kernel.tail_exponent,
-                                 abs_tol=self.inner_tol,
-                                 rel_tol=self.inner_rel)
+        try:
+            vals, _ = integrate_many(f, a, b, pts,
+                                     decay_exponent=kernel.tail_exponent,
+                                     abs_tol=self.inner_tol,
+                                     rel_tol=self.inner_rel)
+        except QuadratureError as exc:
+            if exc.problem is not None:
+                exc.problem = node[exc.problem]
+            raise
         out = np.zeros(xs.size)
         np.add.at(out, np.array(node, dtype=np.intp), np.array(core) + vals)
         return out
 
     # -- outer integral -----------------------------------------------------
 
-    def _outer_cuts(self, ax, bx):
+    def _outer_cuts(self, ax, bx, y_lo, y_hi):
         kernel = self.kernel
         # an infinite support radius puts no cut inside the finite (ax, bx)
         radii = {0.0, 1.0, kernel.inner_radius, kernel.support_radius,
                  *kernel.breakpoints}
         marks = set(self.marks)
-        for m in (self.y_lo, self.y_hi):
+        for m in (y_lo, y_hi):
             if math.isfinite(m):
                 marks.add(m)
         cuts = set()
@@ -328,12 +351,12 @@ class _PairIntegrator:
                         cuts.add(s)
         return sorted(cuts)
 
-    def _jump_singular(self, e, toward_right):
+    def _jump_singular(self, e, toward_right, y_lo, y_hi):
         """Outer exponent at a jump point e, or None when regular there.
 
         Singular when the kernel reaches the origin with exponent gamma > 1
-        and the partner interval has points across the jump arbitrarily
-        close to e.
+        and the partner interval ``(y_lo, y_hi)`` has points across the
+        jump arbitrarily close to e.
         """
         field, kernel = self.field, self.kernel
         if field.regularity != PIECEWISE_CONSTANT:
@@ -348,9 +371,9 @@ class _PairIntegrator:
         # x approaching e from the right sees the jump against partner
         # points just below e, and vice versa
         if toward_right:
-            across = self.y_lo < e and self.y_hi >= e
+            across = y_lo < e and y_hi >= e
         else:
-            across = self.y_hi > e and self.y_lo <= e
+            across = y_hi > e and y_lo <= e
         if not across:
             return None
         alpha = 2.0 - gamma
@@ -360,70 +383,129 @@ class _PairIntegrator:
                 "(outer exponent %.3g <= 0)" % alpha)
         return alpha
 
-    def _sliver(self, e, width, sign):
-        """Closed-form outer sliver (e, e+sign*width) at a jump interface."""
-        kernel, p = self.kernel, self.p
-        gamma = kernel.origin_exponent
-        c0 = kernel.origin_coefficient
-        jump = self.field.jump_size
-        alpha = 2.0 - gamma
-        power_part = jump ** p * c0 * width ** alpha / alpha
-        rest = width * float(self.inner([e + sign * 0.5 * width],
-                                        floor=width)[0])
-        return power_part + rest
-
-    def piece_value(self, lo, hi, tol):
-        sing_lo = self._jump_singular(lo, toward_right=True)
-        sing_hi = self._jump_singular(hi, toward_right=False)
-        val = 0.0
+    def _piece(self, lo, hi, y_lo, y_hi):
+        """Set-up of the outer piece ``(lo, hi)`` against ``(y_lo, y_hi)``:
+        the closed-form slivers at its singular jump ends, as ``(midpoint,
+        width, power part)``, and the ``(a, b, cut points)`` left to the
+        outer quadrature, or None when nothing is left."""
+        field, kernel = self.field, self.kernel
+        sing_lo = self._jump_singular(lo, True, y_lo, y_hi)
+        sing_hi = self._jump_singular(hi, False, y_lo, y_hi)
         # slivers take the closed-form core: none without one
-        base_w = min(1e-6 * (hi - lo), 0.45 * self.kernel.origin_pure_radius)
+        base_w = min(1e-6 * (hi - lo), 0.45 * kernel.origin_pure_radius)
         for m in self.marks:
             gap = min(abs(lo - m), abs(hi - m))
             if gap > 0:
                 base_w = min(base_w, 0.45 * gap)
+        slivers = []
         a, b = lo, hi
-        if sing_lo is not None and base_w > 0:
-            w = min(base_w, 0.45 * (lo - self.y_lo))
-            val += self._sliver(lo, w, +1.0)
-            a = lo + w
-        if sing_hi is not None and base_w > 0:
-            w = min(base_w, 0.45 * (self.y_hi - hi))
-            val += self._sliver(hi, w, -1.0)
-            b = hi - w
-        if b > a:
-            pts = set()
-            if sing_lo is not None:
-                pts.update(_geo_refine(a, b, (), origin=lo))
-            if sing_hi is not None:
-                pts.update(hi - q for q in _geo_refine(hi - b, hi - a, ())
-                           if a < hi - q < b)
+        for alpha, e, sign, room in ((sing_lo, lo, +1.0, lo - y_lo),
+                                     (sing_hi, hi, -1.0, y_hi - hi)):
+            if alpha is None or not base_w > 0:
+                continue
+            # the power part is the jump against the origin power law; the
+            # rest is the inner integral at the midpoint beyond the width
+            w = min(base_w, 0.45 * room)
+            slivers.append((e + sign * 0.5 * w, w,
+                            field.jump_size ** self.p
+                            * kernel.origin_coefficient * w ** alpha / alpha))
+            if sign > 0:
+                a = lo + w
+            else:
+                b = hi - w
+        if not b > a:
+            return slivers, None
+        pts = set()
+        if sing_lo is not None:
+            pts.update(_geo_refine(a, b, (), origin=lo))
+        if sing_hi is not None:
+            pts.update(hi - q for q in _geo_refine(hi - b, hi - a, ())
+                       if a < hi - q < b)
+        return slivers, (a, b, sorted(pts))
 
-            piece, _ = integrate(self.inner, a, b, points=sorted(pts),
-                                 abs_tol=tol)
-            val += piece
-        return val
+    def total(self, jobs):
+        """Sum of ``factor`` times the pair energy over the ``(x interval,
+        y interval, factor)`` jobs.
 
-    def integral_over(self, ax, bx):
-        cuts = self._outer_cuts(ax, bx)
-        edges = [ax, *cuts, bx]
-        pieces = list(zip(edges[:-1], edges[1:]))
-        tol = self.tol / max(len(pieces), 1)
-        return sum(self.piece_value(lo, hi, tol) for lo, hi in pieces)
+        Set-up splits each x interval into pieces at the outer cuts of its
+        pair (:meth:`_piece`).  Then the sliver midpoints go to one inner
+        batch, and the rest of every piece, with tolerance ``tol / number
+        of pieces``, to one :func:`~plevylab.quadrature.integrate_many`
+        call.  Its integrand hands the inner integrals of all the nodes of
+        a round, each against the partner interval of its own piece, to one
+        inner batch.  Pieces and pairs sum their terms in a fixed order, so
+        the value does not depend on how the pairs are grouped into calls.
+        """
+        field = self.field
+        pairs = []      # per job: (factor, term ids of each piece)
+        where = []      # per term: (x piece, partner interval)
+        slivers = []    # (term, y_lo, y_hi, midpoint, width, power part)
+        outer = []      # (term, a, b, cut points, tolerance, y_lo, y_hi)
+        for (ax, bx), (ay, by), factor in jobs:
+            pieces = []
+            pairs.append((factor, pieces))
+            if field.regularity == PIECEWISE_CONSTANT:
+                # a piecewise-constant field with no jump inside the hull
+                # is constant
+                lo, hi = min(ax, ay), max(bx, by)
+                if math.isfinite(lo) and math.isfinite(hi) and not any(
+                        lo < j < hi for j in field.jump_points):
+                    continue
+            edges = [ax, *self._outer_cuts(ax, bx, ay, by), bx]
+            tol = self.tol / max(len(edges) - 1, 1)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                terms = []
+                pieces.append(terms)
+                piece_slivers, rest = self._piece(lo, hi, ay, by)
+                for sliver in piece_slivers:
+                    terms.append(len(where))
+                    slivers.append((terms[-1], ay, by, *sliver))
+                    where.append(((lo, hi), (ay, by)))
+                if rest is not None:
+                    terms.append(len(where))
+                    outer.append((terms[-1], *rest, tol, ay, by))
+                    where.append(((lo, hi), (ay, by)))
+        value = np.zeros(len(where))
+        stage = slivers
+        try:
+            if slivers:
+                term, y_lo, y_hi, xs, ws, power = map(np.array, zip(*slivers))
+                value[term] = power + ws * self.inner(xs, y_lo, y_hi,
+                                                      floor=ws)
+            if outer:
+                stage = outer
+                term, a, b, pts, tol, y_lo, y_hi = zip(*outer)
+                y_lo, y_hi = np.array(y_lo), np.array(y_hi)
 
+                def f(i, x):
+                    try:
+                        return self.inner(x, y_lo[i], y_hi[i])
+                    except QuadratureError as exc:
+                        if exc.problem is not None:
+                            exc.problem = int(i[exc.problem])
+                        raise
 
-def _pair_energy(field, kernel, p_exp, x_iv, y_iv, tol):
-    ax, bx = x_iv
-    ay, by = y_iv
-    if field.regularity == PIECEWISE_CONSTANT:
-        # a piecewise-constant field with no jump inside the hull is constant
-        lo = min(ax, ay)
-        hi = max(bx, by)
-        if math.isfinite(lo) and math.isfinite(hi) \
-                and not any(lo < j < hi for j in field.jump_points):
-            return 0.0
-    integ = _PairIntegrator(field, kernel, p_exp, ay, by, tol)
-    return integ.integral_over(ax, bx)
+                value[list(term)], _ = integrate_many(f, a, b, pts,
+                                                      abs_tol=np.array(tol))
+        except QuadratureError as exc:
+            if exc.problem is None:
+                raise
+            (lo, hi), (ay, by) = where[stage[exc.problem][0]]
+            raise QuadratureError(
+                "%s; in x piece (%g, %g) against partner interval (%g, %g)"
+                % (exc, lo, hi, ay, by), achieved=exc.achieved,
+                problem=exc.problem) from exc
+        value = value.tolist()
+        total = 0.0
+        for factor, pieces in pairs:
+            pair = 0.0
+            for terms in pieces:
+                val = 0.0
+                for t in terms:
+                    val += value[t]
+                pair += val
+            total += factor * pair
+        return total
 
 
 def _det_double(field, kernel, x_intervals, y_intervals, *, symmetric,
@@ -438,11 +520,7 @@ def _det_double(field, kernel, x_intervals, y_intervals, *, symmetric,
     else:
         jobs = [(xi, yj, 1.0) for xi in x_ivs for yj in y_ivs]
     tol = abs_tol / max(len(jobs), 1)
-    total = 0.0
-    for x_iv, y_iv, factor in jobs:
-        total += factor * _pair_energy(field, kernel, kernel.p_exp,
-                                       x_iv, y_iv, tol)
-    return total
+    return _Oracle(field, kernel, kernel.p_exp, tol).total(jobs)
 
 
 def _require_det_domain(domain):

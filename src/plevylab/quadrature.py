@@ -20,12 +20,14 @@ Every driver gives up after ``DEFAULT_MAX_PANELS`` panels per problem.
 panels, tolerance and greedy bisection order of its own :func:`integrate`
 call, and every round evaluates one panel pair of every unconverged problem
 through one call of a batched integrand ``f(index, x)``.  It serves the
-nested 1-D oracle, whose inner integrals are many short problems.  Single
-integrals go through :func:`integrate`, a scalar heap with no per-round
-array cost.  The two drivers stay separate on purpose: with
-:func:`integrate` as a one-problem lock-step call, the kernel-check
-workload of ``perfbench`` (2-vCPU VM) went from 1.72-1.86 s to 2.00-2.12 s
-per pass and its peak RSS from 106.9 to 129.8 MB.  Short kernel-calculus
+nested 1-D oracle at both levels: one call holds every outer piece of an
+estimate, each with its own tolerance, and each round of that call runs the
+inner integrals of all its nodes as one more call.  Single integrals go
+through :func:`integrate`, a scalar heap with no per-round array cost.
+The two drivers stay separate on purpose: with :func:`integrate` as a
+one-problem lock-step call, the kernel-check workload of ``perfbench``
+(2-vCPU VM) went from 1.72-1.86 s to 2.00-2.12 s per pass and its peak RSS
+from 106.9 to 129.8 MB.  Short kernel-calculus
 integrals paid about 100 us of array bookkeeping per bisection round, and a
 lock-step round evaluates both halves and the tail heap in one integrand
 call, which doubled the sphere-mean arrays of ``dirac_pairing`` in d = 3.
@@ -62,11 +64,14 @@ class QuadratureError(ArithmeticError):
     achieved : float
         The error estimate at the point of failure (``inf`` when the
         integrand was non-finite).
+    problem : int or None
+        For :func:`integrate_many`, the index of the problem that failed.
     """
 
-    def __init__(self, message, achieved=float("inf")):
+    def __init__(self, message, achieved=float("inf"), problem=None):
         super().__init__(message)
         self.achieved = achieved
+        self.problem = problem
 
 
 def _panel_estimates(f, a, b):
@@ -230,38 +235,58 @@ def _batch_estimates(f, owner, tail, inv, lo, hi):
 
     Tail panels live in ``t = 1/r``, or in ``u = t**alpha`` when ``inv`` is
     ``1/alpha``, and are transformed exactly as :func:`integrate` and
-    :func:`_power_mapped` transform a single tail.
+    :func:`_power_mapped` transform a single tail.  The abscissae, the
+    values and the weighted values each live in one buffer that is
+    overwritten in place; ``f`` sees every node unless the power map
+    drops some.
     """
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (lo + hi)
-    x = mid[:, None] + half[:, None] * _all_nodes
-    r = x.copy()
-    ok = np.ones(x.shape, dtype=bool)
+    r = half[:, None] * _all_nodes
+    r += (0.5 * (lo + hi))[:, None]
+    ok = None
+    has_tail = tail.any()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore",
                      under="ignore"):
-        u = x[tail]
-        t = u
-        if inv is not None:
-            jac = inv * np.power(u, inv - 1.0)
-            ok[tail] = (jac > 0) & np.isfinite(jac)
-            t = np.power(u, inv)
-        r[tail] = 1.0 / t
-        vals = np.zeros(x.shape)
-        vals[ok] = f(np.broadcast_to(owner[:, None], x.shape)[ok], r[ok])
-        rt = r[tail]
-        vt = vals[tail] * rt * rt
-        if inv is not None:
-            # where t collapsed onto r = inf the contribution is
-            # jac-suppressed to zero
-            vt[~np.isfinite(vt)] = 0.0
-            vt[t == 0.0] = 0.0
-            vt = np.where(ok[tail], vt * jac, 0.0)
-        vals[tail] = vt
+        if has_tail:
+            t = r[tail]
+            if inv is not None:
+                jac = inv * np.power(t, inv - 1.0)
+                ok_t = (jac > 0) & np.isfinite(jac)
+                if not ok_t.all():
+                    ok = np.ones(r.shape, dtype=bool)
+                    ok[tail] = ok_t
+                t = np.power(t, inv)
+            r[tail] = 1.0 / t
+        if ok is None:
+            vals = f(np.repeat(owner, r.shape[1]), r.reshape(-1))
+            vals = np.require(vals, dtype=float,
+                              requirements="W").reshape(r.shape)
+        else:
+            vals = np.zeros(r.shape)
+            vals[ok] = f(np.broadcast_to(owner[:, None], r.shape)[ok], r[ok])
+        if has_tail:
+            rt = r[tail]
+            vt = vals[tail]
+            vt *= rt
+            vt *= rt
+            if inv is not None:
+                # where t collapsed onto r = inf the contribution is
+                # jac-suppressed to zero
+                vt[~np.isfinite(vt)] = 0.0
+                vt[t == 0.0] = 0.0
+                vt *= jac
+                vt[~ok_t] = 0.0
+            vals[tail] = vt
         # row sums, unlike a BLAS matrix-vector product, do not depend on
         # which other panels share the batch
-        lo_est = half * (vals[:, :_LO_N] * _lo_weights).sum(axis=1)
-        hi_est = half * (vals[:, _LO_N:] * _hi_weights).sum(axis=1)
-    return hi_est, np.abs(hi_est - lo_est)
+        vals[:, :_LO_N] *= _lo_weights
+        vals[:, _LO_N:] *= _hi_weights
+        lo_est = vals[:, :_LO_N].sum(axis=1)
+        lo_est *= half
+        hi_est = vals[:, _LO_N:].sum(axis=1)
+        hi_est *= half
+    lo_est -= hi_est
+    return hi_est, np.abs(lo_est, out=lo_est)
 
 
 def integrate_many(f, a, b, points, *, decay_exponent=None,
@@ -275,17 +300,21 @@ def integrate_many(f, a, b, points, *, decay_exponent=None,
     ``alpha = decay_exponent - 1`` power map), meets its own tolerance and
     bisects by its own greedy rule (worst error first, ties to the earliest
     panel; a panel at floating point resolution is accepted; it stalls at
-    ``DEFAULT_MAX_PANELS``).  Each round bisects one panel of every unconverged problem, and
-    all nodes of a round go to one call ``f(index, x)`` with equal-shape
-    arrays of problem indices and abscissae, so the Python overhead is paid
-    per round, not per panel.
+    ``DEFAULT_MAX_PANELS``).  ``abs_tol`` is one tolerance for every
+    problem or an array with one entry per problem.  Each round bisects one
+    panel of every unconverged problem, and all nodes of a round go to one
+    call ``f(index, x)`` with equal-shape 1-D arrays of problem indices and
+    abscissae, so the Python overhead is paid per round, not per panel.
 
     Returns ``(values, error_estimates)`` as arrays; values agree with the
     separate :func:`integrate` calls up to the summation order of the Gauss
-    dot products.
+    dot products.  A stall or a non-finite panel raises
+    :class:`QuadratureError` whose ``problem`` is the index of the problem
+    it happened in.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
+    abs_tol = np.broadcast_to(np.asarray(abs_tol, dtype=float), (len(a),))
     alpha = None if decay_exponent is None else decay_exponent - 1.0
     if alpha is not None and alpha <= 0.0 and math.inf in b:
         raise QuadratureError(
@@ -308,7 +337,7 @@ def integrate_many(f, a, b, points, *, decay_exponent=None,
             regions.append(_pieces(lo, hi, pts))
     owner = np.array(owner, dtype=np.intp)
     totals, errs = _lockstep(f, owner, np.array(tail, dtype=bool), inv,
-                             regions, abs_tol, rel_tol, a, b)
+                             regions, abs_tol[owner], rel_tol, a, b)
     # in heap order: a problem's finite part, then its tail
     values = np.zeros(len(a))
     errors = np.zeros(len(a))
@@ -319,7 +348,8 @@ def integrate_many(f, a, b, points, *, decay_exponent=None,
 
 def _lockstep(f, owner, tail, inv, regions, abs_tol, rel_tol, a, b):
     """Run one :func:`_adaptive_pool` heap per entry of ``regions`` in
-    lock-step; returns the arrays of totals and error estimates."""
+    lock-step, heap ``h`` to its own ``abs_tol[h]``; returns the arrays of
+    totals and error estimates."""
     n = len(regions)
     width = max([len(r) for r in regions] + [1])
     cap = 2 * width + 16
@@ -340,7 +370,8 @@ def _lockstep(f, owner, tail, inv, regions, abs_tol, rel_tol, a, b):
         if bad.any():
             k = np.argmax(bad)
             raise QuadratureError("non-finite integrand on (%g, %g)"
-                                  % (pa[filled][k], pb[filled][k]))
+                                  % (pa[filled][k], pb[filled][k]),
+                                  problem=int(owner[rows[k]]))
         est[filled], err[filled] = e, r
     # sequential left-to-right sums, as _adaptive_pool accumulates them
     total = np.cumsum(np.where(filled, est, 0.0), axis=1)[:, -1]
@@ -351,7 +382,7 @@ def _lockstep(f, owner, tail, inv, regions, abs_tol, rel_tol, a, b):
     out_total = np.zeros(n)
     out_err = np.zeros(n)
     while heap.size:
-        go = total_err > np.maximum(abs_tol, rel_tol * np.abs(total))
+        go = total_err > np.maximum(abs_tol[heap], rel_tol * np.abs(total))
         stalled = go & (n_panels >= DEFAULT_MAX_PANELS)
         if stalled.any():
             k = np.argmax(stalled)
@@ -360,7 +391,7 @@ def _lockstep(f, owner, tail, inv, regions, abs_tol, rel_tol, a, b):
                 "adaptive quadrature stalled on (%g, %g): error estimate "
                 "%.3e after %d panels (likely divergent or insufficiently "
                 "resolved)" % (a[i], b[i], total_err[k], n_panels[k]),
-                achieved=float(total_err[k]))
+                achieved=float(total_err[k]), problem=int(i))
         go &= live > 0
         if not go.all():
             done = ~go
@@ -395,7 +426,8 @@ def _lockstep(f, owner, tail, inv, regions, abs_tol, rel_tol, a, b):
         if bad.any():
             k = s[np.argmax(bad)]
             raise QuadratureError("non-finite integrand near (%g, %g)"
-                                  % (qa[k], qb[k]))
+                                  % (qa[k], qb[k]),
+                                  problem=int(owner[heap[k]]))
         total[s] += (e1 + e2) - qest[s]
         total_err[s] += (r1 + r2) - qerr[s]
         if used.max() + 2 > pa.shape[1]:

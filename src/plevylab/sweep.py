@@ -24,6 +24,7 @@ from . import fields as fmod
 from . import geometry as gmod
 from . import kernels as kmod
 from .constants import kdp_mean, sphere_area
+from .quadrature import QuadratureError
 
 REL_TOL = 0.05
 DIVERGENCE_SLOPE = 0.5
@@ -222,13 +223,23 @@ def _judge(case, target, rows):
 
 
 def run_sweep(case):
-    """Execute one case and judge it; deterministic given the case seed."""
+    """Execute one case and judge it; deterministic given the case seed.
+
+    A row that fails re-raises its error, of the same class and with the
+    same attributes, with the case id and the grid value put in front of
+    the message.
+    """
     fld, dom, fam, sub = _build(case)
     target = _target(case, fld, dom, sub)
     value_at = _value_fn(case, fld, dom, fam, sub)
     rows = []
     for eps in case.grid:
-        value, stderr = value_at(eps)
+        try:
+            value, stderr = value_at(eps)
+        except (QuadratureError, emod.EnergyError, kmod.KernelError,
+                fmod.FieldError, gmod.DomainError) as exc:
+            exc.args = ("case %s at eps=%r: %s" % (case.case_id, eps, exc),)
+            raise
         abs_err = abs(value - target) if math.isfinite(target) \
             else math.nan
         rel = abs_err / abs(target) if target else math.nan

@@ -73,13 +73,13 @@ def test_sign_jump_p2_energy_diverges():
         F.energy(SignJump(1), SYM, K.make_stable(1, 2.0, 0.2), mode=DET)
 
 
-def _inner_reference(integ, x, floor):
+def _inner_reference(integ, x, y_iv, floor):
     """The oracle's inner integral at one node: the scalar set-up of
     ``_range_value`` and one public ``integrate`` call per side."""
     field, kernel, p = integ.field, integ.kernel, integ.p
     slope = 0.0 if field.regularity == PIECEWISE_CONSTANT \
         else float(field.grad([[x]])[0, 0])
-    ay, by = integ.y_lo, integ.y_hi
+    ay, by = y_iv
     if by <= x:
         sides = [(x - by, x - ay, -1.0)]
     elif ay >= x:
@@ -125,11 +125,77 @@ _NODES = np.linspace(0.01, 0.99, 23)
         "window-cutoff"])
 def test_batched_inner_matches_per_node_integrate(field, kernel, y_iv, xs,
                                                   floor):
-    integ = F._PairIntegrator(field, kernel, kernel.p_exp, *y_iv, 1e-10)
-    batch = integ.inner(xs, floor=floor)
+    integ = F._Oracle(field, kernel, kernel.p_exp, 1e-10)
+    batch = integ.inner(xs, *y_iv, floor=floor)
     for x, val in zip(xs, batch):
-        ref = _inner_reference(integ, float(x), floor)
+        ref = _inner_reference(integ, float(x), y_iv, floor)
         assert abs(val - ref) <= 1e-14 * abs(ref), x
+
+
+def test_oracle_value_does_not_depend_on_pair_grouping():
+    # the default complement of (0, 1) is two partner intervals, each at
+    # half the error budget of the whole
+    kern = K.make_stable(1, 2.0, 0.2)
+    whole = F.cross_energy(Tent(1), UNIT, kern, mode=DET).value
+    left, right = (F.cross_energy(Tent(1), UNIT, kern, other=other,
+                                  mode=DET, abs_tol=5e-11).value
+                   for other in (IntervalUnion(((-math.inf, 0.0),)),
+                                 IntervalUnion(((1.0, math.inf),))))
+    assert whole == left + right
+    # the slit interval has three pairs, the mixed one counted twice
+    kern = K.make_stable(1, 1.0, 0.2)
+    slit = slit_interval()
+    lo, hi = slit.intervals
+    single = [F._det_double(SignJump(1), kern, [x_iv], [y_iv],
+                            symmetric=False, abs_tol=1e-10 / 3)
+              for x_iv, y_iv in ((lo, lo), (lo, hi), (hi, hi))]
+    full = F.energy(SignJump(1), slit, kern, mode=DET).value
+    assert full == 1.0 * single[0] + 2.0 * single[1] + 1.0 * single[2]
+
+
+def test_oracle_runs_every_outer_piece_in_one_batch(monkeypatch):
+    calls = []
+    hook = Linear._offset_diff
+
+    def counted(self, pts, off):
+        calls.append(len(pts))
+        return hook(self, pts, off)
+
+    monkeypatch.setattr(Linear, "_offset_diff", counted)
+    est = F.energy(Linear((1.0,)), UNIT, K.make_stable(1, 2.0, 0.4),
+                   mode=DET)
+    # one inner round per call; one outer heap per piece would take 285
+    assert len(calls) <= 160
+    assert abs(est.value - 0.5714285714444457) <= 1e-15
+    half_line = IntervalUnion(((0.0, math.inf),))
+    est = F.energy(Gaussian(1), half_line, K.make_stable(1, 2.0, 0.5),
+                   mode=DET)
+    assert abs(est.value - 0.577351551203189) <= 1e-14
+
+
+class _SquareWave(Field):
+    """u(x) = sign(sin(3e4 x)): no inner integral converges."""
+
+    dim = 1
+    regularity = "smooth"
+
+    def _eval(self, pts):
+        return np.sign(np.sin(3e4 * pts[:, 0]))
+
+    def _grad(self, pts):
+        return np.zeros_like(pts)
+
+    def spec(self):
+        return {"field": "square_wave"}
+
+
+def test_oracle_stall_names_the_interval_pair():
+    with pytest.raises(QuadratureError, match="stalled") as info:
+        F.cross_energy(_SquareWave(), UNIT, K.make_stable(1, 2.0, 0.4),
+                       other=interval(2.0, 3.0), mode=DET)
+    assert "in x piece (0, 1) against partner interval (2, 3)" \
+        in str(info.value)
+    assert 0 < info.value.achieved < math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -129,3 +129,40 @@ def test_integrate_many_stall_names_the_range():
         integrate_many(f, [0.0, 0.0], [1.0, 1.0], [(), ()], abs_tol=1e-10)
     assert "(0, 1)" in str(info.value)
     assert 0 < info.value.achieved < math.inf
+
+
+def test_integrate_many_takes_a_tolerance_per_problem():
+    f = _kinked(1.5)
+    a, b, pts = zip(*_PROBLEMS)
+    tols = [(1e-6, 1e-11, 1e-9)[i % 3] for i in range(len(_PROBLEMS))]
+    vals, errs = integrate_many(f, a, b, pts, decay_exponent=1.5,
+                                abs_tol=np.array(tols))
+    for i, (lo, hi, p) in enumerate(_PROBLEMS):
+        alone, alone_err = integrate_many(
+            lambda j, x, i=i: f(np.full(j.shape, i), x), [lo], [hi], [p],
+            decay_exponent=1.5, abs_tol=tols[i])
+        assert alone[0] == vals[i], i
+        assert alone_err[0] == errs[i], i
+    # a scalar tolerance is the same as that tolerance for every problem
+    scalar = integrate_many(f, a, b, pts, decay_exponent=1.5, abs_tol=1e-9)
+    spread = integrate_many(f, a, b, pts, decay_exponent=1.5,
+                            abs_tol=np.full(len(a), 1e-9))
+    assert list(scalar[0]) == list(spread[0])
+    assert list(scalar[1]) == list(spread[1])
+
+
+def test_integrate_many_errors_name_the_problem():
+    def wave(i, x):
+        return np.where(i == 1, np.sign(np.sin(3e4 * x)), np.cos(x))
+
+    with pytest.raises(QuadratureError, match="stalled") as info:
+        integrate_many(wave, [0.0] * 3, [1.0] * 3, [()] * 3, abs_tol=1e-10)
+    assert info.value.problem == 1
+    assert 0 < info.value.achieved < math.inf
+
+    def root(i, x):
+        return np.where(i == 2, np.sqrt(x - 0.5), 1.0)
+
+    with pytest.raises(QuadratureError, match="non-finite") as info:
+        integrate_many(root, [0.0] * 3, [1.0] * 3, [()] * 3)
+    assert info.value.problem == 2

@@ -1,11 +1,14 @@
 import json
+import math
 
 import pytest
 
+from plevylab import cli
 from plevylab import sweep as S
 from plevylab.constants import kdp_mean
 from plevylab.fields import SignJump, bv_seminorm
 from plevylab.geometry import interval
+from plevylab.quadrature import QuadratureError
 
 
 def small_case(case_id="w1p-linear-det", **overrides):
@@ -96,3 +99,22 @@ def test_builtin_suite_verdicts():
     for case in cases:
         report = S.run_sweep(case)
         assert report.verdict == case.expected, case.case_id
+
+
+def test_failing_row_names_the_case_and_eps(monkeypatch, capsys):
+    # p = 2 against a jump diverges at the interface
+    case = S.SweepCase("jump-p2", "energy", {"field": "sign_jump", "d": "1"},
+                       2.0, (0.1,), "bv", S.VERDICT_CONVERGED,
+                       domain_spec={"domain": "interval_union",
+                                    "intervals": "-1.0:1.0"},
+                       family_spec={"family": "stable", "d": "1",
+                                    "p": "2.0"})
+    with pytest.raises(QuadratureError) as info:
+        S.run_sweep(case)
+    assert str(info.value).startswith(
+        "case jump-p2 at eps=0.1: pair energy diverges at the jump "
+        "interface")
+    assert info.value.achieved == math.inf
+    monkeypatch.setattr(S, "builtin_suite", lambda seed, n_samples: [case])
+    assert cli.main(["sweep", "--case", "jump-p2"]) == 2
+    assert "case jump-p2 at eps=0.1" in capsys.readouterr().err
