@@ -60,7 +60,7 @@ def finite(text):
 
 def coordinates(text):
     """Type of --point; argparse reports a bad value by this name."""
-    return [float(v) for v in text.split(",")]
+    return [finite(v) for v in text.split(",")]
 
 
 def _emit(lines, args):

@@ -132,7 +132,9 @@ class Gaussian(Field):
     regularity = SMOOTH
 
     def _eval(self, pts):
-        return np.exp(-_dot(pts, pts))
+        out = _dot(pts, pts)
+        np.negative(out, out=out)
+        return np.exp(out, out=out)
 
     def _grad(self, pts):
         return -2.0 * pts * self._eval(pts)[:, None]
@@ -159,7 +161,12 @@ class Gaussian(Field):
     def laplacian(self, x):
         pts = _pts(x, self.dim)
         r2 = _dot(pts, pts)
-        return (4.0 * r2 - 2.0 * self.dim) * np.exp(-r2)
+        e = np.exp(-r2)
+        # where exp(-r2) underflows to 0 the factor may overflow (inf * 0)
+        live = e != 0.0
+        out = np.zeros(pts.shape[0])
+        out[live] = (4.0 * r2[live] - 2.0 * self.dim) * e[live]
+        return out
 
     def spec(self):
         return {"field": "gaussian", "d": str(self.dim)}
@@ -233,10 +240,17 @@ class SmoothBump(Field):
         return self.radius
 
     def _eval(self, pts):
-        s = _dot(pts, pts) / self.radius ** 2
-        out = np.zeros(pts.shape[0])
+        s = _dot(pts, pts)
+        s /= self.radius ** 2
         inside = s < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
+        # exp(1 - 1/(1 - s)) in the one gathered buffer
+        t = s[inside]
+        np.subtract(1.0, t, out=t)
+        np.divide(1.0, t, out=t)
+        np.subtract(1.0, t, out=t)
+        np.exp(t, out=t)
+        out = np.zeros(pts.shape[0])
+        out[inside] = t
         return out
 
     def _grad(self, pts):

@@ -62,6 +62,9 @@ MODE_MC = "mc"
 MODE_DET = "deterministic-1d"
 
 _CHUNK = 262_144
+# points per field call of a sphere mean in d = 2, 3: a block of whole radii
+# whose points and temporaries stay in a core's L2 cache
+_SPHERE_BLOCK = 16_384
 _SMALL_R = 1e-8
 _MASK64 = (1 << 64) - 1
 
@@ -646,13 +649,16 @@ def _sphere_pair_mean(evaluate, center, radii, n_angle=128):
     values).
 
     The direction rule comes from :func:`_sphere_rule`, built once per
-    ``(d, n_angle)``.  The points are formed as one long row per radius,
-    ``r * dirs.ravel() + tile(center)``: the same product and sum per
-    element as broadcasting over ``(radii, dirs, d)``, without an inner
-    loop of length d.  The values are reduced as one ``(n_radii, n_dirs)``
-    array, ``@ weights`` in d = 3 and ``.mean(axis=1)`` in d = 2, and that
-    shape must stay: the last bit of a BLAS row sum depends on the batch
-    shape, and ``generator`` turns such noise into about 5e-10.
+    ``(d, n_angle)``.  The field sees the radii in blocks: as many whole
+    radii as fit ``_SPHERE_BLOCK`` points, and at least one.  A block's
+    points are formed as one long row per radius, ``r * dirs.ravel() +
+    tile(center)``: the same product and sum per element as broadcasting
+    over ``(radii, dirs, d)``, without an inner loop of length d.  Its
+    values fill that block's rows of one ``(n_radii, n_dirs)`` array, so
+    the arrays the field streams over stay cache-sized.  That array is
+    reduced once, ``@ weights`` in d = 3 and ``.mean(axis=1)`` in d = 2,
+    and its shape must stay: the last bit of a BLAS row sum depends on
+    the batch shape, and ``generator`` turns such noise into about 5e-10.
     """
     d = center.size
     radii = np.asarray(radii, dtype=float)
@@ -664,9 +670,15 @@ def _sphere_pair_mean(evaluate, center, radii, n_angle=128):
         vals = values(np.concatenate([center[0] + radii, center[0] - radii]))
         return 0.5 * (vals[:radii.size] + vals[radii.size:])
     dirs, weights = _sphere_rule(d, n_angle)
-    pts = radii[:, None] * dirs.reshape(1, -1)
-    pts += np.tile(center, dirs.shape[0])
-    vals = values(pts).reshape(radii.size, -1)
+    n_dirs = dirs.shape[0]
+    row, shift = dirs.reshape(1, -1), np.tile(center, n_dirs)
+    step = max(1, _SPHERE_BLOCK // n_dirs)
+    vals = np.empty((radii.size, n_dirs))
+    for lo in range(0, radii.size, step):
+        r = radii[lo:lo + step]
+        pts = r[:, None] * row
+        pts += shift
+        vals[lo:lo + r.size] = values(pts).reshape(r.size, n_dirs)
     return vals.mean(axis=1) if weights is None else vals @ weights
 
 
@@ -690,6 +702,8 @@ def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
     if not core_radius > 0.0:
         raise EnergyError("core_radius must be positive")
     x0 = np.asarray(point, dtype=float).reshape(-1)
+    if not np.isfinite(x0).all():
+        raise EnergyError("point must be finite (got %s)" % x0.tolist())
     if x0.size != field.dim or field.dim != kernel.dim:
         raise EnergyError("point/field/kernel dimension mismatch")
     d = kernel.dim

@@ -30,7 +30,9 @@ one-problem lock-step call, the kernel-check workload of ``perfbench``
 from 106.9 to 129.8 MB.  Short kernel-calculus
 integrals paid about 100 us of array bookkeeping per bisection round, and a
 lock-step round evaluates both halves and the tail heap in one integrand
-call, which doubled the sphere-mean arrays of ``dirac_pairing`` in d = 3.
+call, which then doubled the sphere-mean arrays of ``dirac_pairing`` in
+d = 3.  Those arrays are now bounded per block of radii, whatever the
+integrand call's size; the per-round bookkeeping cost still stands.
 
 Integrands must be vectorized (``f(ndarray) -> ndarray``).  Failure to reach
 the requested tolerance raises :class:`QuadratureError` carrying the achieved

@@ -64,6 +64,15 @@ def test_generator_json():
     assert abs(float(rows[0]["value"]) - 0.9735042655627755) < 1e-6
 
 
+def test_generator_far_out_is_zero():
+    # the Gaussian's Laplacian there reads 0, not (4 |x|^2 - 2d) * 0 = nan
+    out = run("generator", "--field", "gaussian", "--d", "1", "--p", "2",
+              "--eps", "0.1", "--point", "1e155", "--format", "json")
+    assert out.returncode == 0
+    assert out.stderr == ""
+    assert float(json.loads(out.stdout)[0]["value"]) == 0.0
+
+
 def test_usage_error_exit_code():
     assert run("bogus").returncode == 1
     assert run("sweep", "--case", "no-such-case").returncode == 1
@@ -145,6 +154,9 @@ def test_single_sweep_case_runs():
     "kernel-check --family truncated_power --beta inf --eps 0.1",
     "kernel-check --config {nonfinite}",
     "generator --d 4 --eps 0.1 --p 2",
+    "generator --point inf --eps 0.1 --p 2",
+    "generator --point nan --eps 0.1 --p 2",
+    "generator --point 0.2,-inf --d 2 --eps 0.1 --p 2",
     "PLEVYLAB_THREADS=abc kernel-check --eps 0.1",
     "PLEVYLAB_THREADS=0 kernel-check --eps 0.1",
     "PLEVYLAB_THREADS=-2 kernel-check --eps 0.1",

@@ -23,6 +23,44 @@ def test_gaussian_grad_at_origin():
     assert abs(float(g.laplacian([[0.0, 0.0]])[0]) + 4.0) < 1e-14
 
 
+def _fields_dot(pts):
+    return np.einsum("ij,ij->i", pts, pts)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_and_bump_values_keep_their_bits(dim):
+    # the in-place evaluations against the plain expressions, bit for bit,
+    # on points inside, on and outside the bump's support
+    rng = np.random.default_rng(11)
+    pts = rng.uniform(-1.5, 1.5, (2000, dim))
+    pts[:3] = [[0.0] * dim, [1.0] + [0.0] * (dim - 1), [0.9] * dim]
+    r2 = _fields_dot(pts)
+    assert np.array_equal(Gaussian(dim).eval(pts), np.exp(-r2))
+    bump = SmoothBump(dim, 1.0)
+    s = r2 / bump.radius ** 2
+    want = np.zeros(len(pts))
+    inside = s < 1.0
+    want[inside] = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
+    assert inside.any() and not inside.all()
+    assert np.array_equal(bump.eval(pts), want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_gaussian_laplacian_is_finite_at_every_finite_point(dim):
+    g = Gaussian(dim)
+    # ordinary points keep the bits of (4 r^2 - 2d) exp(-r^2)
+    pts = np.random.default_rng(4).uniform(-4.0, 4.0, (500, dim))
+    r2 = _fields_dot(pts)
+    assert np.array_equal(g.laplacian(pts),
+                          (4.0 * r2 - 2.0 * dim) * np.exp(-r2))
+    # past exp(-r^2)'s underflow 4 r^2 may overflow: 0, not inf * 0
+    far = np.array([30.0, 6.7e153, 1e155, 1e300, np.finfo(float).max])
+    with np.errstate(over="raise", invalid="raise"):
+        lap = g.laplacian(far[:, None] * np.ones((1, dim)))
+    assert np.array_equal(lap, np.zeros(far.size))
+    assert np.isnan(g.laplacian([[np.nan] * dim])[0])
+
+
 def test_sign_jump_values():
     sj = SignJump(1)
     assert float(sj.eval([[-0.5]])[0]) == -0.5

@@ -1,5 +1,7 @@
 import math
 import threading
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from plevylab import functionals as F
 from plevylab import kernels as K
+from plevylab import quadrature
 from plevylab.constants import kdp_mean, sphere_area
 from plevylab.fields import (LIPSCHITZ, PIECEWISE_CONSTANT, Field,
                              Gaussian, Linear, Scaled, Shifted, SignJump,
@@ -658,6 +661,40 @@ def test_generator_is_the_radial_integral_of_the_sphere_gap(d):
         assert abs(got - want) <= 1e-14 * abs(want), kern.family_tag
 
 
+@pytest.mark.parametrize("point", [[math.inf], [math.nan], [-math.inf]])
+def test_generator_rejects_a_non_finite_point(point):
+    calls = []
+
+    class Counted:
+        dim = 1
+
+        @staticmethod
+        def eval(pts):
+            calls.append(len(pts))
+            return Gaussian(1).eval(pts)
+
+        @staticmethod
+        def laplacian(pts):
+            calls.append(len(pts))
+            return Gaussian(1).laplacian(pts)
+
+    with pytest.raises(F.EnergyError, match="point"):
+        F.generator(Counted(), point, K.make_stable(1, 2.0, 0.1))
+    assert calls == []
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_generator_is_zero_far_out(d):
+    # exp(-|x|^2) and its Laplacian underflow to 0 long before 1e155,
+    # where (4 |x|^2 - 2d) itself overflows
+    point = np.zeros(d)
+    point[0] = 1e155
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = F.generator(Gaussian(d), point, K.make_stable(d, 2.0, 0.1))
+    assert val == 0.0
+
+
 def test_generator_needs_a_positive_core_radius():
     with pytest.raises(F.EnergyError, match="core_radius"):
         F.generator(Gaussian(1), [0.0], K.make_stable(1, 2.0, 0.1),
@@ -799,6 +836,8 @@ def test_pointwise_values_pinned():
 
 SPHERE_RADII = np.array([0.0, 0.05, 0.3, 1.0, 1.7, 4.5])
 SPHERE_CENTERS = {2: np.array([0.7, -0.4]), 3: np.array([0.7, -0.4, 1.3])}
+# the radii of one Gauss panel of the pointwise radial integrals
+PANEL_RADII = 0.6 + 0.4 * quadrature._all_nodes
 
 
 def _sphere_poly(pts):
@@ -841,11 +880,48 @@ def test_sphere_pair_mean_exact_on_an_off_centre_polynomial(d, n_angle):
 @pytest.mark.parametrize("n_angle", [128, 256])
 @pytest.mark.parametrize("d", [2, 3])
 def test_sphere_pair_mean_equals_the_broadcast_construction(d, n_angle):
+    # PANEL_RADII span several blocks in d = 3 and end with a partial one
     c = SPHERE_CENTERS[d]
-    for evaluate in (_sphere_poly, Gaussian(d).eval, SmoothBump(d, 2.0).eval):
-        got = F._sphere_pair_mean(evaluate, c, SPHERE_RADII, n_angle=n_angle)
-        want = _sphere_mean_broadcast(evaluate, c, SPHERE_RADII, n_angle)
-        assert np.array_equal(got, want)
+    for radii in (SPHERE_RADII, PANEL_RADII):
+        for evaluate in (_sphere_poly, Gaussian(d).eval,
+                         SmoothBump(d, 2.0).eval):
+            got = F._sphere_pair_mean(evaluate, c, radii, n_angle=n_angle)
+            want = _sphere_mean_broadcast(evaluate, c, radii, n_angle)
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("d, n_angle",
+                         [(2, 128), (2, 256), (2, 20_000), (3, 128), (3, 256)])
+def test_sphere_pair_mean_feeds_the_field_whole_radii_within_the_budget(
+        d, n_angle):
+    n_dirs = F._sphere_rule(d, n_angle)[0].shape[0]
+    calls = []
+
+    def evaluate(pts):
+        calls.append(len(pts))
+        return _sphere_poly(pts)
+
+    F._sphere_pair_mean(evaluate, SPHERE_CENTERS[d], PANEL_RADII,
+                        n_angle=n_angle)
+    assert sum(calls) == PANEL_RADII.size * n_dirs
+    for n in calls:
+        assert n % n_dirs == 0
+        assert n <= F._SPHERE_BLOCK or n == n_dirs
+    # a single radius over the budget is one call on its own
+    assert (n_dirs > F._SPHERE_BLOCK) == (max(calls) > F._SPHERE_BLOCK)
+
+
+def test_dirac_pairing_memory_is_bounded_per_block():
+    # the whole panel's points (30 radii x 12,288 directions x 3) would
+    # take 8.8 MB alone
+    bump, kernel = SmoothBump(3, 0.5), K.make_stable(3, 1.0, 0.1)
+    tracemalloc.start()
+    try:
+        F.dirac_pairing(bump, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6, peak
 
 
 @pytest.mark.parametrize("d", [2, 3])
