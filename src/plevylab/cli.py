@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -28,7 +29,21 @@ USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
 
 
+# a number or a comma list of numbers, such as -1e-3 or -0.5,0.2
+_NUMBER = r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
+_NUMBERS = re.compile(r"%s(?:,%s)*\Z" % (_NUMBER, _NUMBER), re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
+    """Exits with USAGE_ERROR and a one-line message on bad input, and reads
+    every argument that is a number or a comma list of numbers as a value:
+    argparse alone takes only plain decimals such as -1 or -0.5 for values,
+    and -1e-3 or -0.5,0.2 for unknown options."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NUMBERS
+
     def error(self, message):
         sys.stderr.write("error: %s (see %s --help)\n" % (message, self.prog))
         raise SystemExit(USAGE_ERROR)

@@ -28,9 +28,15 @@ Deterministic (dimension one)
     (:func:`~plevylab.quadrature.integrate_many`).  Every outer piece of
     every interval pair of an estimate is one problem of a single outer
     call, and each round of it evaluates the inner integrals of all its
-    nodes, each against its own partner interval, as one inner batch.  Every
-    piece, node and side keeps the panels and tolerance of its own adaptive
-    integral, while fields and kernels see one array per inner round.  This
+    nodes, each against its own partner interval, as one inner batch.  The
+    set-up of an inner batch is array code: the ranges, closed-form cores
+    and cut points of all its nodes and sides are formed at once, the cut
+    points as one NaN-padded row per problem, from which
+    :func:`~plevylab.quadrature.integrate_many` builds every problem's
+    panels.  Only the core term keeps a scalar ``**`` per node, because
+    ``np.power`` can differ from it in the last bit.  Every piece, node and
+    side keeps the panels and tolerance of its own adaptive integral, while
+    fields and kernels see one array per inner round.  This
     mode is the oracle the Monte Carlo estimates are checked against, and
     serves the jump fields whose MC weights are heavy-tailed.
 
@@ -187,21 +193,29 @@ def _field_marks(field):
     return tuple(field.kinks) + tuple(field.jump_points)
 
 
-def _geo_refine(lo, hi, cuts, *, origin=0.0, factor=8.0):
-    """Split points making each panel span a bounded ratio from ``origin``.
+def _geo_points(start, top, origin=0.0):
+    """Split points making each panel of every range ``(start[i], top[i])``
+    span a bounded ratio from ``origin``: ``origin + (start - origin) *
+    8**k`` for k >= 1, those inside the range, one NaN-padded row per range
+    (``origin`` is a scalar or one entry per range).
 
     Power-law integrands vary smoothly on geometric scales; refined this way
     every sub-panel is cheap for Gauss panels regardless of how many decades
-    ``(lo, hi)`` covers.  A range starting at ``origin`` itself admits no
-    bounded ratio and is left to the adaptive rule.
+    a range covers.  A range starting at ``origin`` itself admits no
+    bounded ratio and is left to the adaptive rule.  The powers are running
+    products along a row, each exact in binary floating point.
     """
-    pts = set(cuts)
-    t = (lo - origin) * factor
-    while 0.0 < t and origin + t < hi:
-        if origin + t > lo:
-            pts.add(origin + t)
-        t *= factor
-    return sorted(pts)
+    base = start - origin
+    live = base > 0.0
+    # 2**(e-1) <= v < 2**e: no power past the exponent gap is below top
+    gap = np.frexp(top - origin)[1] - np.frexp(base)[1]
+    k = int(gap[live].max(initial=-1)) // 3 + 1
+    steps = np.full((base.size, k + 1), 8.0)
+    steps[:, 0] = base
+    pts = np.reshape(origin, (-1, 1)) \
+        + np.multiply.accumulate(steps, axis=1)[:, 1:]
+    inside = live[:, None] & (pts < top[:, None]) & (pts > start[:, None])
+    return np.where(inside, pts, np.nan)
 
 
 class _Oracle:
@@ -222,85 +236,95 @@ class _Oracle:
 
     # -- inner integrals over y, one batch of nodes x ------------------------
 
-    def _range_value(self, x, slope, r_lo, r_hi, sign, floor):
-        """Scalar set-up of the inner range ``r_lo < r < r_hi`` on one side
-        of x: ``(core, start, hi, points)``, with the closed-form core value
-        and the range and cut points left to quadrature, or None when the
-        kernel sees nothing of the range."""
-        kernel, p = self.kernel, self.p
-        lo = max(r_lo, kernel.inner_radius, floor)
-        hi = min(r_hi, kernel.support_radius)
-        if hi <= lo:
-            return None
-        cuts = set()
-        for m in self.marks:
-            rm = sign * (m - x)
-            if rm > lo and (not math.isfinite(hi) or rm < hi):
-                cuts.add(rm)
-        for b in kernel.breakpoints:
-            if lo < b and (not math.isfinite(hi) or b < hi):
-                cuts.add(b)
-        total = 0.0
+    def _ranges(self, xs, y_lo, y_hi, floor):
+        """Set-up of the inner problems of every node of ``xs`` and side
+        ``r_lo < r < r_hi`` of it that the kernel sees: ``(node, x, sign,
+        core, start, hi, points)``, one entry per problem, node by node and
+        the left side (sign -1) first.  ``core`` is the closed-form core
+        value, ``(start, hi)`` the range left to quadrature and ``points``
+        its cut points, one NaN-padded row per problem."""
+        field, kernel, p = self.field, self.kernel, self.p
+        if field.regularity != PIECEWISE_CONSTANT:
+            slopes = field.grad(xs[:, None])[:, 0]
+        y_lo, y_hi, floor = (np.broadcast_to(np.asarray(v, dtype=float),
+                                             xs.shape)
+                             for v in (y_lo, y_hi, floor))
+        # column 0: the side left of x, column 1: the side right of it
+        past, before = y_hi <= xs, y_lo >= xs
+        r_lo = np.column_stack([np.where(past, xs - y_hi, 0.0),
+                                np.where(before, y_lo - xs, 0.0)])
+        r_hi = np.column_stack([xs - y_lo, y_hi - xs])
+        lo = np.maximum(np.maximum(r_lo, kernel.inner_radius),
+                        floor[:, None])
+        hi = np.minimum(r_hi, kernel.support_radius)
+        keep = np.column_stack([past | ~before, ~past]) & ~(hi <= lo)
+        node, side = np.nonzero(keep)
+        lo, hi = lo[keep], hi[keep]
+        x = xs[node]
+        sign = np.where(side == 0, -1.0, 1.0)
+        # cut candidates: the field's marks seen from x, the kernel's
+        # breakpoints; cuts lie strictly inside (lo, hi)
+        cand = np.concatenate(
+            [sign[:, None] * (np.array(self.marks, dtype=float) - x[:, None]),
+             np.broadcast_to(np.array(kernel.breakpoints, dtype=float),
+                             (x.size, len(kernel.breakpoints)))], axis=1)
+        cut = (cand > lo[:, None]) & (cand < hi[:, None])
+        bounded = np.isfinite(hi)
+        first = np.where(cut, cand, np.inf).min(axis=1, initial=np.inf)
+        first = np.where(cut.any(axis=1), first, np.where(bounded, hi, 1.0))
+        core = np.zeros(x.size)
         start = lo
-        first = min(cuts) if cuts else (hi if math.isfinite(hi) else 1.0)
         # closed-form singular core below floating point comfort, where the
         # field is replaced by its local slope; the core must not reach past
         # the first field kink on this side
-        if lo == 0.0 and kernel.origin_pure_radius > 0.0:
-            gamma = kernel.origin_exponent
-            core_top = _SMALL_R \
-                if self.field.regularity == PIECEWISE_CONSTANT \
-                else min(1e-4 * max(1.0, abs(x)), first)
-            r_cl = min(core_top, kernel.origin_pure_radius, first * 0.5,
-                       hi * 0.5 if math.isfinite(hi) else core_top)
-            if r_cl > 0.0:
-                a_in = p - gamma + 1.0
-                if abs(slope) > 0.0:
+        if kernel.origin_pure_radius > 0.0:
+            core_top = _SMALL_R if field.regularity == PIECEWISE_CONSTANT \
+                else np.minimum(1e-4 * np.maximum(1.0, np.abs(x)), first)
+            r_cl = np.minimum(
+                np.minimum(np.minimum(core_top, kernel.origin_pure_radius),
+                           first * 0.5),
+                np.where(bounded, hi * 0.5, core_top))
+            cored = (lo == 0.0) & (r_cl > 0.0)
+            start = np.where(cored, r_cl, lo)
+            if field.regularity != PIECEWISE_CONSTANT:
+                slope = slopes[node]
+                steep = np.flatnonzero(cored & (np.abs(slope) > 0.0))
+                if steep.size:
+                    a_in = p - kernel.origin_exponent + 1.0
                     if a_in <= 0.0:
                         raise QuadratureError(
                             "pair energy diverges on the diagonal "
                             "(inner exponent %.3g <= 0)" % a_in)
-                    total += (abs(slope) ** p * kernel.origin_coefficient
-                              * r_cl ** a_in / a_in)
-                start = r_cl
-        cuts = [c for c in cuts if c > start]
+                    # Python's scalar powers: np.power may differ in the
+                    # last bit
+                    c = kernel.origin_coefficient
+                    core[steep] += [
+                        abs(s) ** p * c * r ** a_in / a_in
+                        for s, r in zip(slope[steep].tolist(),
+                                        r_cl[steep].tolist())]
+        # every cut lies above start, since r_cl <= first / 2
+        cand = np.where(cut, cand, np.nan)
         # geometric panels up to where an infinite range hands over to the
-        # tail map (integrate's max(start, cuts, 1))
-        top = hi if math.isfinite(hi) else max([start] + cuts + [1.0])
-        return total, start, hi, _geo_refine(start, top, cuts)
+        # tail map (integrate_many's max(start, points, 1))
+        top = np.where(bounded, hi, np.fmax(
+            np.maximum(start, 1.0),
+            np.fmax.reduce(cand, axis=1, initial=-np.inf)))
+        points = np.concatenate([cand, _geo_points(start, top)], axis=1)
+        return node, x, sign, core, start, hi, points
 
     def inner(self, xs, y_lo, y_hi, floor=0.0):
         """Inner integrals over y in ``(y_lo, y_hi)``, beyond ``|y - x| >
         floor``, at every node of ``xs``: one lock-step batch of the
-        per-node, per-side quadrature problems.  The partner range and the
-        floor are scalars or arrays with one entry per node.
+        per-node, per-side quadrature problems that :meth:`_ranges` sets
+        up.  The partner range and the floor are scalars or arrays with one
+        entry per node.
 
         A :class:`QuadratureError` of the batch names in ``problem`` the
         node it happened at."""
         xs = np.asarray(xs, dtype=float)
         field, kernel, p = self.field, self.kernel, self.p
-        if field.regularity == PIECEWISE_CONSTANT:
-            slopes = np.zeros(xs.size)
-        else:
-            slopes = field.grad(xs[:, None])[:, 0]
-        per_node = (np.broadcast_to(v, xs.shape).tolist()
-                    for v in (y_lo, y_hi, floor))
-        probs = []      # (node, x, sign, core, start, hi, points)
-        for k, (x, slope, ay, by, fl) in enumerate(
-                zip(xs.tolist(), slopes.tolist(), *per_node)):
-            if by <= x:
-                sides = ((x - by, x - ay, -1.0),)
-            elif ay >= x:
-                sides = ((ay - x, by - x, +1.0),)
-            else:
-                sides = ((0.0, x - ay, -1.0), (0.0, by - x, +1.0))
-            for r_lo, r_hi, sign in sides:
-                spec = self._range_value(x, slope, r_lo, r_hi, sign, fl)
-                if spec is not None:
-                    probs.append((k, x, sign, *spec))
-        node, x_of, sign_of, core, a, b, pts = \
-            zip(*probs) if probs else [()] * 7
-        x_of, sign_of = np.array(x_of), np.array(sign_of)
+        node, x_of, sign_of, core, a, b, pts = self._ranges(xs, y_lo, y_hi,
+                                                            floor)
 
         def f(i, r):
             x = x_of[i]
@@ -329,10 +353,10 @@ class _Oracle:
                                      rel_tol=self.inner_rel)
         except QuadratureError as exc:
             if exc.problem is not None:
-                exc.problem = node[exc.problem]
+                exc.problem = int(node[exc.problem])
             raise
         out = np.zeros(xs.size)
-        np.add.at(out, np.array(node, dtype=np.intp), np.array(core) + vals)
+        np.add.at(out, node, core + vals)
         return out
 
     # -- outer integral -----------------------------------------------------
@@ -390,7 +414,8 @@ class _Oracle:
         """Set-up of the outer piece ``(lo, hi)`` against ``(y_lo, y_hi)``:
         the closed-form slivers at its singular jump ends, as ``(midpoint,
         width, power part)``, and the ``(a, b, cut points)`` left to the
-        outer quadrature, or None when nothing is left."""
+        outer quadrature (NaN points are padding), or None when nothing is
+        left."""
         field, kernel = self.field, self.kernel
         sing_lo = self._jump_singular(lo, True, y_lo, y_hi)
         sing_hi = self._jump_singular(hi, False, y_lo, y_hi)
@@ -418,13 +443,16 @@ class _Oracle:
                 b = hi - w
         if not b > a:
             return slivers, None
-        pts = set()
-        if sing_lo is not None:
-            pts.update(_geo_refine(a, b, (), origin=lo))
-        if sing_hi is not None:
-            pts.update(hi - q for q in _geo_refine(hi - b, hi - a, ())
-                       if a < hi - q < b)
-        return slivers, (a, b, sorted(pts))
+        pts = ()
+        if sing_lo is not None or sing_hi is not None:
+            # geometric toward each singular end, from lo up and from hi
+            # down; the outer quadrature keeps those inside (a, b)
+            up, down = _geo_points(np.array([a, hi - b]),
+                                   np.array([b, hi - a]),
+                                   origin=np.array([lo, 0.0]))
+            pts = np.concatenate([up if sing_lo is not None else (),
+                                  hi - down if sing_hi is not None else ()])
+        return slivers, (a, b, pts)
 
     def total(self, jobs):
         """Sum of ``factor`` times the pair energy over the ``(x interval,

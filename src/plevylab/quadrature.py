@@ -22,8 +22,12 @@ call, and every round evaluates one panel pair of every unconverged problem
 through one call of a batched integrand ``f(index, x)``.  It serves the
 nested 1-D oracle at both levels: one call holds every outer piece of an
 estimate, each with its own tolerance, and each round of that call runs the
-inner integrals of all its nodes as one more call.  Single integrals go
-through :func:`integrate`, a scalar heap with no per-round array cost.
+inner integrals of all its nodes as one more call.  It takes the cut points
+of its problems as one NaN-padded array, a row per problem, and builds the
+starting panels of all of them with array operations (drop the points
+outside the range, sort, de-duplicate, add the ends), so its set-up has no
+per-problem Python loop.  Single integrals go through :func:`integrate`, a
+scalar heap with no per-round array cost.
 The two drivers stay separate on purpose: with :func:`integrate` as a
 one-problem lock-step call, the kernel-check workload of ``perfbench``
 (2-vCPU VM) went from 1.72-1.86 s to 2.00-2.12 s per pass and its peak RSS
@@ -291,6 +295,39 @@ def _batch_estimates(f, owner, tail, inv, lo, hi):
     return hi_est, np.abs(lo_est, out=lo_est)
 
 
+def _padded(points, n):
+    """The cut points of ``n`` problems as one float array, a row per
+    problem: a 2-D array as it is, else one iterable per problem, its row
+    padded with NaN."""
+    if isinstance(points, np.ndarray) and points.ndim == 2:
+        return points.astype(float, copy=False)
+    rows = [tuple(p) for p in points]
+    counts = np.array([len(r) for r in rows], dtype=np.intp)
+    out = np.full((n, max(counts, default=0)), np.nan)
+    out[np.arange(out.shape[1]) < counts[:, None]] = [v for r in rows
+                                                      for v in r]
+    return out
+
+
+def _edges(lo, hi, points):
+    """The panels of every range ``(lo[i], hi[i])`` split at the points of
+    row ``i`` strictly inside it, as :func:`_pieces` splits one range:
+    ``(starts, ends, counts)``, a row of panel ends per range whose first
+    ``counts[i]`` slots hold its panels (none for an empty range)."""
+    inside = (points > lo[:, None]) & (points < hi[:, None])
+    cuts = np.sort(np.where(inside, points, np.nan), axis=1)  # NaN last
+    # a repeated point splits once: pad its copies and sort them last
+    cuts[:, 1:][cuts[:, 1:] == cuts[:, :-1]] = np.nan
+    cuts.sort(axis=1)
+    count = np.count_nonzero(~np.isnan(cuts), axis=1)
+    width = int(count.max(initial=0))
+    edges = np.full((lo.size, width + 2), np.nan)
+    edges[:, 0] = lo
+    edges[:, 1:width + 1] = cuts[:, :width]
+    edges[np.arange(lo.size), count + 1] = hi
+    return edges[:, :-1], edges[:, 1:], np.where(hi <= lo, 0, count + 1)
+
+
 def integrate_many(f, a, b, points, *, decay_exponent=None,
                    abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12):
     """Many independent :func:`integrate` problems advanced in lock-step.
@@ -302,11 +339,17 @@ def integrate_many(f, a, b, points, *, decay_exponent=None,
     ``alpha = decay_exponent - 1`` power map), meets its own tolerance and
     bisects by its own greedy rule (worst error first, ties to the earliest
     panel; a panel at floating point resolution is accepted; it stalls at
-    ``DEFAULT_MAX_PANELS``).  ``abs_tol`` is one tolerance for every
-    problem or an array with one entry per problem.  Each round bisects one
-    panel of every unconverged problem, and all nodes of a round go to one
-    call ``f(index, x)`` with equal-shape 1-D arrays of problem indices and
-    abscissae, so the Python overhead is paid per round, not per panel.
+    ``DEFAULT_MAX_PANELS``).  ``points`` is one 2-D float array with a row
+    of cut points per problem, NaN entries being padding, or one iterable
+    of points per problem, converted once to such an array.  The panel
+    edges of all problems are built from it by array operations: points
+    outside ``(a[i], b[i])`` (or ``far``) dropped, the rest sorted and
+    de-duplicated, ``a[i]`` placed before and ``b[i]`` (or ``far``) after.
+    ``abs_tol`` is one tolerance for every problem or an array with one
+    entry per problem.  Each round bisects one panel of every unconverged
+    problem, and all nodes of a round go to one call ``f(index, x)`` with
+    equal-shape 1-D arrays of problem indices and abscissae, so the Python
+    overhead is paid per round, not per panel.
 
     Returns ``(values, error_estimates)`` as arrays; values agree with the
     separate :func:`integrate` calls up to the summation order of the Gauss
@@ -314,55 +357,57 @@ def integrate_many(f, a, b, points, *, decay_exponent=None,
     :class:`QuadratureError` whose ``problem`` is the index of the problem
     it happened in.
     """
-    a = [float(v) for v in a]
-    b = [float(v) for v in b]
-    abs_tol = np.broadcast_to(np.asarray(abs_tol, dtype=float), (len(a),))
+    a = np.array(a, dtype=float).reshape(-1)
+    b = np.array(b, dtype=float).reshape(-1)
+    n = a.size
+    points = _padded(points, n)
+    abs_tol = np.broadcast_to(np.asarray(abs_tol, dtype=float), (n,))
     alpha = None if decay_exponent is None else decay_exponent - 1.0
-    if alpha is not None and alpha <= 0.0 and math.inf in b:
+    inf = b == math.inf
+    if alpha is not None and alpha <= 0.0 and inf.any():
         raise QuadratureError(
             "divergent endpoint singularity (left alpha=%g <= 0)" % alpha)
     inv = 1.0 / alpha if alpha is not None and alpha < 1.0 else None
-    # one greedy heap per finite range or tail, each owned by a problem
-    owner, tail, regions = [], [], []
-    for i, (lo, hi, pts) in enumerate(zip(a, b, points)):
-        pts = tuple(pts)
-        if hi == math.inf:
-            far = max(lo, *pts, 1.0)
-            top = 1.0 / far
-            owner += [i, i]
-            tail += [False, True]
-            regions += [_pieces(lo, far, pts),
-                        [(0.0, top if inv is None else top ** alpha)]]
-        else:
-            owner.append(i)
-            tail.append(False)
-            regions.append(_pieces(lo, hi, pts))
-    owner = np.array(owner, dtype=np.intp)
-    totals, errs = _lockstep(f, owner, np.array(tail, dtype=bool), inv,
-                             regions, abs_tol[owner], rel_tol, a, b)
-    # in heap order: a problem's finite part, then its tail
-    values = np.zeros(len(a))
-    errors = np.zeros(len(a))
+    # an infinite range is finite up to far = max(a, points, 1), then a tail
+    far = np.fmax(np.maximum(a, 1.0),
+                  np.fmax.reduce(points, axis=1, initial=-np.inf))
+    starts, ends, counts = _edges(a, np.where(inf, far, b), points)
+    # one greedy heap per finite range or tail, each owned by a problem, in
+    # heap order: a problem's finite part, then its tail
+    owner = np.repeat(np.arange(n), np.where(inf, 2, 1))
+    finite = np.arange(n) + np.cumsum(inf) - inf
+    tail = np.zeros(owner.size, dtype=bool)
+    tail[finite[inf] + 1] = True
+    used = np.ones(owner.size, dtype=np.intp)
+    used[finite] = counts
+    # room for the panels of a few bisections before the first growth
+    pa = np.zeros((owner.size, 2 * max(int(used.max(initial=0)), 1) + 16))
+    pb = np.zeros_like(pa)
+    pa[finite, :starts.shape[1]] = starts
+    pb[finite, :ends.shape[1]] = ends
+    top = 1.0 / far[inf]
+    if inv is not None:
+        # Python's scalar power: np.power may differ in the last bit
+        top = [t ** alpha for t in top.tolist()]
+    pb[tail, 0] = top
+    totals, errs = _lockstep(f, owner, tail, inv, pa, pb, used,
+                             abs_tol[owner], rel_tol, a, b)
+    values = np.zeros(n)
+    errors = np.zeros(n)
     np.add.at(values, owner, totals)
     np.add.at(errors, owner, errs)
     return values, errors
 
 
-def _lockstep(f, owner, tail, inv, regions, abs_tol, rel_tol, a, b):
-    """Run one :func:`_adaptive_pool` heap per entry of ``regions`` in
-    lock-step, heap ``h`` to its own ``abs_tol[h]``; returns the arrays of
-    totals and error estimates."""
-    n = len(regions)
-    width = max([len(r) for r in regions] + [1])
-    cap = 2 * width + 16
-    pa = np.zeros((n, cap))
-    pb = np.zeros((n, cap))
+def _lockstep(f, owner, tail, inv, pa, pb, used, abs_tol, rel_tol, a, b):
+    """Run one :func:`_adaptive_pool` heap per row of the panel arrays
+    ``pa``/``pb``, heap ``h`` from the panels in its first ``used[h]``
+    slots and to its own ``abs_tol[h]``, in lock-step; returns the arrays
+    of totals and error estimates.  The arrays grow when a heap fills its
+    row."""
+    n, cap = pa.shape
     est = np.zeros((n, cap))
     err = np.full((n, cap), -np.inf)   # -inf marks an empty slot
-    used = np.array([len(r) for r in regions], dtype=np.intp)
-    for h, regs in enumerate(regions):
-        for j, (lo, hi) in enumerate(regs):
-            pa[h, j], pb[h, j] = lo, hi
     filled = np.arange(cap) < used[:, None]
     if filled.any():
         rows = np.nonzero(filled)[0]

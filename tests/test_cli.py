@@ -123,6 +123,19 @@ def test_single_sweep_case_runs():
     assert payload["cases"][0]["report"]["verdict"] == "converged"
 
 
+@pytest.mark.parametrize("option, value, rest", [
+    ("--xa", "-1e-3", ("energy", "--eps", "0.4", "--n", "1000")),
+    ("--point", "-0.5,0.2", ("generator", "--d", "2", "--eps", "0.1",
+                             "--p", "2")),
+])
+def test_negative_values_need_no_equals_sign(option, value, rest):
+    # argparse alone reads -1e-3 and -0.5,0.2 as unknown options
+    spaced = run(*rest, option, value)
+    joined = run(*rest, "%s=%s" % (option, value))
+    assert spaced.returncode == joined.returncode == 0, spaced.stderr
+    assert spaced.stdout == joined.stdout != ""
+
+
 @pytest.mark.parametrize("line", [
     "energy --eps 0.1 --n 0",
     "energy --eps 0.1 --n -5",
@@ -157,6 +170,7 @@ def test_single_sweep_case_runs():
     "generator --point inf --eps 0.1 --p 2",
     "generator --point nan --eps 0.1 --p 2",
     "generator --point 0.2,-inf --d 2 --eps 0.1 --p 2",
+    "generator --point -0.5,-inf --d 2 --eps 0.1 --p 2",
     "PLEVYLAB_THREADS=abc kernel-check --eps 0.1",
     "PLEVYLAB_THREADS=0 kernel-check --eps 0.1",
     "PLEVYLAB_THREADS=-2 kernel-check --eps 0.1",

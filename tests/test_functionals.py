@@ -76,22 +76,82 @@ def test_sign_jump_p2_energy_diverges():
         F.energy(SignJump(1), SYM, K.make_stable(1, 2.0, 0.2), mode=DET)
 
 
+def _geo_refine(lo, hi, cuts, *, origin=0.0, factor=8.0):
+    """Scalar reference of the geometric split points: ``origin + t`` for
+    ``t = (lo - origin) * factor**k``, k >= 1, inside ``(lo, hi)``, with
+    the cuts, sorted."""
+    pts = set(cuts)
+    t = (lo - origin) * factor
+    while 0.0 < t and origin + t < hi:
+        if origin + t > lo:
+            pts.add(origin + t)
+        t *= factor
+    return sorted(pts)
+
+
+def _range_value(integ, x, slope, r_lo, r_hi, sign, floor):
+    """Scalar reference set-up of the inner range ``r_lo < r < r_hi`` on
+    one side of x: ``(core, start, hi, points)``, with the closed-form core
+    value and the range and cut points left to quadrature, or None when the
+    kernel sees nothing of the range."""
+    kernel, p = integ.kernel, integ.p
+    lo = max(r_lo, kernel.inner_radius, floor)
+    hi = min(r_hi, kernel.support_radius)
+    if hi <= lo:
+        return None
+    cuts = set()
+    for m in integ.marks:
+        rm = sign * (m - x)
+        if rm > lo and (not math.isfinite(hi) or rm < hi):
+            cuts.add(rm)
+    for b in kernel.breakpoints:
+        if lo < b and (not math.isfinite(hi) or b < hi):
+            cuts.add(b)
+    total = 0.0
+    start = lo
+    first = min(cuts) if cuts else (hi if math.isfinite(hi) else 1.0)
+    if lo == 0.0 and kernel.origin_pure_radius > 0.0:
+        gamma = kernel.origin_exponent
+        core_top = F._SMALL_R \
+            if integ.field.regularity == PIECEWISE_CONSTANT \
+            else min(1e-4 * max(1.0, abs(x)), first)
+        r_cl = min(core_top, kernel.origin_pure_radius, first * 0.5,
+                   hi * 0.5 if math.isfinite(hi) else core_top)
+        if r_cl > 0.0:
+            a_in = p - gamma + 1.0
+            if abs(slope) > 0.0:
+                if a_in <= 0.0:
+                    raise QuadratureError("inner exponent <= 0")
+                total += (abs(slope) ** p * kernel.origin_coefficient
+                          * r_cl ** a_in / a_in)
+            start = r_cl
+    cuts = [c for c in cuts if c > start]
+    top = hi if math.isfinite(hi) else max([start] + cuts + [1.0])
+    return total, start, hi, _geo_refine(start, top, cuts)
+
+
+def _sides(x, y_iv):
+    ay, by = y_iv
+    if by <= x:
+        return [(x - by, x - ay, -1.0)]
+    if ay >= x:
+        return [(ay - x, by - x, +1.0)]
+    return [(0.0, x - ay, -1.0), (0.0, by - x, +1.0)]
+
+
+def _slope(field, x):
+    return 0.0 if field.regularity == PIECEWISE_CONSTANT \
+        else float(field.grad([[x]])[0, 0])
+
+
 def _inner_reference(integ, x, y_iv, floor):
     """The oracle's inner integral at one node: the scalar set-up of
     ``_range_value`` and one public ``integrate`` call per side."""
     field, kernel, p = integ.field, integ.kernel, integ.p
-    slope = 0.0 if field.regularity == PIECEWISE_CONSTANT \
-        else float(field.grad([[x]])[0, 0])
-    ay, by = y_iv
-    if by <= x:
-        sides = [(x - by, x - ay, -1.0)]
-    elif ay >= x:
-        sides = [(ay - x, by - x, +1.0)]
-    else:
-        sides = [(0.0, x - ay, -1.0), (0.0, by - x, +1.0)]
+    slope = _slope(field, x)
     total = 0.0
-    for r_lo, r_hi, sign in sides:
-        spec = integ._range_value(x, slope, r_lo, r_hi, sign, floor)
+    for r_lo, r_hi, sign in _sides(x, y_iv):
+        spec = _range_value(integ, x, slope, r_lo, r_hi, sign, floor)
         if spec is None:
             continue
         core, start, hi, points = spec
@@ -112,7 +172,7 @@ def _inner_reference(integ, x, y_iv, floor):
 _NODES = np.linspace(0.01, 0.99, 23)
 
 
-@pytest.mark.parametrize("field, kernel, y_iv, xs, floor", [
+_INNER_CASES = [
     # cross-tent p = 1: partners left and right of (0, 1), with the tent
     # kinks and the sign change of u(y) - u(x) at r = 2x inside the ranges
     (Tent(1), K.make_stable(1, 1.0, 0.1), (-math.inf, 0.0), _NODES, 0.0),
@@ -124,8 +184,13 @@ _NODES = np.linspace(0.01, 0.99, 23)
     # a power window with a cutoff and an infinite range
     (LINEAR, F._power_window_kernel(1, 2.0, 3.0, cutoff=0.05), (0.0, 1.0),
      _NODES, 0.0),
-], ids=["tent-left", "tent-right", "tent-both", "jump-sliver",
-        "window-cutoff"])
+]
+_INNER_IDS = ["tent-left", "tent-right", "tent-both", "jump-sliver",
+              "window-cutoff"]
+
+
+@pytest.mark.parametrize("field, kernel, y_iv, xs, floor", _INNER_CASES,
+                         ids=_INNER_IDS)
 def test_batched_inner_matches_per_node_integrate(field, kernel, y_iv, xs,
                                                   floor):
     integ = F._Oracle(field, kernel, kernel.p_exp, 1e-10)
@@ -133,6 +198,36 @@ def test_batched_inner_matches_per_node_integrate(field, kernel, y_iv, xs,
     for x, val in zip(xs, batch):
         ref = _inner_reference(integ, float(x), y_iv, floor)
         assert abs(val - ref) <= 1e-14 * abs(ref), x
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("field, kernel, y_iv, xs, floor", _INNER_CASES + [
+    # a finite-support window: every range ends at min(r_hi, top)
+    (LINEAR, F._power_window_kernel(1, 2.0, 2.0, top=0.3), (0.0, 1.0),
+     _NODES, 0.0),
+], ids=_INNER_IDS + ["window-top"])
+def test_array_inner_set_up_matches_the_scalar_reference(field, kernel, y_iv,
+                                                         xs, floor):
+    integ = F._Oracle(field, kernel, kernel.p_exp, 1e-10)
+    node, x_of, sign, core, start, hi, points = integ._ranges(
+        np.asarray(xs, dtype=float), *y_iv, floor)
+    want = []
+    for k, x in enumerate(np.asarray(xs, dtype=float).tolist()):
+        slope = _slope(field, x)
+        for r_lo, r_hi, s in _sides(x, y_iv):
+            spec = _range_value(integ, x, slope, r_lo, r_hi, s, floor)
+            if spec is not None:
+                want.append((k, x, s, *spec))
+    assert len(want) == node.size > 0
+    for j, (k, x, s, w_core, w_start, w_hi, w_pts) in enumerate(want):
+        row = points[j]
+        assert (node[j], x_of[j], sign[j]) == (k, x, s)
+        assert _bits([core[j], start[j], hi[j]]) \
+            == _bits([w_core, w_start, w_hi]), (x, s)
+        assert _bits(np.unique(row[~np.isnan(row)])) == _bits(w_pts), (x, s)
 
 
 def test_oracle_value_does_not_depend_on_pair_grouping():
@@ -174,6 +269,21 @@ def test_oracle_runs_every_outer_piece_in_one_batch(monkeypatch):
     est = F.energy(Gaussian(1), half_line, K.make_stable(1, 2.0, 0.5),
                    mode=DET)
     assert abs(est.value - 0.577351551203189) <= 1e-14
+
+
+def test_jump_estimate_memory_is_bounded():
+    # an outer round of the sign jump at eps = 0.4 feeds one inner batch of
+    # about 8,000 panels; its peak was 13.3 MB before the inner set-up and
+    # the panel edges became padded arrays
+    kernel = K.make_stable(1, 1.0, 0.4)
+    tracemalloc.start()
+    try:
+        est = F.energy(SignJump(1), SYM, kernel, mode=DET)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(est.value - jump_energy_closed(0.4)) < 1e-8
+    assert peak <= 16e6, peak
 
 
 class _SquareWave(Field):

@@ -91,18 +91,53 @@ _PROBLEMS = [(0.0, 2.0, (0.25, 1.5)), (0.5, math.inf, (0.5, 3.0)),
              (-1.0, 0.75, (0.75, -0.5))]
 
 
-@pytest.mark.parametrize("decay", [1.5, 3.0, None])
-def test_integrate_many_matches_integrate(decay):
-    f = _kinked(decay)
-    a, b, pts = zip(*_PROBLEMS)
+# cut points the panel build must drop or merge, each on a finite range
+# and on an infinite one: repeated points, points outside the range,
+# points on an end (or on far = max(a, points, 1)), and none at all
+_EDGE_CASES = [(0.0, 2.0, (1.25, 0.5, 0.5)), (0.0, math.inf, (3.0, 0.5, 3.0)),
+               (0.25, 1.5, (-1.0, 9.0, 0.75)),
+               (0.25, math.inf, (-1.0, 9.0, 0.75)),
+               (0.5, 1.75, (1.75, 1.0, 0.5)), (0.5, math.inf, (0.5, 1.0)),
+               (0.0, 1.0, ()), (2.0, math.inf, ())]
+
+
+@pytest.mark.parametrize("decay, problems", [
+    *(pytest.param(d, _PROBLEMS, id=str(d)) for d in (1.5, 3.0, None)),
+    *(pytest.param(d, _EDGE_CASES, id="%s-cut-points" % d)
+      for d in (1.5, 3.0, None))])
+def test_integrate_many_matches_integrate(decay, problems):
+    kinked = _kinked(decay)
+    nodes = []      # abscissae evaluated, batched and one by one
+
+    def f(i, x):
+        nodes.append(x.size)
+        return kinked(i, x)
+
+    a, b, pts = zip(*problems)
     tol = dict(decay_exponent=decay, abs_tol=1e-11, rel_tol=1e-10)
     vals, errs = integrate_many(f, a, b, pts, **tol)
-    for i, (lo, hi, p) in enumerate(_PROBLEMS):
+    batched = sum(nodes)
+    # the same points as one NaN-padded array, padding in any slot
+    grid = np.full((len(pts), 5), np.nan)
+    for i, p in enumerate(pts):
+        grid[i, 5 - len(p):] = p
+    padded = integrate_many(f, a, b, grid, **tol)
+    assert padded[0].tobytes() == vals.tobytes()
+    assert padded[1].tobytes() == errs.tobytes()
+    one_by_one = 0
+    for i, (lo, hi, p) in enumerate(problems):
+        nodes.clear()
         ref, ref_err = integrate(lambda x, i=i: f(np.full(x.shape, i), x),
                                  lo, hi, points=p, **tol)
+        one_by_one += sum(nodes)
         assert abs(vals[i] - ref) <= 1e-15 * abs(ref), i
         # the same panels leave the same error estimate, up to round-off
         assert abs(errs[i] - ref_err) <= 1e-4 * ref_err + 1e-15, i
+        alone = integrate_many(lambda j, x, i=i: f(np.full(j.shape, i), x),
+                               [lo], [hi], [p], **tol)
+        assert (alone[0][0], alone[1][0]) == (vals[i], errs[i]), i
+    # the same panels, none of them empty
+    assert batched == one_by_one
 
 
 def test_integrate_many_problems_are_independent():
