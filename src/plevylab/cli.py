@@ -1,9 +1,11 @@
 """Command line surface: every operation as a subcommand with reproducible
 seeds and machine-readable output (CSV by default, JSON via --format).
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure or a sweep that
-diverged unexpectedly.  Output for identical (argv, seed) is byte-identical;
-the PLEVYLAB_THREADS environment variable controls worker threads without
+Exit codes: 0 success, 1 usage error (an unwritable ``--output`` included),
+2 numerical failure (any ``ArithmeticError``: quadrature that did not
+converge, overflow, division by zero) or a sweep that diverged
+unexpectedly.  Output for identical (argv, seed) is byte-identical; the
+PLEVYLAB_THREADS environment variable controls worker threads without
 changing results.
 """
 
@@ -23,7 +25,6 @@ from . import geometry as gmod
 from . import kernels as kmod
 from . import sweep as smod
 from .constants import compute_kdp, kdp_mc
-from .quadrature import QuadratureError
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
@@ -81,8 +82,12 @@ def coordinates(text):
 def _emit(lines, args):
     text = "\n".join(lines) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError("cannot write --output %s: %s"
+                              % (args.output, exc.strerror)) from None
     else:
         sys.stdout.write(text)
 
@@ -330,6 +335,12 @@ def _add_kernel_flags(sub):
                      help="key=value kernel file merged under explicit flags")
 
 
+def _add_field_flags(sub, choices, default):
+    sub.add_argument("--field", default=default, choices=choices)
+    sub.add_argument("--bump-radius", dest="bump_radius", type=finite,
+                     default=1.0)
+
+
 def _check_threads():
     try:
         emod._thread_count()
@@ -361,17 +372,14 @@ def build_parser():
 
     p = subs.add_parser("energy", help="one pair-energy estimate")
     _add_kernel_flags(p)
-    p.add_argument("--field", default="linear",
-                   choices=("linear", "gaussian", "tent", "bump",
-                            "sign-jump"))
+    _add_field_flags(p, ("linear", "gaussian", "tent", "bump", "sign-jump"),
+                     "linear")
     p.add_argument("--domain", default="interval",
                    choices=("interval", "slit-interval", "ball",
                             "slit-ball"))
     p.add_argument("--xa", type=finite, default=0.0)
     p.add_argument("--xb", type=finite, default=1.0)
     p.add_argument("--radius", type=finite, default=1.0)
-    p.add_argument("--bump-radius", dest="bump_radius", type=finite,
-                   default=1.0)
     p.add_argument("--mode", choices=(emod.MODE_MC, emod.MODE_DET),
                    default=emod.MODE_MC)
     _add_samples(p)
@@ -381,8 +389,7 @@ def build_parser():
     p = subs.add_parser("generator", help="symmetrized difference operator "
                                           "along a family grid (p = 2)")
     _add_kernel_flags(p)
-    p.add_argument("--field", default="gaussian",
-                   choices=("linear", "gaussian", "bump"))
+    _add_field_flags(p, ("linear", "gaussian", "bump"), "gaussian")
     p.add_argument("--point", default=None, type=coordinates,
                    help="comma separated coordinates (default origin)")
     _add_common(p)
@@ -420,7 +427,7 @@ def main(argv=None):
     except _UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_ERROR
-    except (QuadratureError, emod.EnergyError, kmod.KernelError,
+    except (ArithmeticError, emod.EnergyError, kmod.KernelError,
             fmod.FieldError, gmod.DomainError) as exc:
         sys.stderr.write("numerical failure: %s\n" % exc)
         return NUMERICAL_ERROR

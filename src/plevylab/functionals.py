@@ -72,6 +72,11 @@ _CHUNK = 262_144
 # whose points and temporaries stay in a core's L2 cache
 _SPHERE_BLOCK = 16_384
 _SMALL_R = 1e-8
+# below this radius ``generator`` integrates the quadratic part in closed form
+_GENERATOR_CORE_RADIUS = 1e-4
+# angles of the sphere mean of ``dirac_pairing`` in d = 2, 3 (``generator``
+# takes the default 128 of ``_sphere_pair_mean``)
+_PAIRING_ANGLES = 256
 _MASK64 = (1 << 64) - 1
 
 DEFAULT_N_SAMPLES = 1_000_000
@@ -710,16 +715,17 @@ def _sphere_pair_mean(evaluate, center, radii, n_angle=128):
     return vals.mean(axis=1) if weights is None else vals @ weights
 
 
-def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
+def generator(field, point, kernel, *, abs_tol=1e-10):
     """Symmetrized nonlocal difference operator at a point (p = 2 only).
 
     -(1/2) int (u(x+h) + u(x-h) - 2 u(x)) nu(h) dh, evaluated by
     radial-angular quadrature.  The symmetrization kills the first-order
-    term, so the integrand is O(|h|^2) at the origin; below ``core_radius``
-    that quadratic part is integrated via the field's Laplacian and the
-    kernel's second moment (the raw difference there is pure float
-    cancellation).  Beyond it the value is the kernel's radial integral
-    with weight 1 (``weight_beta = 0``) of ``u(x) - mean_{|w|=1} u(x + r w)``.
+    term, so the integrand is O(|h|^2) at the origin; below
+    ``_GENERATOR_CORE_RADIUS`` = 1e-4 that quadratic part is integrated via
+    the field's Laplacian and the kernel's second moment (the raw
+    difference there is pure float cancellation).  Beyond it the value is
+    the kernel's radial integral with weight 1 (``weight_beta = 0``) of
+    ``u(x) - mean_{|w|=1} u(x + r w)``.
     """
     if kernel.p_exp != 2.0:
         raise EnergyError("the difference operator is defined for p = 2 "
@@ -727,8 +733,6 @@ def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
     if not hasattr(field, "laplacian"):
         raise FieldError("generator needs a field with an analytic "
                          "laplacian (C^2)")
-    if not core_radius > 0.0:
-        raise EnergyError("core_radius must be positive")
     x0 = np.asarray(point, dtype=float).reshape(-1)
     if not np.isfinite(x0).all():
         raise EnergyError("point must be finite (got %s)" % x0.tolist())
@@ -737,7 +741,7 @@ def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
     d = kernel.dim
     u0 = float(field.eval(x0.reshape(1, -1))[0])
     lap = float(field.laplacian(x0.reshape(1, -1))[0])
-    rc = min(core_radius, kernel.support_radius)
+    rc = min(_GENERATOR_CORE_RADIUS, kernel.support_radius)
     core = 0.0
     if kernel.inner_radius < rc:
         m2 = kmod.weighted_moment(kernel, 2.0, rc)
@@ -750,8 +754,7 @@ def generator(field, point, kernel, *, abs_tol=1e-10, core_radius=1e-4):
                                        factor=gap, abs_tol=abs_tol)
 
 
-def dirac_pairing(test_fn, kernel, *, allow_any_p=False, abs_tol=1e-10,
-                  n_angle=256):
+def dirac_pairing(test_fn, kernel, *, allow_any_p=False, abs_tol=1e-10):
     """Pairing of a smooth compactly supported function with the kernel's
     unit-mass measure ``(1 ^ |h|^p) nu(h) dh``.
 
@@ -759,19 +762,15 @@ def dirac_pairing(test_fn, kernel, *, allow_any_p=False, abs_tol=1e-10,
     convergence statement is for p = 1 families; other exponents are
     admitted only behind ``allow_any_p`` as an experiment, never asserted.
     The test function states its ``support_radius``, a positive finite
-    number, which bounds the radial integral.  ``n_angle``, a positive
-    integer, sets the angles of the sphere mean in d = 2 and 3; a test
-    function that states its ``dim`` must share the kernel's.
+    number, which bounds the radial integral.  The sphere mean in d = 2
+    and 3 takes ``_PAIRING_ANGLES`` = 256 angles; a test function that
+    states its ``dim`` must share the kernel's.
     """
     if kernel.p_exp != 1.0 and not allow_any_p:
         raise EnergyError("pairing is asserted for p = 1 kernels; pass "
                           "allow_any_p=True to experiment")
     if getattr(test_fn, "dim", kernel.dim) != kernel.dim:
         raise EnergyError("test function/kernel dimension mismatch")
-    if isinstance(n_angle, bool) or not isinstance(n_angle, numbers.Integral) \
-            or n_angle < 1:
-        raise EnergyError("n_angle must be a positive integer, got %r"
-                          % (n_angle,))
     rad = getattr(test_fn, "support_radius", None)
     if not isinstance(rad, numbers.Real) or not 0.0 < rad < math.inf:
         raise EnergyError("test function must state a positive finite "
@@ -780,7 +779,7 @@ def dirac_pairing(test_fn, kernel, *, allow_any_p=False, abs_tol=1e-10,
     center = np.zeros(kernel.dim)
 
     def sphere_mean(r):
-        return _sphere_pair_mean(evaluate, center, r, n_angle=n_angle)
+        return _sphere_pair_mean(evaluate, center, r, n_angle=_PAIRING_ANGLES)
 
     return kmod.radial_integral(kernel, 0.0, rad, factor=sphere_mean,
                                 abs_tol=abs_tol)

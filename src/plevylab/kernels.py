@@ -20,12 +20,13 @@ weighted density (``radial_integral``): a single adaptive quadrature call
 split at the weight kink r = 1 and the kernel's breakpoints, with a power
 substitution at the origin and, for full-support kernels, the 1/t map on
 the unbounded tail.
-Offset sampling inverts the radial CDF of the weighted law
-``S (1 ^ r^p) nu(r) r^{d-1} dr`` (closed form where available, otherwise a
-4096-node log-spaced table under ``_monotone_cubic``, a numpy
-Fritsch-Butland PCHIP interpolant that agrees bit for bit with SciPy's
-``PchipInterpolator``) and draws the direction uniformly on the sphere.
-Sampling reads the CDF data the kernel carries; custom kernels get a table
+Offset sampling draws the radius through the inverse CDF of the weighted
+law ``S (1 ^ r^p) nu(r) r^{d-1} dr`` (closed form where available,
+otherwise a 4096-node log-spaced table inverted by ``_monotone_cubic``, a
+numpy Fritsch-Butland PCHIP interpolant that agrees bit for bit with
+SciPy's ``PchipInterpolator``) and the direction uniformly on the sphere.
+The inverse CDF is the one sampling fact a kernel carries; the mass below
+``r`` is ``radial_integral(kernel, 0, r)``.  Custom kernels get a table
 from ``with_tabulated_sampler``.
 Kernels are immutable; samplers take a caller-owned generator.
 """
@@ -85,7 +86,6 @@ class RadialKernel:
     origin_exponent: float = None
     tail_exponent: float = None
     breakpoints: tuple = ()
-    radial_cdf: object = None
     radial_cdf_inv: object = None
     family_tag: str = "custom"
     eps: float = None
@@ -268,20 +268,22 @@ def _monotone_cubic(x, y):
     return evaluate
 
 
-def _tabulated_cdf(kernel):
-    """Log-spaced CDF table of the weighted radial law, interpolated by the
-    monotone cubic ``_monotone_cubic`` (SciPy's PCHIP, bit for bit).
+def with_tabulated_sampler(kernel):
+    """The kernel with a tabulated inverse radial CDF attached as sampling
+    data (for custom compactly supported kernels).
 
-    The nodes run from ``support_radius * 1e-12`` (or the inner radius, if
-    larger) to the support radius; the mass below the first node is added
-    by :func:`radial_integral`.  Non-finite or non-monotone tables are
-    reported as construction failures.
+    The CDF is tabulated at log-spaced nodes from ``support_radius * 1e-12``
+    (or the inner radius, if larger) to the support radius, the mass below
+    the first node added by :func:`radial_integral`, and inverted by the
+    monotone cubic ``_monotone_cubic`` (SciPy's PCHIP, bit for bit).
+    Non-finite or non-monotone tables are reported as construction failures.
     """
     lo = kernel.inner_radius
     hi = kernel.support_radius
     if not math.isfinite(hi):
         raise KernelError("cdf tabulation needs a compactly supported "
-                          "profile; supply a closed-form cdf instead")
+                          "profile; supply a closed-form inverse cdf "
+                          "instead")
     r_lo = max(lo, hi * 1e-12)
     nodes = np.geomspace(r_lo, hi, _TABLE_NODES)
     if lo > 0:
@@ -303,27 +305,14 @@ def _tabulated_cdf(kernel):
     if cdf_k[0] > 0.0:
         cdf_k = np.concatenate(([0.0], cdf_k))
         nodes_k = np.concatenate(([max(lo, r_lo * 0.5)], nodes_k))
-    fwd = _monotone_cubic(nodes_k, cdf_k)
     inv = _monotone_cubic(cdf_k, nodes_k)
     r_min, r_max = nodes_k[0], nodes_k[-1]
-
-    def cdf_fn(r):
-        r = np.asarray(r, dtype=float)
-        out = np.clip(fwd(np.clip(r, r_min, r_max)), 0.0, 1.0)
-        return np.where(r <= r_min, 0.0, np.where(r >= r_max, 1.0, out))
 
     def inv_fn(v):
         v = np.asarray(v, dtype=float)
         return np.clip(inv(np.clip(v, 0.0, 1.0)), r_min, r_max)
 
-    return cdf_fn, inv_fn
-
-
-def with_tabulated_sampler(kernel):
-    """The kernel with a tabulated radial CDF and its inverse attached as
-    sampling data (for custom compactly supported kernels)."""
-    cdf_fn, inv_fn = _tabulated_cdf(kernel)
-    return replace(kernel, radial_cdf=cdf_fn, radial_cdf_inv=inv_fn)
+    return replace(kernel, radial_cdf_inv=inv_fn)
 
 
 def _sampling_data(fn):
@@ -331,10 +320,6 @@ def _sampling_data(fn):
         raise KernelError("kernel carries no sampling data; wrap custom "
                           "kernels with with_tabulated_sampler")
     return fn
-
-
-def radial_cdf(kernel):
-    return _sampling_data(kernel.radial_cdf)
 
 
 def sample_directions(rng, size, dim):
@@ -371,11 +356,6 @@ def sample_offset_with_radii(kernel, rng, size=1):
     return h, radii
 
 
-def sample_offset(kernel, rng, size=1):
-    """Draw offsets h in R^d from the kernel's unit-mass weighted law."""
-    return sample_offset_with_radii(kernel, rng, size)[0]
-
-
 # ---------------------------------------------------------------------------
 # family constructors
 
@@ -393,7 +373,7 @@ def make_stable(dim, p_exp, eps):
     Valid for 0 < eps < p; outside that window the normalizer
     a = eps (p - eps) / (p S) degenerates and the construction is rejected.
     The weighted radial law is piecewise power: ~ r^(eps-1) inside the unit
-    ball and ~ r^(eps-p-1) outside, so CDF and inverse are explicit.
+    ball and ~ r^(eps-p-1) outside, so its inverse CDF is explicit.
     """
     _check_dim_p(dim, p_exp)
     if not 0.0 < eps < p_exp:
@@ -408,13 +388,6 @@ def make_stable(dim, p_exp, eps):
         return log_a + power * np.log(np.asarray(r, dtype=float))
 
     m1 = (p_exp - eps) / p_exp  # weighted mass of the unit ball
-
-    def cdf(r):
-        r = np.asarray(r, dtype=float)
-        inner = m1 * np.power(np.clip(r, 0.0, 1.0), eps)
-        outer = m1 + (eps / p_exp) * (
-            1.0 - np.power(np.maximum(r, 1.0), -(p_exp - eps)))
-        return np.where(r <= 1.0, inner, outer)
 
     def cdf_inv(v):
         # both branches over every sample, each formed in place in its own
@@ -437,8 +410,7 @@ def make_stable(dim, p_exp, eps):
         dim=dim, p_exp=p_exp, log_profile=log_profile,
         origin_exponent=dim + p_exp - eps, tail_exponent=dim + p_exp - eps,
         origin_coefficient=a, origin_pure_radius=math.inf,
-        radial_cdf=cdf, radial_cdf_inv=cdf_inv,
-        family_tag="stable", eps=eps)
+        radial_cdf_inv=cdf_inv, family_tag="stable", eps=eps)
 
 
 def make_rescaled(base, eps):
@@ -449,8 +421,8 @@ def make_rescaled(base, eps):
               = eps^(-d) nu(h/eps)            on |h| > 1
 
     preserving the unit mass exactly.  The weighted radial law of the
-    rescaled kernel is the base law contracted by eps, so the base CDF is
-    reused: cdf(r) = cdf_base(r/eps).
+    rescaled kernel is the base law contracted by eps, so the base inverse
+    CDF is reused: cdf_inv(v) = eps cdf_inv_base(v).
     """
     if not isinstance(base, RadialKernel):
         raise KernelError("base must be a RadialKernel")
@@ -471,10 +443,6 @@ def make_rescaled(base, eps):
                      -d * log_eps + z))
 
     base_inv = _sampling_data(base.radial_cdf_inv)
-    base_cdf = _sampling_data(base.radial_cdf)
-
-    def cdf(r):
-        return base_cdf(np.asarray(r, dtype=float) / eps)
 
     def cdf_inv(v):
         return eps * np.asarray(base_inv(v), dtype=float)
@@ -492,8 +460,7 @@ def make_rescaled(base, eps):
         origin_exponent=base.origin_exponent,
         tail_exponent=base.tail_exponent,
         origin_coefficient=origin_c, origin_pure_radius=origin_pure,
-        breakpoints=tuple(sorted(breaks)),
-        radial_cdf=cdf, radial_cdf_inv=cdf_inv,
+        breakpoints=tuple(sorted(breaks)), radial_cdf_inv=cdf_inv,
         family_tag="rescaled", eps=eps,
         params={"base": base.family_tag, "base_eps": base.eps})
 
@@ -519,10 +486,6 @@ def make_truncated_power(dim, p_exp, beta, eps):
 
     expo = dim + beta
 
-    def cdf(r):
-        r = np.asarray(r, dtype=float)
-        return np.power(np.clip(r / eps, 0.0, 1.0), expo)
-
     def cdf_inv(v):
         v = np.asarray(v, dtype=float)
         return eps * np.power(np.clip(v, 0.0, 1.0), 1.0 / expo)
@@ -531,7 +494,7 @@ def make_truncated_power(dim, p_exp, beta, eps):
         dim=dim, p_exp=p_exp, log_profile=log_profile,
         support_radius=eps, origin_exponent=p_exp - beta,
         origin_coefficient=c, origin_pure_radius=eps,
-        breakpoints=(eps,), radial_cdf=cdf, radial_cdf_inv=cdf_inv,
+        breakpoints=(eps,), radial_cdf_inv=cdf_inv,
         family_tag="truncated_power", eps=eps, params={"beta": beta})
 
 
@@ -550,13 +513,6 @@ def make_log_limit(dim, p_exp, eps, eps0):
         return np.where((r > eps) & (r <= eps0),
                         log_c - (dim + p_exp) * np.log(r), -np.inf)
 
-    log_ratio = math.log(eps0 / eps)
-
-    def cdf(r):
-        r = np.asarray(r, dtype=float)
-        return np.clip(np.log(np.maximum(r, eps) / eps) / log_ratio,
-                       0.0, 1.0)
-
     def cdf_inv(v):
         v = np.asarray(v, dtype=float)
         return eps * np.power(eps0 / eps, np.clip(v, 0.0, 1.0))
@@ -564,8 +520,8 @@ def make_log_limit(dim, p_exp, eps, eps0):
     return RadialKernel(
         dim=dim, p_exp=p_exp, log_profile=log_profile,
         support_radius=eps0, inner_radius=eps, breakpoints=(eps, eps0),
-        radial_cdf=cdf, radial_cdf_inv=cdf_inv,
-        family_tag="log_limit", eps=eps, params={"eps0": eps0})
+        radial_cdf_inv=cdf_inv, family_tag="log_limit", eps=eps,
+        params={"eps0": eps0})
 
 
 def smoothing_constant(dim, beta, eps, eps0, *, abs_tol=1e-13):
@@ -606,8 +562,8 @@ def make_smoothed_power(dim, p_exp, beta, eps, eps0):
     """Mollified power kernel (|h|+eps)^beta |h|^(-p) / (S b_eps) on B_eps0.
 
     ``beta = -d`` selects the log-normalized limiting variant with an extra
-    ``1/|log eps|`` factor.  No closed-form CDF exists here, so sampling goes
-    through the tabulated inverse.
+    ``1/|log eps|`` factor.  No closed-form inverse CDF exists here, so
+    sampling goes through the tabulated inverse.
     """
     _check_dim_p(dim, p_exp)
     if beta < -dim:

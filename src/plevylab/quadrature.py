@@ -37,6 +37,13 @@ lock-step round evaluates both halves and the tail heap in one integrand
 call, which then doubled the sphere-mean arrays of ``dirac_pairing`` in
 d = 3.  Those arrays are now bounded per block of radii, whatever the
 integrand call's size; the per-round bookkeeping cost still stands.
+The fold would also move pinned values.  The lock-step Gauss sums multiply
+the weights in and add each row with ``sum(axis=1)``, which differs from
+this driver's ``np.dot`` in the last bit (227 of 620 sums of random power
+laws); and handing twice the radii to one integrand call changes the row
+count of the d = 3 sphere mean's ``vals @ weights``, whose last bit
+depends on it (38 of 40 rows in a probe), so ``generator`` and
+``dirac_pairing`` would move.
 
 Integrands must be vectorized (``f(ndarray) -> ndarray``).  Failure to reach
 the requested tolerance raises :class:`QuadratureError` carrying the achieved

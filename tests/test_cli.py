@@ -4,6 +4,10 @@ import sys
 
 import pytest
 
+from plevylab import functionals as F
+from plevylab import kernels as K
+from plevylab.fields import SmoothBump
+
 BASE = [sys.executable, "-m", "plevylab.cli"]
 
 
@@ -193,6 +197,34 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, line):
     assert out.stdout == ""
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+
+@pytest.mark.parametrize("radius", [None, 0.5])
+def test_generator_bump_field(radius):
+    flags = [] if radius is None else ["--bump-radius", str(radius)]
+    out = run("generator", "--field", "bump", "--eps", "0.1", *flags)
+    assert out.returncode == 0, out.stderr
+    header, row = out.stdout.strip().split("\n")
+    cols = dict(zip(header.split(","), row.split(",")))
+    want = F.generator(SmoothBump(1, 1.0 if radius is None else radius),
+                       [0.0], K.make_stable(1, 2.0, 0.1))
+    assert float(cols["value"]) == want
+
+
+@pytest.mark.parametrize("line, code", [
+    ("constant --d 400 --p 2 --n 10", 2),
+    ("kernel-check --d 400 --eps 0.1", 2),
+    ("kernel-check --family truncated_power --beta 1e308 --eps 0.1", 2),
+    ("energy --eps 0.1 --n 10 --output {tmp}/missing/x.csv", 1),
+    ("energy --eps 0.1 --n 10 --output {tmp}", 1),
+])
+def test_failures_exit_with_a_code_and_no_traceback(tmp_path, line, code):
+    out = run(*line.format(tmp=tmp_path).split())
+    assert out.returncode == code
+    assert out.stdout == ""
+    lines = out.stderr.splitlines()
+    prefix = "error: " if code == 1 else "numerical failure: "
+    assert len(lines) == 1 and lines[0].startswith(prefix), out.stderr
 
 
 def test_import_loads_no_scipy():

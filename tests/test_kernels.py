@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from plevylab import functionals as F
 from plevylab import kernels as K
 from plevylab.constants import sphere_area
-from plevylab.quadrature import QuadratureError
+from plevylab.quadrature import QuadratureError, fixed_gauss
 
 RNG = lambda seed: np.random.Generator(np.random.Philox(key=[seed, 0]))
 
@@ -333,26 +333,41 @@ def test_closed_form_core_needs_coefficient_and_exponent():
                           profile=box["profile"]).support_radius == math.inf
 
 
+# one kernel of every family; the sampler tests read each through its
+# inverse CDF and check it against its own density
+SAMPLED = [
+    lambda: K.make_stable(1, 2.0, 0.1),
+    lambda: K.make_truncated_power(2, 2.0, 1.0, 0.3),
+    lambda: K.make_log_limit(1, 1.0, 0.05, 0.5),
+    lambda: K.make_smoothed_power(1, 2.0, -0.5, 0.1, 0.5),
+    lambda: K.KernelFamily("rescaled", 1, 2.0).kernel(0.1),
+]
+
+
 def test_cdf_axioms():
-    for make in (lambda: K.make_stable(1, 2.0, 0.1),
-                 lambda: K.make_truncated_power(2, 2.0, 1.0, 0.3),
-                 lambda: K.make_log_limit(1, 1.0, 0.05, 0.5),
-                 lambda: K.make_smoothed_power(1, 2.0, -0.5, 0.1, 0.5)):
+    smoothed_d2 = lambda: K.make_smoothed_power(2, 2.0, -0.5, 0.1, 0.5)
+    v = np.concatenate((np.linspace(0.0, 1.0, 41), [1.0 - 1e-6, 1.0 - 1e-9]))
+    v.sort()
+    for make in (*SAMPLED, smoothed_d2):
         kern = make()
-        cdf = K.radial_cdf(kern)
-        r = np.geomspace(1e-6, 50.0, 400)
-        vals = cdf(r)
-        assert np.all(np.diff(vals) >= -1e-12)
-        assert vals[0] >= 0.0
-        # full-support kernels close their mass far out in the tail
-        assert abs(float(cdf(np.array([1e12]))[0]) - 1.0) < 1e-6
-        assert float(cdf(np.array([0.0]))[0]) <= 1e-9
+        # closed forms invert to rounding, tables to their interpolation
+        tol = 1e-7 if kern.family_tag == "smoothed_power" else 1e-12
+        r = kern.radial_cdf_inv(v)
+        assert np.all(np.diff(r) >= 0.0)
+        assert r[0] >= kern.inner_radius and r[-1] <= kern.support_radius
+        # the mass below each drawn radius is the probability that drew it;
+        # a full-support kernel's v = 1 lies at r ~ 1e157, past what an
+        # adaptive integral on (1, r) resolves, so the round trip stops
+        # short of it
+        mass = np.array([K.radial_integral(kern, 0.0, float(x),
+                                           abs_tol=1e-13) for x in r[:-1]])
+        assert np.max(np.abs(mass - v[:-1])) <= tol, kern.family_tag
 
 
 def test_sampler_matches_tail_mass():
     kern = K.make_stable(1, 2.0, 0.1)
     n = 1_000_000
-    h = K.sample_offset(kern, RNG(11), n)
+    h, _ = K.sample_offset_with_radii(kern, RNG(11), n)
     assert np.all(np.isfinite(h))
     for delta in (0.1, 0.5, 1.0):
         frac = float((np.abs(h[:, 0]) > delta).mean())
@@ -363,7 +378,7 @@ def test_sampler_matches_tail_mass():
 
 def test_sampler_respects_support():
     kern = K.make_truncated_power(2, 2.0, 1.0, 0.3)
-    h = K.sample_offset(kern, RNG(4), 100_000)
+    h, _ = K.sample_offset_with_radii(kern, RNG(4), 100_000)
     assert np.linalg.norm(h, axis=1).max() <= 0.3 + 1e-12
 
 
@@ -448,25 +463,34 @@ def test_monotone_cubic_keeps_monotone_data_monotone(table):
 def test_sampling_needs_sampling_data():
     kern = _box_kernel(0.5)
     with pytest.raises(K.KernelError, match="with_tabulated_sampler"):
-        K.sample_offset(kern, RNG(1), 10)
-    with pytest.raises(K.KernelError):
-        K.radial_cdf(kern)
+        K.sample_offset_with_radii(kern, RNG(1), 10)
     tabulated = K.with_tabulated_sampler(kern)
     assert tabulated.profile is kern.profile
-    assert float(K.radial_cdf(tabulated)(np.array([0.5]))[0]) == 1.0
+    # the table's inverse reaches the support edge, to rounding
+    top = float(tabulated.radial_cdf_inv(np.array([1.0]))[0])
+    assert 0.5 - 1e-15 <= top <= 0.5
 
 
-@pytest.mark.parametrize("make", [
-    lambda: K.make_stable(1, 2.0, 0.1),
-    lambda: K.make_truncated_power(2, 2.0, 1.0, 0.3),
-    lambda: K.make_log_limit(1, 1.0, 0.05, 0.5),
-    lambda: K.make_smoothed_power(1, 2.0, -0.5, 0.1, 0.5),
-])
+def _mass_below(kern, radii, block=1 << 17):
+    """The weighted mass below each of the sorted radii: one adaptive
+    integral up to the first, then a 12-point Gauss panel between each
+    pair of neighbours, in blocks of panels to bound the memory."""
+    lo, hi = radii[:-1], radii[1:]
+    segs = np.concatenate([
+        fixed_gauss(kern.weighted_radial_density, lo[i:i + block],
+                    hi[i:i + block], n=12)
+        for i in range(0, lo.size, block)])
+    first = K.radial_integral(kern, 0.0, float(radii[0]),
+                              abs_tol=K.NORMALIZATION_REQUEST_TOL)
+    return first + np.concatenate(([0.0], np.cumsum(segs)))
+
+
+@pytest.mark.parametrize("make", SAMPLED)
 def test_sampler_ks_distance(make):
     kern = make()
     _, radii = K.sample_offset_with_radii(kern, RNG(23), 1_000_000)
     radii = np.sort(radii)
-    cdf = K.radial_cdf(kern)(radii)
+    cdf = _mass_below(kern, radii)
     n = radii.size
     grid_hi = np.arange(1, n + 1) / n
     ks = max(float(np.max(np.abs(cdf - grid_hi))),
