@@ -1,17 +1,18 @@
 """Command line surface: every operation as a subcommand with reproducible
 seeds and machine-readable output (CSV by default, JSON via --format).
 
-Exit codes: 0 success, 1 usage error (an unwritable ``--output`` included),
-2 numerical failure (any ``ArithmeticError``: quadrature that did not
-converge, overflow, division by zero) or a sweep that diverged
-unexpectedly.  Output for identical (argv, seed) is byte-identical; the
-PLEVYLAB_THREADS environment variable controls worker threads without
-changing results.
+Exit codes: 0 success, 1 usage error (an unwritable ``--output`` included:
+it is opened before any computation), 2 numerical failure (any
+``ArithmeticError``: quadrature that did not converge, overflow, division
+by zero) or a sweep that diverged unexpectedly.  Output for identical
+(argv, seed) is byte-identical; the PLEVYLAB_THREADS environment variable
+controls worker threads without changing results.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import re
@@ -79,17 +80,21 @@ def coordinates(text):
     return [finite(v) for v in text.split(",")]
 
 
+def _open_output(path):
+    """The stream the command writes to: stdout, or the ``--output`` file,
+    opened (created or truncated) before any computation, so that a path
+    that cannot be written fails at once."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise _UsageError("cannot write --output %s: %s"
+                          % (path, exc.strerror)) from None
+
+
 def _emit(lines, args):
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        try:
-            with open(args.output, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _UsageError("cannot write --output %s: %s"
-                              % (args.output, exc.strerror)) from None
-    else:
-        sys.stdout.write(text)
+    args.out.write("\n".join(lines) + "\n")
 
 
 def _csv(header, rows):
@@ -423,7 +428,8 @@ def main(argv=None):
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         _check_threads()
-        return args.func(args)
+        with _open_output(args.output) as args.out:
+            return args.func(args)
     except _UsageError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return USAGE_ERROR

@@ -30,18 +30,28 @@ __all__ = [
 ]
 
 
+def _gamma(x, dim):
+    """``math.gamma(x)`` for a formula in dimension ``dim``; an overflow
+    (x above about 171.6, so d above about 343) names that dimension."""
+    try:
+        return math.gamma(x)
+    except OverflowError:
+        raise OverflowError("Gamma(%g) is beyond the float range at d=%d"
+                            % (x, dim)) from None
+
+
 def sphere_area(dim):
     """Surface measure of the unit sphere S^{dim-1} in R^dim (|S^0| = 2)."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+    return 2.0 * math.pi ** (dim / 2.0) / _gamma(dim / 2.0, dim)
 
 
 def unit_ball_volume(dim):
     """Lebesgue volume of the unit ball in R^dim."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    return math.pi ** (dim / 2.0) / _gamma(dim / 2.0 + 1.0, dim)
 
 
 def kdp_mean(dim, p_exp, *, abs_tol=1e-13):
@@ -59,20 +69,23 @@ def kdp_mean(dim, p_exp, *, abs_tol=1e-13):
     if dim == 1:
         return 1.0
     d = dim
+    # |S^{d-1}| first: its Gamma(d/2) is the one that overflows first
+    area = sphere_area(d)
+    ratio = sphere_area(d - 1) / area
 
     def integrand(theta):
         return np.cos(theta) ** (d - 2) * np.sin(theta) ** p_exp
 
     val, _ = integrate(integrand, 0.0, 0.5 * math.pi, abs_tol=abs_tol)
-    return sphere_area(d - 1) / sphere_area(d) * 2.0 * val
+    return ratio * 2.0 * val
 
 
 def kdp_closed(dim, p_exp):
     """Gamma-ratio closed form, G(d/2)G((p+1)/2)/(G((d+p)/2)G(1/2))."""
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    return (math.gamma(dim / 2.0) * math.gamma((p_exp + 1.0) / 2.0)
-            / (math.gamma((dim + p_exp) / 2.0) * math.gamma(0.5)))
+    return (_gamma(dim / 2.0, dim) * _gamma((p_exp + 1.0) / 2.0, dim)
+            / (_gamma((dim + p_exp) / 2.0, dim) * math.gamma(0.5)))
 
 
 def kdp_variant_ratio(dim, p_exp):
@@ -82,8 +95,8 @@ def kdp_variant_ratio(dim, p_exp):
     """
     if dim < 2:
         return float("nan")
-    return (math.gamma((dim - 1) / 2.0) * math.gamma((p_exp + 1.0) / 2.0)
-            / (math.gamma((dim + p_exp) / 2.0) * math.gamma(0.5)))
+    return (_gamma((dim - 1) / 2.0, dim) * _gamma((p_exp + 1.0) / 2.0, dim)
+            / (_gamma((dim + p_exp) / 2.0, dim) * math.gamma(0.5)))
 
 
 def kdp_mc(dim, p_exp, n=1_000_000, seed=0, direction=None):

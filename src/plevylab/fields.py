@@ -11,13 +11,14 @@ interfaces supported here; nothing is discretized.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import sphere_area, unit_ball_volume
-from .geometry import Ball, Box, IntervalUnion, SlitBall
+from .geometry import Ball, Box, IntervalUnion, SlitBall, _row_sums
 from .quadrature import integrate
 
 SMOOTH = "smooth"
@@ -33,9 +34,45 @@ class InterfaceGradientError(FieldError):
     """Gradient requested on a jump interface."""
 
 
+@functools.lru_cache(maxsize=None)
+def _einsum_lanes(d):
+    """Columns of a d-column row in the order ``np.einsum`` adds them.
+
+    einsum's kernel for unit-stride rows keeps two SIMD lanes: even-index
+    columns go into one sum and odd-index columns into the other.  Its
+    unrolled loop takes eight columns at a time and adds them from the
+    last pair back; the remaining columns follow in order.
+    """
+    even, odd = [], []
+    whole = d - d % 8
+    for base in range(0, whole, 8):
+        even += range(base + 6, base - 1, -2)
+        odd += range(base + 7, base, -2)
+    even += range(whole, d, 2)
+    odd += range(whole + 1, d, 2)
+    return tuple(tuple(lane) for lane in (even, odd) if lane)
+
+
 def _dot(a, b):
-    """Row-wise dot products of two (n, d) arrays."""
-    return np.einsum("ij,ij->i", a, b)
+    """Row-wise dot products of two (n, d) arrays.
+
+    The products are formed one column and one block of rows at a time
+    and added in the order of ``np.einsum("ij,ij->i")`` on C-ordered rows
+    (:func:`_einsum_lanes`): even-index columns into one sum, odd-index
+    into another, then even + odd (in d = 3, ``(x0 y0 + x2 y2) + x1 y1``;
+    d = 1 is the single product).  The order is kept so that every field
+    value keeps the bits it had when the dot was that einsum, whose inner
+    loop ran once per row.  Being fixed, it no longer depends on the
+    layout: einsum adds sequentially when the columns are not unit-stride
+    (Fortran-ordered or transposed arrays).  A row whose products are all
+    -0.0 reads -0.0 where einsum's zero-started sum reads +0.0; every
+    caller adds a square norm to a cross dot, which makes it +0.0.
+    Floating-point errors are ignored, as einsum ignores them.
+    """
+    def term(lo, hi, j, out):
+        return np.multiply(a[lo:hi, j], b[lo:hi, j], out=out)
+
+    return _row_sums(term, a.shape[0], _einsum_lanes(a.shape[1]))
 
 
 def _pts(x, dim):

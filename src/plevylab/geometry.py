@@ -30,23 +30,55 @@ def _check_dim(dim, least=1):
     return int(dim)
 
 
+# rows per block of the row-sum kernels: a block's columns, partial sums
+# and output stay in a core's L2 cache
+_ROW_BLOCK = 16_384
+
+
+def _row_sums(term, n, lanes):
+    """Row sums of ``n`` rows of terms, made a block of rows at a time.
+
+    ``term(lo, hi, j, out)`` writes column ``j``'s terms of rows ``lo:hi``
+    into ``out`` and returns it.  Each lane of ``lanes`` lists columns,
+    added left to right; the lane sums are then added left to right.
+    Floating-point errors are ignored, as ``np.einsum`` and ``np.sum``
+    ignore them: an overflowing row is inf, and an inf or NaN row stays so,
+    under any ``np.errstate``.
+    """
+    out = np.empty(n)
+    m = min(n, _ROW_BLOCK)
+    col = np.empty(m)
+    part = np.empty(m) if len(lanes) > 1 else None
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        for lo in range(0, n, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, n)
+            o, t = out[lo:hi], col[:hi - lo]
+            for k, lane in enumerate(lanes):
+                acc = o if k == 0 else part[:hi - lo]
+                term(lo, hi, lane[0], acc)
+                for j in lane[1:]:
+                    acc += term(lo, hi, j, t)
+                if k:
+                    o += acc
+    return out
+
+
 def _row_sq_norms(pts, center=None):
     """Row sums of squares of ``pts - center``, added column by column.
 
-    This is the order ``np.sum(..., axis=1)`` and ``np.linalg.norm(...,
-    axis=1)`` add a row in, so the bits agree with theirs, without the
-    (n, dim) temporaries.
+    The order is sequential, ``((x0^2 + x1^2) + x2^2) + ...``.  It is the
+    order ``np.sum(..., axis=1)`` and ``np.linalg.norm(..., axis=1)`` add a
+    row of fewer than 8 columns in (their pairwise sum starts at 8), so
+    ball membership and sampled directions keep the bits they had when the
+    norms were those calls.  The temporaries are one block long.
     """
-    col = np.empty(pts.shape[0])
-    d2 = None
-    for j in range(pts.shape[1]):
-        x = pts[:, j] if center is None else \
-            np.subtract(pts[:, j], center[j], out=col)
-        if d2 is None:
-            d2 = np.multiply(x, x)
-        else:
-            d2 += np.multiply(x, x, out=col)
-    return d2
+    def term(lo, hi, j, out):
+        x = pts[lo:hi, j] if center is None else \
+            np.subtract(pts[lo:hi, j], center[j], out=out)
+        return np.multiply(x, x, out=out)
+
+    n, d = pts.shape
+    return _row_sums(term, n, (range(d),))
 
 
 def _as_points(x, dim):

@@ -17,7 +17,8 @@ log space (``log_profile``); every consumer reads it through
 custom kernels.  Normalization, tail mass, weighted moments, test-function
 pairings and the difference operator are all one radial integral of the
 weighted density (``radial_integral``): a single adaptive quadrature call
-split at the weight kink r = 1 and the kernel's breakpoints, with a power
+split at the weight kink r = 1 and the kernel's breakpoints (and once per
+decade up to a finite upper limit far above them), with a power
 substitution at the origin and, for full-support kernels, the 1/t map on
 the unbounded tail.
 Offset sampling draws the radius through the inverse CDF of the weighted
@@ -155,9 +156,11 @@ def radial_integral(kernel, lo, hi, *, weight_beta=None, factor=None,
     """Integral of S (1 ^ r^beta) nu(r) r^(d-1) over (lo, hi].
 
     ``hi = math.inf`` integrates to infinity (full-support kernels), using
-    the tail-decay hint when present; the range is clipped to the kernel's
-    annulus ``(inner_radius, support_radius)``.  ``factor``, when given, is
-    a radial function multiplying the weighted density.
+    the tail-decay hint when present; a finite ``hi`` more than a decade
+    above ``lo``, 1 and the breakpoints below it gets a split point per
+    decade.  The range is clipped to the kernel's annulus
+    ``(inner_radius, support_radius)``.  ``factor``, when given, is a
+    radial function multiplying the weighted density.
     """
     d = kernel.dim
     beta = kernel.p_exp if weight_beta is None else weight_beta
@@ -176,8 +179,16 @@ def radial_integral(kernel, lo, hi, *, weight_beta=None, factor=None,
                 "radial integral diverges at the origin "
                 "(weighted exponent %.3g <= 0)" % alpha0)
     q = kernel.tail_exponent
-    # split at the (1 ^ r^beta) weight kink and the profile's breakpoints
-    val, _ = integrate(f, lo, hi, points=(1.0, *kernel.breakpoints),
+    # split at the (1 ^ r^beta) weight kink and the profile's breakpoints;
+    # a finite hi more than a decade above the last split point is split
+    # once per decade, so that no panel's nodes all sit where a decaying
+    # tail has already vanished (both Gauss rules would agree on 0)
+    points = (1.0, *kernel.breakpoints)
+    far = max(lo, 1.0, *(c for c in points if c < hi))
+    while far * 10.0 < hi < math.inf:
+        far *= 10.0
+        points += (far,)
+    val, _ = integrate(f, lo, hi, points=points,
                        alpha_left=alpha0,
                        decay_exponent=None if q is None else q - (d - 1),
                        abs_tol=abs_tol)
@@ -476,7 +487,12 @@ def make_truncated_power(dim, p_exp, beta, eps):
         raise KernelError("truncated power needs 0 < eps < 1 (got eps=%g)"
                           % eps)
     area = sphere_area(dim)
-    c = (dim + beta) / (area * eps ** (dim + beta))
+    denom = area * eps ** (dim + beta)
+    c = (dim + beta) / denom if denom > 0.0 else math.inf
+    if c == math.inf:
+        raise KernelError("truncated power needs eps^(d+beta) inside the "
+                          "float range (beta=%r is too large for eps=%g, "
+                          "d=%d)" % (beta, eps, dim))
     log_c = math.log(c)
 
     def log_profile(r):

@@ -88,14 +88,15 @@ class QuadratureError(ArithmeticError):
 
 
 def _panel_estimates(f, a, b):
-    """Return (high-order estimate, error estimate) for one panel."""
+    """Return (high-order estimate, error estimate) for one panel.
+
+    The caller ignores floating-point errors around it (see
+    :func:`_adaptive_pool`)."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore",
-                     under="ignore"):
-        vals = f(mid + half * _all_nodes)
-        lo = half * float(np.dot(_lo_weights, vals[:_LO_N]))
-        hi = half * float(np.dot(_hi_weights, vals[_LO_N:]))
+    vals = f(mid + half * _all_nodes)
+    lo = half * float(np.dot(_lo_weights, vals[:_LO_N]))
+    hi = half * float(np.dot(_hi_weights, vals[_LO_N:]))
     return hi, abs(hi - lo)
 
 
@@ -107,48 +108,53 @@ def _adaptive_pool(regions, *, abs_tol, rel_tol):
     drops below ``max(abs_tol, rel_tol*|I|)``; the pool stalls at
     ``DEFAULT_MAX_PANELS``.  Returns ``(value, error_estimate)``.
     """
-    heap = []
-    counter = 0
-    total = total_err = 0.0
-    n_panels = 0
-    for f, a, b in regions:
-        if b <= a:
-            continue
-        est, err = _panel_estimates(f, a, b)
-        if not math.isfinite(est):
-            raise QuadratureError(
-                "non-finite integrand on (%g, %g)" % (a, b))
-        counter += 1
-        heapq.heappush(heap, (-err, counter, a, b, est, err, f))
-        total += est
-        total_err += err
-        n_panels += 1
-    while total_err > max(abs_tol, rel_tol * abs(total)):
-        if n_panels >= DEFAULT_MAX_PANELS:
-            raise QuadratureError(
-                "adaptive quadrature stalled: error estimate %.3e after %d "
-                "panels (likely divergent or insufficiently resolved)"
-                % (total_err, n_panels), achieved=total_err)
-        if not heap:
-            break
-        neg_err, _, pa, pb, pest, perr, f = heapq.heappop(heap)
-        mid = 0.5 * (pa + pb)
-        if mid <= pa or mid >= pb:
-            # panel at floating point resolution; accept its estimate
-            total_err -= perr
-            continue
-        e1, r1 = _panel_estimates(f, pa, mid)
-        e2, r2 = _panel_estimates(f, mid, pb)
-        if not (math.isfinite(e1) and math.isfinite(e2)):
-            raise QuadratureError(
-                "non-finite integrand near (%g, %g)" % (pa, pb))
-        total += (e1 + e2) - pest
-        total_err += (r1 + r2) - perr
-        for bounds, est_i, err_i in (((pa, mid), e1, r1), ((mid, pb), e2, r2)):
+    # one error context for the whole pool: integrands may overflow or
+    # divide by zero off their support, and each panel checks finiteness
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore",
+                     under="ignore"):
+        heap = []
+        counter = 0
+        total = total_err = 0.0
+        n_panels = 0
+        for f, a, b in regions:
+            if b <= a:
+                continue
+            est, err = _panel_estimates(f, a, b)
+            if not math.isfinite(est):
+                raise QuadratureError(
+                    "non-finite integrand on (%g, %g)" % (a, b))
             counter += 1
-            heapq.heappush(heap, (-err_i, counter, bounds[0], bounds[1],
-                                  est_i, err_i, f))
-        n_panels += 1
+            heapq.heappush(heap, (-err, counter, a, b, est, err, f))
+            total += est
+            total_err += err
+            n_panels += 1
+        while total_err > max(abs_tol, rel_tol * abs(total)):
+            if n_panels >= DEFAULT_MAX_PANELS:
+                raise QuadratureError(
+                    "adaptive quadrature stalled: error estimate %.3e after "
+                    "%d panels (likely divergent or insufficiently resolved)"
+                    % (total_err, n_panels), achieved=total_err)
+            if not heap:
+                break
+            neg_err, _, pa, pb, pest, perr, f = heapq.heappop(heap)
+            mid = 0.5 * (pa + pb)
+            if mid <= pa or mid >= pb:
+                # panel at floating point resolution; accept its estimate
+                total_err -= perr
+                continue
+            e1, r1 = _panel_estimates(f, pa, mid)
+            e2, r2 = _panel_estimates(f, mid, pb)
+            if not (math.isfinite(e1) and math.isfinite(e2)):
+                raise QuadratureError(
+                    "non-finite integrand near (%g, %g)" % (pa, pb))
+            total += (e1 + e2) - pest
+            total_err += (r1 + r2) - perr
+            for bounds, est_i, err_i in (((pa, mid), e1, r1),
+                                         ((mid, pb), e2, r2)):
+                counter += 1
+                heapq.heappush(heap, (-err_i, counter, bounds[0], bounds[1],
+                                      est_i, err_i, f))
+            n_panels += 1
     return total, total_err
 
 

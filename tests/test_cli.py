@@ -4,8 +4,10 @@ import sys
 
 import pytest
 
+from plevylab import cli
 from plevylab import functionals as F
 from plevylab import kernels as K
+from plevylab import sweep as smod
 from plevylab.fields import SmoothBump
 
 BASE = [sys.executable, "-m", "plevylab.cli"]
@@ -211,6 +213,16 @@ def test_generator_bump_field(radius):
     assert float(cols["value"]) == want
 
 
+_FAILURE_NAMES = {
+    "constant --d 400 --p 2 --n 10": "d=400",
+    "kernel-check --d 400 --eps 0.1": "d=400",
+    "kernel-check --family truncated_power --beta 1e308 --eps 0.1":
+        "beta=1e+308",
+    "energy --eps 0.1 --n 10 --output {tmp}/missing/x.csv": "--output",
+    "energy --eps 0.1 --n 10 --output {tmp}": "--output",
+}
+
+
 @pytest.mark.parametrize("line, code", [
     ("constant --d 400 --p 2 --n 10", 2),
     ("kernel-check --d 400 --eps 0.1", 2),
@@ -225,6 +237,23 @@ def test_failures_exit_with_a_code_and_no_traceback(tmp_path, line, code):
     lines = out.stderr.splitlines()
     prefix = "error: " if code == 1 else "numerical failure: "
     assert len(lines) == 1 and lines[0].startswith(prefix), out.stderr
+    # the message names the input that failed
+    assert _FAILURE_NAMES[line] in lines[0], lines[0]
+
+
+@pytest.mark.parametrize("argv", [["sweep", "--case", "cross-tent-p1"],
+                                  ["suite"]])
+def test_unwritable_output_fails_before_any_computation(tmp_path, capsys,
+                                                        monkeypatch, argv):
+    def never(case):
+        raise AssertionError("computed before checking --output")
+
+    monkeypatch.setattr(smod, "run_sweep", never)
+    code = cli.main(argv + ["--output", str(tmp_path / "missing" / "x.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write --output ")
+    assert err.count("\n") == 1
 
 
 def test_import_loads_no_scipy():

@@ -13,6 +13,14 @@ def test_sphere_areas():
     assert abs(sphere_area(3) - 4 * math.pi) < 1e-13
 
 
+@pytest.mark.parametrize("route", [sphere_area, unit_ball_volume,
+                                   lambda d: compute_kdp(d, 2.0),
+                                   lambda d: kdp_closed(d, 2.0)])
+def test_dimension_beyond_the_gamma_range_is_named(route):
+    with pytest.raises(OverflowError, match="d=400"):
+        route(400)
+
+
 def test_ball_volumes():
     assert abs(unit_ball_volume(1) - 2.0) < 1e-14
     assert abs(unit_ball_volume(2) - math.pi) < 1e-14

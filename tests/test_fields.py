@@ -5,9 +5,9 @@ import pytest
 
 from plevylab.fields import (BallIndicator, FieldError, Gaussian,
                              InterfaceGradientError, Linear, SignJump,
-                             SmoothBump, Tent, bv_seminorm, grad_lp_norm,
-                             sobolev_norm_p)
-from plevylab.geometry import Ball, interval, slit_interval
+                             SmoothBump, Tent, _dot, bv_seminorm,
+                             grad_lp_norm, sobolev_norm_p)
+from plevylab.geometry import _ROW_BLOCK, Ball, interval, slit_interval
 
 
 def test_linear_eval_and_grad():
@@ -23,8 +23,8 @@ def test_gaussian_grad_at_origin():
     assert abs(float(g.laplacian([[0.0, 0.0]])[0]) + 4.0) < 1e-14
 
 
-def _fields_dot(pts):
-    return np.einsum("ij,ij->i", pts, pts)
+def _einsum_dot(a, b):
+    return np.einsum("ij,ij->i", a, b)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -34,7 +34,7 @@ def test_gaussian_and_bump_values_keep_their_bits(dim):
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.5, 1.5, (2000, dim))
     pts[:3] = [[0.0] * dim, [1.0] + [0.0] * (dim - 1), [0.9] * dim]
-    r2 = _fields_dot(pts)
+    r2 = _einsum_dot(pts, pts)
     assert np.array_equal(Gaussian(dim).eval(pts), np.exp(-r2))
     bump = SmoothBump(dim, 1.0)
     s = r2 / bump.radius ** 2
@@ -50,7 +50,7 @@ def test_gaussian_laplacian_is_finite_at_every_finite_point(dim):
     g = Gaussian(dim)
     # ordinary points keep the bits of (4 r^2 - 2d) exp(-r^2)
     pts = np.random.default_rng(4).uniform(-4.0, 4.0, (500, dim))
-    r2 = _fields_dot(pts)
+    r2 = _einsum_dot(pts, pts)
     assert np.array_equal(g.laplacian(pts),
                           (4.0 * r2 - 2.0 * dim) * np.exp(-r2))
     # past exp(-r^2)'s underflow 4 r^2 may overflow: 0, not inf * 0
@@ -248,3 +248,62 @@ def test_gaussian_offset_diff_far_from_the_origin(dim):
     out = field.offset_diff(x[stay], h_out[stay])
     assert np.all(np.isfinite(out))
     assert np.all(np.abs(out) <= np.finfo(float).tiny)
+
+
+def _rows(rng, n, d):
+    # magnitudes spread over 16 decades, so the add order shows in the bits
+    return rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 8, (n, d))
+
+
+_B = _ROW_BLOCK
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("n", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 5])
+def test_dot_matches_einsum_bit_for_bit(d, n):
+    rng = np.random.default_rng(100 * d + n % 97)
+    a, b = _rows(rng, n, d), _rows(rng, n, d)
+    assert np.array_equal(_dot(a, b), _einsum_dot(a, b))
+    assert np.array_equal(_dot(a, a), _einsum_dot(a, a))
+
+
+@pytest.mark.parametrize("d", [9, 16, 19])
+def test_dot_matches_einsum_past_its_unrolled_eight_columns(d):
+    rng = np.random.default_rng(d)
+    a, b = _rows(rng, 1000, d), _rows(rng, 1000, d)
+    assert np.array_equal(_dot(a, b), _einsum_dot(a, b))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_dot_matches_einsum_on_broadcast_and_strided_rows(d):
+    n = 2 * _B + 3
+    rng = np.random.default_rng(d)
+    a = _rows(rng, n, d)
+    # an offset shared by every row, as Field.offset_diff broadcasts it
+    off = np.broadcast_to(_rows(rng, 1, d)[0], a.shape)
+    assert np.array_equal(_dot(a, off), _einsum_dot(a, off))
+    # every other row of a larger array
+    wide = _rows(rng, 2 * n, d)
+    assert np.array_equal(_dot(wide[::2], a), _einsum_dot(wide[::2], a))
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_dot_does_not_depend_on_the_memory_layout(d):
+    rng = np.random.default_rng(7 + d)
+    a, b = _rows(rng, _B + 9, d), _rows(rng, _B + 9, d)
+    want = _dot(a, b)
+    assert np.array_equal(_dot(np.asfortranarray(a), np.asfortranarray(b)),
+                          want)
+    assert np.array_equal(_dot(np.ascontiguousarray(a.T).T,
+                               np.ascontiguousarray(b.T).T), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dot_of_inf_nan_and_overflowing_rows_does_not_raise(d):
+    big = np.finfo(float).max
+    a = np.array([[np.inf] * d, [np.nan] * d, [big] * d, [1e-200] * d,
+                  [1.0] * d])
+    with np.errstate(all="raise"):
+        got = _dot(a, a)
+    assert np.array_equal(got, _einsum_dot(a, a), equal_nan=True)
+    assert got[0] == got[2] == np.inf and np.isnan(got[1])

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from plevylab.geometry import (Ball, Box, DomainError, FullSpace,
-                               IntervalUnion, SlitBall, containment_margin,
-                               from_spec, interval, slit_interval)
+from plevylab.geometry import (_ROW_BLOCK, Ball, Box, DomainError, FullSpace,
+                               IntervalUnion, SlitBall, _row_sq_norms,
+                               containment_margin, from_spec, interval,
+                               slit_interval)
 
 
 def rng(seed=0):
@@ -272,3 +273,15 @@ def test_integer_dims_of_any_integer_type():
     assert Ball(1.0, np.int64(3)).dim == 3
     assert type(SlitBall(1.0, np.int32(2)).dim) is int
     assert FullSpace(np.int64(2)).spec() == FullSpace(2).spec()
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+@pytest.mark.parametrize("n", [0, 1, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5])
+def test_row_sq_norms_match_numpy_sum_bit_for_bit(d, n):
+    gen = np.random.default_rng(d * 31 + n % 89)
+    x = gen.standard_normal((n, d)) * 10.0 ** gen.integers(-8, 8, (n, d))
+    center = gen.standard_normal(d)
+    assert np.array_equal(_row_sq_norms(x), np.sum(x * x, axis=1))
+    y = x - center
+    assert np.array_equal(_row_sq_norms(x, tuple(center)),
+                          np.sum(y * y, axis=1))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ def test_weighted_moments_stable():
     assert abs(K.weighted_moment(k, p + 1.0, 1.0) - closed) < 1e-10
 
 
+def test_finite_upper_limit_far_above_the_split_points_keeps_the_tail():
+    # one Gauss panel on (1, hi) would put every node where the r^-3.1
+    # tail is already 0 and return 0.95; the decade splits keep it
+    k = K.make_stable(1, 2.0, 0.1)
+    assert abs(K.radial_integral(k, 0.0, 1e10, abs_tol=1e-12) - 1.0) < 1e-10
+    assert abs(K.weighted_moment(k, 2.0, 1e8) - 1.0) < 1e-10
+    # up to a decade above the last split point a call keeps its panels
+    assert K.weighted_moment(k, 2.0, 10.0) == K.radial_integral(
+        k, 0.0, 10.0, abs_tol=K.NORMALIZATION_REQUEST_TOL)
+
+
 def test_weighted_moment_decreasing_in_beta():
     k = K.make_stable(1, 2.0, 0.05)
     vals = [K.weighted_moment(k, b, 1.0) for b in (2.0, 2.5, 3.0, 4.0)]
@@ -116,6 +128,10 @@ def test_truncated_power_analytic():
     for beta in (-1.0, math.nan, math.inf):
         with pytest.raises(K.KernelError):
             K.make_truncated_power(1, 2.0, beta, 0.5)
+    # eps^(d+beta) underflows: the error names beta, not a division by 0
+    for beta in (1e308, 400.0):
+        with pytest.raises(K.KernelError, match=re.escape("beta=%r" % beta)):
+            K.make_truncated_power(1, 2.0, beta, 0.1)
 
 
 def test_truncated_power_beta_p_is_uniform():
@@ -355,13 +371,11 @@ def test_cdf_axioms():
         r = kern.radial_cdf_inv(v)
         assert np.all(np.diff(r) >= 0.0)
         assert r[0] >= kern.inner_radius and r[-1] <= kern.support_radius
-        # the mass below each drawn radius is the probability that drew it;
-        # a full-support kernel's v = 1 lies at r ~ 1e157, past what an
-        # adaptive integral on (1, r) resolves, so the round trip stops
-        # short of it
+        # the mass below each drawn radius is the probability that drew it,
+        # up to v = 1 (r ~ 1e157 for the stable kernel)
         mass = np.array([K.radial_integral(kern, 0.0, float(x),
-                                           abs_tol=1e-13) for x in r[:-1]])
-        assert np.max(np.abs(mass - v[:-1])) <= tol, kern.family_tag
+                                           abs_tol=1e-13) for x in r])
+        assert np.max(np.abs(mass - v)) <= tol, kern.family_tag
 
 
 def test_sampler_matches_tail_mass():
