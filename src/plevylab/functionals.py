@@ -61,7 +61,7 @@ import numpy as np
 
 from . import kernels as kmod
 from .fields import PIECEWISE_CONSTANT, FieldError
-from .geometry import IntervalUnion, containment_margin
+from .geometry import _ROW_BLOCK, IntervalUnion, containment_margin
 from .quadrature import QuadratureError, integrate_many
 
 MODE_MC = "mc"
@@ -147,22 +147,45 @@ def _quotients(field, xs, h, r):
 
 
 def _mc_double(field, sample_domain, kernel, accept, n, seed, tag):
-    """Chunked, thread-stable Monte Carlo for the pair functional."""
+    """Chunked, thread-stable Monte Carlo for the pair functional.
+
+    A chunk draws its points x by rejection, then the radius uniforms of
+    all its pairs.  The work after those draws runs on blocks of
+    ``_ROW_BLOCK`` rows, whose arrays stay in a core's cache: each block
+    draws its slice of the direction stream, forms its offsets, ``x + h``
+    and membership, and writes its kept pairs' weights at the running end
+    of one chunk-length buffer.  The counter-based stream gives the same
+    numbers when a draw is split into consecutive calls; the block length
+    is even because ``integers`` (the d = 1 directions) draws 32-bit
+    halves that do not carry over from one call to the next.  The buffer
+    is summed once, as the single weight array of the chunk was, so the
+    chunk sums keep their bits.
+    """
     vol = sample_domain.volume()
     p_exp = kernel.p_exp
 
     def run(index, m):
         rng = _chunk_rng(seed, tag, index)
         xs = sample_domain.sample_uniform(rng, m)
-        h, radii = kmod.sample_offset_with_radii(kernel, rng, m)
-        # row indices select faster than a boolean mask on 2-D arrays
-        idx = np.flatnonzero(accept(xs + h))
+        u = rng.random(m)
+        w = np.empty(m)
+        kept = 0
+        for lo in range(0, m, _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, m)
+            h, radii = kmod._offsets_from_uniforms(kernel, u[lo:hi], rng)
+            x = xs[lo:hi]
+            # row indices select faster than a boolean mask on 2-D arrays
+            idx = np.flatnonzero(accept(x + h))
+            if idx.size:
+                q = _quotients(field, np.take(x, idx, axis=0),
+                               np.take(h, idx, axis=0), np.take(radii, idx))
+                q **= p_exp
+                q *= vol
+                w[kept:kept + idx.size] = q
+                kept += idx.size
         s1 = s2 = 0.0
-        if idx.size:
-            w = _quotients(field, np.take(xs, idx, axis=0),
-                           np.take(h, idx, axis=0), np.take(radii, idx))
-            w **= p_exp
-            w *= vol
+        if kept:
+            w = w[:kept]
             s1 = float(w.sum())
             w *= w
             s2 = float(w.sum())

@@ -81,6 +81,17 @@ def _row_sq_norms(pts, center=None):
     return _row_sums(term, n, (range(d),))
 
 
+def _ball_volume(ball):
+    try:
+        vol = unit_ball_volume(ball.dim) * ball.radius ** ball.dim
+    except OverflowError:
+        vol = math.inf
+    if vol == math.inf:
+        raise DomainError("the volume of %r overflows the float range"
+                          % (ball,))
+    return vol
+
+
 def _as_points(x, dim):
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
@@ -112,32 +123,39 @@ class Domain:
         """Rejection sampling from the bounding box.
 
         Returns ``(points, n_proposed)`` so callers can audit the acceptance
-        ratio against ``volume / box_volume``.  Each round draws as many
-        candidates as points are missing, scales them in place column by
-        column and moves the accepted ones into the output in one
-        compaction.
+        ratio against ``volume / box_volume``.  Each round proposes as many
+        candidates as points are missing.  It draws, scales and tests them
+        in blocks of ``_ROW_BLOCK`` rows in one reused buffer and moves each
+        block's accepted rows into the output in order.  ``random(out=)``
+        on consecutive blocks gives the numbers of one whole draw, so the
+        points and the count are those of drawing each round at once.
         """
         lo, hi = self.bounding_box()
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise DomainError("cannot sample %s: its bounding box is not "
-                              "finite" % type(self).__name__)
-        span = hi - lo
+        with np.errstate(over="ignore", invalid="ignore"):
+            span = hi - lo
+        if not np.all(np.isfinite(span)):
+            # an infinite corner or a side wider than the float range: every
+            # candidate would be inf or NaN and no round would end
+            raise DomainError("cannot sample %r: a side of its bounding box "
+                              "is not finite" % (self,))
         out = np.empty((size, self.dim))
-        buf = np.empty_like(out)
+        buf = np.empty((min(size, _ROW_BLOCK), self.dim))
         got = proposed = 0
         while got < size:
-            cand = rng.random(out=buf[:size - got])
-            proposed += size - got
-            for j in range(self.dim):
-                col = cand[:, j]
-                col *= span[j]
-                col += lo[j]
-            idx = np.flatnonzero(self._contains(cand))
-            k = idx.size
-            # mode="clip" never clips these indices; unlike np.compress it
-            # writes straight into ``out`` instead of through a copy
-            np.take(cand, idx, axis=0, out=out[got:got + k], mode="clip")
-            got += k
+            todo = size - got
+            proposed += todo
+            for start in range(0, todo, _ROW_BLOCK):
+                cand = rng.random(out=buf[:min(_ROW_BLOCK, todo - start)])
+                for j in range(self.dim):
+                    col = cand[:, j]
+                    col *= span[j]
+                    col += lo[j]
+                idx = np.flatnonzero(self._contains(cand))
+                k = idx.size
+                # mode="clip" never clips these indices; unlike np.compress
+                # it writes straight into ``out`` instead of through a copy
+                np.take(cand, idx, axis=0, out=out[got:got + k], mode="clip")
+                got += k
         return out, proposed
 
     def _contains(self, pts):
@@ -270,7 +288,7 @@ class Ball(Domain):
         return _row_sq_norms(pts, self.center) < self.radius ** 2
 
     def volume(self):
-        return unit_ball_volume(self.dim) * self.radius ** self.dim
+        return _ball_volume(self)
 
     def bounding_box(self):
         c = np.asarray(self.center)
@@ -308,7 +326,7 @@ class SlitBall(Domain):
         return keep
 
     def volume(self):
-        return unit_ball_volume(self.dim) * self.radius ** self.dim
+        return _ball_volume(self)
 
     def bounding_box(self):
         r = self.radius

@@ -234,6 +234,48 @@ def check_normalized(kernel, *, tol=NORMALIZATION_ACCEPT_TOL):
 # sampling
 
 
+# buckets of the guide table of ``_locator``
+_GUIDE_BUCKETS = 1 << 16
+
+
+def _locator(x):
+    """The segment index ``min(searchsorted(x, v, "right") - 1, x.size - 2)``
+    of each value ``v``, x strictly increasing.
+
+    A guide table over ``[x[0], x[-1]]`` (``_GUIDE_BUCKETS`` equal buckets,
+    each holding the segment of its left edge) gives a first guess ``i``.
+    The guess is kept where ``x[i] <= v < x[i+1]`` (or ``i`` is the last
+    segment and ``x[i] <= v``), which is exactly where it equals the binary
+    search; the other values, in a bucket with a node inside it or rounded
+    across a bucket edge, and any value outside the table, NaN included,
+    take the binary search.  The result is the binary search's index for
+    every value, whatever the guide holds.
+    """
+    last = x.size - 2
+    lo, width = x[0], x[-1] - x[0]
+    scale = _GUIDE_BUCKETS / width
+    edges = lo + np.arange(_GUIDE_BUCKETS) * (width / _GUIDE_BUCKETS)
+    guide = np.clip(np.searchsorted(x, edges, side="right") - 1, 0, last)
+
+    def locate(v):
+        shape, v = np.shape(v), np.ravel(v)
+        b = np.subtract(v, lo)
+        b *= scale
+        # fmax/fmin send NaN to bucket 0, where the check below rejects it
+        np.fmax(b, 0.0, out=b)
+        np.fmin(b, _GUIDE_BUCKETS - 1, out=b)
+        i = guide[b.astype(np.intp)]
+        ok = x[i] <= v
+        ok &= (v < x[i + 1]) | (i == last)
+        miss = np.flatnonzero(~ok)
+        if miss.size:
+            i[miss] = np.minimum(
+                np.searchsorted(x, v[miss], side="right") - 1, last)
+        return i.reshape(shape)
+
+    return locate
+
+
 def _monotone_cubic(x, y):
     """Monotone piecewise cubic through the nodes (x, y), x strictly
     increasing: Fritsch-Butland PCHIP (SIAM J. Sci. Comput. 5, 1984).
@@ -268,10 +310,10 @@ def _monotone_cubic(x, y):
             dk[end] = d
     t = (dk[:-1] + dk[1:] - 2.0 * m) / h
     c0, c1, c2, c3 = t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]
-    last = x.size - 2
+    locate = _locator(x)
 
     def evaluate(v):
-        i = np.minimum(np.searchsorted(x, v, side="right") - 1, last)
+        i = locate(v)
         s = v - x[i]
         s2 = s * s
         return c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
@@ -283,11 +325,28 @@ def with_tabulated_sampler(kernel):
     """The kernel with a tabulated inverse radial CDF attached as sampling
     data (for custom compactly supported kernels).
 
+    The table of :func:`_cdf_table` is inverted by the monotone cubic
+    ``_monotone_cubic`` (SciPy's PCHIP, bit for bit).
+    """
+    cdf, nodes = _cdf_table(kernel)
+    inv = _monotone_cubic(cdf, nodes)
+    r_min, r_max = nodes[0], nodes[-1]
+
+    def inv_fn(v):
+        v = np.asarray(v, dtype=float)
+        return np.clip(inv(np.clip(v, 0.0, 1.0)), r_min, r_max)
+
+    return replace(kernel, radial_cdf_inv=inv_fn)
+
+
+def _cdf_table(kernel):
+    """``(cdf, radii)``: the weighted radial CDF at strictly increasing
+    values, from 0 to 1.
+
     The CDF is tabulated at log-spaced nodes from ``support_radius * 1e-12``
     (or the inner radius, if larger) to the support radius, the mass below
-    the first node added by :func:`radial_integral`, and inverted by the
-    monotone cubic ``_monotone_cubic`` (SciPy's PCHIP, bit for bit).
-    Non-finite or non-monotone tables are reported as construction failures.
+    the first node added by :func:`radial_integral`.  Non-finite or
+    non-monotone tables are reported as construction failures.
     """
     lo = kernel.inner_radius
     hi = kernel.support_radius
@@ -316,14 +375,7 @@ def with_tabulated_sampler(kernel):
     if cdf_k[0] > 0.0:
         cdf_k = np.concatenate(([0.0], cdf_k))
         nodes_k = np.concatenate(([max(lo, r_lo * 0.5)], nodes_k))
-    inv = _monotone_cubic(cdf_k, nodes_k)
-    r_min, r_max = nodes_k[0], nodes_k[-1]
-
-    def inv_fn(v):
-        v = np.asarray(v, dtype=float)
-        return np.clip(inv(np.clip(v, 0.0, 1.0)), r_min, r_max)
-
-    return replace(kernel, radial_cdf_inv=inv_fn)
+    return cdf_k, nodes_k
 
 
 def _sampling_data(fn):
@@ -347,7 +399,9 @@ def sample_directions(rng, size, dim):
     norms = _row_sq_norms(g)
     np.sqrt(norms, out=norms)
     norms[norms == 0.0] = 1.0
-    g /= norms[:, None]
+    # a column at a time: a broadcast over rows runs d-long inner loops
+    for j in range(dim):
+        g[:, j] /= norms
     return g
 
 
@@ -356,14 +410,26 @@ def sample_offset_with_radii(kernel, rng, size=1):
 
     Returns ``(h, radii)``; the radii are the exact sampled values (the
     squared-norm route loses them to underflow for very concentrated
-    kernels).
+    kernels).  All ``size`` radius uniforms are drawn before the
+    directions.
     """
-    inv = _sampling_data(kernel.radial_cdf_inv)
-    radii = np.asarray(inv(rng.random(size)), dtype=float)
+    return _offsets_from_uniforms(kernel, rng.random(size), rng)
+
+
+def _offsets_from_uniforms(kernel, u, rng):
+    """``(h, radii)`` for the radius uniforms ``u``: the radii through the
+    kernel's inverse CDF, then one direction per radius drawn from ``rng``.
+
+    The Monte Carlo estimators call this once per block of their uniforms;
+    consecutive blocks draw the directions one whole draw would (for
+    d = 1, blocks of even length keep ``integers``' 32-bit halves aligned).
+    """
+    radii = np.asarray(_sampling_data(kernel.radial_cdf_inv)(u), dtype=float)
     if not np.all(np.isfinite(radii)):
         raise KernelError("sampler produced non-finite radii")
-    h = sample_directions(rng, size, kernel.dim)
-    h *= radii[:, None]
+    h = sample_directions(rng, radii.size, kernel.dim)
+    for j in range(kernel.dim):
+        h[:, j] *= radii
     return h, radii
 
 

@@ -15,8 +15,8 @@ from plevylab.constants import kdp_mean, sphere_area
 from plevylab.fields import (LIPSCHITZ, PIECEWISE_CONSTANT, Field,
                              Gaussian, Linear, Scaled, Shifted, SignJump,
                              SmoothBump, Tent, sobolev_norm_p)
-from plevylab.geometry import (Ball, Box, IntervalUnion, SlitBall,
-                               interval, slit_interval)
+from plevylab.geometry import (_ROW_BLOCK, Ball, Box, IntervalUnion,
+                               SlitBall, interval, slit_interval)
 from plevylab.quadrature import QuadratureError, integrate
 
 UNIT = interval(0.0, 1.0)
@@ -448,6 +448,12 @@ _PINNED = {
                          K.make_truncated_power(3, 2.0, 0.0, 0.1), mode=MC,
                          n=_PINNED_N, seed=28),
         "0x1.cc25d5b62f711p-1", "0x1.5156505b2534ep-8"),
+    # recorded from the whole-chunk estimator; the tabulated inverse CDF
+    "d2-disc-smoothed-energy": (
+        lambda: F.energy(Gaussian(2), Ball(1.0, 2),
+                         K.make_smoothed_power(2, 2.0, -0.5, 0.1, 0.5),
+                         mode=MC, n=_PINNED_N, seed=29),
+        "0x1.52b86f5bbfda2p-1", "0x1.580b88ce89df3p-10"),
 }
 
 
@@ -456,6 +462,54 @@ def test_mc_estimates_are_bit_pinned(case):
     run, value, stderr = _PINNED[case]
     est = run()
     assert (est.value.hex(), est.stderr.hex()) == (value, stderr)
+
+
+def _split_and_whole(draw, n):
+    """``draw(gen, lo, hi)`` over consecutive blocks of a chunk stream and
+    over the whole range at once, each followed by the next double."""
+    split_gen, whole_gen = F._chunk_rng(3, 77, 1), F._chunk_rng(3, 77, 1)
+    split = np.concatenate([draw(split_gen, lo, min(lo + _ROW_BLOCK, n))
+                            for lo in range(0, n, _ROW_BLOCK)])
+    whole = draw(whole_gen, 0, n)
+    return (split, split_gen.random()), (whole, whole_gen.random())
+
+
+@pytest.mark.parametrize("kind", ["random-out", "normal",
+                                  "standard-normal-out", "integers"])
+def test_chunk_streams_give_the_same_numbers_when_a_draw_is_split(kind):
+    # the Monte Carlo chunks and the rejection sampler draw in blocks of
+    # _ROW_BLOCK rows and rely on this; integers draws 32-bit halves that do
+    # not outlive a call, so only an odd last block is allowed
+    n = 2 * _ROW_BLOCK + 5
+    buf = np.empty((n, 3))
+
+    def draw(gen, lo, hi):
+        if kind == "random-out":
+            return gen.random(out=buf[lo:hi]).copy()
+        if kind == "normal":
+            return gen.normal(size=(hi - lo, 3))
+        if kind == "standard-normal-out":
+            return gen.standard_normal(out=buf[lo:hi]).copy()
+        return gen.integers(0, 2, size=(hi - lo, 1))
+
+    (split, split_next), (whole, whole_next) = _split_and_whole(draw, n)
+    assert np.array_equal(split, whole)
+    assert split_next == whole_next
+
+
+def test_one_chunk_estimate_memory_is_bounded(monkeypatch):
+    # a d = 3 chunk keeps its points, uniforms and weights; the rest works
+    # on blocks of _ROW_BLOCK rows (about 32 MB with whole-chunk temporaries)
+    monkeypatch.setenv("PLEVYLAB_THREADS", "1")
+    kernel = K.make_stable(3, 2.0, 0.3)
+    tracemalloc.start()
+    try:
+        F.energy(Linear((1.0, 0.0, 0.5)), Ball(1.0, 3), kernel, mode=MC,
+                 n=F._CHUNK, seed=31)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, peak
 
 
 def test_energy_scaling_homogeneous():

@@ -218,7 +218,11 @@ def _oracle_sample(dom, rng, size):
     SlitBall(1.0, 2),
     SlitBall(0.8, 3),
 ], ids=lambda d: ",".join(d.spec().values()))
-@pytest.mark.parametrize("size", [0, 1, 300_000])
+# sizes around the rejection sampler's block length, whole rounds in the
+# reference
+@pytest.mark.parametrize("size", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK,
+                                  _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5,
+                                  300_000])
 def test_sampler_matches_reference_loop(dom, size):
     gen, oracle_gen = rng(3), rng(3)
     pts, proposed = dom.sample_uniform_with_stats(gen, size)
@@ -230,6 +234,27 @@ def test_sampler_matches_reference_loop(dom, size):
     assert gen.random() == oracle_gen.random()
     probes = _spec_probes(dom.dim)
     assert np.array_equal(dom.contains(probes), _oracle_contains(dom, probes))
+
+
+@pytest.mark.parametrize("dom", [
+    Box((-1e308, 0.0), (1e308, 1.0)),
+    IntervalUnion(((-1e308, 1e308),)),
+    Ball(1e308, 2),
+], ids=["box", "interval", "ball"])
+def test_sampling_a_box_wider_than_the_float_range_fails(dom):
+    # each candidate would be inf or NaN, so no round would ever end
+    with pytest.raises(DomainError, match="not finite") as err:
+        dom.sample_uniform(rng(0), 5)
+    assert type(dom).__name__ in str(err.value)
+
+
+@pytest.mark.parametrize("make", [lambda r: Ball(r, 2),
+                                  lambda r: SlitBall(r, 3)])
+def test_overflowing_ball_volume_fails_naming_the_ball(make):
+    dom = make(1e308)
+    with pytest.raises(DomainError, match="volume of .*Ball.*1e\\+308"):
+        dom.volume()
+    assert make(1e100).volume() > 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -474,6 +474,21 @@ def test_monotone_cubic_keeps_monotone_data_monotone(table):
     assert vals.min() >= y[0] - ulps and vals.max() <= y[-1] + ulps
 
 
+def test_guide_table_locates_the_segments_of_a_binary_search():
+    # the smoothed-power CDF table crowds most of its nodes into the first
+    # bucket; probe every node, both ends, every bucket edge and its
+    # neighbours, and a million uniform values
+    x, _ = K._cdf_table(K.make_smoothed_power(2, 2.0, -0.5, 0.1, 0.5))
+    nb = K._GUIDE_BUCKETS
+    edges = x[0] + np.arange(nb + 1) * ((x[-1] - x[0]) / nb)
+    v = np.concatenate((x, [x[0], x[-1]], edges,
+                        np.nextafter(edges, -np.inf),
+                        np.nextafter(edges, np.inf),
+                        RNG(4).uniform(x[0], x[-1], 1_000_000)))
+    want = np.minimum(np.searchsorted(x, v, side="right") - 1, x.size - 2)
+    assert np.array_equal(K._locator(x)(v), want)
+
+
 def test_sampling_needs_sampling_data():
     kern = _box_kernel(0.5)
     with pytest.raises(K.KernelError, match="with_tabulated_sampler"):
