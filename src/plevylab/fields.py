@@ -91,6 +91,9 @@ class Field:
     kinks: tuple = ()
     # 1-D jump interface locations (piecewise-constant fields)
     jump_points: tuple = ()
+    # R such that ``eval`` returns exactly 0.0 beyond it, at every |x| >= R
+    # up to the rounding of |x| (None: no such R).  The Gaussian states its
+    # underflow radius sqrt(746) ~ 27.31: exp(-s) is 0.0 for s > 745.14
     support_radius = None
     # Contract: _offset_diff(x, h) returns u(x+h) - u(x) without
     # cancellation at any |h|.  Concentrated kernels probe offsets far below
@@ -167,6 +170,7 @@ class Gaussian(Field):
 
     dim: int = 1
     regularity = SMOOTH
+    support_radius = math.sqrt(746.0)
 
     def _eval(self, pts):
         out = _dot(pts, pts)
@@ -463,6 +467,11 @@ class Scaled(_Wrapped):
 class Shifted(_Wrapped):
     """u + c; gradients and jumps are untouched."""
 
+    @property
+    def support_radius(self):
+        # u + c is c, not 0.0, beyond the base's support
+        return self.base.support_radius if self.c == 0.0 else None
+
     def _eval(self, pts):
         return self.base._eval(pts) + self.c
 
@@ -584,8 +593,8 @@ def bv_seminorm(field, domain):
 def sobolev_norm_p(field, p_exp, *, abs_tol=1e-11):
     """Full-space W^{1,p} norm to the p-th power, ||u||_p^p + ||grad u||_p^p.
 
-    Only for compactly supported fields (the bound tests use it with the
-    tent field), integrating over the support interval/ball.
+    Only for fields that state a ``support_radius`` (the bound tests use
+    it with the tent field), integrating over the support interval/ball.
     """
     r = field.support_radius
     if r is None:

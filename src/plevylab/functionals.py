@@ -62,7 +62,7 @@ import numpy as np
 from . import kernels as kmod
 from .fields import PIECEWISE_CONSTANT, FieldError
 from .geometry import _ROW_BLOCK, IntervalUnion, containment_margin
-from .quadrature import QuadratureError, integrate_many
+from .quadrature import _HI_N, _LO_N, QuadratureError, integrate_many
 
 MODE_MC = "mc"
 MODE_DET = "deterministic-1d"
@@ -71,6 +71,8 @@ _CHUNK = 262_144
 # points per field call of a sphere mean in d = 2, 3: a block of whole radii
 # whose points and temporaries stay in a core's L2 cache
 _SPHERE_BLOCK = 16_384
+# radii per reduction of a sphere mean: the nodes of one Gauss panel
+_SPHERE_PANEL = _LO_N + _HI_N
 _SMALL_R = 1e-8
 # below this radius ``generator`` integrates the quadratic part in closed form
 _GENERATOR_CORE_RADIUS = 1e-4
@@ -699,43 +701,78 @@ def _sphere_rule(d, n_angle):
     return dirs, weights
 
 
-def _sphere_pair_mean(evaluate, center, radii, n_angle=128):
+def _sphere_pair_mean(evaluate, center, radii, n_angle=128,
+                      support_radius=None):
     """Mean over directions w of ``evaluate(center + r w)`` at each radius
     (``center`` has d <= 3 entries; ``evaluate`` maps (n, d) points to n
     values).
 
-    The direction rule comes from :func:`_sphere_rule`, built once per
-    ``(d, n_angle)``.  The field sees the radii in blocks: as many whole
-    radii as fit ``_SPHERE_BLOCK`` points, and at least one.  A block's
-    points are formed as one long row per radius, ``r * dirs.ravel() +
+    A field that is exactly 0.0 at ``|x| >= support_radius`` has mean 0.0
+    on every sphere with ``r >= (|center| + support_radius) (1 + 1e-9)``;
+    those radii get 0.0 without a field call, the value the field's own
+    zeros would give (the margin covers the rounding of ``r w + center``
+    and of the field's squared norm).  The direction rule comes from
+    :func:`_sphere_rule`, built once per ``(d, n_angle)``.  The other
+    radii reach the field in blocks: as many whole radii as fit
+    ``_SPHERE_BLOCK`` points, and at least one.  A block's points are
+    formed as one long row per radius, ``r * dirs.ravel() +
     tile(center)``: the same product and sum per element as broadcasting
-    over ``(radii, dirs, d)``, without an inner loop of length d.  Its
-    values fill that block's rows of one ``(n_radii, n_dirs)`` array, so
-    the arrays the field streams over stay cache-sized.  That array is
-    reduced once, ``@ weights`` in d = 3 and ``.mean(axis=1)`` in d = 2,
-    and its shape must stay: the last bit of a BLAS row sum depends on
-    the batch shape, and ``generator`` turns such noise into about 5e-10.
+    over ``(radii, dirs, d)``, without an inner loop of length d.  At the
+    origin the sum is dropped: ``x + 0.0`` is ``x`` unless ``x`` is -0.0,
+    and ``r w`` is never -0.0 when every radius is a normal float, since
+    no direction of the rule has a zero coordinate.
+
+    The values are reduced one Gauss panel at a time: the radii in rows
+    of ``_LO_N + _HI_N``, the 30 nodes of one quadrature panel, in one
+    reused ``(30, n_dirs)`` buffer whose skipped rows hold 0.0, each
+    reduced on its own, ``@ weights`` in d = 3 and ``.mean(axis=1)`` in
+    d = 2.  So a radial integral that hands over the nodes of two panels
+    in one call gets the bits of two separate calls: the last bit of a
+    BLAS row sum depends on the number of rows, and ``generator`` turns
+    such noise into about 5e-10.  The buffer also bounds the memory per
+    call, however many radii it gets.
     """
     d = center.size
     radii = np.asarray(radii, dtype=float)
+    out = np.zeros(radii.size)
+    live = np.ones(radii.size, dtype=bool)
+    if support_radius is not None:
+        # NaN radii stay live, so their NaN reaches the caller
+        cut = (float(np.linalg.norm(center)) + support_radius) * (1.0 + 1e-9)
+        live = ~(radii >= cut)
 
     def values(pts):
         return np.asarray(evaluate(pts.reshape(-1, d)), dtype=float)
 
     if d == 1:
-        vals = values(np.concatenate([center[0] + radii, center[0] - radii]))
-        return 0.5 * (vals[:radii.size] + vals[radii.size:])
+        r = radii[live]
+        vals = values(np.concatenate([center[0] + r, center[0] - r]))
+        out[live] = 0.5 * (vals[:r.size] + vals[r.size:])
+        return out
     dirs, weights = _sphere_rule(d, n_angle)
     n_dirs = dirs.shape[0]
-    row, shift = dirs.reshape(1, -1), np.tile(center, n_dirs)
+    row = dirs.reshape(1, -1)
+    shift = None
+    if center.any() or not (radii >= np.finfo(float).tiny).all():
+        shift = np.tile(center, n_dirs)
     step = max(1, _SPHERE_BLOCK // n_dirs)
-    vals = np.empty((radii.size, n_dirs))
-    for lo in range(0, radii.size, step):
-        r = radii[lo:lo + step]
-        pts = r[:, None] * row
-        pts += shift
-        vals[lo:lo + r.size] = values(pts).reshape(r.size, n_dirs)
-    return vals.mean(axis=1) if weights is None else vals @ weights
+    buf = np.empty((min(_SPHERE_PANEL, radii.size), n_dirs))
+    for lo in range(0, radii.size, _SPHERE_PANEL):
+        keep = np.flatnonzero(live[lo:lo + _SPHERE_PANEL])
+        if not keep.size:
+            continue
+        vals = buf[:min(_SPHERE_PANEL, radii.size - lo)]
+        if keep.size < vals.shape[0]:
+            vals[:] = 0.0
+        for k in range(0, keep.size, step):
+            rows = keep[k:k + step]
+            pts = radii[lo + rows][:, None] * row
+            if shift is not None:
+                pts += shift
+            vals[rows] = values(pts).reshape(rows.size, n_dirs)
+        out[lo:lo + vals.shape[0]] = (vals.mean(axis=1) if weights is None
+                                      else vals @ weights)
+    return out
 
 
 def generator(field, point, kernel, *, abs_tol=1e-10):
@@ -748,7 +785,8 @@ def generator(field, point, kernel, *, abs_tol=1e-10):
     the field's Laplacian and the kernel's second moment (the raw
     difference there is pure float cancellation).  Beyond it the value is
     the kernel's radial integral with weight 1 (``weight_beta = 0``) of
-    ``u(x) - mean_{|w|=1} u(x + r w)``.
+    ``u(x) - mean_{|w|=1} u(x + r w)``; a sphere wholly beyond the field's
+    ``support_radius`` has mean 0.0 and is not evaluated.
     """
     if kernel.p_exp != 2.0:
         raise EnergyError("the difference operator is defined for p = 2 "
@@ -770,8 +808,11 @@ def generator(field, point, kernel, *, abs_tol=1e-10):
         m2 = kmod.weighted_moment(kernel, 2.0, rc)
         core = -(lap / (2.0 * d)) * m2
 
+    support = getattr(field, "support_radius", None)
+
     def gap(r):
-        return u0 - _sphere_pair_mean(field.eval, x0, r)
+        return u0 - _sphere_pair_mean(field.eval, x0, r,
+                                      support_radius=support)
 
     return core + kmod.radial_integral(kernel, rc, math.inf, weight_beta=0.0,
                                        factor=gap, abs_tol=abs_tol)

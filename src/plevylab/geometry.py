@@ -92,6 +92,20 @@ def _ball_volume(ball):
     return vol
 
 
+def _squared_radius(ball):
+    """``radius ** 2``, the bound of the membership test, which must be a
+    positive normal float: an underflowing square would accept no point
+    and a rejection sampler would loop for ever."""
+    try:
+        r2 = ball.radius ** 2
+    except OverflowError:
+        r2 = math.inf
+    if not np.finfo(float).tiny <= r2 < math.inf:
+        raise DomainError("the squared radius of %r leaves the float range"
+                          % (ball,))
+    return r2
+
+
 def _as_points(x, dim):
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
@@ -285,7 +299,7 @@ class Ball(Domain):
         object.__setattr__(self, "center", c)
 
     def _contains(self, pts):
-        return _row_sq_norms(pts, self.center) < self.radius ** 2
+        return _row_sq_norms(pts, self.center) < _squared_radius(self)
 
     def volume(self):
         return _ball_volume(self)
@@ -321,7 +335,7 @@ class SlitBall(Domain):
                               % (self.radius,))
 
     def _contains(self, pts):
-        keep = _row_sq_norms(pts) < self.radius ** 2
+        keep = _row_sq_norms(pts) < _squared_radius(self)
         keep &= pts[:, -1] != 0.0
         return keep
 

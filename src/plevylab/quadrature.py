@@ -26,24 +26,24 @@ inner integrals of all its nodes as one more call.  It takes the cut points
 of its problems as one NaN-padded array, a row per problem, and builds the
 starting panels of all of them with array operations (drop the points
 outside the range, sort, de-duplicate, add the ends), so its set-up has no
-per-problem Python loop.  Single integrals go through :func:`integrate`, a
-scalar heap with no per-round array cost.
+per-problem Python loop.  Single integrals go through :func:`integrate`,
+a scalar heap with no per-round array cost.  It calls its integrand once
+per starting region and once per bisection, on the 60 nodes of both
+halves, and each half sums its two rules with its own ``np.dot``, so
+merging the halves moves no bit of an elementwise integrand.  The sphere
+means of ``generator`` and ``dirac_pairing`` are not elementwise: the last
+bit of their d = 3 ``vals @ weights`` depends on its row count (4 of 60
+Gaussian rows moved when 60 radii were reduced at once instead of 30 at
+a time), so they reduce their radii 30 rows, one panel, at a time.
 The two drivers stay separate on purpose: with :func:`integrate` as a
 one-problem lock-step call, the kernel-check workload of ``perfbench``
 (2-vCPU VM) went from 1.72-1.86 s to 2.00-2.12 s per pass and its peak RSS
-from 106.9 to 129.8 MB.  Short kernel-calculus
-integrals paid about 100 us of array bookkeeping per bisection round, and a
-lock-step round evaluates both halves and the tail heap in one integrand
-call, which then doubled the sphere-mean arrays of ``dirac_pairing`` in
-d = 3.  Those arrays are now bounded per block of radii, whatever the
-integrand call's size; the per-round bookkeeping cost still stands.
-The fold would also move pinned values.  The lock-step Gauss sums multiply
-the weights in and add each row with ``sum(axis=1)``, which differs from
-this driver's ``np.dot`` in the last bit (227 of 620 sums of random power
-laws); and handing twice the radii to one integrand call changes the row
-count of the d = 3 sphere mean's ``vals @ weights``, whose last bit
-depends on it (38 of 40 rows in a probe), so ``generator`` and
-``dirac_pairing`` would move.
+from 106.9 to 129.8 MB.  Short kernel-calculus integrals paid about 100 us
+of array bookkeeping per bisection round, a cost that still stands.  The
+fold would also move pinned values: the lock-step Gauss sums multiply the
+weights in and add each row with ``sum(axis=1)``, which differs from this
+driver's ``np.dot`` in the last bit (227 of 620 sums of random power
+laws).
 
 Integrands must be vectorized (``f(ndarray) -> ndarray``).  Failure to reach
 the requested tolerance raises :class:`QuadratureError` carrying the achieved
@@ -87,17 +87,25 @@ class QuadratureError(ArithmeticError):
         self.problem = problem
 
 
-def _panel_estimates(f, a, b):
-    """Return (high-order estimate, error estimate) for one panel.
+def _panel_estimates(f, edges):
+    """(high-order estimate, error estimate) of each panel between
+    consecutive ``edges``, from one call of ``f`` on all their nodes.
 
-    The caller ignores floating-point errors around it (see
+    Each panel sums its 10- and 20-point rules with its own ``np.dot``, so
+    its estimates do not depend on the panels that share the call.  The
+    caller ignores floating-point errors around it (see
     :func:`_adaptive_pool`)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    vals = f(mid + half * _all_nodes)
-    lo = half * float(np.dot(_lo_weights, vals[:_LO_N]))
-    hi = half * float(np.dot(_hi_weights, vals[_LO_N:]))
-    return hi, abs(hi - lo)
+    half = [0.5 * (b - a) for a, b in zip(edges[:-1], edges[1:])]
+    mid = [0.5 * (a + b) for a, b in zip(edges[:-1], edges[1:])]
+    x = np.array(half)[:, None] * _all_nodes
+    x += np.array(mid)[:, None]
+    vals = f(x.reshape(-1)).reshape(len(half), -1)
+    out = []
+    for h, v in zip(half, vals):
+        lo = h * float(np.dot(_lo_weights, v[:_LO_N]))
+        hi = h * float(np.dot(_hi_weights, v[_LO_N:]))
+        out.append((hi, abs(hi - lo)))
+    return out
 
 
 def _adaptive_pool(regions, *, abs_tol, rel_tol):
@@ -119,7 +127,7 @@ def _adaptive_pool(regions, *, abs_tol, rel_tol):
         for f, a, b in regions:
             if b <= a:
                 continue
-            est, err = _panel_estimates(f, a, b)
+            (est, err), = _panel_estimates(f, (a, b))
             if not math.isfinite(est):
                 raise QuadratureError(
                     "non-finite integrand on (%g, %g)" % (a, b))
@@ -142,8 +150,8 @@ def _adaptive_pool(regions, *, abs_tol, rel_tol):
                 # panel at floating point resolution; accept its estimate
                 total_err -= perr
                 continue
-            e1, r1 = _panel_estimates(f, pa, mid)
-            e2, r2 = _panel_estimates(f, mid, pb)
+            # both halves from one integrand call
+            (e1, r1), (e2, r2) = _panel_estimates(f, (pa, mid, pb))
             if not (math.isfinite(e1) and math.isfinite(e2)):
                 raise QuadratureError(
                     "non-finite integrand near (%g, %g)" % (pa, pb))

@@ -223,6 +223,10 @@ _FAILURE_NAMES = {
     "energy --eps 0.1 --xa -1e308 --xb 1e308 --n 1000": "IntervalUnion",
     "energy --eps 0.1 --domain ball --radius 1e308 --d 2 --n 1000":
         "volume of Ball",
+    "energy --eps 0.1 --domain ball --radius 1e-200 --d 2 --n 1000":
+        "squared radius of Ball(radius=1e-200",
+    "energy --eps 0.1 --domain ball --radius 1e200 --d 1 --n 1000":
+        "squared radius of Ball(radius=1e+200",
 }
 
 
@@ -234,6 +238,8 @@ _FAILURE_NAMES = {
     ("energy --eps 0.1 --n 10 --output {tmp}", 1),
     ("energy --eps 0.1 --xa -1e308 --xb 1e308 --n 1000", 2),
     ("energy --eps 0.1 --domain ball --radius 1e308 --d 2 --n 1000", 2),
+    ("energy --eps 0.1 --domain ball --radius 1e-200 --d 2 --n 1000", 2),
+    ("energy --eps 0.1 --domain ball --radius 1e200 --d 1 --n 1000", 2),
 ])
 def test_failures_exit_with_a_code_and_no_traceback(tmp_path, line, code):
     # the overflowing bounding box once made the sampler loop for ever

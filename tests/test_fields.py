@@ -175,6 +175,11 @@ def _field_id(field):
     return ",".join("%s=%s" % kv for kv in field.spec().items())
 
 
+def _support(field):
+    # a shifted field states no support radius; its base's sets the scale
+    return getattr(field, "base", field).support_radius
+
+
 def _directions(rng, n, dim):
     g = rng.normal(size=(n, dim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
@@ -183,7 +188,7 @@ def _directions(rng, n, dim):
 def _edge_points(field, rng, n=400):
     """Points just inside, on and outside the support edge, paired with
     offsets across it and along it at scales from 1e-12 to 1."""
-    dim, big_r = field.dim, field.support_radius
+    dim, big_r = field.dim, _support(field)
     w = _directions(rng, n, dim)
     rel = rng.choice([1.0 - 1e-3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.2], n)
     scale = rng.choice([1e-12, 1e-6, 1e-3, 1e-2, 0.5], n)
@@ -204,7 +209,7 @@ def test_offset_diff_tiny_offsets_follow_the_gradient(field):
     # at |h| = 1e-12 subtraction keeps ~4 digits; the contract keeps all
     rng = np.random.default_rng(2)
     n, dim = 500, field.dim
-    x = _directions(rng, n, dim) * field.support_radius \
+    x = _directions(rng, n, dim) * _support(field) \
         * rng.uniform(0.1, 0.9, (n, 1))
     h = 1e-12 * _directions(rng, n, dim)
     g = field.grad(x)
@@ -217,7 +222,7 @@ def test_offset_diff_tiny_offsets_follow_the_gradient(field):
 def test_offset_diff_large_offsets_match_subtraction(field):
     rng = np.random.default_rng(3)
     n, dim = 500, field.dim
-    inner = _directions(rng, n, dim) * field.support_radius \
+    inner = _directions(rng, n, dim) * _support(field) \
         * rng.uniform(0.0, 1.3, (n, 1))
     x_edge, h_edge = _edge_points(field, rng)
     x = np.concatenate([inner, x_edge])
@@ -307,3 +312,50 @@ def test_dot_of_inf_nan_and_overflowing_rows_does_not_raise(d):
         got = _dot(a, a)
     assert np.array_equal(got, _einsum_dot(a, a), equal_nan=True)
     assert got[0] == got[2] == np.inf and np.isnan(got[1])
+
+
+# ---------------------------------------------------------------------------
+# the support contract: eval is exactly 0.0 beyond support_radius
+
+SUPPORT_FIELDS = [f for d in (1, 2, 3)
+                  for f in (Gaussian(d), SmoothBump(d, 0.7), Tent(d),
+                            Gaussian(d).scaled(-2.5),
+                            SmoothBump(d, 0.7).scaled(3.0),
+                            Tent(d).scaled(0.5))]
+
+
+@pytest.mark.parametrize("field", SUPPORT_FIELDS, ids=_field_id)
+def test_fields_are_exactly_zero_beyond_their_support_radius(field):
+    big_r = field.support_radius
+    rng = np.random.default_rng(field.dim)
+    n = 2000
+    r = rng.uniform(big_r * (1.0 + 1e-9), 10.0 * big_r, (n, 1))
+    r[:2, 0] = big_r * (1.0 + 1e-9), 1e300
+    x = r * _directions(rng, n, field.dim)
+    assert np.all(field.eval(x) == 0.0)
+
+
+def test_only_fields_that_vanish_state_a_support_radius():
+    assert Gaussian(2).support_radius == math.sqrt(746.0)
+    assert math.exp(-746.0) == 0.0
+    assert Linear((1.0, 2.0)).support_radius is None
+    assert Tent(2).scaled(3.0).support_radius == 1.0
+    assert Tent(2).shifted(0.0).support_radius == 1.0
+    # u + c is c, not 0.0, beyond the support of u
+    for field in (Tent(2).shifted(1.0), Gaussian(3).shifted(-0.5),
+                  SmoothBump(1, 0.5).shifted(1.0)):
+        assert field.support_radius is None
+
+
+def test_sobolev_norm_of_a_shifted_field_is_refused():
+    # Tent(1) + 1 is not in L^2; the integral over the tent's support read
+    # 6.667
+    with pytest.raises(FieldError, match="compactly supported"):
+        sobolev_norm_p(Tent(1).shifted(1.0), 2.0)
+
+
+def test_sobolev_norm_of_the_gaussian():
+    # ||u||_2^2 + ||u'||_2^2 = 2 sqrt(pi/2) = sqrt(2 pi) for exp(-x^2)
+    got = sobolev_norm_p(Gaussian(1), 2.0)
+    assert abs(got - math.sqrt(2.0 * math.pi)) <= 1e-14 * math.sqrt(
+        2.0 * math.pi)

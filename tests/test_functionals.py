@@ -962,6 +962,37 @@ def test_dirac_pairing_rejects_a_bad_support_radius(radius):
     assert calls == []
 
 
+def test_dirac_pairing_rejects_a_shifted_test_function():
+    # bump + 1 is 1, not 0, beyond the bump: it has no support radius (the
+    # integral up to 0.5 read 1.632430 where bump + normalization is 1.792701)
+    shifted = SmoothBump(1, 0.5).shifted(1.0)
+    with pytest.raises(F.EnergyError, match="support_radius"):
+        F.dirac_pairing(shifted, K.make_stable(1, 1.0, 0.1))
+
+
+# the values of the code whose sphere means evaluated every sphere, shifted
+# every point by the centre and took one integrand call per panel
+POINTWISE_BITS = {
+    ("generator", 3, 0.4): "0x1.d61a36a2d3875p-1",
+    ("generator", 3, 0.2): "0x1.e71772bb3093ap-1",
+    ("generator", 3, 0.1): "0x1.f26f26b36c62ap-1",
+    ("generator", 3, 0.05): "0x1.f8ebcb340a75ap-1",
+    ("generator", 3, 0.02): "0x1.fd18472b2696fp-1",
+    ("generator", 2, 0.1): "0x1.f26f26aded77ap-1",
+    ("dirac", 3, 0.1): "0x1.95dcda52b8a1bp-1",
+    ("dirac", 3, 0.02): "0x1.e91980dd297f3p-1",
+}
+
+
+@pytest.mark.parametrize("op, d, eps", sorted(POINTWISE_BITS))
+def test_pointwise_rows_keep_their_bits(op, d, eps):
+    if op == "generator":
+        got = F.generator(Gaussian(d), np.zeros(d), K.make_stable(d, 2.0, eps))
+    else:
+        got = F.dirac_pairing(SmoothBump(d, 0.5), K.make_stable(d, 1.0, eps))
+    assert got.hex() == POINTWISE_BITS[op, d, eps]
+
+
 def test_pointwise_values_pinned():
     # values of the code that rebuilt the direction rule on every call
     assert F.dirac_pairing(SmoothBump(3, 0.5),
@@ -1027,6 +1058,35 @@ def test_sphere_pair_mean_equals_the_broadcast_construction(d, n_angle):
             got = F._sphere_pair_mean(evaluate, c, radii, n_angle=n_angle)
             want = _sphere_mean_broadcast(evaluate, c, radii, n_angle)
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n_angle", [128, 256])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("centre", ["off", "origin"])
+def test_sphere_pair_mean_skips_spheres_beyond_the_support(centre, d,
+                                                          n_angle):
+    # radii on both sides of the Gaussian's underflow radius 27.31
+    c = SPHERE_CENTERS[d] if centre == "off" else np.zeros(d)
+    radii = np.array([27.0, 27.3, 27.32, 40.0, 1e6])
+    field = Gaussian(d)
+    cut = (np.linalg.norm(c) + field.support_radius) * (1.0 + 1e-9)
+    seen = []
+
+    def evaluate(pts):
+        seen.append(pts.copy())
+        return field.eval(pts)
+
+    got = F._sphere_pair_mean(evaluate, c, radii, n_angle=n_angle,
+                              support_radius=field.support_radius)
+    assert np.array_equal(got, _sphere_mean_broadcast(field.eval, c, radii,
+                                                      n_angle))
+    pts = np.concatenate(seen)
+    # only the spheres that meet the support reach the field
+    assert np.all(np.linalg.norm(pts - c, axis=1) < cut)
+    assert pts.shape[0] == np.count_nonzero(radii < cut) * (
+        F._sphere_rule(d, n_angle)[0].shape[0])
+    if centre == "origin":
+        assert np.all(np.linalg.norm(pts, axis=1) < field.support_radius)
 
 
 @pytest.mark.parametrize("d, n_angle",

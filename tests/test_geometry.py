@@ -134,6 +134,19 @@ def test_spec_roundtrip_every_kind(dom):
         assert again.volume() == vol
 
 
+@pytest.mark.parametrize("ball", [Ball(1e-200, 2), Ball(1e200, 1),
+                                  Ball(1e-162, 3), SlitBall(1e-200, 2),
+                                  SlitBall(1e200, 3)])
+def test_ball_membership_refuses_a_radius_whose_square_leaves_the_floats(
+        ball):
+    # a square of 0 accepted no point, and the sampler looped for ever
+    with pytest.raises(DomainError, match="squared radius of %s" % (
+            type(ball).__name__)):
+        ball.contains(np.zeros((3, ball.dim)))
+    with pytest.raises(DomainError):
+        ball.sample_uniform(np.random.default_rng(0), 10)
+
+
 def test_slit_ball_excludes_the_hyperplane():
     for dim in (2, 3):
         sb = SlitBall(1.0, dim)
