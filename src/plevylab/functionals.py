@@ -40,11 +40,17 @@ Deterministic (dimension one)
     mode is the oracle the Monte Carlo estimates are checked against, and
     serves the jump fields whose MC weights are heavy-tailed.
 
+Every pair functional reaches either mode through one entry,
+:func:`_estimate`, and so do the truncated fractional seminorms and the
+three fractional rescalings that recover the gradient energy: each is the
+deterministic :func:`energy` of an unnormalized power-window kernel,
+rescaled.
+
 Also here: the symmetrized-difference operator at a point (p = 2) and the
 pairing of a test function against the kernel's unit-mass measure (p = 1),
 each one radial kernel integral (:func:`~plevylab.kernels.radial_integral`)
-of a sphere mean; truncated fractional seminorms; and the three fractional
-rescalings that recover the gradient energy.
+of a sphere mean.  Sphere means take one direction rule and one path in
+every dimension d = 1 to 3 (in d = 1 the directions +1 and -1).
 """
 
 from __future__ import annotations
@@ -249,16 +255,16 @@ def _geo_points(start, top, origin=0.0):
 
 
 class _Oracle:
-    """The 1-D oracle of one estimate: the field, kernel, exponent and
-    tolerances that every interval pair of the estimate shares.
+    """The 1-D oracle of one estimate: the field, kernel (with its exponent)
+    and tolerances that every interval pair of the estimate shares.
 
     ``tol`` is the error budget of one interval pair.
     """
 
-    def __init__(self, field, kernel, p_exp, tol):
+    def __init__(self, field, kernel, tol):
         self.field = field
         self.kernel = kernel
-        self.p = p_exp
+        self.p = kernel.p_exp
         self.tol = tol
         self.marks = _field_marks(field)
         self.inner_tol = max(tol * 1e-2, 1e-12)
@@ -362,8 +368,9 @@ class _Oracle:
             du = np.abs(field._offset_diff(x[:, None],
                                            (sign_of[i] * r)[:, None]),
                         dtype=float)
-            # r = inf only arises where the tail map reaches t = 0, whose
-            # contribution the map zeroes itself
+            # r = inf arises where 1/t overflows at a subnormal tail node;
+            # the tail weight r * r makes that node's value non-finite, and
+            # the quadrature raises for it
             bad = ~np.isfinite(du) & np.isfinite(r)
             if bad.any():
                 raise EnergyError("non-finite field value near x=%s"
@@ -569,21 +576,6 @@ class _Oracle:
         return total
 
 
-def _det_double(field, kernel, x_intervals, y_intervals, *, symmetric,
-                abs_tol):
-    x_ivs = list(x_intervals)
-    y_ivs = list(y_intervals)
-    if symmetric:
-        jobs = []
-        for i in range(len(x_ivs)):
-            for j in range(i, len(x_ivs)):
-                jobs.append((x_ivs[i], x_ivs[j], 2.0 if j > i else 1.0))
-    else:
-        jobs = [(xi, yj, 1.0) for xi in x_ivs for yj in y_ivs]
-    tol = abs_tol / max(len(jobs), 1)
-    return _Oracle(field, kernel, kernel.p_exp, tol).total(jobs)
-
-
 def _require_det_domain(domain):
     """The intervals of a domain the 1-D oracle can integrate over."""
     if not isinstance(domain, IntervalUnion):
@@ -597,7 +589,12 @@ def _estimate(kind, field, kernel, domain, x_set, accept, partners, *,
     """One pair functional with x over ``x_set``: Monte Carlo keeps the
     pairs whose partner y passes ``accept``, the 1-D oracle integrates y
     over ``partners()``.  ``domain`` names the estimate; ``kind`` and the
-    ids of ``domain``, ``tag_sets`` and the field key the sample streams."""
+    ids of ``domain``, ``tag_sets`` and the field key the sample streams.
+
+    The oracle's jobs are the interval pairs, each with the error budget
+    ``abs_tol / number of jobs``.  ``symmetric`` (y over the intervals of
+    ``x_set`` itself) takes each unordered pair once, a mixed one with
+    factor 2."""
     if mode not in (MODE_MC, MODE_DET):
         raise EnergyError("unknown estimator mode %r (expected %r or %r)"
                           % (mode, MODE_MC, MODE_DET))
@@ -606,8 +603,14 @@ def _estimate(kind, field, kernel, domain, x_set, accept, partners, *,
     kernel_id, domain_id = _ident(kernel.spec()), _ident(domain.spec())
     field_id = _ident(field.spec())
     if mode == MODE_DET:
-        value = _det_double(field, kernel, _require_det_domain(x_set),
-                            partners(), symmetric=symmetric, abs_tol=abs_tol)
+        x_ivs, y_ivs = _require_det_domain(x_set), partners()
+        if symmetric:
+            jobs = [(x_ivs[i], x_ivs[j], 2.0 if j > i else 1.0)
+                    for i in range(len(x_ivs)) for j in range(i, len(x_ivs))]
+        else:
+            jobs = [(xi, yj, 1.0) for xi in x_ivs for yj in y_ivs]
+        tol = abs_tol / max(len(jobs), 1)
+        value = _Oracle(field, kernel, tol).total(jobs)
         stderr, n, seed = 0.0, 0, None
     else:
         if n < 1:
@@ -677,12 +680,15 @@ def local_measure(field, domain, subdomain, kernel, *, mode=MODE_MC,
 @functools.lru_cache(maxsize=16)
 def _sphere_rule(d, n_angle):
     """Directions ``(n_dirs, d)`` and weights of the sphere-mean rule in
-    d = 2 or 3, built once per ``(d, n_angle)`` and returned read-only
-    (every caller shares them).  d = 2 takes ``n_angle`` equally weighted
-    midpoint angles (weights ``None``); d = 3 takes ``n_angle`` midpoint
-    longitudes times 48 Gauss-Legendre heights."""
+    d = 1, 2 or 3, built once per ``(d, n_angle)`` and returned read-only
+    (every caller shares them).  d = 1 takes the two directions +1 and -1,
+    whatever ``n_angle``; d = 2 takes ``n_angle`` midpoint angles.  Both
+    weigh their directions equally (weights ``None``).  d = 3 takes
+    ``n_angle`` midpoint longitudes times 48 Gauss-Legendre heights."""
     weights = None
-    if d == 2:
+    if d == 1:
+        dirs = np.array([[1.0], [-1.0]])
+    elif d == 2:
         theta = (np.arange(n_angle) + 0.5) * (2.0 * math.pi / n_angle)
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
     elif d == 3:
@@ -726,11 +732,12 @@ def _sphere_pair_mean(evaluate, center, radii, n_angle=128,
     of ``_LO_N + _HI_N``, the 30 nodes of one quadrature panel, in one
     reused ``(30, n_dirs)`` buffer whose skipped rows hold 0.0, each
     reduced on its own, ``@ weights`` in d = 3 and ``.mean(axis=1)`` in
-    d = 2.  So a radial integral that hands over the nodes of two panels
-    in one call gets the bits of two separate calls: the last bit of a
-    BLAS row sum depends on the number of rows, and ``generator`` turns
-    such noise into about 5e-10.  The buffer also bounds the memory per
-    call, however many radii it gets.
+    d = 1 and 2 (in d = 1 the mean ``(a + b) / 2`` of the values at
+    ``center + r`` and ``center - r``).  So a radial integral that hands
+    over the nodes of two panels in one call gets the bits of two separate
+    calls: the last bit of a BLAS row sum depends on the number of rows,
+    and ``generator`` turns such noise into about 5e-10.  The buffer also
+    bounds the memory per call, however many radii it gets.
     """
     d = center.size
     radii = np.asarray(radii, dtype=float)
@@ -740,15 +747,6 @@ def _sphere_pair_mean(evaluate, center, radii, n_angle=128,
         # NaN radii stay live, so their NaN reaches the caller
         cut = (float(np.linalg.norm(center)) + support_radius) * (1.0 + 1e-9)
         live = ~(radii >= cut)
-
-    def values(pts):
-        return np.asarray(evaluate(pts.reshape(-1, d)), dtype=float)
-
-    if d == 1:
-        r = radii[live]
-        vals = values(np.concatenate([center[0] + r, center[0] - r]))
-        out[live] = 0.5 * (vals[:r.size] + vals[r.size:])
-        return out
     dirs, weights = _sphere_rule(d, n_angle)
     n_dirs = dirs.shape[0]
     row = dirs.reshape(1, -1)
@@ -769,7 +767,8 @@ def _sphere_pair_mean(evaluate, center, radii, n_angle=128,
             pts = radii[lo + rows][:, None] * row
             if shift is not None:
                 pts += shift
-            vals[rows] = values(pts).reshape(rows.size, n_dirs)
+            vals[rows] = np.asarray(evaluate(pts.reshape(-1, d)),
+                                    dtype=float).reshape(rows.size, n_dirs)
         out[lo:lo + vals.shape[0]] = (vals.mean(axis=1) if weights is None
                                       else vals @ weights)
     return out
@@ -818,21 +817,19 @@ def generator(field, point, kernel, *, abs_tol=1e-10):
                                        factor=gap, abs_tol=abs_tol)
 
 
-def dirac_pairing(test_fn, kernel, *, allow_any_p=False, abs_tol=1e-10):
+def dirac_pairing(test_fn, kernel, *, abs_tol=1e-10):
     """Pairing of a smooth compactly supported function with the kernel's
     unit-mass measure ``(1 ^ |h|^p) nu(h) dh``.
 
     As the family concentrates this tends to the value at the origin.  The
-    convergence statement is for p = 1 families; other exponents are
-    admitted only behind ``allow_any_p`` as an experiment, never asserted.
+    convergence statement is for p = 1 families; other exponents raise.
     The test function states its ``support_radius``, a positive finite
     number, which bounds the radial integral.  The sphere mean in d = 2
     and 3 takes ``_PAIRING_ANGLES`` = 256 angles; a test function that
     states its ``dim`` must share the kernel's.
     """
-    if kernel.p_exp != 1.0 and not allow_any_p:
-        raise EnergyError("pairing is asserted for p = 1 kernels; pass "
-                          "allow_any_p=True to experiment")
+    if kernel.p_exp != 1.0:
+        raise EnergyError("pairing is asserted for p = 1 kernels")
     if getattr(test_fn, "dim", kernel.dim) != kernel.dim:
         raise EnergyError("test function/kernel dimension mismatch")
     rad = getattr(test_fn, "support_radius", None)
@@ -885,14 +882,14 @@ def gagliardo(field, domain, s, p_exp, *, cutoff=0.0, abs_tol=1e-10):
 
     ``cutoff`` restricts to pairs with |x-y| >= cutoff, which is how the
     divergence of non-extension domains is probed without producing inf.
+    The value is the deterministic :func:`energy` of the power-window
+    kernel.
     """
     if not 0.0 < s < 1.0:
         raise EnergyError("s must lie in (0, 1)")
-    _require_det_domain(domain)
     d = domain.dim
     kernel = _power_window_kernel(d, p_exp, d + s * p_exp, cutoff=cutoff)
-    return _det_double(field, kernel, domain.intervals, domain.intervals,
-                       symmetric=True, abs_tol=abs_tol)
+    return energy(field, domain, kernel, mode=MODE_DET, abs_tol=abs_tol).value
 
 
 def fractional_values(field, domain, p_exp, variant, grid, *, abs_tol=1e-10):
@@ -902,32 +899,29 @@ def fractional_values(field, domain, p_exp, variant, grid, *, abs_tol=1e-10):
     variant 2: eps^-d times the difference-quotient energy over |x-y| < eps.
     variant 3: 1/|log eps| times the |h|^(-d-p) energy over |x-y| > eps.
 
-    Returns a list of (parameter, value) pairs.
+    Each value is the deterministic :func:`energy` of a power-window
+    kernel, rescaled.  Returns a list of (parameter, value) pairs.
     """
-    _require_det_domain(domain)
+    if variant not in (1, 2, 3):
+        raise EnergyError("variant must be 1, 2 or 3")
     d = domain.dim
+
+    def raw(kernel):
+        return energy(field, domain, kernel, mode=MODE_DET,
+                      abs_tol=abs_tol).value
+
     rows = []
-    if variant == 1:
-        for s in grid:
-            val = (1.0 - s) * gagliardo(field, domain, s, p_exp,
-                                        abs_tol=abs_tol)
-            rows.append((s, val))
-        return rows
-    if variant == 2:
-        for eps in grid:
-            kern = _power_window_kernel(d, p_exp, float(p_exp), top=eps)
-            raw = _det_double(field, kern, domain.intervals,
-                              domain.intervals, symmetric=True,
-                              abs_tol=abs_tol)
-            rows.append((eps, raw / eps ** d))
-        return rows
-    if variant == 3:
-        for eps in grid:
-            kern = _power_window_kernel(d, p_exp, d + float(p_exp),
-                                        cutoff=eps)
-            raw = _det_double(field, kern, domain.intervals,
-                              domain.intervals, symmetric=True,
-                              abs_tol=abs_tol)
-            rows.append((eps, raw / abs(math.log(eps))))
-        return rows
-    raise EnergyError("variant must be 1, 2 or 3")
+    for x in grid:
+        if variant == 1:
+            if not 0.0 < x < 1.0:
+                raise EnergyError("s must lie in (0, 1)")
+            val = (1.0 - x) * raw(_power_window_kernel(d, p_exp,
+                                                       d + x * p_exp))
+        elif variant == 2:
+            val = raw(_power_window_kernel(d, p_exp, float(p_exp),
+                                           top=x)) / x ** d
+        else:
+            val = raw(_power_window_kernel(d, p_exp, d + float(p_exp),
+                                           cutoff=x)) / abs(math.log(x))
+        rows.append((x, val))
+    return rows

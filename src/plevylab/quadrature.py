@@ -14,6 +14,13 @@ multiplied by smooth factors), so the strategy is:
   ``b = inf`` integrates up to ``max(a, points, 1)`` as above and the rest
   in ``t``.
 
+The integrand sees every node of the power map.  For small alpha
+``u**(1/alpha)`` underflows, and a node can collapse onto the endpoint
+(``x == a``, or ``t == 0`` in a tail) or lose its Jacobian; the map then
+raises :class:`QuadratureError` naming alpha instead of scoring the node
+0, which is the wrong limit (``C/alpha`` for an exact power law): scored
+0, the nodes would make a unit mass read 0.50025 at ``alpha = 1e-3``.
+
 Every driver gives up after ``DEFAULT_MAX_PANELS`` panels per problem.
 
 :func:`integrate_many` runs many such problems in lock-step: each keeps the
@@ -171,22 +178,22 @@ def _power_mapped(f, a, alpha):
 
     Valid for an integrable singularity ``f ~ C*(x-a)**(alpha-1)`` with
     ``0 < alpha <= 1``; the transformed integrand is bounded near ``u = 0``.
+    ``f`` sees every node.  A node whose Jacobian ``u**(1/alpha - 1) /
+    alpha`` is not positive and finite, or whose ``x`` collapses onto
+    ``a``, raises :class:`QuadratureError`: ``f(x) * jac`` is then no
+    longer the integrand there (for an exact power law it is ``C/alpha``,
+    not 0), and the caller has no ``C`` to put in its place.
     """
     inv = 1.0 / alpha
 
     def g(u):
         jac = inv * np.power(u, inv - 1.0)
-        out = np.zeros_like(u)
-        ok = (jac > 0) & np.isfinite(jac)
-        if np.any(ok):
-            x = a + np.power(u[ok], inv)
-            vals = np.asarray(f(x), dtype=float)
-            # where x collapsed onto the singular endpoint, the true
-            # contribution is jac-suppressed to zero
-            vals[~np.isfinite(vals)] = 0.0
-            vals[x == a] = 0.0
-            out[ok] = vals * jac[ok]
-        return out
+        x = a + np.power(u, inv)
+        if not (((jac > 0) & np.isfinite(jac)).all() and (x != a).all()):
+            raise QuadratureError(
+                "power map x = a + u**(1/alpha) collapses nodes onto the "
+                "endpoint a=%g (alpha=%g)" % (a, alpha))
+        return np.asarray(f(x), dtype=float) * jac
 
     return g
 
@@ -262,15 +269,16 @@ def _batch_estimates(f, owner, tail, inv, lo, hi):
 
     Tail panels live in ``t = 1/r``, or in ``u = t**alpha`` when ``inv`` is
     ``1/alpha``, and are transformed exactly as :func:`integrate` and
-    :func:`_power_mapped` transform a single tail.  The abscissae, the
-    values and the weighted values each live in one buffer that is
-    overwritten in place; ``f`` sees every node unless the power map
-    drops some.
+    :func:`_power_mapped` transform a single tail: a tail node whose
+    Jacobian is not positive and finite, or whose ``t`` collapses to 0
+    (``r = inf``), raises :class:`QuadratureError` naming the problem it
+    belongs to.  The abscissae, the values and the weighted values each
+    live in one buffer that is overwritten in place; ``f`` sees every
+    node.
     """
     half = 0.5 * (hi - lo)
     r = half[:, None] * _all_nodes
     r += (0.5 * (lo + hi))[:, None]
-    ok = None
     has_tail = tail.any()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore",
                      under="ignore"):
@@ -278,31 +286,24 @@ def _batch_estimates(f, owner, tail, inv, lo, hi):
             t = r[tail]
             if inv is not None:
                 jac = inv * np.power(t, inv - 1.0)
-                ok_t = (jac > 0) & np.isfinite(jac)
-                if not ok_t.all():
-                    ok = np.ones(r.shape, dtype=bool)
-                    ok[tail] = ok_t
                 t = np.power(t, inv)
+                bad = ~((jac > 0) & np.isfinite(jac)) | (t == 0.0)
+                if bad.any():
+                    raise QuadratureError(
+                        "power map t = u**(1/alpha) collapses tail nodes "
+                        "onto r = inf (alpha=%g)" % (1.0 / inv),
+                        problem=int(owner[tail][np.argmax(bad.any(axis=1))]))
             r[tail] = 1.0 / t
-        if ok is None:
-            vals = f(np.repeat(owner, r.shape[1]), r.reshape(-1))
-            vals = np.require(vals, dtype=float,
-                              requirements="W").reshape(r.shape)
-        else:
-            vals = np.zeros(r.shape)
-            vals[ok] = f(np.broadcast_to(owner[:, None], r.shape)[ok], r[ok])
+        vals = f(np.repeat(owner, r.shape[1]), r.reshape(-1))
+        vals = np.require(vals, dtype=float,
+                          requirements="W").reshape(r.shape)
         if has_tail:
             rt = r[tail]
             vt = vals[tail]
             vt *= rt
             vt *= rt
             if inv is not None:
-                # where t collapsed onto r = inf the contribution is
-                # jac-suppressed to zero
-                vt[~np.isfinite(vt)] = 0.0
-                vt[t == 0.0] = 0.0
                 vt *= jac
-                vt[~ok_t] = 0.0
             vals[tail] = vt
         # row sums, unlike a BLAS matrix-vector product, do not depend on
         # which other panels share the batch
@@ -312,8 +313,9 @@ def _batch_estimates(f, owner, tail, inv, lo, hi):
         lo_est *= half
         hi_est = vals[:, _LO_N:].sum(axis=1)
         hi_est *= half
-    lo_est -= hi_est
-    return hi_est, np.abs(lo_est, out=lo_est)
+        lo_est -= hi_est
+        np.abs(lo_est, out=lo_est)
+    return hi_est, lo_est
 
 
 def _padded(points, n):

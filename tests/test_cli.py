@@ -42,6 +42,20 @@ def test_kernel_check_normalized():
     assert abs(float(cols["normalization"]) - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("argv, column, want", [
+    (["kernel-check", "--family", "stable", "--d", "1", "--p", "2"],
+     "normalization", "1.0000000000024316"),
+    (["generator"], "value", "0.9971385352789072"),
+])
+def test_rows_at_eps_0_01_keep_their_values(argv, column, want):
+    # no node of the power map collapses at eps = 0.01: these are the
+    # values of the map that scored collapsed nodes 0
+    out = run(*argv, "--eps", "0.01")
+    assert out.returncode == 0, out.stderr
+    header, row = out.stdout.strip().split("\n")
+    assert dict(zip(header.split(","), row.split(",")))[column] == want
+
+
 def test_energy_deterministic_value():
     out = run("energy", "--field", "linear", "--domain", "interval",
               "--eps", "0.1", "--p", "2", "--d", "1", "--mode",
@@ -227,6 +241,15 @@ _FAILURE_NAMES = {
         "squared radius of Ball(radius=1e-200",
     "energy --eps 0.1 --domain ball --radius 1e200 --d 1 --n 1000":
         "squared radius of Ball(radius=1e+200",
+    "energy --eps 0.1 --mode deterministic-1d --xa 0 --xb 1e300":
+        "x piece (1, 1e+300)",
+    # kernels concentrated below float resolution: these printed wrong
+    # values (normalization 0.50025, 0.9727 and 0.0, generator 0.5045)
+    "kernel-check --family stable --d 1 --p 2 --eps 0.001": "alpha=0.001",
+    "kernel-check --family stable --d 1 --p 2 --eps 0.005": "alpha=0.005",
+    "kernel-check --family truncated_power --beta -0.999999 --eps 0.1":
+        "alpha=1e-06",
+    "generator --eps 0.001": "alpha=0.001",
 }
 
 
@@ -240,6 +263,11 @@ _FAILURE_NAMES = {
     ("energy --eps 0.1 --domain ball --radius 1e308 --d 2 --n 1000", 2),
     ("energy --eps 0.1 --domain ball --radius 1e-200 --d 2 --n 1000", 2),
     ("energy --eps 0.1 --domain ball --radius 1e200 --d 1 --n 1000", 2),
+    ("energy --eps 0.1 --mode deterministic-1d --xa 0 --xb 1e300", 2),
+    ("kernel-check --family stable --d 1 --p 2 --eps 0.001", 2),
+    ("kernel-check --family stable --d 1 --p 2 --eps 0.005", 2),
+    ("kernel-check --family truncated_power --beta -0.999999 --eps 0.1", 2),
+    ("generator --eps 0.001", 2),
 ])
 def test_failures_exit_with_a_code_and_no_traceback(tmp_path, line, code):
     # the overflowing bounding box once made the sampler loop for ever

@@ -193,7 +193,7 @@ _INNER_IDS = ["tent-left", "tent-right", "tent-both", "jump-sliver",
                          ids=_INNER_IDS)
 def test_batched_inner_matches_per_node_integrate(field, kernel, y_iv, xs,
                                                   floor):
-    integ = F._Oracle(field, kernel, kernel.p_exp, 1e-10)
+    integ = F._Oracle(field, kernel, 1e-10)
     batch = integ.inner(xs, *y_iv, floor=floor)
     for x, val in zip(xs, batch):
         ref = _inner_reference(integ, float(x), y_iv, floor)
@@ -211,7 +211,7 @@ def _bits(values):
 ], ids=_INNER_IDS + ["window-top"])
 def test_array_inner_set_up_matches_the_scalar_reference(field, kernel, y_iv,
                                                          xs, floor):
-    integ = F._Oracle(field, kernel, kernel.p_exp, 1e-10)
+    integ = F._Oracle(field, kernel, 1e-10)
     node, x_of, sign, core, start, hi, points = integ._ranges(
         np.asarray(xs, dtype=float), *y_iv, floor)
     want = []
@@ -244,8 +244,8 @@ def test_oracle_value_does_not_depend_on_pair_grouping():
     kern = K.make_stable(1, 1.0, 0.2)
     slit = slit_interval()
     lo, hi = slit.intervals
-    single = [F._det_double(SignJump(1), kern, [x_iv], [y_iv],
-                            symmetric=False, abs_tol=1e-10 / 3)
+    single = [F._Oracle(SignJump(1), kern, 1e-10 / 3).total([(x_iv, y_iv,
+                                                               1.0)])
               for x_iv, y_iv in ((lo, lo), (lo, hi), (hi, hi))]
     full = F.energy(SignJump(1), slit, kern, mode=DET).value
     assert full == 1.0 * single[0] + 2.0 * single[1] + 1.0 * single[2]
@@ -859,6 +859,13 @@ def test_generator_is_zero_far_out(d):
     assert val == 0.0
 
 
+def test_generator_below_float_resolution_raises():
+    # the moment core's power map collapses at eps = 1e-3: this read 0.5045
+    # against Gamma(1 + eps/2) = 0.9997
+    with pytest.raises(QuadratureError, match="alpha=0.001"):
+        F.generator(Gaussian(1), [0.0], K.make_stable(1, 2.0, 1e-3))
+
+
 def test_generator_linear_vanishes():
     val = F.generator(Linear((1.0,)), [0.3], K.make_stable(1, 2.0, 0.1))
     assert abs(val) < 1e-10
@@ -922,10 +929,6 @@ def test_dirac_pairing_p_guard():
     bump = SmoothBump(1, 0.5)
     with pytest.raises(F.EnergyError):
         F.dirac_pairing(bump, K.make_stable(1, 2.0, 0.1))
-    # experiment flag admits other exponents without asserting a limit
-    val = F.dirac_pairing(bump, K.make_stable(1, 2.0, 0.1),
-                          allow_any_p=True)
-    assert np.isfinite(val)
 
 
 def test_dirac_pairing_divergent_origin_raises():
@@ -991,6 +994,38 @@ def test_pointwise_rows_keep_their_bits(op, d, eps):
     else:
         got = F.dirac_pairing(SmoothBump(d, 0.5), K.make_stable(d, 1.0, eps))
     assert got.hex() == POINTWISE_BITS[op, d, eps]
+
+
+# the values of the code whose d = 1 sphere mean had its own branch and
+# whose power map scored collapsed nodes 0
+ONE_DIM_POINTWISE_BITS = {
+    ("generator", "stable", 0.4): "0x1.d61a36a1e3dcbp-1",
+    ("generator", "stable", 0.2): "0x1.e71772b7ecf7ep-1",
+    ("generator", "stable", 0.1): "0x1.f26f26af20274p-1",
+    ("generator", "stable", 0.05): "0x1.f8ebcb308e625p-1",
+    ("generator", "stable", 0.02): "0x1.fd18472949bbep-1",
+    ("dirac", "stable", 0.1): "0x1.95dcda52b8a1ep-1",
+    ("dirac", "stable", 0.02): "0x1.e91980dd2980fp-1",
+    ("dirac", "truncated_power", 0.1): "0x1.f59f42d800234p-1",
+    ("dirac", "truncated_power", 0.02): "0x1.ff971621d274ap-1",
+}
+
+
+@pytest.mark.parametrize("op, family, eps", sorted(ONE_DIM_POINTWISE_BITS))
+def test_one_dimensional_pointwise_rows_keep_their_bits(op, family, eps):
+    if op == "generator":
+        kern = K.KernelFamily(family, 1, 2.0).kernel(eps)
+        got = F.generator(Gaussian(1), np.zeros(1), kern)
+    else:
+        extra = {"beta": 1.0} if family == "truncated_power" else {}
+        kern = K.KernelFamily(family, 1, 1.0, **extra).kernel(eps)
+        got = F.dirac_pairing(SmoothBump(1, 0.5), kern)
+    assert got.hex() == ONE_DIM_POINTWISE_BITS[op, family, eps]
+
+
+def test_off_centre_one_dimensional_generator_keeps_its_bits():
+    got = F.generator(Gaussian(1), [0.3], K.make_stable(1, 2.0, 0.1))
+    assert got.hex() == "0x1.798511acd8133p-1"
 
 
 def test_pointwise_values_pinned():
@@ -1089,6 +1124,21 @@ def test_sphere_pair_mean_skips_spheres_beyond_the_support(centre, d,
         assert np.all(np.linalg.norm(pts, axis=1) < field.support_radius)
 
 
+@pytest.mark.parametrize("centre", [0.0, 0.7])
+def test_one_dimensional_sphere_mean_is_the_mean_of_two_points(centre):
+    # the rule's directions +1 and -1 give 0.5 (u(c + r) + u(c - r)) bit for
+    # bit, at the origin (radius 0 included) and off it, and 0.0 beyond the
+    # support
+    c = np.array([centre])
+    radii = np.concatenate([SPHERE_RADII, PANEL_RADII, [27.0, 27.32, 1e6]])
+    for field in (Gaussian(1), SmoothBump(1, 2.0)):
+        got = F._sphere_pair_mean(field.eval, c, radii,
+                                  support_radius=field.support_radius)
+        want = 0.5 * (field.eval((centre + radii)[:, None])
+                      + field.eval((centre - radii)[:, None]))
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("d, n_angle",
                          [(2, 128), (2, 256), (2, 20_000), (3, 128), (3, 256)])
 def test_sphere_pair_mean_feeds_the_field_whole_radii_within_the_budget(
@@ -1123,18 +1173,18 @@ def test_dirac_pairing_memory_is_bounded_per_block():
     assert peak < 6e6, peak
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_sphere_rule_is_built_once_and_read_only(d):
     dirs, weights = F._sphere_rule(d, 128)
     assert F._sphere_rule(d, 128)[0] is dirs
-    assert dirs.shape == (128 if d == 2 else 128 * 48, d)
+    assert dirs.shape == ({1: 2, 2: 128, 3: 128 * 48}[d], d)
     for arr in (dirs, weights):
         if arr is None:
             continue
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert (weights is None) == (d == 2)
+    assert (weights is None) == (d < 3)
 
 
 # ---------------------------------------------------------------------------
@@ -1171,6 +1221,34 @@ def test_gagliardo_slit_subcritical_stabilizes():
 def test_gagliardo_validates_s():
     with pytest.raises(F.EnergyError):
         F.gagliardo(LINEAR, UNIT, 1.5, 2.0)
+
+
+def test_gagliardo_keeps_its_bits():
+    # the value of the code whose seminorms reached the oracle by their own
+    # route beside ``energy``
+    got = F.gagliardo(SignJump(1), slit_interval(), 0.25, 2.0, cutoff=1e-4)
+    assert got.hex() == "0x1.295cd70722c3ap+2"
+
+
+FRACTIONAL_BITS = {
+    1: ((0.9, "0x1.aaaaaaaaae1b2p-1"), (0.99, "0x1.f5f5f5f5f68b8p-1")),
+    2: ((0.1, "0x1.e666666666664p+0"), (0.02, "0x1.fae147ae147adp+0")),
+    3: ((1e-3, "0x1.b5f45bf2a8c45p+0"), (1e-5, "0x1.d38758367ab2dp+0")),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(FRACTIONAL_BITS))
+def test_fractional_values_keep_their_bits(variant):
+    grid = [x for x, _ in FRACTIONAL_BITS[variant]]
+    rows = F.fractional_values(LINEAR, UNIT, 2.0, variant, grid)
+    assert [(x, v.hex()) for x, v in rows] == list(FRACTIONAL_BITS[variant])
+
+
+@pytest.mark.parametrize("variant, grid", [(4, (0.1,)), (0, (0.1,)),
+                                           (1, (1.5,)), (1, (0.9, 1.0))])
+def test_fractional_values_reject_a_bad_variant_or_s(variant, grid):
+    with pytest.raises(F.EnergyError):
+        F.fractional_values(LINEAR, UNIT, 2.0, variant, grid)
 
 
 def test_fractional_variants_linear():

@@ -36,6 +36,20 @@ def test_stable_normalization_analytic(d, p):
         assert abs(K.normalization(K.make_stable(d, p, eps)) - 1.0) < 1e-8
 
 
+def test_stable_normalization_at_eps_0_01_keeps_its_bits():
+    # the value of the power map that scored collapsed nodes 0; none
+    # collapses at this eps
+    got = K.normalization(K.make_stable(1, 2.0, 0.01))
+    assert got.hex() == "0x1.0000000002ac7p+0"
+
+
+def test_stable_normalization_below_float_resolution_raises():
+    # r**(1/eps) underflows on most nodes of the power map at eps = 1e-3;
+    # the normalization of this unit-mass kernel read 0.50025
+    with pytest.raises(QuadratureError, match="alpha=0.001"):
+        K.normalization(K.make_stable(1, 2.0, 1e-3))
+
+
 def test_stable_rejects_bad_eps():
     with pytest.raises(K.KernelError):
         K.make_stable(2, 1.0, 1.0)  # normalizer degenerates at eps = p

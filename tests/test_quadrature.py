@@ -17,7 +17,7 @@ def test_kink_split():
     assert abs(val - 4.0 / 3.0) < 1e-12
 
 
-@pytest.mark.parametrize("alpha", [0.5, 0.1, 0.02])
+@pytest.mark.parametrize("alpha", [0.5, 0.1, 0.02, 0.01])
 def test_left_endpoint_power_singularity(alpha):
     val, _ = integrate(lambda r: np.power(r, alpha - 1.0), 0.0, 1.0,
                        alpha_left=alpha)
@@ -77,6 +77,28 @@ def test_divergent_integral_raises():
 def test_nonpositive_alpha_raises():
     with pytest.raises(QuadratureError):
         integrate(lambda r: 1.0 / r, 0.0, 1.0, alpha_left=0.0)
+
+
+def test_power_map_raises_where_a_node_collapses_onto_the_endpoint():
+    # u**1000 is 0.0 for u below about 0.48: those nodes used to score 0,
+    # and the integral read 499.99999999999983 for the exact 1000
+    with pytest.raises(QuadratureError, match="alpha=0.001"):
+        integrate(lambda x: x ** -0.999, 0.0, 1.0, alpha_left=0.001)
+
+
+@pytest.mark.parametrize("many", [False, True])
+def test_tail_power_map_raises_where_a_node_collapses_to_infinity(many):
+    # the same collapse in t = 1/r: these read 500.00000000005497 and 500.0
+    # with error 0 for the exact 1000
+    with pytest.raises(QuadratureError, match="alpha=0.001") as info:
+        if many:
+            integrate_many(lambda i, r: r ** -1.001, [0.5, 1.0],
+                           [1.0, math.inf], [(), ()], decay_exponent=1.001)
+        else:
+            integrate(lambda r: r ** -1.001, 1.0, math.inf,
+                      decay_exponent=1.001)
+    if many:
+        assert info.value.problem == 1
 
 
 def _inv_cube(r):
