@@ -34,7 +34,10 @@ Deterministic (dimension one)
     points as one NaN-padded row per problem, from which
     :func:`~plevylab.quadrature.integrate_many` builds every problem's
     panels.  Only the core term keeps a scalar ``**`` per node, because
-    ``np.power`` can differ from it in the last bit.  Every piece, node and
+    ``np.power`` can differ from it in the last bit.  A piecewise-constant
+    field skips the panels on which its difference is exactly 0.0 and the
+    sides that see no jump (``_Oracle._past_zero_panels``), which moves no
+    bit.  Every piece, node and
     side keeps the panels and tolerance of its own adaptive integral, while
     fields and kernels see one array per inner round.  This
     mode is the oracle the Monte Carlo estimates are checked against, and
@@ -68,7 +71,8 @@ import numpy as np
 from . import kernels as kmod
 from .fields import PIECEWISE_CONSTANT, FieldError
 from .geometry import _ROW_BLOCK, IntervalUnion, containment_margin
-from .quadrature import _HI_N, _LO_N, QuadratureError, integrate_many
+from .quadrature import (_HI_N, _LO_N, QuadratureError, _all_nodes,
+                         integrate_many)
 
 MODE_MC = "mc"
 MODE_DET = "deterministic-1d"
@@ -267,6 +271,8 @@ class _Oracle:
         self.p = kernel.p_exp
         self.tol = tol
         self.marks = _field_marks(field)
+        self.jumps = np.array(field.jump_points if field.regularity
+                              == PIECEWISE_CONSTANT else (), dtype=float)
         self.inner_tol = max(tol * 1e-2, 1e-12)
         self.inner_rel = 1e-9
 
@@ -348,12 +354,54 @@ class _Oracle:
         points = np.concatenate([cand, _geo_points(start, top)], axis=1)
         return node, x, sign, core, start, hi, points
 
+    def _past_zero_panels(self, x, sign, start, hi, points):
+        """Where a piecewise-constant field is exactly zero, skip it: ``(keep,
+        start)``, the problems left and their raised starts.
+
+        ``dist`` is the distance ``sign * (j - x)`` to the nearest jump
+        ahead of the node (or behind it within ``margin``, where the node's
+        own side is in doubt), ``inf`` if there is none.  With ``margin =
+        8 eps max(|x|, max |j|)``, a node ``r + margin < dist`` has ``x +
+        sign*r`` round to x's side, so ``_offset_diff`` subtracts equal
+        values and the integrand is exactly 0.0 there.  The start rises to
+        the largest cut or geometric point ``p + margin < dist`` (the nodes
+        of the panels below it exceed ``p`` by an ulp at most, which the
+        margin covers), and then past the next panel when its outermost
+        node, formed as :func:`~plevylab.quadrature.integrate_many` forms
+        it, is zero as well; a problem with nothing left (``dist`` beyond
+        its range, or ``inf``) is dropped.  Every panel kept is a panel of
+        the full range, so no value moves by a bit: a zero panel has
+        estimate and error exactly 0.0, adding 0.0 to the running sums is
+        exact, the worst-first bisection never picks a zero-error panel
+        while the error is above a positive tolerance, and a dropped side
+        only added ``0.0 + 0.0`` to its node.  Only the panel count that
+        the stall limit reads falls."""
+        jumps = self.jumps
+        ahead = sign[:, None] * (jumps - x[:, None])
+        margin = 8.0 * np.finfo(float).eps \
+            * np.maximum(np.abs(x), np.abs(jumps).max())
+        dist = np.where(ahead >= -margin[:, None], ahead, np.inf).min(axis=1)
+        below = points + margin[:, None] < dist[:, None]
+        lo = np.fmax(start, np.fmax.reduce(np.where(below, points, np.nan),
+                                           axis=1, initial=-np.inf))
+        # the next edge: a point above lo, else the end of the finite part
+        # (integrate_many's far = max(start, points, 1) on an infinite one)
+        end = np.where(np.isfinite(hi), hi, np.fmax(
+            np.maximum(start, 1.0),
+            np.fmax.reduce(points, axis=1, initial=-np.inf)))
+        up = np.minimum(np.where(points > lo[:, None], points, np.inf)
+                        .min(axis=1, initial=np.inf), end)
+        outermost = 0.5 * (up - lo) * _all_nodes.max() + 0.5 * (lo + up)
+        start = np.where(outermost + margin < dist, up, lo)
+        return (start < hi) & (dist < np.inf), start
+
     def inner(self, xs, y_lo, y_hi, floor=0.0):
         """Inner integrals over y in ``(y_lo, y_hi)``, beyond ``|y - x| >
         floor``, at every node of ``xs``: one lock-step batch of the
         per-node, per-side quadrature problems that :meth:`_ranges` sets
-        up.  The partner range and the floor are scalars or arrays with one
-        entry per node.
+        up, less the panels on which a piecewise-constant field is exactly
+        zero (:meth:`_past_zero_panels`).  The partner range and the floor
+        are scalars or arrays with one entry per node.
 
         A :class:`QuadratureError` of the batch names in ``problem`` the
         node it happened at."""
@@ -361,6 +409,11 @@ class _Oracle:
         field, kernel, p = self.field, self.kernel, self.p
         node, x_of, sign_of, core, a, b, pts = self._ranges(xs, y_lo, y_hi,
                                                             floor)
+        if self.jumps.size:
+            keep, a = self._past_zero_panels(x_of, sign_of, a, b, pts)
+            if not keep.all():
+                node, x_of, sign_of, core, a, b, pts = (
+                    v[keep] for v in (node, x_of, sign_of, core, a, b, pts))
 
         def f(i, r):
             x = x_of[i]
@@ -368,19 +421,28 @@ class _Oracle:
             du = np.abs(field._offset_diff(x[:, None],
                                            (sign_of[i] * r)[:, None]),
                         dtype=float)
-            # r = inf arises where 1/t overflows at a subnormal tail node;
-            # the tail weight r * r makes that node's value non-finite, and
-            # the quadrature raises for it
-            bad = ~np.isfinite(du) & np.isfinite(r)
-            if bad.any():
-                raise EnergyError("non-finite field value near x=%s"
-                                  % x[np.argmax(bad)])
-            zero = ~(du > 0.0)
+            finite = np.isfinite(du).all()
+            if not finite:
+                # r = inf arises where 1/t overflows at a subnormal tail
+                # node; the tail weight r * r makes that node's value
+                # non-finite, and the quadrature raises for it
+                bad = ~np.isfinite(du) & np.isfinite(r)
+                if bad.any():
+                    raise EnergyError("non-finite field value near x=%s"
+                                      % x[np.argmax(bad)])
+            log_nu = kernel.log_density(r)
+            # du = 0 gives exp(p log 0 + log nu) = 0.0 unless log nu is
+            # +inf or NaN, or p <= 0 (NaN or +inf); only then is it masked
+            zero = None
+            if not (finite and p > 0.0 and np.all(log_nu < np.inf)):
+                zero = ~(du > 0.0)
             np.log(du, out=du)
-            du *= p
-            du += kernel.log_density(r)
+            if p != 1.0:
+                du *= p
+            du += log_nu
             np.exp(du, out=du)
-            du[zero] = 0.0
+            if zero is not None:
+                du[zero] = 0.0
             return du
 
         try:

@@ -33,21 +33,29 @@ inner integrals of all its nodes as one more call.  It takes the cut points
 of its problems as one NaN-padded array, a row per problem, and builds the
 starting panels of all of them with array operations (drop the points
 outside the range, sort, de-duplicate, add the ends), so its set-up has no
-per-problem Python loop.  Single integrals go through :func:`integrate`,
-a scalar heap with no per-round array cost.  It calls its integrand once
-per starting region and once per bisection, on the 60 nodes of both
-halves, and each half sums its two rules with its own ``np.dot``, so
-merging the halves moves no bit of an elementwise integrand.  The sphere
-means of ``generator`` and ``dirac_pairing`` are not elementwise: the last
-bit of their d = 3 ``vals @ weights`` depends on its row count (4 of 60
-Gaussian rows moved when 60 radii were reduced at once instead of 30 at
-a time), so they reduce their radii 30 rows, one panel, at a time.
-The two drivers stay separate on purpose: with :func:`integrate` as a
-one-problem lock-step call, the kernel-check workload of ``perfbench``
-(2-vCPU VM) went from 1.72-1.86 s to 2.00-2.12 s per pass and its peak RSS
-from 106.9 to 129.8 MB.  Short kernel-calculus integrals paid about 100 us
-of array bookkeeping per bisection round, a cost that still stands.  The
-fold would also move pinned values: the lock-step Gauss sums multiply the
+per-problem Python loop.  The panels of all its heaps live in one
+``(4, heaps, slots)`` table of panel starts, ends, estimates and error
+estimates: a round gathers every heap's worst panel with one index and
+writes each half back with one scatter, and finished heaps leave with one
+compaction of the table, which takes the heaps' owners, tails and
+tolerances along, so no round gathers them by heap id.
+
+Single integrals go through :func:`integrate`, a scalar heap with no
+per-round array cost.  It calls its integrand once per starting region and
+once per bisection, on the 60 nodes of both halves, and each half sums its
+two rules with its own ``np.dot``, so merging the halves moves no bit of an
+elementwise integrand.  The sphere means of ``generator`` and
+``dirac_pairing`` are not elementwise: the last bit of their d = 3 ``vals
+@ weights`` depends on its row count (4 of 60 Gaussian rows moved when 60
+radii were reduced at once instead of 30 at a time), so they reduce their
+radii 30 rows, one panel, at a time.  The two drivers stay separate on
+purpose: with :func:`integrate` as a one-problem lock-step call, the
+kernel-check workload of ``perfbench`` (2-vCPU VM) went from 1.72-1.86 s
+to 2.00-2.12 s per pass and its peak RSS from 106.9 to 129.8 MB.  A short
+integral still pays about 60 us of array bookkeeping per lock-step round
+(90 us before the panel table) against about 12 us per bisection in
+:func:`integrate` (``x**-0.5`` on (0, 1), 52 rounds, 2-vCPU VM).  The fold
+would also move pinned values: the lock-step Gauss sums multiply the
 weights in and add each row with ``sum(axis=1)``, which differs from this
 driver's ``np.dot`` in the last bit (227 of 620 sums of random power
 laws).
@@ -71,6 +79,7 @@ _HI_N = 20
 _lo_nodes, _lo_weights = np.polynomial.legendre.leggauss(_LO_N)
 _hi_nodes, _hi_weights = np.polynomial.legendre.leggauss(_HI_N)
 _all_nodes = np.concatenate([_lo_nodes, _hi_nodes])
+_all_weights = np.concatenate([_lo_weights, _hi_weights])
 
 DEFAULT_ABS_TOL = 1e-12
 DEFAULT_MAX_PANELS = 4096
@@ -276,12 +285,14 @@ def _batch_estimates(f, owner, tail, inv, lo, hi):
     live in one buffer that is overwritten in place; ``f`` sees every
     node.
     """
-    half = 0.5 * (hi - lo)
-    r = half[:, None] * _all_nodes
-    r += (0.5 * (lo + hi))[:, None]
-    has_tail = tail.any()
+    # one error context from the abscissae on: panel ends may be infinite
+    # or overflow, and the caller checks the estimates for finiteness
     with np.errstate(over="ignore", divide="ignore", invalid="ignore",
                      under="ignore"):
+        half = 0.5 * (hi - lo)
+        r = half[:, None] * _all_nodes
+        r += (0.5 * (lo + hi))[:, None]
+        has_tail = tail.any()
         if has_tail:
             t = r[tail]
             if inv is not None:
@@ -307,8 +318,7 @@ def _batch_estimates(f, owner, tail, inv, lo, hi):
             vals[tail] = vt
         # row sums, unlike a BLAS matrix-vector product, do not depend on
         # which other panels share the batch
-        vals[:, :_LO_N] *= _lo_weights
-        vals[:, _LO_N:] *= _hi_weights
+        vals *= _all_weights
         lo_est = vals[:, :_LO_N].sum(axis=1)
         lo_est *= half
         hi_est = vals[:, _LO_N:].sum(axis=1)
@@ -404,17 +414,18 @@ def integrate_many(f, a, b, points, *, decay_exponent=None,
     used = np.ones(owner.size, dtype=np.intp)
     used[finite] = counts
     # room for the panels of a few bisections before the first growth
-    pa = np.zeros((owner.size, 2 * max(int(used.max(initial=0)), 1) + 16))
-    pb = np.zeros_like(pa)
-    pa[finite, :starts.shape[1]] = starts
-    pb[finite, :ends.shape[1]] = ends
+    tab = np.full((4, owner.size, 2 * max(int(used.max(initial=0)), 1) + 16),
+                  -np.inf)
+    tab[0, finite, :starts.shape[1]] = starts
+    tab[1, finite, :ends.shape[1]] = ends
     top = 1.0 / far[inf]
     if inv is not None:
         # Python's scalar power: np.power may differ in the last bit
         top = [t ** alpha for t in top.tolist()]
-    pb[tail, 0] = top
-    totals, errs = _lockstep(f, owner, tail, inv, pa, pb, used,
-                             abs_tol[owner], rel_tol, a, b)
+    tab[0, tail, 0] = 0.0
+    tab[1, tail, 0] = top
+    totals, errs = _lockstep(f, owner, tail, inv, tab, used, abs_tol[owner],
+                             rel_tol, a, b)
     values = np.zeros(n)
     errors = np.zeros(n)
     np.add.at(values, owner, totals)
@@ -422,25 +433,28 @@ def integrate_many(f, a, b, points, *, decay_exponent=None,
     return values, errors
 
 
-def _lockstep(f, owner, tail, inv, pa, pb, used, abs_tol, rel_tol, a, b):
-    """Run one :func:`_adaptive_pool` heap per row of the panel arrays
-    ``pa``/``pb``, heap ``h`` from the panels in its first ``used[h]``
-    slots and to its own ``abs_tol[h]``, in lock-step; returns the arrays
-    of totals and error estimates.  The arrays grow when a heap fills its
-    row."""
-    n, cap = pa.shape
-    est = np.zeros((n, cap))
-    err = np.full((n, cap), -np.inf)   # -inf marks an empty slot
+def _lockstep(f, owner, tail, inv, tab, used, abs_tol, rel_tol, a, b):
+    """Run one :func:`_adaptive_pool` heap per row of the panel table
+    ``tab``, heap ``h`` from the panels in its first ``used[h]`` slots, owned
+    by problem ``owner[h]`` and to its own ``abs_tol[h]``, in lock-step;
+    returns the arrays of totals and error estimates.
+
+    ``tab[:, h, k]`` is slot ``k`` of heap ``h``: the panel's ends, its
+    estimate and its error estimate, the error -inf in an empty slot.  The
+    per-heap arrays are compacted together with the table when heaps
+    finish, and the table doubles its slots when a heap fills its row."""
+    cap = tab.shape[2]
+    pa, pb, est, err = tab
     filled = np.arange(cap) < used[:, None]
     if filled.any():
         rows = np.nonzero(filled)[0]
-        e, r = _batch_estimates(f, owner[rows], tail[rows], inv,
-                                pa[filled], pb[filled])
+        lo, hi = pa[filled], pb[filled]
+        e, r = _batch_estimates(f, owner[rows], tail[rows], inv, lo, hi)
         bad = ~np.isfinite(e)
         if bad.any():
             k = np.argmax(bad)
             raise QuadratureError("non-finite integrand on (%g, %g)"
-                                  % (pa[filled][k], pb[filled][k]),
+                                  % (lo[k], hi[k]),
                                   problem=int(owner[rows[k]]))
         est[filled], err[filled] = e, r
     # sequential left-to-right sums, as _adaptive_pool accumulates them
@@ -448,67 +462,66 @@ def _lockstep(f, owner, tail, inv, pa, pb, used, abs_tol, rel_tol, a, b):
     total_err = np.cumsum(np.where(filled, err, 0.0), axis=1)[:, -1]
     n_panels = used.copy()
     live = used.copy()
-    heap = np.arange(n)          # heap id of each working row
-    out_total = np.zeros(n)
-    out_err = np.zeros(n)
+    heap = np.arange(owner.size)    # heap id of each working row
+    out_total = np.zeros(heap.size)
+    out_err = np.zeros(heap.size)
     while heap.size:
-        go = total_err > np.maximum(abs_tol[heap], rel_tol * np.abs(total))
-        stalled = go & (n_panels >= DEFAULT_MAX_PANELS)
-        if stalled.any():
-            k = np.argmax(stalled)
-            i = owner[heap[k]]
-            raise QuadratureError(
-                "adaptive quadrature stalled on (%g, %g): error estimate "
-                "%.3e after %d panels (likely divergent or insufficiently "
-                "resolved)" % (a[i], b[i], total_err[k], n_panels[k]),
-                achieved=float(total_err[k]), problem=int(i))
+        go = total_err > np.maximum(abs_tol, rel_tol * np.abs(total))
+        if n_panels.max() >= DEFAULT_MAX_PANELS:
+            stalled = go & (n_panels >= DEFAULT_MAX_PANELS)
+            if stalled.any():
+                k = np.argmax(stalled)
+                i = owner[k]
+                raise QuadratureError(
+                    "adaptive quadrature stalled on (%g, %g): error estimate "
+                    "%.3e after %d panels (likely divergent or insufficiently "
+                    "resolved)" % (a[i], b[i], total_err[k], n_panels[k]),
+                    achieved=float(total_err[k]), problem=int(i))
         go &= live > 0
         if not go.all():
             done = ~go
             out_total[heap[done]] = total[done]
             out_err[heap[done]] = total_err[done]
-            heap, pa, pb, est, err, used, total, total_err, n_panels, live = (
-                v[go] for v in (heap, pa, pb, est, err, used, total,
-                                total_err, n_panels, live))
+            tab = tab[:, go]
+            heap, owner, tail, abs_tol, used, total, total_err, n_panels, \
+                live = (v[go] for v in (heap, owner, tail, abs_tol, used,
+                                        total, total_err, n_panels, live))
             if not heap.size:
                 break
         rows = np.arange(heap.size)
-        j = np.argmax(err, axis=1)
-        qa, qb, qest, qerr = pa[rows, j], pb[rows, j], est[rows, j], \
-            err[rows, j]
-        err[rows, j] = -np.inf
+        j = np.argmax(tab[3], axis=1)
+        qa, qb, qest, qerr = tab[:, rows, j]
+        tab[3, rows, j] = -np.inf
         live -= 1
         mid = 0.5 * (qa + qb)
         split = (mid > qa) & (mid < qb)
-        # a panel at floating point resolution keeps its estimate
-        total_err[~split] -= qerr[~split]
-        s = np.nonzero(split)[0]
-        if not s.size:
-            continue
-        hs = heap[s]
-        e, r = _batch_estimates(
-            f, np.concatenate([owner[hs], owner[hs]]),
-            np.concatenate([tail[hs], tail[hs]]), inv,
-            np.concatenate([qa[s], mid[s]]), np.concatenate([mid[s], qb[s]]))
+        s = rows
+        if not split.all():
+            # a panel at floating point resolution keeps its estimate
+            total_err[~split] -= qerr[~split]
+            s = np.flatnonzero(split)
+            if not s.size:
+                continue
+            qa, qb, qest, qerr, mid = (v[s] for v in (qa, qb, qest, qerr,
+                                                      mid))
         m = s.size
-        e1, e2, r1, r2 = e[:m], e[m:], r[:m], r[m:]
-        bad = ~(np.isfinite(e1) & np.isfinite(e2))
-        if bad.any():
-            k = s[np.argmax(bad)]
+        own = owner[s]
+        lo, hi = np.concatenate([qa, mid]), np.concatenate([mid, qb])
+        e, r = _batch_estimates(f, np.concatenate([own, own]),
+                                np.concatenate([tail[s], tail[s]]), inv, lo,
+                                hi)
+        if not np.isfinite(e).all():
+            k = np.argmax(~(np.isfinite(e[:m]) & np.isfinite(e[m:])))
             raise QuadratureError("non-finite integrand near (%g, %g)"
-                                  % (qa[k], qb[k]),
-                                  problem=int(owner[heap[k]]))
-        total[s] += (e1 + e2) - qest[s]
-        total_err[s] += (r1 + r2) - qerr[s]
-        if used.max() + 2 > pa.shape[1]:
-            grow = pa.shape[1]
-            pa, pb, est = (np.pad(v, ((0, 0), (0, grow))) for v in (pa, pb,
-                                                                     est))
-            err = np.pad(err, ((0, 0), (0, grow)), constant_values=-np.inf)
+                                  % (qa[k], qb[k]), problem=int(own[k]))
+        total[s] += (e[:m] + e[m:]) - qest
+        total_err[s] += (r[:m] + r[m:]) - qerr
+        if used.max() + 2 > tab.shape[2]:
+            tab = np.concatenate([tab, np.full(tab.shape, -np.inf)], axis=2)
+        halves = np.stack([lo, hi, e, r])
         c = used[s]
-        pa[s, c], pb[s, c], est[s, c], err[s, c] = qa[s], mid[s], e1, r1
-        pa[s, c + 1], pb[s, c + 1], est[s, c + 1], err[s, c + 1] = \
-            mid[s], qb[s], e2, r2
+        tab[:, s, c] = halves[:, :m]
+        tab[:, s, c + 1] = halves[:, m:]
         used[s] += 2
         live[s] += 2
         n_panels[s] += 1

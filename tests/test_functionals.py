@@ -272,9 +272,9 @@ def test_oracle_runs_every_outer_piece_in_one_batch(monkeypatch):
 
 
 def test_jump_estimate_memory_is_bounded():
-    # an outer round of the sign jump at eps = 0.4 feeds one inner batch of
-    # about 8,000 panels; its peak was 13.3 MB before the inner set-up and
-    # the panel edges became padded arrays
+    # an outer round of the sign jump at eps = 0.4 fed one inner batch of
+    # about 8,000 panels, at a peak of 13.3 MB; with the panels on which
+    # the field is exactly zero skipped, the peak is about 2.9 MB
     kernel = K.make_stable(1, 1.0, 0.4)
     tracemalloc.start()
     try:
@@ -284,6 +284,116 @@ def test_jump_estimate_memory_is_bounded():
         tracemalloc.stop()
     assert abs(est.value - jump_energy_closed(0.4)) < 1e-8
     assert peak <= 16e6, peak
+
+
+# perfbench ``suite`` rows, recorded before the inner batches skipped the
+# exact-zero panels of jump fields and the lock-step rounds moved onto one
+# panel table
+_SUITE_BITS = {
+    "bv-signjump@0.4": (
+        lambda: F.energy(SignJump(1), SYM, K.make_stable(1, 1.0, 0.4),
+                         mode=DET), "0x1.5c697588d5922p-1"),
+    "local-bv-signjump@0.4": (
+        lambda: F.local_measure(SignJump(1), SYM, interval(-0.5, 0.5),
+                                K.make_stable(1, 1.0, 0.4), mode=DET),
+        "0x1.29def8a4a8466p-1"),
+    "counterexample-energy@0.4": (
+        lambda: F.energy(SignJump(1), slit_interval(),
+                         K.make_stable(1, 1.0, 0.4), mode=DET),
+        "0x1.5c697588d5921p-1"),
+    "cross-tent-p1@0.02": (
+        lambda: F.cross_energy(Tent(1), UNIT, K.make_stable(1, 1.0, 0.02),
+                               mode=DET), "0x1.4141412aad901p-6"),
+    "cross-tent-p2@0.02": (
+        lambda: F.cross_energy(Tent(1), UNIT, K.make_stable(1, 2.0, 0.02),
+                               mode=DET), "0x1.414141434dbecp-7"),
+    "w1p-linear-det@0.4": (
+        lambda: F.energy(LINEAR, UNIT, K.make_stable(1, 2.0, 0.4), mode=DET),
+        "0x1.24924924b5319p-1"),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_SUITE_BITS))
+def test_oracle_suite_rows_are_bit_pinned(row):
+    run, value = _SUITE_BITS[row]
+    assert run().value.hex() == value
+
+
+def test_jump_estimate_skips_its_exact_zero_panels(monkeypatch):
+    # every Gauss panel of the estimate, inner or outer, with its 30 nodes
+    sizes = []
+    batch = quadrature._batch_estimates
+
+    def counted(f, owner, tail, inv, lo, hi):
+        sizes.append(lo.size)
+        return batch(f, owner, tail, inv, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_batch_estimates", counted)
+    est = F.energy(SignJump(1), SYM, K.make_stable(1, 1.0, 0.4), mode=DET)
+    assert est.value.hex() == "0x1.5c697588d5922p-1"
+    points = 30 * sum(sizes)
+    # 1,049,400 points when every panel of every side was integrated
+    assert points == 473_760
+    assert points <= 1_049_400 // 2
+    assert len(sizes) == 68
+
+
+def test_jump_estimate_evaluates_no_panel_on_one_side(monkeypatch):
+    # the inner integrand reads the field on whole Gauss panels of 30
+    # nodes; every panel must see a pair across the jump, and a side with
+    # no jump ahead (the right of x > 0, the left of x < 0) is dropped
+    panels = []
+    hook = SignJump._offset_diff
+
+    def recorded(self, pts, off):
+        du = hook(self, pts, off)
+        panels.append(du.reshape(-1, 30))
+        return du
+
+    monkeypatch.setattr(SignJump, "_offset_diff", recorded)
+    est = F.energy(SignJump(1), SYM, K.make_stable(1, 1.0, 0.4), mode=DET)
+    assert abs(est.value - jump_energy_closed(0.4)) < 1e-8
+    assert panels
+    for du in panels:
+        assert (du != 0.0).any(axis=1).all()
+
+
+@pytest.mark.parametrize("field, y_iv", [
+    (SignJump(1), (0.2, 0.7)),
+    (SignJump(1), (-1.0, 1.0)),
+    (SignJump(1), (-math.inf, 0.1)),
+    (Shifted(Scaled(SignJump(1), -2.0), 0.5), (-0.4, 0.3)),
+], ids=["right", "both", "left-tail", "scaled"])
+def test_inner_at_and_beside_the_jump_matches_per_node_integrate(field, y_iv):
+    # u(0) = 0 on the jump itself, so a node there sees u change on both
+    # sides; nodes a few ulps off it sit on their own side
+    kernel = K.make_stable(1, 1.0, 0.4)
+    integ = F._Oracle(field, kernel, 1e-10)
+    xs = np.array([0.0, 1e-9, -1e-9, 0.05, -0.3, 0.6])
+    batch = integ.inner(xs, *y_iv)
+    for x, val in zip(xs, batch):
+        ref = _inner_reference(integ, float(x), y_iv, 0.0)
+        assert abs(val - ref) <= 1e-14 * abs(ref), x
+    assert batch[0] > 0.0
+
+
+def _plateau_kernel():
+    """p = 2 kernel whose log density is +inf on r < 0.1 and -3 log r up
+    to 1: exp(p log 0 + log nu) is NaN below 0.1, not 0."""
+
+    def log_profile(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r < 0.1, np.inf, -3.0 * np.log(r))
+
+    return K.RadialKernel(dim=1, p_exp=2.0, log_profile=log_profile,
+                          support_radius=1.0, breakpoints=(0.1,))
+
+
+def test_infinite_log_density_keeps_a_constant_field_at_zero():
+    est = F.energy(Linear((0.0,), 1.0), UNIT, _plateau_kernel(), mode=DET)
+    assert est.value == 0.0
+    with pytest.raises(QuadratureError, match="non-finite integrand"):
+        F.energy(Linear((1.0,)), UNIT, _plateau_kernel(), mode=DET)
 
 
 class _SquareWave(Field):

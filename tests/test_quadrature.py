@@ -254,3 +254,14 @@ def test_integrate_many_errors_name_the_problem():
     with pytest.raises(QuadratureError, match="non-finite") as info:
         integrate_many(root, [0.0] * 3, [1.0] * 3, [()] * 3)
     assert info.value.problem == 2
+
+
+def test_integrate_many_infinite_end_raises_without_a_warning():
+    # the panel (-inf, 0) has non-finite abscissae; forming them must not
+    # leak a RuntimeWarning (an error under the test settings) before the
+    # quadrature reports the non-finite integrand
+    with pytest.raises(QuadratureError,
+                       match=r"non-finite integrand on \(-inf, 0\)") as info:
+        integrate_many(lambda i, x: np.exp(-x * x), [-math.inf], [0.0],
+                       [()])
+    assert info.value.problem == 0
