@@ -21,7 +21,7 @@ from .geometry import (Ball, Box, FullSpace, IntervalUnion, SlitBall,
 from .kernels import (KernelFamily, RadialKernel, default_families,
                       make_log_limit, make_rescaled, make_smoothed_power,
                       make_stable, make_truncated_power, mass_outside,
-                      normalization, weighted_moment, with_tabulated_sampler)
+                      normalization, weighted_moment)
 from .quadrature import QuadratureError
 from .sweep import SweepCase, SweepReport, builtin_suite, run_suite, run_sweep
 

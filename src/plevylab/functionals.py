@@ -161,17 +161,17 @@ def _quotients(field, xs, h, r):
 def _mc_double(field, sample_domain, kernel, accept, n, seed, tag):
     """Chunked, thread-stable Monte Carlo for the pair functional.
 
-    A chunk draws its points x by rejection, then the radius uniforms of
-    all its pairs.  The work after those draws runs on blocks of
-    ``_ROW_BLOCK`` rows, whose arrays stay in a core's cache: each block
-    draws its slice of the direction stream, forms its offsets, ``x + h``
-    and membership, and writes its kept pairs' weights at the running end
-    of one chunk-length buffer.  The counter-based stream gives the same
-    numbers when a draw is split into consecutive calls; the block length
-    is even because ``integers`` (the d = 1 directions) draws 32-bit
-    halves that do not carry over from one call to the next.  The buffer
-    is summed once, as the single weight array of the chunk was, so the
-    chunk sums keep their bits.
+    A chunk draws its points x by rejection, then the radii of all its
+    pairs by the kernel's ``radial_sampler``.  The work after those draws
+    runs on blocks of ``_ROW_BLOCK`` rows, whose arrays stay in a core's
+    cache: each block draws its slice of the direction stream, forms its
+    offsets, ``x + h`` and membership, and writes its kept pairs' weights
+    at the running end of one chunk-length buffer.  The counter-based
+    stream gives the same numbers when a draw is split into consecutive
+    calls; the block length is even because ``integers`` (the d = 1
+    directions) draws 32-bit halves that do not carry over from one call
+    to the next.  The buffer is summed once, as the single weight array of
+    the chunk was, so the chunk sums keep their bits.
     """
     vol = sample_domain.volume()
     p_exp = kernel.p_exp
@@ -179,18 +179,19 @@ def _mc_double(field, sample_domain, kernel, accept, n, seed, tag):
     def run(index, m):
         rng = _chunk_rng(seed, tag, index)
         xs = sample_domain.sample_uniform(rng, m)
-        u = rng.random(m)
+        radii = kmod._draw_radii(kernel, rng, m)
         w = np.empty(m)
         kept = 0
         for lo in range(0, m, _ROW_BLOCK):
             hi = min(lo + _ROW_BLOCK, m)
-            h, radii = kmod._offsets_from_uniforms(kernel, u[lo:hi], rng)
+            r = radii[lo:hi]
+            h = kmod._offsets(kernel, r, rng)
             x = xs[lo:hi]
             # row indices select faster than a boolean mask on 2-D arrays
             idx = np.flatnonzero(accept(x + h))
             if idx.size:
                 q = _quotients(field, np.take(x, idx, axis=0),
-                               np.take(h, idx, axis=0), np.take(radii, idx))
+                               np.take(h, idx, axis=0), np.take(r, idx))
                 q **= p_exp
                 q *= vol
                 w[kept:kept + idx.size] = q

@@ -21,32 +21,30 @@ split at the weight kink r = 1 and the kernel's breakpoints (and once per
 decade up to a finite upper limit far above them), with a power
 substitution at the origin and, for full-support kernels, the 1/t map on
 the unbounded tail.
-Offset sampling draws the radius through the inverse CDF of the weighted
-law ``S (1 ^ r^p) nu(r) r^{d-1} dr`` (closed form where available,
-otherwise a 4096-node log-spaced table inverted by ``_monotone_cubic``, a
-numpy Fritsch-Butland PCHIP interpolant that agrees bit for bit with
-SciPy's ``PchipInterpolator``) and the direction uniformly on the sphere.
-The inverse CDF is the one sampling fact a kernel carries; the mass below
-``r`` is ``radial_integral(kernel, 0, r)``.  Custom kernels get a table
-from ``with_tabulated_sampler``.
+Offset sampling draws the radius exactly from the weighted law
+``S (1 ^ r^p) nu(r) r^{d-1} dr`` and the direction uniformly on the
+sphere.  The radial sampler is the one sampling fact a kernel carries:
+four families invert the law's CDF in closed form, and ``smoothed_power``
+draws by rejection from a dominating density with a closed-form inverse.
+The mass below ``r`` is ``radial_integral(kernel, 0, r)``.  Custom kernels
+supply their own ``radial_sampler``.
 Kernels are immutable; samplers take a caller-owned generator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import sphere_area
-from .geometry import _row_sq_norms
-from .quadrature import QuadratureError, fixed_gauss, integrate
+from .geometry import _ROW_BLOCK, _row_sq_norms
+from .quadrature import QuadratureError, integrate
 
 NORMALIZATION_ACCEPT_TOL = 1e-6   # accepted deviation from unit mass
 NORMALIZATION_REQUEST_TOL = 1e-10  # accuracy requested from quadrature
 DEFAULT_EPS_GRID = (0.4, 0.2, 0.1, 0.05, 0.02)
-_TABLE_NODES = 4096
 
 
 class KernelError(ValueError):
@@ -77,6 +75,11 @@ class RadialKernel:
     treat the singular core in closed form below floating point resolution.
     The neutral ``origin_pure_radius = 0`` claims no core; a positive one
     needs both the coefficient and the exponent.
+
+    ``radial_sampler(rng, size)`` returns ``size`` radii drawn exactly from
+    the weighted radial law ``S (1 ^ r^p) nu(r) r^(d-1) dr``, using ``rng``
+    alone.  Every family supplies one; a custom kernel without one cannot
+    be sampled.
     """
 
     dim: int
@@ -87,7 +90,7 @@ class RadialKernel:
     origin_exponent: float = None
     tail_exponent: float = None
     breakpoints: tuple = ()
-    radial_cdf_inv: object = None
+    radial_sampler: object = None
     family_tag: str = "custom"
     eps: float = None
     params: dict = field(default_factory=dict)
@@ -234,155 +237,79 @@ def check_normalized(kernel, *, tol=NORMALIZATION_ACCEPT_TOL):
 # sampling
 
 
-# buckets of the guide table of ``_locator``
-_GUIDE_BUCKETS = 1 << 16
+def _inverse_cdf_sampler(cdf_inv):
+    """The radial sampler of a closed-form inverse CDF: ``size`` uniforms
+    from one ``rng.random`` call, inverted in place a block of
+    ``_ROW_BLOCK`` at a time, so that the inverse's temporaries stay in a
+    core's cache."""
+
+    def sample(rng, size):
+        radii = rng.random(size)
+        for lo in range(0, radii.size, _ROW_BLOCK):
+            block = radii[lo:lo + _ROW_BLOCK]
+            block[...] = cdf_inv(block)
+        return radii
+
+    return sample
 
 
-def _locator(x):
-    """The segment index ``min(searchsorted(x, v, "right") - 1, x.size - 2)``
-    of each value ``v``, x strictly increasing.
+def _smoothed_power_sampler(dim, beta, eps, eps0):
+    """Exact draws from the weighted radial law of ``make_smoothed_power``
+    by rejection (Devroye 1986, Non-Uniform Random Variate Generation,
+    ch. II.3).
 
-    A guide table over ``[x[0], x[-1]]`` (``_GUIDE_BUCKETS`` equal buckets,
-    each holding the segment of its left edge) gives a first guess ``i``.
-    The guess is kept where ``x[i] <= v < x[i+1]`` (or ``i`` is the last
-    segment and ``x[i] <= v``), which is exactly where it equals the binary
-    search; the other values, in a bucket with a node inside it or rounded
-    across a bucket edge, and any value outside the table, NaN included,
-    take the binary search.  The result is the binary search's index for
-    every value, whatever the guide holds.
+    The law, proportional to (r+eps)^beta r^(d-1) on (0, eps0), is
+    dominated by (r+eps)^(a-1), a = beta + d, whose inverse CDF is
+    ``eps expm1(log1p(v expm1(a L)) / a)`` with ``L = log1p(eps0/eps)``
+    (``eps expm1(v L)`` at a = 0; ``expm1(a L)`` is finite for every kernel
+    that builds, as :func:`smoothing_constant` reaches ``e^((a+1) L)``).  A
+    proposal is kept with probability ``(r/(r+eps))^(d-1)``: always in
+    d = 1, at least 0.1 in d = 2, 3 for any beta.  Each round proposes as
+    many radii as are missing, drawn with their accept uniforms as 2-column
+    blocks of ``_ROW_BLOCK`` rows in one reused buffer, and keeps the
+    accepted ones in order.
     """
-    last = x.size - 2
-    lo, width = x[0], x[-1] - x[0]
-    scale = _GUIDE_BUCKETS / width
-    edges = lo + np.arange(_GUIDE_BUCKETS) * (width / _GUIDE_BUCKETS)
-    guide = np.clip(np.searchsorted(x, edges, side="right") - 1, 0, last)
+    a = beta + dim
+    span = math.log1p(eps0 / eps)
+    top = math.expm1(a * span)
 
-    def locate(v):
-        shape, v = np.shape(v), np.ravel(v)
-        b = np.subtract(v, lo)
-        b *= scale
-        # fmax/fmin send NaN to bucket 0, where the check below rejects it
-        np.fmax(b, 0.0, out=b)
-        np.fmin(b, _GUIDE_BUCKETS - 1, out=b)
-        i = guide[b.astype(np.intp)]
-        ok = x[i] <= v
-        ok &= (v < x[i + 1]) | (i == last)
-        miss = np.flatnonzero(~ok)
-        if miss.size:
-            i[miss] = np.minimum(
-                np.searchsorted(x, v[miss], side="right") - 1, last)
-        return i.reshape(shape)
+    def sample(rng, size):
+        out = np.empty(size)
+        buf = np.empty((min(size, _ROW_BLOCK), 2))
+        got = 0
+        while got < size:
+            todo = size - got
+            for start in range(0, todo, _ROW_BLOCK):
+                v, u = rng.random(out=buf[:min(_ROW_BLOCK, todo - start)]).T
+                if a == 0.0:
+                    r = v * span
+                else:
+                    r = np.log1p(v * top)
+                    r /= a
+                np.expm1(r, out=r)
+                r *= eps
+                # rounding may carry v near 1 an ulp past the support edge
+                np.minimum(r, eps0, out=r)
+                q = r / (r + eps)
+                q **= dim - 1
+                idx = np.flatnonzero(u < q)
+                k = idx.size
+                np.take(r, idx, out=out[got:got + k], mode="clip")
+                got += k
+        return out
 
-    return locate
-
-
-def _monotone_cubic(x, y):
-    """Monotone piecewise cubic through the nodes (x, y), x strictly
-    increasing: Fritsch-Butland PCHIP (SIAM J. Sci. Comput. 5, 1984).
-
-    Returns the interpolant as a function of an array in [x[0], x[-1]].
-    Slopes, coefficients and evaluation order follow SciPy's
-    ``PchipInterpolator``, whose values it reproduces bit for bit.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    dk = np.empty_like(y)
-    if x.size == 2:
-        dk[:] = m[0]
-    else:
-        # weighted harmonic mean of the neighbouring secants, 0 where they
-        # differ in sign or either is flat
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        sign = np.sign(m)
-        flat = (sign[1:] != sign[:-1]) | (m[1:] == 0.0) | (m[:-1] == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
-            dk[1:-1] = np.where(flat, 0.0, 1.0 / whmean)
-        # one-sided three-point end slopes, limited to keep the shape
-        for end, h0, h1, m0, m1 in ((0, h[0], h[1], m[0], m[1]),
-                                    (-1, h[-1], h[-2], m[-1], m[-2])):
-            d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-            if np.sign(d) != np.sign(m0):
-                d = 0.0
-            elif np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-                d = 3.0 * m0
-            dk[end] = d
-    t = (dk[:-1] + dk[1:] - 2.0 * m) / h
-    c0, c1, c2, c3 = t / h, (m - dk[:-1]) / h - t, dk[:-1], y[:-1]
-    locate = _locator(x)
-
-    def evaluate(v):
-        i = locate(v)
-        s = v - x[i]
-        s2 = s * s
-        return c3[i] + c2[i] * s + c1[i] * s2 + c0[i] * (s2 * s)
-
-    return evaluate
+    return sample
 
 
-def with_tabulated_sampler(kernel):
-    """The kernel with a tabulated inverse radial CDF attached as sampling
-    data (for custom compactly supported kernels).
-
-    The table of :func:`_cdf_table` is inverted by the monotone cubic
-    ``_monotone_cubic`` (SciPy's PCHIP, bit for bit).
-    """
-    cdf, nodes = _cdf_table(kernel)
-    inv = _monotone_cubic(cdf, nodes)
-    r_min, r_max = nodes[0], nodes[-1]
-
-    def inv_fn(v):
-        v = np.asarray(v, dtype=float)
-        return np.clip(inv(np.clip(v, 0.0, 1.0)), r_min, r_max)
-
-    return replace(kernel, radial_cdf_inv=inv_fn)
-
-
-def _cdf_table(kernel):
-    """``(cdf, radii)``: the weighted radial CDF at strictly increasing
-    values, from 0 to 1.
-
-    The CDF is tabulated at log-spaced nodes from ``support_radius * 1e-12``
-    (or the inner radius, if larger) to the support radius, the mass below
-    the first node added by :func:`radial_integral`.  Non-finite or
-    non-monotone tables are reported as construction failures.
-    """
-    lo = kernel.inner_radius
-    hi = kernel.support_radius
-    if not math.isfinite(hi):
-        raise KernelError("cdf tabulation needs a compactly supported "
-                          "profile; supply a closed-form inverse cdf "
-                          "instead")
-    r_lo = max(lo, hi * 1e-12)
-    nodes = np.geomspace(r_lo, hi, _TABLE_NODES)
-    if lo > 0:
-        nodes = np.concatenate(([lo], nodes[nodes > lo]))
-    segs = fixed_gauss(kernel.weighted_radial_density, nodes[:-1],
-                       nodes[1:], n=12)
-    cdf = np.concatenate(([0.0], np.cumsum(segs)))
-    cdf += radial_integral(kernel, 0.0, nodes[0],
-                           abs_tol=NORMALIZATION_REQUEST_TOL)
-    if not np.all(np.isfinite(cdf)):
-        raise KernelError("cdf tabulation produced non-finite values")
-    total = cdf[-1]
-    if not (abs(total - 1.0) <= 1e-4):
-        raise KernelError("cdf tabulation mass %.6g far from 1" % total)
-    cdf /= total
-    cdf = np.clip(cdf, 0.0, 1.0)
-    keep = np.concatenate(([True], np.diff(cdf) > 0))
-    cdf_k, nodes_k = cdf[keep], nodes[keep]
-    if cdf_k[0] > 0.0:
-        cdf_k = np.concatenate(([0.0], cdf_k))
-        nodes_k = np.concatenate(([max(lo, r_lo * 0.5)], nodes_k))
-    return cdf_k, nodes_k
-
-
-def _sampling_data(fn):
-    if fn is None:
-        raise KernelError("kernel carries no sampling data; wrap custom "
-                          "kernels with with_tabulated_sampler")
-    return fn
+def _draw_radii(kernel, rng, size):
+    """``size`` radii from the kernel's own sampler, checked finite."""
+    if kernel.radial_sampler is None:
+        raise KernelError("kernel carries no sampling data; give custom "
+                          "kernels a radial_sampler(rng, size)")
+    radii = np.asarray(kernel.radial_sampler(rng, size), dtype=float)
+    if not np.all(np.isfinite(radii)):
+        raise KernelError("sampler produced non-finite radii")
+    return radii
 
 
 def sample_directions(rng, size, dim):
@@ -410,27 +337,25 @@ def sample_offset_with_radii(kernel, rng, size=1):
 
     Returns ``(h, radii)``; the radii are the exact sampled values (the
     squared-norm route loses them to underflow for very concentrated
-    kernels).  All ``size`` radius uniforms are drawn before the
-    directions.
+    kernels).  All ``size`` radii are drawn, by the kernel's
+    ``radial_sampler``, before the directions.
     """
-    return _offsets_from_uniforms(kernel, rng.random(size), rng)
+    radii = _draw_radii(kernel, rng, size)
+    return _offsets(kernel, radii, rng), radii
 
 
-def _offsets_from_uniforms(kernel, u, rng):
-    """``(h, radii)`` for the radius uniforms ``u``: the radii through the
-    kernel's inverse CDF, then one direction per radius drawn from ``rng``.
+def _offsets(kernel, radii, rng):
+    """The offsets of the drawn ``radii``: one direction per radius drawn
+    from ``rng``, scaled by it.
 
-    The Monte Carlo estimators call this once per block of their uniforms;
+    The Monte Carlo estimators call this once per block of their radii;
     consecutive blocks draw the directions one whole draw would (for
     d = 1, blocks of even length keep ``integers``' 32-bit halves aligned).
     """
-    radii = np.asarray(_sampling_data(kernel.radial_cdf_inv)(u), dtype=float)
-    if not np.all(np.isfinite(radii)):
-        raise KernelError("sampler produced non-finite radii")
     h = sample_directions(rng, radii.size, kernel.dim)
     for j in range(kernel.dim):
         h[:, j] *= radii
-    return h, radii
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +412,8 @@ def make_stable(dim, p_exp, eps):
         dim=dim, p_exp=p_exp, log_profile=log_profile,
         origin_exponent=dim + p_exp - eps, tail_exponent=dim + p_exp - eps,
         origin_coefficient=a, origin_pure_radius=math.inf,
-        radial_cdf_inv=cdf_inv, family_tag="stable", eps=eps)
+        radial_sampler=_inverse_cdf_sampler(cdf_inv), family_tag="stable",
+        eps=eps)
 
 
 def make_rescaled(base, eps):
@@ -498,8 +424,8 @@ def make_rescaled(base, eps):
               = eps^(-d) nu(h/eps)            on |h| > 1
 
     preserving the unit mass exactly.  The weighted radial law of the
-    rescaled kernel is the base law contracted by eps, so the base inverse
-    CDF is reused: cdf_inv(v) = eps cdf_inv_base(v).
+    rescaled kernel is the base law contracted by eps, so the base's radii
+    are drawn and scaled by eps in place.
     """
     if not isinstance(base, RadialKernel):
         raise KernelError("base must be a RadialKernel")
@@ -519,10 +445,10 @@ def make_rescaled(base, eps):
             np.where(r <= 1.0, -d * log_eps - p * np.log(r) + z,
                      -d * log_eps + z))
 
-    base_inv = _sampling_data(base.radial_cdf_inv)
-
-    def cdf_inv(v):
-        return eps * np.asarray(base_inv(v), dtype=float)
+    def radial_sampler(rng, size):
+        radii = _draw_radii(base, rng, size)
+        radii *= eps
+        return radii
 
     # the base core, contracted by eps, holds up to the first rescaling seam
     origin_pure = eps * min(1.0, base.origin_pure_radius)
@@ -537,7 +463,7 @@ def make_rescaled(base, eps):
         origin_exponent=base.origin_exponent,
         tail_exponent=base.tail_exponent,
         origin_coefficient=origin_c, origin_pure_radius=origin_pure,
-        breakpoints=tuple(sorted(breaks)), radial_cdf_inv=cdf_inv,
+        breakpoints=tuple(sorted(breaks)), radial_sampler=radial_sampler,
         family_tag="rescaled", eps=eps,
         params={"base": base.family_tag, "base_eps": base.eps})
 
@@ -576,7 +502,7 @@ def make_truncated_power(dim, p_exp, beta, eps):
         dim=dim, p_exp=p_exp, log_profile=log_profile,
         support_radius=eps, origin_exponent=p_exp - beta,
         origin_coefficient=c, origin_pure_radius=eps,
-        breakpoints=(eps,), radial_cdf_inv=cdf_inv,
+        breakpoints=(eps,), radial_sampler=_inverse_cdf_sampler(cdf_inv),
         family_tag="truncated_power", eps=eps, params={"beta": beta})
 
 
@@ -602,7 +528,8 @@ def make_log_limit(dim, p_exp, eps, eps0):
     return RadialKernel(
         dim=dim, p_exp=p_exp, log_profile=log_profile,
         support_radius=eps0, inner_radius=eps, breakpoints=(eps, eps0),
-        radial_cdf_inv=cdf_inv, family_tag="log_limit", eps=eps,
+        radial_sampler=_inverse_cdf_sampler(cdf_inv),
+        family_tag="log_limit", eps=eps,
         params={"eps0": eps0})
 
 
@@ -645,11 +572,12 @@ def make_smoothed_power(dim, p_exp, beta, eps, eps0):
 
     ``beta = -d`` selects the log-normalized limiting variant with an extra
     ``1/|log eps|`` factor.  No closed-form inverse CDF exists here, so
-    sampling goes through the tabulated inverse.
+    radii are drawn exactly by rejection (:func:`_smoothed_power_sampler`).
     """
     _check_dim_p(dim, p_exp)
-    if beta < -dim:
-        raise KernelError("smoothed power needs beta >= -d")
+    if not -dim <= beta < math.inf:
+        raise KernelError("smoothed power needs finite beta >= -d (got %r)"
+                          % (beta,))
     b = smoothing_constant(dim, beta, eps, eps0)
     area = sphere_area(dim)
     denom = area * b * (abs(math.log(eps)) if beta == -dim else 1.0)
@@ -661,13 +589,14 @@ def make_smoothed_power(dim, p_exp, beta, eps, eps0):
                         beta * np.log(r + eps) - p_exp * np.log(r)
                         - log_denom, -np.inf)
 
-    return with_tabulated_sampler(RadialKernel(
+    return RadialKernel(
         dim=dim, p_exp=p_exp, log_profile=log_profile,
         support_radius=eps0, origin_exponent=float(p_exp),
         origin_coefficient=eps ** beta / denom,
         origin_pure_radius=1e-7 * eps, breakpoints=(eps0,),
+        radial_sampler=_smoothed_power_sampler(dim, beta, eps, eps0),
         family_tag="smoothed_power", eps=eps,
-        params={"beta": beta, "eps0": eps0}))
+        params={"beta": beta, "eps0": eps0})
 
 
 # ---------------------------------------------------------------------------

@@ -527,14 +527,3 @@ def _lockstep(f, owner, tail, inv, tab, used, abs_tol, rel_tol, a, b):
         n_panels[s] += 1
     return out_total, out_err
 
-
-def fixed_gauss(f, a, b, n=_HI_N):
-    """Non-adaptive Gauss-Legendre panel on (a, b); arrays of panel ends
-    give an array of panel integrals from one call of ``f``."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[..., None] + half[..., None] * nodes
-    vals = np.asarray(f(x.ravel()), dtype=float).reshape(x.shape)
-    out = half * (vals @ weights)
-    return float(out) if out.ndim == 0 else out

@@ -93,6 +93,13 @@ def test_generator_far_out_is_zero():
     assert float(json.loads(out.stdout)[0]["value"]) == 0.0
 
 
+def test_smoothed_power_at_large_beta_is_warning_free():
+    out = run("kernel-check", "--family", "smoothed_power", "--beta", "200",
+              "--eps", "0.1")
+    assert out.returncode == 0
+    assert out.stderr == ""
+
+
 def test_usage_error_exit_code():
     assert run("bogus").returncode == 1
     assert run("sweep", "--case", "no-such-case").returncode == 1

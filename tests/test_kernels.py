@@ -1,15 +1,15 @@
+import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from plevylab import functionals as F
 from plevylab import kernels as K
 from plevylab.constants import sphere_area
-from plevylab.quadrature import QuadratureError, fixed_gauss
+from plevylab.quadrature import QuadratureError
 
 RNG = lambda seed: np.random.Generator(np.random.Philox(key=[seed, 0]))
 
@@ -170,6 +170,9 @@ def test_smoothed_power_normalization():
         assert abs(K.normalization(k) - 1.0) < 1e-6
     k = K.make_smoothed_power(2, 2.0, -2.0, 0.05, 0.5)  # log variant
     assert abs(K.normalization(k) - 1.0) < 1e-6
+    for beta in (-1.5, math.nan, math.inf):
+        with pytest.raises(K.KernelError, match="finite beta >= -d"):
+            K.make_smoothed_power(1, 2.0, beta, 0.1, 0.5)
 
 
 def test_smoothing_constant_log_variant_tends_to_one():
@@ -340,12 +343,14 @@ def test_rescaled_family_reaches_eps_one():
 
 def test_rescaled_custom_base_without_a_core_claims_none():
     # 1.25 r^-0.5 on (0, 1] has unit mass and gives its origin coefficient
-    # and exponent, but claims no closed-form core (no pure radius)
-    base = K.with_tabulated_sampler(K.RadialKernel(
+    # and exponent, but claims no closed-form core (no pure radius); its
+    # weighted law 2.5 r^1.5 has the inverse CDF v^0.4
+    base = K.RadialKernel(
         dim=1, p_exp=2.0,
         profile=lambda r: np.where(r <= 1.0, 1.25 * np.power(r, -0.5), 0.0),
         support_radius=1.0, breakpoints=(1.0,), origin_exponent=0.5,
-        origin_coefficient=1.25))
+        origin_coefficient=1.25,
+        radial_sampler=lambda rng, size: rng.random(size) ** 0.4)
     kern = K.make_rescaled(base, 0.2)
     assert kern.origin_pure_radius == 0.0
     assert kern.support_radius == 0.2
@@ -363,8 +368,8 @@ def test_closed_form_core_needs_coefficient_and_exponent():
                           profile=box["profile"]).support_radius == math.inf
 
 
-# one kernel of every family; the sampler tests read each through its
-# inverse CDF and check it against its own density
+# one kernel of every family; the sampler tests check each one's draws
+# against its own density
 SAMPLED = [
     lambda: K.make_stable(1, 2.0, 0.1),
     lambda: K.make_truncated_power(2, 2.0, 1.0, 0.3),
@@ -372,24 +377,48 @@ SAMPLED = [
     lambda: K.make_smoothed_power(1, 2.0, -0.5, 0.1, 0.5),
     lambda: K.KernelFamily("rescaled", 1, 2.0).kernel(0.1),
 ]
+# the families that invert their CDF in closed form
+CLOSED_FORM = [make for make in SAMPLED
+               if make().family_tag != "smoothed_power"]
+# the rejection sampler over d = 1-3, at the log variant beta = -d and
+# beyond (d = 1, beta = -0.5 is SAMPLED's)
+SMOOTHED = [
+    pytest.param(lambda d=d, beta=beta: K.make_smoothed_power(
+        d, 2.0, beta, 0.1, 0.5), id="smoothed-d%d-beta%g" % (d, beta))
+    for d in (1, 2, 3) for beta in (-d, -0.5, 1.0, 50.0)
+    if (d, beta) != (1, -0.5)]
+
+
+class _Probe:
+    """A generator stub whose ``random(size)`` returns the probe values,
+    so that a closed-form sampler reads as its inverse CDF."""
+
+    def __init__(self, v):
+        self.v = np.asarray(v, dtype=float)
+
+    def random(self, size):
+        assert size == self.v.size
+        return self.v.copy()
+
+
+def _inverse(kern, v):
+    v = np.atleast_1d(v)
+    return kern.radial_sampler(_Probe(v), v.size)
 
 
 def test_cdf_axioms():
-    smoothed_d2 = lambda: K.make_smoothed_power(2, 2.0, -0.5, 0.1, 0.5)
     v = np.concatenate((np.linspace(0.0, 1.0, 41), [1.0 - 1e-6, 1.0 - 1e-9]))
     v.sort()
-    for make in (*SAMPLED, smoothed_d2):
+    for make in CLOSED_FORM:
         kern = make()
-        # closed forms invert to rounding, tables to their interpolation
-        tol = 1e-7 if kern.family_tag == "smoothed_power" else 1e-12
-        r = kern.radial_cdf_inv(v)
+        r = _inverse(kern, v)
         assert np.all(np.diff(r) >= 0.0)
         assert r[0] >= kern.inner_radius and r[-1] <= kern.support_radius
         # the mass below each drawn radius is the probability that drew it,
         # up to v = 1 (r ~ 1e157 for the stable kernel)
         mass = np.array([K.radial_integral(kern, 0.0, float(x),
                                            abs_tol=1e-13) for x in r])
-        assert np.max(np.abs(mass - v)) <= tol, kern.family_tag
+        assert np.max(np.abs(mass - v)) <= 1e-12, kern.family_tag
 
 
 def test_sampler_matches_tail_mass():
@@ -418,117 +447,38 @@ def _box_kernel(radius):
                           support_radius=radius, breakpoints=(radius,))
 
 
-def test_custom_kernels_sample_their_own_law():
-    # kernels built and dropped in a row: each must be sampled through its
-    # own table, never another kernel's
-    for i in range(200):
-        radius = 0.05 + 0.0045 * i
-        kern = K.with_tabulated_sampler(_box_kernel(radius))
-        _, radii = K.sample_offset_with_radii(kern, RNG(i), 1000)
-        assert radii.max() <= radius * (1.0 + 1e-12), i
-
-
-def test_tabulated_sampler_draws_are_pinned():
-    # radii drawn through the tabulated inverse CDF, pinned bit for bit
-    kern = K.with_tabulated_sampler(_box_kernel(0.3))
-    _, radii = K.sample_offset_with_radii(kern, RNG(5), 6)
-    pinned = ["0x1.151424dfa637ap-2", "0x1.01bb128d5ef7dp-2",
-              "0x1.6beb866b1c849p-3", "0x1.d47e9007ee74dp-3",
-              "0x1.8287c760b5a05p-3", "0x1.0dd26145cb067p-2"]
-    assert [float(r).hex() for r in radii] == pinned
-
-
-# tables for the monotone cubic: strictly increasing x, evenly jittered or
-# geometric, and y built from steps that may be flat or change sign
-_gaps = st.floats(1e-3, 10.0)
-_steps = st.one_of(st.just(0.0), st.floats(-10.0, 10.0))
-
-
-@st.composite
-def _tables(draw, monotone=False):
-    n = draw(st.integers(2, 64))
-    if draw(st.booleans()):
-        lo = draw(st.floats(1e-12, 1.0))
-        x = np.geomspace(lo, lo * draw(st.floats(2.0, 1e12)), n)
-    else:
-        x = np.cumsum([draw(_gaps) for _ in range(n)])
-    steps = np.array([draw(_steps) for _ in range(n - 1)])
-    if monotone:
-        steps = np.abs(steps)
-    y = np.concatenate(([draw(st.floats(-10.0, 10.0))], steps)).cumsum()
-    return x, y, draw(st.integers(0, 2 ** 32 - 1))
-
-
-def _probe_points(x, seed):
-    inner = np.random.default_rng(seed).uniform(x[0], x[-1], 2000)
-    return np.concatenate((x, inner, [x[0], x[-1]]))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True,
-          database=None)
-@given(_tables())
-def test_monotone_cubic_matches_scipy_pchip_bit_for_bit(table):
-    interpolate = pytest.importorskip("scipy.interpolate")
-    x, y, seed = table
-    v = _probe_points(x, seed)
-    want = interpolate.PchipInterpolator(x, y, extrapolate=False)(v)
-    assert np.array_equal(K._monotone_cubic(x, y)(v), want)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True,
-          database=None)
-@given(_tables(monotone=True))
-def test_monotone_cubic_keeps_monotone_data_monotone(table):
-    x, y, seed = table
-    v = np.sort(_probe_points(x, seed))
-    vals = K._monotone_cubic(x, y)(v)
-    # exact in exact arithmetic; evaluating the cubic rounds a few ulps
-    ulps = 4.0 * np.spacing(np.abs(y).max())
-    assert np.all(np.diff(vals) >= -ulps)
-    assert vals.min() >= y[0] - ulps and vals.max() <= y[-1] + ulps
-
-
-def test_guide_table_locates_the_segments_of_a_binary_search():
-    # the smoothed-power CDF table crowds most of its nodes into the first
-    # bucket; probe every node, both ends, every bucket edge and its
-    # neighbours, and a million uniform values
-    x, _ = K._cdf_table(K.make_smoothed_power(2, 2.0, -0.5, 0.1, 0.5))
-    nb = K._GUIDE_BUCKETS
-    edges = x[0] + np.arange(nb + 1) * ((x[-1] - x[0]) / nb)
-    v = np.concatenate((x, [x[0], x[-1]], edges,
-                        np.nextafter(edges, -np.inf),
-                        np.nextafter(edges, np.inf),
-                        RNG(4).uniform(x[0], x[-1], 1_000_000)))
-    want = np.minimum(np.searchsorted(x, v, side="right") - 1, x.size - 2)
-    assert np.array_equal(K._locator(x)(v), want)
-
-
 def test_sampling_needs_sampling_data():
     kern = _box_kernel(0.5)
-    with pytest.raises(K.KernelError, match="with_tabulated_sampler"):
+    with pytest.raises(K.KernelError, match="radial_sampler"):
         K.sample_offset_with_radii(kern, RNG(1), 10)
-    tabulated = K.with_tabulated_sampler(kern)
-    assert tabulated.profile is kern.profile
-    # the table's inverse reaches the support edge, to rounding
-    top = float(tabulated.radial_cdf_inv(np.array([1.0]))[0])
-    assert 0.5 - 1e-15 <= top <= 0.5
+    with pytest.raises(K.KernelError, match="radial_sampler"):
+        K.sample_offset_with_radii(K.make_rescaled(kern, 0.5), RNG(1), 10)
+    # the box's weighted law 3 r^2 / 0.5^3 has the inverse CDF 0.5 v^(1/3)
+    sampled = dataclasses.replace(
+        kern, radial_sampler=lambda rng, n: 0.5 * np.cbrt(rng.random(n)))
+    _, radii = K.sample_offset_with_radii(sampled, RNG(1), 1000)
+    assert radii.max() <= 0.5
 
 
 def _mass_below(kern, radii, block=1 << 17):
     """The weighted mass below each of the sorted radii: one adaptive
     integral up to the first, then a 12-point Gauss panel between each
     pair of neighbours, in blocks of panels to bound the memory."""
+    nodes, weights = np.polynomial.legendre.leggauss(12)
     lo, hi = radii[:-1], radii[1:]
-    segs = np.concatenate([
-        fixed_gauss(kern.weighted_radial_density, lo[i:i + block],
-                    hi[i:i + block], n=12)
-        for i in range(0, lo.size, block)])
+    segs = []
+    for i in range(0, lo.size, block):
+        a, b = lo[i:i + block], hi[i:i + block]
+        half = 0.5 * (b - a)
+        x = (0.5 * (a + b))[:, None] + half[:, None] * nodes
+        vals = kern.weighted_radial_density(x.ravel()).reshape(x.shape)
+        segs.append(half * (vals @ weights))
     first = K.radial_integral(kern, 0.0, float(radii[0]),
                               abs_tol=K.NORMALIZATION_REQUEST_TOL)
-    return first + np.concatenate(([0.0], np.cumsum(segs)))
+    return first + np.concatenate(([0.0], np.cumsum(np.concatenate(segs))))
 
 
-@pytest.mark.parametrize("make", SAMPLED)
+@pytest.mark.parametrize("make", SAMPLED + SMOOTHED)
 def test_sampler_ks_distance(make):
     kern = make()
     _, radii = K.sample_offset_with_radii(kern, RNG(23), 1_000_000)
@@ -539,6 +489,37 @@ def test_sampler_ks_distance(make):
     ks = max(float(np.max(np.abs(cdf - grid_hi))),
              float(np.max(np.abs(cdf - (grid_hi - 1.0 / n)))))
     assert ks <= 0.005
+
+
+def test_smoothed_power_sampler_at_large_beta():
+    # d = 1 accepts every proposal, so the law's CDF is the envelope's, in
+    # closed form: (e^(a log1p(r/eps)) - 1) / expm1(a L), a = beta + 1
+    eps, eps0, a = 0.1, 0.5, 201.0
+    kern = K.make_smoothed_power(1, 2.0, a - 1.0, eps, eps0)
+    median = eps * math.expm1(
+        math.log(0.5 * math.expm1(a * math.log1p(eps0 / eps)) + 1.0) / a)
+    assert abs(median - 0.497934) < 5e-7
+    n = 1_000_000
+    _, radii = K.sample_offset_with_radii(kern, RNG(7), n)
+    assert radii.max() <= eps0
+    # the fraction below the exact median, within 4 binomial stderrs
+    assert abs(float((radii <= median).mean()) - 0.5) <= 4.0 * 0.5 / n ** 0.5
+
+
+def test_smoothed_power_sampler_memory_is_bounded():
+    # the rejection rounds work on blocks of _ROW_BLOCK proposals in one
+    # reused buffer: a whole-array round would take about 8x the output
+    kern = K.make_smoothed_power(2, 2.0, -0.5, 0.1, 0.5)
+    n = 262_144
+    kern.radial_sampler(RNG(3), 1000)  # numpy's one-off set-up, untraced
+    tracemalloc.start()
+    try:
+        radii = kern.radial_sampler(RNG(3), n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert radii.size == n
+    assert peak <= 2.0 * radii.nbytes, peak
 
 
 def test_kernel_spec_roundtrip():
@@ -706,5 +687,5 @@ def test_stable_inverse_cdf_edges_and_scalars():
     kern = K.make_stable(2, 2.0, 0.3)
     v = np.array([0.0, 0.85, 1.0, -0.5, 1.5, 0.25, 0.99])
     want = _stable_inverse_both_branches(v, 2.0, 0.3)
-    assert np.array_equal(kern.radial_cdf_inv(v), want)
-    assert [float(kern.radial_cdf_inv(x)) for x in v] == list(want)
+    assert np.array_equal(_inverse(kern, v), want)
+    assert [float(_inverse(kern, x)[0]) for x in v] == list(want)
