@@ -19,12 +19,16 @@ Monte Carlo
     serial result bit for bit.
 
 Deterministic (dimension one)
-    Nested adaptive quadrature over interval pairs, split at every field kink,
-    jump point and kernel breakpoint.  Singular cores, where the kernel is an
-    exact power law below floating point resolution, are integrated in closed
-    form: the inner integral over ``(0, r_c)`` uses the local slope, and the
-    outer integral gets an analytic sliver at jump interfaces whose adjacent
-    behaviour is ``|x - e|^(1-gamma)``.  Both levels run in lock-step
+    A piecewise-constant field takes the covariogram route
+    (:func:`_jump_energy`): split at its jump points, a pair of phase
+    pieces X, Y adds ``|du|^p int_0^inf nu(r) A(r) dr``, where ``A(r) = |X
+    ^ (Y - r)| + |X ^ (Y + r)|`` is piecewise linear, so the pair is a few
+    radial kernel integrals (:func:`~plevylab.kernels.radial_integral`).
+    Every other field takes the nested adaptive quadrature of
+    :class:`_Oracle` over interval pairs, split at every field kink and
+    kernel breakpoint.  Its singular inner core, where the kernel is an
+    exact power law below floating point resolution, is integrated in
+    closed form from the local slope.  Both levels run in lock-step
     (:func:`~plevylab.quadrature.integrate_many`).  Every outer piece of
     every interval pair of an estimate is one problem of a single outer
     call, and each round of it evaluates the inner integrals of all its
@@ -34,14 +38,11 @@ Deterministic (dimension one)
     points as one NaN-padded row per problem, from which
     :func:`~plevylab.quadrature.integrate_many` builds every problem's
     panels.  Only the core term keeps a scalar ``**`` per node, because
-    ``np.power`` can differ from it in the last bit.  A piecewise-constant
-    field skips the panels on which its difference is exactly 0.0 and the
-    sides that see no jump (``_Oracle._past_zero_panels``), which moves no
-    bit.  Every piece, node and
+    ``np.power`` can differ from it in the last bit.  Every piece, node and
     side keeps the panels and tolerance of its own adaptive integral, while
-    fields and kernels see one array per inner round.  This
-    mode is the oracle the Monte Carlo estimates are checked against, and
-    serves the jump fields whose MC weights are heavy-tailed.
+    fields and kernels see one array per inner round.  This mode is the
+    oracle the Monte Carlo estimates are checked against, and the only
+    mode for jump fields, whose Monte Carlo weights are heavy-tailed.
 
 Every pair functional reaches either mode through one entry,
 :func:`_estimate`, and so do the truncated fractional seminorms and the
@@ -58,6 +59,7 @@ every dimension d = 1 to 3 (in d = 1 the directions +1 and -1).
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import numbers
@@ -71,8 +73,7 @@ import numpy as np
 from . import kernels as kmod
 from .fields import PIECEWISE_CONSTANT, FieldError
 from .geometry import _ROW_BLOCK, IntervalUnion, containment_margin
-from .quadrature import (_HI_N, _LO_N, QuadratureError, _all_nodes,
-                         integrate_many)
+from .quadrature import _HI_N, _LO_N, QuadratureError, integrate_many
 
 MODE_MC = "mc"
 MODE_DET = "deterministic-1d"
@@ -83,7 +84,6 @@ _CHUNK = 262_144
 _SPHERE_BLOCK = 16_384
 # radii per reduction of a sphere mean: the nodes of one Gauss panel
 _SPHERE_PANEL = _LO_N + _HI_N
-_SMALL_R = 1e-8
 # below this radius ``generator`` integrates the quadratic part in closed form
 _GENERATOR_CORE_RADIUS = 1e-4
 # angles of the sphere mean of ``dirac_pairing`` in d = 2, 3 (``generator``
@@ -230,31 +230,38 @@ def _mc_double(field, sample_domain, kernel, accept, n, seed, tag):
 # deterministic 1-D core
 
 
-def _field_marks(field):
-    return tuple(field.kinks) + tuple(field.jump_points)
+def _job_total(jobs, parts):
+    """Sum over the ``(x interval, y interval, factor)`` jobs of ``factor``
+    times the sum of the job's parts, given as ``(job index, value)`` and
+    added in order, so that the value does not depend on how the jobs are
+    grouped into calls."""
+    pairs = [0.0] * len(jobs)
+    for k, val in parts:
+        pairs[k] += val
+    total = 0.0
+    for (_, _, factor), pair in zip(jobs, pairs):
+        total += factor * pair
+    return total
 
 
-def _geo_points(start, top, origin=0.0):
+def _geo_points(start, top):
     """Split points making each panel of every range ``(start[i], top[i])``
-    span a bounded ratio from ``origin``: ``origin + (start - origin) *
-    8**k`` for k >= 1, those inside the range, one NaN-padded row per range
-    (``origin`` is a scalar or one entry per range).
+    span a bounded ratio: ``start * 8**k`` for k >= 1, those inside the
+    range, one NaN-padded row per range.
 
     Power-law integrands vary smoothly on geometric scales; refined this way
     every sub-panel is cheap for Gauss panels regardless of how many decades
-    a range covers.  A range starting at ``origin`` itself admits no
-    bounded ratio and is left to the adaptive rule.  The powers are running
-    products along a row, each exact in binary floating point.
+    a range covers.  A range starting at 0 admits no bounded ratio and is
+    left to the adaptive rule.  The powers are running products along a
+    row, each exact in binary floating point.
     """
-    base = start - origin
-    live = base > 0.0
+    live = start > 0.0
     # 2**(e-1) <= v < 2**e: no power past the exponent gap is below top
-    gap = np.frexp(top - origin)[1] - np.frexp(base)[1]
+    gap = np.frexp(top)[1] - np.frexp(start)[1]
     k = int(gap[live].max(initial=-1)) // 3 + 1
-    steps = np.full((base.size, k + 1), 8.0)
-    steps[:, 0] = base
-    pts = np.reshape(origin, (-1, 1)) \
-        + np.multiply.accumulate(steps, axis=1)[:, 1:]
+    steps = np.full((start.size, k + 1), 8.0)
+    steps[:, 0] = start
+    pts = np.multiply.accumulate(steps, axis=1)[:, 1:]
     inside = live[:, None] & (pts < top[:, None]) & (pts > start[:, None])
     return np.where(inside, pts, np.nan)
 
@@ -271,15 +278,13 @@ class _Oracle:
         self.kernel = kernel
         self.p = kernel.p_exp
         self.tol = tol
-        self.marks = _field_marks(field)
-        self.jumps = np.array(field.jump_points if field.regularity
-                              == PIECEWISE_CONSTANT else (), dtype=float)
+        self.marks = tuple(field.kinks)
         self.inner_tol = max(tol * 1e-2, 1e-12)
         self.inner_rel = 1e-9
 
     # -- inner integrals over y, one batch of nodes x ------------------------
 
-    def _ranges(self, xs, y_lo, y_hi, floor):
+    def _ranges(self, xs, y_lo, y_hi):
         """Set-up of the inner problems of every node of ``xs`` and side
         ``r_lo < r < r_hi`` of it that the kernel sees: ``(node, x, sign,
         core, start, hi, points)``, one entry per problem, node by node and
@@ -287,18 +292,15 @@ class _Oracle:
         value, ``(start, hi)`` the range left to quadrature and ``points``
         its cut points, one NaN-padded row per problem."""
         field, kernel, p = self.field, self.kernel, self.p
-        if field.regularity != PIECEWISE_CONSTANT:
-            slopes = field.grad(xs[:, None])[:, 0]
-        y_lo, y_hi, floor = (np.broadcast_to(np.asarray(v, dtype=float),
-                                             xs.shape)
-                             for v in (y_lo, y_hi, floor))
+        slopes = field.grad(xs[:, None])[:, 0]
+        y_lo, y_hi = (np.broadcast_to(np.asarray(v, dtype=float), xs.shape)
+                      for v in (y_lo, y_hi))
         # column 0: the side left of x, column 1: the side right of it
         past, before = y_hi <= xs, y_lo >= xs
         r_lo = np.column_stack([np.where(past, xs - y_hi, 0.0),
                                 np.where(before, y_lo - xs, 0.0)])
         r_hi = np.column_stack([xs - y_lo, y_hi - xs])
-        lo = np.maximum(np.maximum(r_lo, kernel.inner_radius),
-                        floor[:, None])
+        lo = np.maximum(r_lo, kernel.inner_radius)
         hi = np.minimum(r_hi, kernel.support_radius)
         keep = np.column_stack([past | ~before, ~past]) & ~(hi <= lo)
         node, side = np.nonzero(keep)
@@ -321,30 +323,27 @@ class _Oracle:
         # field is replaced by its local slope; the core must not reach past
         # the first field kink on this side
         if kernel.origin_pure_radius > 0.0:
-            core_top = _SMALL_R if field.regularity == PIECEWISE_CONSTANT \
-                else np.minimum(1e-4 * np.maximum(1.0, np.abs(x)), first)
+            core_top = np.minimum(1e-4 * np.maximum(1.0, np.abs(x)), first)
             r_cl = np.minimum(
                 np.minimum(np.minimum(core_top, kernel.origin_pure_radius),
                            first * 0.5),
                 np.where(bounded, hi * 0.5, core_top))
             cored = (lo == 0.0) & (r_cl > 0.0)
             start = np.where(cored, r_cl, lo)
-            if field.regularity != PIECEWISE_CONSTANT:
-                slope = slopes[node]
-                steep = np.flatnonzero(cored & (np.abs(slope) > 0.0))
-                if steep.size:
-                    a_in = p - kernel.origin_exponent + 1.0
-                    if a_in <= 0.0:
-                        raise QuadratureError(
-                            "pair energy diverges on the diagonal "
-                            "(inner exponent %.3g <= 0)" % a_in)
-                    # Python's scalar powers: np.power may differ in the
-                    # last bit
-                    c = kernel.origin_coefficient
-                    core[steep] += [
-                        abs(s) ** p * c * r ** a_in / a_in
-                        for s, r in zip(slope[steep].tolist(),
-                                        r_cl[steep].tolist())]
+            slope = slopes[node]
+            steep = np.flatnonzero(cored & (np.abs(slope) > 0.0))
+            if steep.size:
+                a_in = p - kernel.origin_exponent + 1.0
+                if a_in <= 0.0:
+                    raise QuadratureError(
+                        "pair energy diverges on the diagonal "
+                        "(inner exponent %.3g <= 0)" % a_in)
+                # Python's scalar powers: np.power may differ in the last bit
+                c = kernel.origin_coefficient
+                core[steep] += [
+                    abs(s) ** p * c * r ** a_in / a_in
+                    for s, r in zip(slope[steep].tolist(),
+                                    r_cl[steep].tolist())]
         # every cut lies above start, since r_cl <= first / 2
         cand = np.where(cut, cand, np.nan)
         # geometric panels up to where an infinite range hands over to the
@@ -355,66 +354,17 @@ class _Oracle:
         points = np.concatenate([cand, _geo_points(start, top)], axis=1)
         return node, x, sign, core, start, hi, points
 
-    def _past_zero_panels(self, x, sign, start, hi, points):
-        """Where a piecewise-constant field is exactly zero, skip it: ``(keep,
-        start)``, the problems left and their raised starts.
-
-        ``dist`` is the distance ``sign * (j - x)`` to the nearest jump
-        ahead of the node (or behind it within ``margin``, where the node's
-        own side is in doubt), ``inf`` if there is none.  With ``margin =
-        8 eps max(|x|, max |j|)``, a node ``r + margin < dist`` has ``x +
-        sign*r`` round to x's side, so ``_offset_diff`` subtracts equal
-        values and the integrand is exactly 0.0 there.  The start rises to
-        the largest cut or geometric point ``p + margin < dist`` (the nodes
-        of the panels below it exceed ``p`` by an ulp at most, which the
-        margin covers), and then past the next panel when its outermost
-        node, formed as :func:`~plevylab.quadrature.integrate_many` forms
-        it, is zero as well; a problem with nothing left (``dist`` beyond
-        its range, or ``inf``) is dropped.  Every panel kept is a panel of
-        the full range, so no value moves by a bit: a zero panel has
-        estimate and error exactly 0.0, adding 0.0 to the running sums is
-        exact, the worst-first bisection never picks a zero-error panel
-        while the error is above a positive tolerance, and a dropped side
-        only added ``0.0 + 0.0`` to its node.  Only the panel count that
-        the stall limit reads falls."""
-        jumps = self.jumps
-        ahead = sign[:, None] * (jumps - x[:, None])
-        margin = 8.0 * np.finfo(float).eps \
-            * np.maximum(np.abs(x), np.abs(jumps).max())
-        dist = np.where(ahead >= -margin[:, None], ahead, np.inf).min(axis=1)
-        below = points + margin[:, None] < dist[:, None]
-        lo = np.fmax(start, np.fmax.reduce(np.where(below, points, np.nan),
-                                           axis=1, initial=-np.inf))
-        # the next edge: a point above lo, else the end of the finite part
-        # (integrate_many's far = max(start, points, 1) on an infinite one)
-        end = np.where(np.isfinite(hi), hi, np.fmax(
-            np.maximum(start, 1.0),
-            np.fmax.reduce(points, axis=1, initial=-np.inf)))
-        up = np.minimum(np.where(points > lo[:, None], points, np.inf)
-                        .min(axis=1, initial=np.inf), end)
-        outermost = 0.5 * (up - lo) * _all_nodes.max() + 0.5 * (lo + up)
-        start = np.where(outermost + margin < dist, up, lo)
-        return (start < hi) & (dist < np.inf), start
-
-    def inner(self, xs, y_lo, y_hi, floor=0.0):
-        """Inner integrals over y in ``(y_lo, y_hi)``, beyond ``|y - x| >
-        floor``, at every node of ``xs``: one lock-step batch of the
-        per-node, per-side quadrature problems that :meth:`_ranges` sets
-        up, less the panels on which a piecewise-constant field is exactly
-        zero (:meth:`_past_zero_panels`).  The partner range and the floor
-        are scalars or arrays with one entry per node.
+    def inner(self, xs, y_lo, y_hi):
+        """Inner integrals over y in ``(y_lo, y_hi)`` at every node of
+        ``xs``: one lock-step batch of the per-node, per-side quadrature
+        problems that :meth:`_ranges` sets up.  The partner range is a pair
+        of scalars or of arrays with one entry per node.
 
         A :class:`QuadratureError` of the batch names in ``problem`` the
         node it happened at."""
         xs = np.asarray(xs, dtype=float)
         field, kernel, p = self.field, self.kernel, self.p
-        node, x_of, sign_of, core, a, b, pts = self._ranges(xs, y_lo, y_hi,
-                                                            floor)
-        if self.jumps.size:
-            keep, a = self._past_zero_panels(x_of, sign_of, a, b, pts)
-            if not keep.all():
-                node, x_of, sign_of, core, a, b, pts = (
-                    v[keep] for v in (node, x_of, sign_of, core, a, b, pts))
+        node, x_of, sign_of, core, a, b, pts = self._ranges(xs, y_lo, y_hi)
 
         def f(i, r):
             x = x_of[i]
@@ -478,165 +428,137 @@ class _Oracle:
                         cuts.add(s)
         return sorted(cuts)
 
-    def _jump_singular(self, e, toward_right, y_lo, y_hi):
-        """Outer exponent at a jump point e, or None when regular there.
-
-        Singular when the kernel reaches the origin with exponent gamma > 1
-        and the partner interval ``(y_lo, y_hi)`` has points across the
-        jump arbitrarily close to e.
-        """
-        field, kernel = self.field, self.kernel
-        if field.regularity != PIECEWISE_CONSTANT:
-            return None
-        if not any(abs(e - j) < 1e-14 for j in field.jump_points):
-            return None
-        if kernel.inner_radius > 0 or kernel.origin_exponent is None:
-            return None
-        gamma = kernel.origin_exponent
-        if gamma <= 1.0:
-            return None
-        # x approaching e from the right sees the jump against partner
-        # points just below e, and vice versa
-        if toward_right:
-            across = y_lo < e and y_hi >= e
-        else:
-            across = y_hi > e and y_lo <= e
-        if not across:
-            return None
-        alpha = 2.0 - gamma
-        if alpha <= 0.0:
-            raise QuadratureError(
-                "pair energy diverges at the jump interface "
-                "(outer exponent %.3g <= 0)" % alpha)
-        return alpha
-
-    def _piece(self, lo, hi, y_lo, y_hi):
-        """Set-up of the outer piece ``(lo, hi)`` against ``(y_lo, y_hi)``:
-        the closed-form slivers at its singular jump ends, as ``(midpoint,
-        width, power part)``, and the ``(a, b, cut points)`` left to the
-        outer quadrature (NaN points are padding), or None when nothing is
-        left."""
-        field, kernel = self.field, self.kernel
-        sing_lo = self._jump_singular(lo, True, y_lo, y_hi)
-        sing_hi = self._jump_singular(hi, False, y_lo, y_hi)
-        # slivers take the closed-form core: none without one
-        base_w = min(1e-6 * (hi - lo), 0.45 * kernel.origin_pure_radius)
-        for m in self.marks:
-            gap = min(abs(lo - m), abs(hi - m))
-            if gap > 0:
-                base_w = min(base_w, 0.45 * gap)
-        slivers = []
-        a, b = lo, hi
-        for alpha, e, sign, room in ((sing_lo, lo, +1.0, lo - y_lo),
-                                     (sing_hi, hi, -1.0, y_hi - hi)):
-            if alpha is None or not base_w > 0:
-                continue
-            # the power part is the jump against the origin power law; the
-            # rest is the inner integral at the midpoint beyond the width
-            w = min(base_w, 0.45 * room)
-            slivers.append((e + sign * 0.5 * w, w,
-                            field.jump_size ** self.p
-                            * kernel.origin_coefficient * w ** alpha / alpha))
-            if sign > 0:
-                a = lo + w
-            else:
-                b = hi - w
-        if not b > a:
-            return slivers, None
-        pts = ()
-        if sing_lo is not None or sing_hi is not None:
-            # geometric toward each singular end, from lo up and from hi
-            # down; the outer quadrature keeps those inside (a, b)
-            up, down = _geo_points(np.array([a, hi - b]),
-                                   np.array([b, hi - a]),
-                                   origin=np.array([lo, 0.0]))
-            pts = np.concatenate([up if sing_lo is not None else (),
-                                  hi - down if sing_hi is not None else ()])
-        return slivers, (a, b, pts)
-
     def total(self, jobs):
         """Sum of ``factor`` times the pair energy over the ``(x interval,
         y interval, factor)`` jobs.
 
         Set-up splits each x interval into pieces at the outer cuts of its
-        pair (:meth:`_piece`).  Then the sliver midpoints go to one inner
-        batch, and the rest of every piece, with tolerance ``tol / number
-        of pieces``, to one :func:`~plevylab.quadrature.integrate_many`
+        pair.  Every piece, with tolerance ``tol / number of pieces``, is
+        one problem of a single :func:`~plevylab.quadrature.integrate_many`
         call.  Its integrand hands the inner integrals of all the nodes of
         a round, each against the partner interval of its own piece, to one
-        inner batch.  Pieces and pairs sum their terms in a fixed order, so
-        the value does not depend on how the pairs are grouped into calls.
+        inner batch.
         """
-        field = self.field
-        pairs = []      # per job: (factor, term ids of each piece)
-        where = []      # per term: (x piece, partner interval)
-        slivers = []    # (term, y_lo, y_hi, midpoint, width, power part)
-        outer = []      # (term, a, b, cut points, tolerance, y_lo, y_hi)
-        for (ax, bx), (ay, by), factor in jobs:
-            pieces = []
-            pairs.append((factor, pieces))
-            if field.regularity == PIECEWISE_CONSTANT:
-                # a piecewise-constant field with no jump inside the hull
-                # is constant
-                lo, hi = min(ax, ay), max(bx, by)
-                if math.isfinite(lo) and math.isfinite(hi) and not any(
-                        lo < j < hi for j in field.jump_points):
-                    continue
+        outer = []      # per piece: (job, lo, hi, tolerance, y_lo, y_hi)
+        for k, ((ax, bx), (ay, by), _) in enumerate(jobs):
             edges = [ax, *self._outer_cuts(ax, bx, ay, by), bx]
             tol = self.tol / max(len(edges) - 1, 1)
-            for lo, hi in zip(edges[:-1], edges[1:]):
-                terms = []
-                pieces.append(terms)
-                piece_slivers, rest = self._piece(lo, hi, ay, by)
-                for sliver in piece_slivers:
-                    terms.append(len(where))
-                    slivers.append((terms[-1], ay, by, *sliver))
-                    where.append(((lo, hi), (ay, by)))
-                if rest is not None:
-                    terms.append(len(where))
-                    outer.append((terms[-1], *rest, tol, ay, by))
-                    where.append(((lo, hi), (ay, by)))
-        value = np.zeros(len(where))
-        stage = slivers
+            outer += [(k, lo, hi, tol, ay, by)
+                      for lo, hi in zip(edges[:-1], edges[1:])]
+        if not outer:
+            return 0.0
+        job, a, b, tol, y_lo, y_hi = zip(*outer)
+        y_lo, y_hi = np.array(y_lo), np.array(y_hi)
+
+        def f(i, x):
+            try:
+                return self.inner(x, y_lo[i], y_hi[i])
+            except QuadratureError as exc:
+                if exc.problem is not None:
+                    exc.problem = int(i[exc.problem])
+                raise
+
         try:
-            if slivers:
-                term, y_lo, y_hi, xs, ws, power = map(np.array, zip(*slivers))
-                value[term] = power + ws * self.inner(xs, y_lo, y_hi,
-                                                      floor=ws)
-            if outer:
-                stage = outer
-                term, a, b, pts, tol, y_lo, y_hi = zip(*outer)
-                y_lo, y_hi = np.array(y_lo), np.array(y_hi)
-
-                def f(i, x):
-                    try:
-                        return self.inner(x, y_lo[i], y_hi[i])
-                    except QuadratureError as exc:
-                        if exc.problem is not None:
-                            exc.problem = int(i[exc.problem])
-                        raise
-
-                value[list(term)], _ = integrate_many(f, a, b, pts,
-                                                      abs_tol=np.array(tol))
+            value, _ = integrate_many(f, a, b, np.empty((len(a), 0)),
+                                      abs_tol=np.array(tol))
         except QuadratureError as exc:
             if exc.problem is None:
                 raise
-            (lo, hi), (ay, by) = where[stage[exc.problem][0]]
+            _, lo, hi, _, ay, by = outer[exc.problem]
             raise QuadratureError(
                 "%s; in x piece (%g, %g) against partner interval (%g, %g)"
                 % (exc, lo, hi, ay, by), achieved=exc.achieved,
                 problem=exc.problem) from exc
-        value = value.tolist()
-        total = 0.0
-        for factor, pieces in pairs:
-            pair = 0.0
-            for terms in pieces:
-                val = 0.0
-                for t in terms:
-                    val += value[t]
-                pair += val
-            total += factor * pair
-        return total
+        return _job_total(jobs, zip(job, value.tolist()))
+
+
+def _phase_pieces(interval, jumps):
+    """The pieces ``(lo, hi, t)`` of ``interval`` between the jump points
+    inside it, ``t`` a point inside the piece: its midpoint, else 0 or the
+    point 1 inside its finite end, whichever lies inside."""
+    lo, hi = interval
+    edges = [lo, *sorted(j for j in jumps if lo < j < hi), hi]
+    return [(a, b, 0.5 * (a + b) if math.isfinite(a + b)
+             else min(max(0.0, a + 1.0), b - 1.0))
+            for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _covariogram(xp, yp):
+    """``A(r) = |X ^ (Y - r)| + |X ^ (Y + r)|`` of intervals with disjoint
+    interiors, linear between its sorted kinks (0 and the finite distances
+    between their ends) and constant beyond the last: ``(A, kinks)``."""
+    (ax, bx), (ay, by) = xp, yp
+    kinks = sorted({0.0} | {abs(e - f) for e in xp for f in yp
+                            if math.isfinite(e - f)})
+
+    def cover(r):
+        r = np.minimum(r, kinks[-1])    # finite at r = inf as well
+        return sum(np.maximum(np.minimum(bx, by + s) - np.maximum(ax, ay + s),
+                              0.0) for s in (-r, r))
+
+    return cover, kinks
+
+
+def _jump_energy(field, kernel, jobs, tol):
+    """Sum of ``factor`` times the pair energy of a piecewise-constant field
+    over the ``(x interval, y interval, factor)`` jobs, each with the error
+    budget ``tol`` shared equally by its radial integrals.
+
+    A pair of phase pieces whose difference ``du`` (read through the
+    field's offset difference) is not zero adds ``|du|^p`` times one radial
+    integral with weight 1 and factor ``A / 2`` per linear piece of their
+    covariogram ``A`` (``/ 2`` undoes the sphere area 2 of d = 1).
+    Touching pieces have ``A = c r`` near 0, c the number of shared ends:
+    up to ``min(r_1, 1)`` that is ``c / 2`` times the integral with weight
+    ``1 ^ r``, whose origin power map sees the exponent ``2 - gamma``.
+    Infinite energies raise before any quadrature."""
+    p, gamma = kernel.p_exp, kernel.origin_exponent
+    terms = []      # (job, context, scale, lo, hi, weight_beta, factor)
+    for k, (x_iv, y_iv, _) in enumerate(jobs):
+        for ax, bx, x in _phase_pieces(x_iv, field.jump_points):
+            for ay, by, y in _phase_pieces(y_iv, field.jump_points):
+                du = abs(float(field.offset_diff([[x]], [[y - x]])[0]))
+                if not math.isfinite(du):
+                    raise EnergyError("non-finite field value near x=%s" % x)
+                scale = du ** p
+                if scale == 0.0:
+                    continue
+                where = "; in phase piece (%g, %g) against (%g, %g)" \
+                    % (ax, bx, ay, by)
+                if (ax == -math.inf and by == math.inf) \
+                        or (bx == math.inf and ay == -math.inf):
+                    raise QuadratureError(
+                        "pair energy diverges: the phase pieces are "
+                        "unbounded on opposite sides" + where)
+                cover, kinks = _covariogram((ax, bx), (ay, by))
+                edges = list(zip(kinks, kinks[1:] + [math.inf]))
+                touch = (bx == ay) + (by == ax)
+                if touch:
+                    if kernel.inner_radius == 0.0 and gamma is not None \
+                            and gamma >= 2.0:
+                        raise QuadratureError(
+                            "pair energy diverges at the jump interface "
+                            "(outer exponent %.3g <= 0)" % (2.0 - gamma)
+                            + where)
+                    r_1 = min(edges[0][1], 1.0)
+                    terms.append((k, where, 0.5 * touch * scale, 0.0, r_1,
+                                  1.0, None))
+                    edges[0] = (r_1, edges[0][1])
+                terms += [(k, where, scale, lo, hi, 0.0,
+                           lambda r, cover=cover: 0.5 * cover(r))
+                          for lo, hi in edges
+                          if hi > lo and cover(lo) + cover(hi) > 0.0]
+    share = collections.Counter(term[0] for term in terms)
+    parts = []
+    for k, where, scale, lo, hi, beta, factor in terms:
+        try:
+            parts.append((k, scale * kmod.radial_integral(
+                kernel, lo, hi, weight_beta=beta, factor=factor,
+                abs_tol=tol / (share[k] * scale))))
+        except QuadratureError as exc:
+            raise QuadratureError(str(exc) + where,
+                                  achieved=exc.achieved) from exc
+    return _job_total(jobs, parts)
 
 
 def _require_det_domain(domain):
@@ -654,10 +576,12 @@ def _estimate(kind, field, kernel, domain, x_set, accept, partners, *,
     over ``partners()``.  ``domain`` names the estimate; ``kind`` and the
     ids of ``domain``, ``tag_sets`` and the field key the sample streams.
 
-    The oracle's jobs are the interval pairs, each with the error budget
-    ``abs_tol / number of jobs``.  ``symmetric`` (y over the intervals of
-    ``x_set`` itself) takes each unordered pair once, a mixed one with
-    factor 2."""
+    The deterministic jobs are the interval pairs, each with the error
+    budget ``abs_tol / number of jobs``: a piecewise-constant field's go to
+    :func:`_jump_energy`, every other field's to the :class:`_Oracle`.
+    ``symmetric`` (y over the intervals of ``x_set`` itself) takes each
+    unordered pair once, a mixed one with factor 2.  Monte Carlo refuses a
+    piecewise-constant field, whose weights are heavy-tailed."""
     if mode not in (MODE_MC, MODE_DET):
         raise EnergyError("unknown estimator mode %r (expected %r or %r)"
                           % (mode, MODE_MC, MODE_DET))
@@ -673,9 +597,18 @@ def _estimate(kind, field, kernel, domain, x_set, accept, partners, *,
         else:
             jobs = [(xi, yj, 1.0) for xi in x_ivs for yj in y_ivs]
         tol = abs_tol / max(len(jobs), 1)
-        value = _Oracle(field, kernel, tol).total(jobs)
+        if field.regularity == PIECEWISE_CONSTANT:
+            value = _jump_energy(field, kernel, jobs, tol)
+        else:
+            value = _Oracle(field, kernel, tol).total(jobs)
         stderr, n, seed = 0.0, 0, None
     else:
+        if field.regularity == PIECEWISE_CONSTANT:
+            raise EnergyError(
+                "Monte Carlo refuses piecewise-constant fields: their "
+                "weights are heavy-tailed (infinite variance at p = 1, "
+                "infinite energy at p > 1)%s"
+                % ("; use mode %r" % MODE_DET if field.dim == 1 else ""))
         if n < 1:
             raise EnergyError("Monte Carlo needs n >= 1 samples (got %r)" % n)
         tag = _case_tag(kind, kernel_id, domain_id,

@@ -34,6 +34,7 @@ Kernels are immutable; samplers take a caller-owned generator.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -556,6 +557,10 @@ def smoothing_constant(dim, beta, eps, eps0, *, abs_tol=1e-13):
     tval, _ = integrate(tf, t0, 1.0, abs_tol=abs_tol)
     # b_eps, or b_eps |log eps| for beta = -d (where eps^(d+beta) = 1)
     scaled = eps ** (dim + beta) * tval
+    if not sys.float_info.min <= scaled < math.inf:
+        raise KernelError("smoothed power needs b_eps inside the normal "
+                          "float range (got %r: beta=%r is too large for "
+                          "eps=%g, d=%d)" % (scaled, beta, eps, dim))
 
     def rf(r):
         return np.power(r + eps, beta) * np.power(r, dim - 1.0)

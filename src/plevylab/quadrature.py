@@ -49,16 +49,16 @@ elementwise integrand.  The sphere means of ``generator`` and
 @ weights`` depends on its row count (4 of 60 Gaussian rows moved when 60
 radii were reduced at once instead of 30 at a time), so they reduce their
 radii 30 rows, one panel, at a time.  The two drivers stay separate on
-purpose: with :func:`integrate` as a one-problem lock-step call, the
-kernel-check workload of ``perfbench`` (2-vCPU VM) went from 1.72-1.86 s
-to 2.00-2.12 s per pass and its peak RSS from 106.9 to 129.8 MB.  A short
-integral still pays about 60 us of array bookkeeping per lock-step round
-(90 us before the panel table) against about 12 us per bisection in
-:func:`integrate` (``x**-0.5`` on (0, 1), 52 rounds, 2-vCPU VM).  The fold
-would also move pinned values: the lock-step Gauss sums multiply the
-weights in and add each row with ``sum(axis=1)``, which differs from this
-driver's ``np.dot`` in the last bit (227 of 620 sums of random power
-laws).
+purpose: routing every :func:`integrate` call through a one-problem
+lock-step call took the ``kernels`` workload of ``perfbench`` from 0.44-0.50
+to 0.73-0.76 s per pass (three alternating 12 s runs each, 2-vCPU VM), at
+about the same peak RSS (44 MB).  A short integral still pays about 60
+us of array bookkeeping per lock-step round (90 us before the panel table)
+against about 12 us per bisection in :func:`integrate` (``x**-0.5`` on
+(0, 1), 52 rounds, 2-vCPU VM).  The fold would also move pinned values:
+the lock-step Gauss sums multiply the weights in and add each row with
+``sum(axis=1)``, which differs from this driver's ``np.dot`` in the last
+bit (227 of 620 sums of random power laws).
 
 Integrands must be vectorized (``f(ndarray) -> ndarray``).  Failure to reach
 the requested tolerance raises :class:`QuadratureError` carrying the achieved

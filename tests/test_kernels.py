@@ -210,6 +210,17 @@ def test_smoothing_constant_log_variant_closed_form(d):
         assert abs(got - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("d, beta", [(1, 340.0), (3, 338.0)])
+def test_smoothing_constant_below_the_normal_range_raises(d, beta):
+    # eps^(d + beta) underflows: b_eps (about 1e-78) read 0.0, and the
+    # kernel's log normalizer then raised a math domain error
+    match = "beta=%r is too large for eps=0.1, d=%d" % (beta, d)
+    with pytest.raises(K.KernelError, match=match):
+        K.smoothing_constant(d, beta, 0.1, 0.5)
+    with pytest.raises(K.KernelError, match=match):
+        K.make_smoothed_power(d, 2.0, beta, 0.1, 0.5)
+
+
 def _each_constructor(dim, p):
     yield lambda: K.make_stable(dim, p, 0.1)
     yield lambda: K.make_truncated_power(dim, p, 0.0, 0.1)
