@@ -7,6 +7,10 @@ interfaces and refuse pointwise gradients on them.  The total-variation
 seminorm is computed in closed form as (jump magnitude) x (interface measure
 strictly inside the domain), which is exact for the hyperplane and sphere
 interfaces supported here; nothing is discretized.
+
+Every optional field fact has its default on :class:`Field`, ``laplacian``
+one that raises.  ``u.scaled(c)`` and ``u.shifted(c)`` return one
+:class:`Affine` ``scale * u + shift`` that states every fact of ``u``.
 """
 
 from __future__ import annotations
@@ -95,6 +99,9 @@ class Field:
     # up to the rounding of |x| (None: no such R).  The Gaussian states its
     # underflow radius sqrt(746) ~ 27.31: exp(-s) is 0.0 for s > 745.14
     support_radius = None
+    # True when u(x) depends on |x| only (a class fact): the ball routes of
+    # grad_lp_norm and sobolev_norm_p integrate such a field along one axis
+    radial = False
     # Contract: _offset_diff(x, h) returns u(x+h) - u(x) without
     # cancellation at any |h|.  Concentrated kernels probe offsets far below
     # the resolution of u(x+h) - u(x) formed by subtraction, and both
@@ -117,11 +124,14 @@ class Field:
     def _offset_diff(self, pts, off):
         return self._eval(pts + off) - self._eval(pts)
 
+    def laplacian(self, x):
+        raise FieldError("%s has no analytic laplacian" % type(self).__name__)
+
     def scaled(self, c):
-        return Scaled(self, c)
+        return Affine(self, c, 0.0)
 
     def shifted(self, c):
-        return Shifted(self, c)
+        return Affine(self, 1.0, c)
 
     def spec(self):
         raise NotImplementedError
@@ -171,6 +181,7 @@ class Gaussian(Field):
     dim: int = 1
     regularity = SMOOTH
     support_radius = math.sqrt(746.0)
+    radial = True
 
     def _eval(self, pts):
         out = _dot(pts, pts)
@@ -196,9 +207,6 @@ class Gaussian(Field):
             out[far] = -np.exp(-_dot(y, y)) * np.expm1(delta[far])
         return out
 
-    def radial_gradient_magnitude(self, r):
-        return 2.0 * np.asarray(r) * np.exp(-np.asarray(r) ** 2)
-
     def laplacian(self, x):
         pts = _pts(x, self.dim)
         r2 = _dot(pts, pts)
@@ -220,6 +228,7 @@ class Tent(Field):
     dim: int = 1
     regularity = LIPSCHITZ
     support_radius = 1.0
+    radial = True
 
     @property
     def kinks(self):
@@ -270,6 +279,7 @@ class SmoothBump(Field):
     dim: int = 1
     radius: float = 1.0
     regularity = SMOOTH
+    radial = True
 
     def __post_init__(self):
         if not 0.0 < self.radius < math.inf:
@@ -319,16 +329,6 @@ class SmoothBump(Field):
             e = np.expm1(-np.abs(ds)
                          / np.maximum(ax * ay, np.finfo(float).tiny))
         return np.where(ds >= 0.0, e, -e) * top
-
-    def radial_gradient_magnitude(self, r):
-        r = np.asarray(r, dtype=float)
-        s = (r / self.radius) ** 2
-        out = np.zeros_like(s)
-        inside = s < 1.0
-        u = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
-        out[inside] = 2.0 * r[inside] / (self.radius ** 2
-                                         * (1.0 - s[inside]) ** 2) * u
-        return out
 
     def laplacian(self, x):
         # for u = exp(g(s)), s = |x|^2/R^2: Lap u = (2u/R^2)(d g' + 2s(g'^2 + g''))
@@ -392,6 +392,7 @@ class BallIndicator(Field):
     inside: float = 1.0
     outside: float = 0.0
     regularity = PIECEWISE_CONSTANT
+    radial = True
 
     @property
     def jump_points(self):
@@ -418,84 +419,59 @@ class BallIndicator(Field):
                 "outside": repr(self.outside)}
 
 
-class _Wrapped(Field):
-    def __init__(self, base, c):
-        self.base = base
-        self.c = float(c)
+class Affine(Field):
+    """scale * u + shift, with every fact of u; the support radius only
+    survives a zero shift (u + c is c beyond the support of u).  An
+    ``Affine`` base is folded in, so the base is never an ``Affine``."""
 
-    @property
-    def dim(self):
-        return self.base.dim
+    def __init__(self, base, scale=1.0, shift=0.0):
+        if isinstance(base, Affine):    # c (a u + b) + s = ca u + (cb + s)
+            base, scale, shift = (base.base, scale * base.scale,
+                                  scale * base.shift + shift)
+        self.base, self.scale, self.shift = base, float(scale), float(shift)
 
-    @property
-    def regularity(self):
-        return self.base.regularity
-
-    @property
-    def kinks(self):
-        return self.base.kinks
-
-    @property
-    def jump_points(self):
-        return self.base.jump_points
+    dim = property(lambda self: self.base.dim)
+    regularity = property(lambda self: self.base.regularity)
+    kinks = property(lambda self: self.base.kinks)
+    jump_points = property(lambda self: self.base.jump_points)
+    radial = property(lambda self: self.base.radial)
 
     @property
     def support_radius(self):
-        return self.base.support_radius
-
-
-class Scaled(_Wrapped):
-    """c * u, for homogeneity checks."""
-
-    def _eval(self, pts):
-        return self.c * self.base._eval(pts)
-
-    def _grad(self, pts):
-        return self.c * self.base._grad(pts)
-
-    def _offset_diff(self, pts, off):
-        return self.c * self.base._offset_diff(pts, off)
+        return self.base.support_radius if self.shift == 0.0 else None
 
     @property
     def jump_size(self):
-        return abs(self.c) * self.base.jump_size
-
-    def spec(self):
-        return dict(self.base.spec(), scale=repr(self.c))
-
-
-class Shifted(_Wrapped):
-    """u + c; gradients and jumps are untouched."""
-
-    @property
-    def support_radius(self):
-        # u + c is c, not 0.0, beyond the base's support
-        return self.base.support_radius if self.c == 0.0 else None
+        return abs(self.scale) * self.base.jump_size
 
     def _eval(self, pts):
-        return self.base._eval(pts) + self.c
+        return self.scale * self.base._eval(pts) + self.shift
 
     def _grad(self, pts):
-        return self.base._grad(pts)
+        return self.scale * self.base._grad(pts)
 
     def _offset_diff(self, pts, off):
-        return self.base._offset_diff(pts, off)
+        return self.scale * self.base._offset_diff(pts, off)
 
-    @property
-    def jump_size(self):
-        return self.base.jump_size
+    def laplacian(self, x):
+        return self.scale * self.base.laplacian(x)
 
     def spec(self):
-        return dict(self.base.spec(), shift=repr(self.c))
+        out = dict(self.base.spec())
+        if self.scale != 1.0:
+            out["scale"] = repr(self.scale)
+        if self.shift != 0.0:
+            out["shift"] = repr(self.shift)
+        return out
 
 
 def grad_lp_norm(field, domain, p_exp, *, abs_tol=1e-11):
     """Integral of |grad u|^p over the domain.
 
-    Closed form for linear fields; one-dimensional adaptive quadrature on
-    interval unions; radial quadrature on balls for fields whose gradient
-    magnitude is radial.  Piecewise-constant fields are rejected (their
-    gradient energy lives on interfaces; use :func:`bv_seminorm`).
+    Closed form for linear fields, 1-D adaptive quadrature on interval
+    unions, radial quadrature on centred balls for ``radial`` fields; an
+    ``Affine`` field gives its base's value times ``|scale|^p``.  Jump
+    fields are rejected: their energy lives on interfaces (bv_seminorm).
     """
     if field.regularity == PIECEWISE_CONSTANT:
         # with every interface outside the open domain the field is locally
@@ -507,10 +483,9 @@ def grad_lp_norm(field, domain, p_exp, *, abs_tol=1e-11):
         raise FieldError("p must be >= 1")
     if field.dim != domain.dim:
         raise FieldError("field/domain dimension mismatch")
-    if isinstance(field, (Scaled, Shifted)):
-        scale = abs(field.c) ** p_exp if isinstance(field, Scaled) else 1.0
-        return scale * grad_lp_norm(field.base, domain, p_exp,
-                                    abs_tol=abs_tol)
+    if isinstance(field, Affine):
+        return abs(field.scale) ** p_exp * grad_lp_norm(field.base, domain,
+                                                        p_exp, abs_tol=abs_tol)
     if isinstance(field, Linear):
         slope = math.sqrt(sum(s * s for s in field.slope))
         return slope ** p_exp * domain.volume()
@@ -523,12 +498,15 @@ def grad_lp_norm(field, domain, p_exp, *, abs_tol=1e-11):
             val, _ = integrate(f, a, b, points=field.kinks, abs_tol=abs_tol)
             total += val
         return total
-    if isinstance(domain, Ball) and hasattr(field, "radial_gradient_magnitude") \
+    if isinstance(domain, Ball) and field.radial \
             and all(c == 0.0 for c in domain.center):
         def f(r):
-            return (field.radial_gradient_magnitude(r) ** p_exp
-                    * r ** (domain.dim - 1))
-        val, _ = integrate(f, 0.0, domain.radius, abs_tol=abs_tol)
+            # at (r, 0, ...) a radial field's gradient lies on the first axis
+            g = field.grad(np.outer(r, np.eye(domain.dim)[0]))
+            return np.abs(g[:, 0]) ** p_exp * r ** (domain.dim - 1)
+        # |grad u| may jump at the support edge (the tent's is 1 to 0)
+        edge = () if field.support_radius is None else (field.support_radius,)
+        val, _ = integrate(f, 0.0, domain.radius, points=edge, abs_tol=abs_tol)
         return sphere_area(domain.dim) * val
     raise FieldError("no quadrature route for %s on %s"
                      % (type(field).__name__, type(domain).__name__))
@@ -561,9 +539,8 @@ def bv_seminorm(field, domain):
     inside the open domain.  Interfaces falling on removed slits contribute
     nothing.  Raises for interfaces without a closed-form measure.
     """
-    if isinstance(field, (Scaled, Shifted)):
-        factor = abs(field.c) if isinstance(field, Scaled) else 1.0
-        return factor * bv_seminorm(field.base, domain)
+    if isinstance(field, Affine):
+        return abs(field.scale) * bv_seminorm(field.base, domain)
     if field.regularity != PIECEWISE_CONSTANT:
         raise FieldError("bv_seminorm needs a piecewise-constant field")
     if field.dim != domain.dim:
@@ -594,11 +571,12 @@ def sobolev_norm_p(field, p_exp, *, abs_tol=1e-11):
     """Full-space W^{1,p} norm to the p-th power, ||u||_p^p + ||grad u||_p^p.
 
     Only for fields that state a ``support_radius`` (the bound tests use
-    it with the tent field), integrating over the support interval/ball.
+    it with the tent field), integrating over the support interval, or
+    along one axis of the support ball for a radial field in d >= 2.
     """
     r = field.support_radius
-    if r is None:
-        raise FieldError("needs a compactly supported field")
+    if r is None or (field.dim > 1 and not field.radial):
+        raise FieldError("needs a compactly supported field, radial in d >= 2")
     if field.dim == 1:
         dom = IntervalUnion(((-r, r),))
 
@@ -609,10 +587,8 @@ def sobolev_norm_p(field, p_exp, *, abs_tol=1e-11):
     dom = Ball(r, field.dim)
 
     def fval(rr):
-        pts = np.zeros((rr.size, field.dim))
-        pts[:, 0] = rr
-        return (np.abs(field.eval(pts)) ** p_exp
-                * rr ** (field.dim - 1))
+        pts = np.outer(rr, np.eye(field.dim)[0])
+        return np.abs(field.eval(pts)) ** p_exp * rr ** (field.dim - 1)
     val, _ = integrate(fval, 0.0, r, abs_tol=abs_tol)
     return sphere_area(field.dim) * val + grad_lp_norm(field, dom, p_exp,
                                                        abs_tol=abs_tol)
@@ -622,20 +598,23 @@ def from_spec(spec):
     kind = spec.get("field")
     if kind == "linear":
         slope = tuple(float(v) for v in spec.get("slope", "1").split(","))
-        return Linear(slope, float(spec.get("intercept", 0.0)))
-    if kind == "gaussian":
-        return Gaussian(int(spec.get("d", 1)))
-    if kind == "tent":
-        return Tent(int(spec.get("d", 1)))
-    if kind == "bump":
-        return SmoothBump(int(spec.get("d", 1)),
-                          float(spec.get("radius", 1.0)))
-    if kind == "sign_jump":
-        return SignJump(int(spec.get("d", 1)),
-                        float(spec.get("magnitude", 0.5)))
-    if kind == "ball_indicator":
-        return BallIndicator(int(spec.get("d", 2)),
-                             float(spec.get("radius", 0.5)),
-                             float(spec.get("inside", 1.0)),
-                             float(spec.get("outside", 0.0)))
-    raise FieldError("unknown field kind %r" % kind)
+        field = Linear(slope, float(spec.get("intercept", 0.0)))
+    elif kind == "gaussian":
+        field = Gaussian(int(spec.get("d", 1)))
+    elif kind == "tent":
+        field = Tent(int(spec.get("d", 1)))
+    elif kind == "bump":
+        field = SmoothBump(int(spec.get("d", 1)),
+                           float(spec.get("radius", 1.0)))
+    elif kind == "sign_jump":
+        field = SignJump(int(spec.get("d", 1)),
+                         float(spec.get("magnitude", 0.5)))
+    elif kind == "ball_indicator":
+        field = BallIndicator(int(spec.get("d", 2)),
+                              float(spec.get("radius", 0.5)),
+                              float(spec.get("inside", 1.0)),
+                              float(spec.get("outside", 0.0)))
+    else:
+        raise FieldError("unknown field kind %r" % kind)
+    scale, shift = float(spec.get("scale", 1)), float(spec.get("shift", 0))
+    return Affine(field, scale, shift) if (scale, shift) != (1, 0) else field

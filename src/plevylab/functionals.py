@@ -71,7 +71,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as kmod
-from .fields import PIECEWISE_CONSTANT, FieldError
+from .fields import PIECEWISE_CONSTANT
 from .geometry import _ROW_BLOCK, IntervalUnion, containment_margin
 from .quadrature import _HI_N, _LO_N, QuadratureError, integrate_many
 
@@ -786,9 +786,6 @@ def generator(field, point, kernel, *, abs_tol=1e-10):
     if kernel.p_exp != 2.0:
         raise EnergyError("the difference operator is defined for p = 2 "
                           "kernels")
-    if not hasattr(field, "laplacian"):
-        raise FieldError("generator needs a field with an analytic "
-                         "laplacian (C^2)")
     x0 = np.asarray(point, dtype=float).reshape(-1)
     if not np.isfinite(x0).all():
         raise EnergyError("point must be finite (got %s)" % x0.tolist())
@@ -803,11 +800,9 @@ def generator(field, point, kernel, *, abs_tol=1e-10):
         m2 = kmod.weighted_moment(kernel, 2.0, rc)
         core = -(lap / (2.0 * d)) * m2
 
-    support = getattr(field, "support_radius", None)
-
     def gap(r):
         return u0 - _sphere_pair_mean(field.eval, x0, r,
-                                      support_radius=support)
+                                      support_radius=field.support_radius)
 
     return core + kmod.radial_integral(kernel, rc, math.inf, weight_beta=0.0,
                                        factor=gap, abs_tol=abs_tol)

@@ -263,8 +263,8 @@ def _smoothed_power_sampler(dim, beta, eps, eps0):
     dominated by (r+eps)^(a-1), a = beta + d, whose inverse CDF is
     ``eps expm1(log1p(v expm1(a L)) / a)`` with ``L = log1p(eps0/eps)``
     (``eps expm1(v L)`` at a = 0; ``expm1(a L)`` is finite for every kernel
-    that builds, as :func:`smoothing_constant` reaches ``e^((a+1) L)``).  A
-    proposal is kept with probability ``(r/(r+eps))^(d-1)``: always in
+    that builds: :func:`smoothing_constant` refuses ``e^((a+1) L) = inf``).
+    A proposal is kept with probability ``(r/(r+eps))^(d-1)``: always in
     d = 1, at least 0.1 in d = 2, 3 for any beta.  Each round proposes as
     many radii as are missing, drawn with their accept uniforms as 2-column
     blocks of ``_ROW_BLOCK`` rows in one reused buffer, and keeps the
@@ -551,6 +551,12 @@ def smoothing_constant(dim, beta, eps, eps0, *, abs_tol=1e-13):
     if beta < -dim:
         raise KernelError("needs beta >= -d")
     t0 = eps / (eps + eps0)
+    too_large = KernelError("beta=%r is too large for eps=%g, d=%d: b_eps "
+                            "leaves the normal float range" % (beta, eps, dim))
+    with np.errstate(over="ignore"):
+        peak = np.power(t0, -dim - beta - 1.0)    # tf is largest at t0
+    if not (eps ** (dim + beta) >= sys.float_info.min and peak < math.inf):
+        raise too_large
 
     def tf(t):
         return np.power(t, -dim - beta - 1.0) * np.power(1.0 - t, dim - 1)
@@ -558,9 +564,7 @@ def smoothing_constant(dim, beta, eps, eps0, *, abs_tol=1e-13):
     # b_eps, or b_eps |log eps| for beta = -d (where eps^(d+beta) = 1)
     scaled = eps ** (dim + beta) * tval
     if not sys.float_info.min <= scaled < math.inf:
-        raise KernelError("smoothed power needs b_eps inside the normal "
-                          "float range (got %r: beta=%r is too large for "
-                          "eps=%g, d=%d)" % (scaled, beta, eps, dim))
+        raise too_large
 
     def rf(r):
         return np.power(r + eps, beta) * np.power(r, dim - 1.0)

@@ -7,8 +7,8 @@ multiplied by smooth factors), so the strategy is:
   (the 10/20-point difference serves as the error estimate),
 * explicit split points at known kinks, so every panel sees a smooth
   integrand,
-* a power substitution ``x = a + u**(1/alpha)`` on the panel touching an
-  integrable singularity ``f ~ C*(x-a)**(alpha-1)`` at the left endpoint
+* a power substitution ``x = u**(1/alpha)`` on the panel touching an
+  integrable singularity ``f ~ C*x**(alpha-1)`` at a left endpoint 0
   (radial integrals are singular only at the origin, their lower limit),
 * the map ``r = 1/t`` for tails on ``(a, inf)``: :func:`integrate` with
   ``b = inf`` integrates up to ``max(a, points, 1)`` as above and the rest
@@ -16,7 +16,7 @@ multiplied by smooth factors), so the strategy is:
 
 The integrand sees every node of the power map.  For small alpha
 ``u**(1/alpha)`` underflows, and a node can collapse onto the endpoint
-(``x == a``, or ``t == 0`` in a tail) or lose its Jacobian; the map then
+(``x == 0``, or ``t == 0`` in a tail) or lose its Jacobian; the map then
 raises :class:`QuadratureError` naming alpha instead of scoring the node
 0, which is the wrong limit (``C/alpha`` for an exact power law): scored
 0, the nodes would make a unit mass read 0.50025 at ``alpha = 1e-3``.
@@ -182,26 +182,26 @@ def _adaptive_pool(regions, *, abs_tol, rel_tol):
     return total, total_err
 
 
-def _power_mapped(f, a, alpha):
-    """Wrap ``f`` for the substitution ``x = a + u**(1/alpha)``.
+def _power_mapped(f, alpha):
+    """Wrap ``f`` for the substitution ``x = u**(1/alpha)``.
 
-    Valid for an integrable singularity ``f ~ C*(x-a)**(alpha-1)`` with
+    Valid for an integrable singularity ``f ~ C*x**(alpha-1)`` at 0 with
     ``0 < alpha <= 1``; the transformed integrand is bounded near ``u = 0``.
     ``f`` sees every node.  A node whose Jacobian ``u**(1/alpha - 1) /
-    alpha`` is not positive and finite, or whose ``x`` collapses onto
-    ``a``, raises :class:`QuadratureError`: ``f(x) * jac`` is then no
-    longer the integrand there (for an exact power law it is ``C/alpha``,
-    not 0), and the caller has no ``C`` to put in its place.
+    alpha`` is not positive and finite, or whose ``x`` collapses onto 0,
+    raises :class:`QuadratureError`: ``f(x) * jac`` is then no longer the
+    integrand there (for an exact power law it is ``C/alpha``, not 0), and
+    the caller has no ``C`` to put in its place.
     """
     inv = 1.0 / alpha
 
     def g(u):
         jac = inv * np.power(u, inv - 1.0)
-        x = a + np.power(u, inv)
-        if not (((jac > 0) & np.isfinite(jac)).all() and (x != a).all()):
+        x = np.power(u, inv)
+        if not (((jac > 0) & np.isfinite(jac)).all() and x.all()):
             raise QuadratureError(
-                "power map x = a + u**(1/alpha) collapses nodes onto the "
-                "endpoint a=%g (alpha=%g)" % (a, alpha))
+                "power map x = u**(1/alpha) collapses nodes onto the "
+                "endpoint 0 (alpha=%g)" % alpha)
         return np.asarray(f(x), dtype=float) * jac
 
     return g
@@ -234,7 +234,7 @@ def integrate(f, a, b, *, points=(), alpha_left=None, decay_exponent=None,
         Endpoint singularity exponent: the integrand behaves like
         ``(x-a)**(alpha_left-1)`` near ``a``.  ``alpha_left <= 0`` means the
         integral diverges and raises.  A hint ``>= 1`` is ignored (no true
-        singularity).
+        singularity); a hint below 1 needs ``a = 0`` and raises otherwise.
     decay_exponent : float, optional
         For ``b = inf``: ``q`` with ``f(x) ~ C*x**(-q)`` at infinity; it
         supplies the endpoint hint ``alpha = q - 1`` of the mapped tail
@@ -266,9 +266,11 @@ def integrate(f, a, b, *, points=(), alpha_left=None, decay_exponent=None,
             "divergent endpoint singularity (left alpha=%g <= 0)" % alpha_left)
     regions = [(f, lo, hi) for lo, hi in _pieces(a, b, points)]
     if alpha_left is not None and alpha_left < 1.0:
-        _, lo, hi = regions[0]
-        regions[0] = (_power_mapped(f, lo, alpha_left), 0.0,
-                      (hi - lo) ** alpha_left)
+        if a != 0.0:
+            raise QuadratureError("power map needs a = 0 (a=%r, alpha=%g): "
+                                  "shift the integrand to 0" % (a, alpha_left))
+        hi = regions[0][2]
+        regions[0] = (_power_mapped(f, alpha_left), 0.0, hi ** alpha_left)
     return _adaptive_pool(regions, abs_tol=abs_tol, rel_tol=rel_tol)
 
 

@@ -264,6 +264,12 @@ _FAILURE_NAMES = {
     # b_eps underflows to 0.0: this ended in a math domain error traceback
     "kernel-check --family smoothed_power --beta 390 --eps 0.1":
         "beta=390.0 is too large for eps=0.1, d=1",
+    # the t-integrand overflows: these printed "non-finite integrand on
+    # (0.166667, 1)" and "(0.4, 1)", naming neither beta nor eps
+    "kernel-check --family smoothed_power --beta 400 --eps 0.1":
+        "beta=400.0 is too large for eps=0.1, d=1",
+    "kernel-check --family smoothed_power --beta 800 --eps 0.6 --eps0 0.9":
+        "beta=800.0 is too large for eps=0.6, d=1",
 }
 
 
@@ -284,6 +290,9 @@ _FAILURE_NAMES = {
     ("generator --eps 0.001", 2),
     ("energy --field sign-jump --xa -1 --xb 1 --p 1 --eps 0.02 --n 400000", 2),
     ("kernel-check --family smoothed_power --beta 390 --eps 0.1", 2),
+    ("kernel-check --family smoothed_power --beta 400 --eps 0.1", 2),
+    ("kernel-check --family smoothed_power --beta 800 --eps 0.6 --eps0 0.9",
+     2),
 ])
 def test_failures_exit_with_a_code_and_no_traceback(tmp_path, line, code):
     # the overflowing bounding box once made the sampler loop for ever

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from plevylab.fields import (BallIndicator, FieldError, Gaussian,
-                             InterfaceGradientError, Linear, SignJump,
-                             SmoothBump, Tent, _dot, bv_seminorm,
-                             grad_lp_norm, sobolev_norm_p)
+from plevylab.constants import unit_ball_volume
+from plevylab.fields import (LIPSCHITZ, BallIndicator, Field, FieldError,
+                             Gaussian, InterfaceGradientError, Linear,
+                             SignJump, SmoothBump, Tent, _dot, bv_seminorm,
+                             from_spec, grad_lp_norm, sobolev_norm_p)
 from plevylab.geometry import _ROW_BLOCK, Ball, interval, slit_interval
 
 
@@ -359,3 +360,100 @@ def test_sobolev_norm_of_the_gaussian():
     got = sobolev_norm_p(Gaussian(1), 2.0)
     assert abs(got - math.sqrt(2.0 * math.pi)) <= 1e-14 * math.sqrt(
         2.0 * math.pi)
+
+
+# ---------------------------------------------------------------------------
+# the affine wrapper: scale * u + shift keeps every fact of u
+
+
+def test_affine_wrappers_compose_and_name_their_map():
+    u = Gaussian(1)
+    x = np.array([[0.0], [0.3], [-1.2]])
+    a, b = u.shifted(1.0).scaled(2.0), u.scaled(2.0).shifted(1.0)
+    # these shared the id gaussian(d=1,scale=2.0,shift=1.0), and 6u was
+    # named scale=3.0
+    assert np.array_equal(a.eval(x), 2.0 * u.eval(x) + 2.0)
+    assert np.array_equal(b.eval(x), 2.0 * u.eval(x) + 1.0)
+    assert a.spec() == dict(u.spec(), scale="2.0", shift="2.0")
+    assert b.spec() == dict(u.spec(), scale="2.0", shift="1.0")
+    assert u.scaled(2.0).scaled(3.0).spec() == dict(u.spec(), scale="6.0")
+    # the identity map names the base field
+    assert u.scaled(1.0).shifted(0.0).spec() == u.spec()
+
+
+def test_radial_is_a_class_fact_that_wrappers_keep():
+    for field in (Gaussian(2), Tent(3), SmoothBump(2, 0.7),
+                  BallIndicator(2, 0.5), Tent(2).scaled(-2.0).shifted(1.0)):
+        assert field.radial
+    for field in (Linear((1.0, 2.0)), SignJump(2), SignJump(1).scaled(3.0)):
+        assert not field.radial
+
+
+ROUND_TRIP_FIELDS = [
+    wrap(f)
+    for f in (Linear((1.0, -2.0), 0.5), Gaussian(2), Tent(3),
+              SmoothBump(2, 0.7), SignJump(1, 0.25),
+              BallIndicator(2, 0.5, 2.0, -1.0))
+    for wrap in (lambda f: f, lambda f: f.scaled(-2.5),
+                 lambda f: f.shifted(0.5),
+                 lambda f: f.shifted(1.0).scaled(2.0),
+                 lambda f: f.scaled(2.0).shifted(-1.0).scaled(0.5))]
+
+
+@pytest.mark.parametrize("field", ROUND_TRIP_FIELDS, ids=_field_id)
+def test_from_spec_rebuilds_every_field(field):
+    # the scale and shift keys were dropped: 2 u + 0.5 came back as u
+    again = from_spec(field.spec())
+    assert again.spec() == field.spec()
+    x = np.random.default_rng(3).uniform(-1.5, 1.5, (64, field.dim))
+    assert np.array_equal(again.eval(x), field.eval(x))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+@pytest.mark.parametrize("radius", [1.0, 1.5])
+def test_grad_lp_norm_of_the_tent_on_a_ball(d, p, radius):
+    # |grad u| = 1 almost everywhere on B_1 and 0 beyond: this raised "no
+    # quadrature route"; without a split at the support edge, where |grad u|
+    # jumps, B_1.5 read 2.8e-10 off in d = 2
+    want = unit_ball_volume(d)
+    ball = Ball(radius, d)
+    assert abs(grad_lp_norm(Tent(d), ball, p) - want) <= 1e-14
+    got = grad_lp_norm(Tent(d).scaled(-2.0).shifted(1.0), ball, p)
+    assert abs(got - 2.0 ** p * want) <= 1e-14 * 2.0 ** p
+
+
+def test_grad_lp_norm_of_the_gaussian_on_a_ball_keeps_its_bits():
+    # recorded when the ball route read a per-class radial gradient
+    got = grad_lp_norm(Gaussian(2), Ball(1.0, 2), 2.0)
+    assert got.hex() == "0x1.ddb7ebba21740p+0"
+
+
+class _Pyramid(Field):
+    """max(0, 1 - |x|_inf) in d = 2: compactly supported, not radial."""
+
+    dim = 2
+    regularity = LIPSCHITZ
+    support_radius = math.sqrt(2.0)
+
+    def _eval(self, pts):
+        return np.maximum(0.0, 1.0 - np.abs(pts).max(axis=1))
+
+    def spec(self):
+        return {"field": "pyramid"}
+
+
+def test_sobolev_norm_of_a_non_radial_field_is_refused():
+    # the d >= 2 route integrates along one axis, which only a radial field
+    # allows
+    with pytest.raises(FieldError, match="radial"):
+        sobolev_norm_p(_Pyramid(), 2.0)
+
+
+def test_laplacian_defaults_to_an_error_naming_the_field():
+    for field in (Tent(1), SignJump(1), Tent(2).scaled(2.0)):
+        with pytest.raises(FieldError, match="Tent has no analytic laplacian"
+                           if field.radial else "SignJump"):
+            field.laplacian([[0.5] * field.dim])
+    lap = Gaussian(2).scaled(-2.0).shifted(3.0).laplacian([[0.1, 0.2]])
+    assert lap[0] == -2.0 * Gaussian(2).laplacian([[0.1, 0.2]])[0]

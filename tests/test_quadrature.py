@@ -86,6 +86,21 @@ def test_power_map_raises_where_a_node_collapses_onto_the_endpoint():
         integrate(lambda x: x ** -0.999, 0.0, 1.0, alpha_left=0.001)
 
 
+def test_power_map_needs_a_left_end_at_zero():
+    # toward a = 0.5 the nodes round onto a: this bisected until they
+    # collapsed, for an integral of 1/0.3
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        return (x - 0.5) ** -0.7
+    with pytest.raises(QuadratureError, match="shift the integrand to 0"):
+        integrate(f, 0.5, 1.5, alpha_left=0.3)
+    assert calls == []
+    val, _ = integrate(lambda x: x ** -0.7, 0.0, 1.0, alpha_left=0.3)
+    assert abs(val - 1.0 / 0.3) <= 1e-12
+
+
 @pytest.mark.parametrize("many", [False, True])
 def test_tail_power_map_raises_where_a_node_collapses_to_infinity(many):
     # the same collapse in t = 1/r: these read 500.00000000005497 and 500.0
