@@ -19,30 +19,21 @@ Monte Carlo
     serial result bit for bit.
 
 Deterministic (dimension one)
-    A piecewise-constant field takes the covariogram route
-    (:func:`_jump_energy`): split at its jump points, a pair of phase
-    pieces X, Y adds ``|du|^p int_0^inf nu(r) A(r) dr``, where ``A(r) = |X
-    ^ (Y - r)| + |X ^ (Y + r)|`` is piecewise linear, so the pair is a few
-    radial kernel integrals (:func:`~plevylab.kernels.radial_integral`).
-    Every other field takes the nested adaptive quadrature of
-    :class:`_Oracle` over interval pairs, split at every field kink and
-    kernel breakpoint.  Its singular inner core, where the kernel is an
-    exact power law below floating point resolution, is integrated in
-    closed form from the local slope.  Both levels run in lock-step
-    (:func:`~plevylab.quadrature.integrate_many`).  Every outer piece of
-    every interval pair of an estimate is one problem of a single outer
-    call, and each round of it evaluates the inner integrals of all its
-    nodes, each against its own partner interval, as one inner batch.  The
-    set-up of an inner batch is array code: the ranges, closed-form cores
-    and cut points of all its nodes and sides are formed at once, the cut
-    points as one NaN-padded row per problem, from which
-    :func:`~plevylab.quadrature.integrate_many` builds every problem's
-    panels.  Only the core term keeps a scalar ``**`` per node, because
-    ``np.power`` can differ from it in the last bit.  Every piece, node and
-    side keeps the panels and tolerance of its own adaptive integral, while
-    fields and kernels see one array per inner round.  This mode is the
-    oracle the Monte Carlo estimates are checked against, and the only
-    mode for jump fields, whose Monte Carlo weights are heavy-tailed.
+    x is integrated out first, as in the proof of the limit: a pair of
+    intervals X, Y adds ``int_0^inf nu(r) F(r) dr`` (:func:`_pair_energy`),
+    where ``F(r) = int_{x in X, x+r in Y} |u(x+r) - u(x)|^p dx`` plus the
+    same with X and Y swapped.  One lock-step call
+    (:func:`~plevylab.quadrature.integrate_many`) computes F at every radius
+    of an evaluation, its x-panels cut at the field's kinks and jump points
+    and at those minus r; the r-integral is one radial kernel integral
+    (:func:`~plevylab.kernels.radial_integral`) per interval between the
+    breakpoints of F.  Near the origin ``F ~ r^q``, and a kernel's
+    closed-form power-law core is integrated in closed form against a fit
+    of ``F / r^q``.  Every field takes this one route: a jump field's F is
+    ``|du|^p`` times the covariogram of its phases, piecewise linear, and
+    its x-panels are exact.  This mode is the oracle the Monte Carlo
+    estimates are checked against, and the only mode for jump fields, whose
+    Monte Carlo weights are heavy-tailed.
 
 Every pair functional reaches either mode through one entry,
 :func:`_estimate`, and so do the truncated fractional seminorms and the
@@ -59,7 +50,6 @@ every dimension d = 1 to 3 (in d = 1 the directions +1 and -1).
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import numbers
@@ -229,340 +219,159 @@ def _mc_double(field, sample_domain, kernel, accept, n, seed, tag):
 # ---------------------------------------------------------------------------
 # deterministic 1-D core
 
-
-def _job_total(jobs, parts):
-    """Sum over the ``(x interval, y interval, factor)`` jobs of ``factor``
-    times the sum of the job's parts, given as ``(job index, value)`` and
-    added in order, so that the value does not depend on how the jobs are
-    grouped into calls."""
-    pairs = [0.0] * len(jobs)
-    for k, val in parts:
-        pairs[k] += val
-    total = 0.0
-    for (_, _, factor), pair in zip(jobs, pairs):
-        total += factor * pair
-    return total
+# the closed-form core of a kernel reaches at most this radius
+_CORE_RADIUS = 1e-5
+# x-integrals of the pair profile: relative tolerance, and an absolute floor
+# per unit min(1, r)^p, without which a profile near 0 stalls
+_X_REL_TOL = 1e-13
+_X_ABS_TOL = 1e-14
 
 
-def _geo_points(start, top):
-    """Split points making each panel of every range ``(start[i], top[i])``
-    span a bounded ratio: ``start * 8**k`` for k >= 1, those inside the
-    range, one NaN-padded row per range.
+def _pair_profile(field, p, xp, yp, marks):
+    """``F(r) = int |u(x+r) - u(x)|^p dx`` over x in X with x + r in Y,
+    plus the same with X and Y swapped, at an array of radii.
 
-    Power-law integrands vary smoothly on geometric scales; refined this way
-    every sub-panel is cheap for Gauss panels regardless of how many decades
-    a range covers.  A range starting at 0 admits no bounded ratio and is
-    left to the adaptive rule.  The powers are running products along a
-    row, each exact in binary floating point.
-    """
-    live = start > 0.0
-    # 2**(e-1) <= v < 2**e: no power past the exponent gap is below top
-    gap = np.frexp(top)[1] - np.frexp(start)[1]
-    k = int(gap[live].max(initial=-1)) // 3 + 1
-    steps = np.full((start.size, k + 1), 8.0)
-    steps[:, 0] = start
-    pts = np.multiply.accumulate(steps, axis=1)[:, 1:]
-    inside = live[:, None] & (pts < top[:, None]) & (pts > start[:, None])
-    return np.where(inside, pts, np.nan)
+    Every (radius, half) problem is one x-integral of a single
+    :func:`~plevylab.quadrature.integrate_many` call, cut at the field's
+    ``marks`` and at each mark minus r, so that no panel straddles a kink or
+    a jump of ``u(x)`` or ``u(x+r)``.  Both halves read the field at the
+    positive offset r.  A range unbounded on one side is integrated in the
+    distance ``y >= 0`` from its finite end, so that the quadrature's tail
+    map ``1/y`` starts where the mass of a decaying field sits; on the
+    left the pair is read from its other point ``z = x + r`` (offset -r),
+    whose range ends at ``min(bx + r, by)``, not at ``by - r``, which
+    would blur the points by the rounding of a large r.  A range unbounded
+    on both sides is left to the quadrature, which raises.  A symmetric
+    pair (X = Y) integrates one half, doubled: the other is the same
+    problem."""
+    halves = ((xp, yp),) if xp == yp else ((xp, yp), (yp, xp))
 
+    def profile(r):
+        r = np.asarray(r, dtype=float)
+        lo, hi, top = (np.concatenate(v) for v in zip(*(
+            (np.maximum(ax, ay - r), np.minimum(bx, by - r),
+             np.minimum(bx + r, by)) for (ax, bx), (ay, by) in halves)))
+        h = np.tile(r, len(halves))
+        live = np.flatnonzero(lo < hi)
+        out = np.zeros(h.size)
+        if live.size:
+            h, lo, hi, top = (v[live] for v in (h, lo, hi, top))
+            left = np.isinf(lo) & np.isfinite(hi)
+            right = np.isfinite(lo) & np.isinf(hi)
+            off = np.where(left, -h, h)
+            end = np.where(left, top, np.where(right, lo, 0.0))
+            sign = np.where(left, -1.0, 1.0)
+            one_sided = left | right
+            cuts = np.concatenate(
+                [np.broadcast_to(marks, (h.size, marks.size)),
+                 marks - off[:, None]], axis=1)
+            cuts = sign[:, None] * (cuts - end[:, None])
 
-class _Oracle:
-    """The 1-D oracle of one estimate: the field, kernel (with its exponent)
-    and tolerances that every interval pair of the estimate shares.
-
-    ``tol`` is the error budget of one interval pair.
-    """
-
-    def __init__(self, field, kernel, tol):
-        self.field = field
-        self.kernel = kernel
-        self.p = kernel.p_exp
-        self.tol = tol
-        self.marks = tuple(field.kinks)
-        self.inner_tol = max(tol * 1e-2, 1e-12)
-        self.inner_rel = 1e-9
-
-    # -- inner integrals over y, one batch of nodes x ------------------------
-
-    def _ranges(self, xs, y_lo, y_hi):
-        """Set-up of the inner problems of every node of ``xs`` and side
-        ``r_lo < r < r_hi`` of it that the kernel sees: ``(node, x, sign,
-        core, start, hi, points)``, one entry per problem, node by node and
-        the left side (sign -1) first.  ``core`` is the closed-form core
-        value, ``(start, hi)`` the range left to quadrature and ``points``
-        its cut points, one NaN-padded row per problem."""
-        field, kernel, p = self.field, self.kernel, self.p
-        slopes = field.grad(xs[:, None])[:, 0]
-        y_lo, y_hi = (np.broadcast_to(np.asarray(v, dtype=float), xs.shape)
-                      for v in (y_lo, y_hi))
-        # column 0: the side left of x, column 1: the side right of it
-        past, before = y_hi <= xs, y_lo >= xs
-        r_lo = np.column_stack([np.where(past, xs - y_hi, 0.0),
-                                np.where(before, y_lo - xs, 0.0)])
-        r_hi = np.column_stack([xs - y_lo, y_hi - xs])
-        lo = np.maximum(r_lo, kernel.inner_radius)
-        hi = np.minimum(r_hi, kernel.support_radius)
-        keep = np.column_stack([past | ~before, ~past]) & ~(hi <= lo)
-        node, side = np.nonzero(keep)
-        lo, hi = lo[keep], hi[keep]
-        x = xs[node]
-        sign = np.where(side == 0, -1.0, 1.0)
-        # cut candidates: the field's marks seen from x, the kernel's
-        # breakpoints; cuts lie strictly inside (lo, hi)
-        cand = np.concatenate(
-            [sign[:, None] * (np.array(self.marks, dtype=float) - x[:, None]),
-             np.broadcast_to(np.array(kernel.breakpoints, dtype=float),
-                             (x.size, len(kernel.breakpoints)))], axis=1)
-        cut = (cand > lo[:, None]) & (cand < hi[:, None])
-        bounded = np.isfinite(hi)
-        first = np.where(cut, cand, np.inf).min(axis=1, initial=np.inf)
-        first = np.where(cut.any(axis=1), first, np.where(bounded, hi, 1.0))
-        core = np.zeros(x.size)
-        start = lo
-        # closed-form singular core below floating point comfort, where the
-        # field is replaced by its local slope; the core must not reach past
-        # the first field kink on this side
-        if kernel.origin_pure_radius > 0.0:
-            core_top = np.minimum(1e-4 * np.maximum(1.0, np.abs(x)), first)
-            r_cl = np.minimum(
-                np.minimum(np.minimum(core_top, kernel.origin_pure_radius),
-                           first * 0.5),
-                np.where(bounded, hi * 0.5, core_top))
-            cored = (lo == 0.0) & (r_cl > 0.0)
-            start = np.where(cored, r_cl, lo)
-            slope = slopes[node]
-            steep = np.flatnonzero(cored & (np.abs(slope) > 0.0))
-            if steep.size:
-                a_in = p - kernel.origin_exponent + 1.0
-                if a_in <= 0.0:
-                    raise QuadratureError(
-                        "pair energy diverges on the diagonal "
-                        "(inner exponent %.3g <= 0)" % a_in)
-                # Python's scalar powers: np.power may differ in the last bit
-                c = kernel.origin_coefficient
-                core[steep] += [
-                    abs(s) ** p * c * r ** a_in / a_in
-                    for s, r in zip(slope[steep].tolist(),
-                                    r_cl[steep].tolist())]
-        # every cut lies above start, since r_cl <= first / 2
-        cand = np.where(cut, cand, np.nan)
-        # geometric panels up to where an infinite range hands over to the
-        # tail map (integrate_many's max(start, points, 1))
-        top = np.where(bounded, hi, np.fmax(
-            np.maximum(start, 1.0),
-            np.fmax.reduce(cand, axis=1, initial=-np.inf)))
-        points = np.concatenate([cand, _geo_points(start, top)], axis=1)
-        return node, x, sign, core, start, hi, points
-
-    def inner(self, xs, y_lo, y_hi):
-        """Inner integrals over y in ``(y_lo, y_hi)`` at every node of
-        ``xs``: one lock-step batch of the per-node, per-side quadrature
-        problems that :meth:`_ranges` sets up.  The partner range is a pair
-        of scalars or of arrays with one entry per node.
-
-        A :class:`QuadratureError` of the batch names in ``problem`` the
-        node it happened at."""
-        xs = np.asarray(xs, dtype=float)
-        field, kernel, p = self.field, self.kernel, self.p
-        node, x_of, sign_of, core, a, b, pts = self._ranges(xs, y_lo, y_hi)
-
-        def f(i, r):
-            x = x_of[i]
-            # |du|^p nu(r) = exp(p log|du| + log nu(r)), formed in du itself
-            du = np.abs(field._offset_diff(x[:, None],
-                                           (sign_of[i] * r)[:, None]),
-                        dtype=float)
-            finite = np.isfinite(du).all()
-            if not finite:
-                # r = inf arises where 1/t overflows at a subnormal tail
-                # node; the tail weight r * r makes that node's value
-                # non-finite, and the quadrature raises for it
-                bad = ~np.isfinite(du) & np.isfinite(r)
+            def f(i, y):
+                x = end[i] + sign[i] * y
+                du = np.abs(field._offset_diff(x[:, None], off[i][:, None]))
+                bad = ~np.isfinite(du) & np.isfinite(x)
                 if bad.any():
                     raise EnergyError("non-finite field value near x=%s"
                                       % x[np.argmax(bad)])
-            log_nu = kernel.log_density(r)
-            # du = 0 gives exp(p log 0 + log nu) = 0.0 unless log nu is
-            # +inf or NaN, or p <= 0 (NaN or +inf); only then is it masked
-            zero = None
-            if not (finite and p > 0.0 and np.all(log_nu < np.inf)):
-                zero = ~(du > 0.0)
-            np.log(du, out=du)
-            if p != 1.0:
-                du *= p
-            du += log_nu
-            np.exp(du, out=du)
-            if zero is not None:
-                du[zero] = 0.0
-            return du
+                return du ** p
 
-        try:
-            vals, _ = integrate_many(f, a, b, pts,
-                                     decay_exponent=kernel.tail_exponent,
-                                     abs_tol=self.inner_tol,
-                                     rel_tol=self.inner_rel)
-        except QuadratureError as exc:
-            if exc.problem is not None:
-                exc.problem = int(node[exc.problem])
-            raise
-        out = np.zeros(xs.size)
-        np.add.at(out, node, core + vals)
-        return out
+            out[live], _ = integrate_many(
+                f, np.where(one_sided, 0.0, lo),
+                np.where(one_sided, math.inf, hi), cuts,
+                abs_tol=_X_ABS_TOL * np.minimum(1.0, h) ** p,
+                rel_tol=_X_REL_TOL)
+        out = out.reshape(len(halves), r.size)
+        return 2.0 * out[0] if len(halves) == 1 else out[0] + out[1]
 
-    # -- outer integral -----------------------------------------------------
-
-    def _outer_cuts(self, ax, bx, y_lo, y_hi):
-        kernel = self.kernel
-        # an infinite support radius puts no cut inside the finite (ax, bx)
-        radii = {0.0, 1.0, kernel.inner_radius, kernel.support_radius,
-                 *kernel.breakpoints}
-        marks = set(self.marks)
-        for m in (y_lo, y_hi):
-            if math.isfinite(m):
-                marks.add(m)
-        cuts = set()
-        for m in marks:
-            for c in radii:
-                for s in (m - c, m + c):
-                    if ax < s < bx:
-                        cuts.add(s)
-        return sorted(cuts)
-
-    def total(self, jobs):
-        """Sum of ``factor`` times the pair energy over the ``(x interval,
-        y interval, factor)`` jobs.
-
-        Set-up splits each x interval into pieces at the outer cuts of its
-        pair.  Every piece, with tolerance ``tol / number of pieces``, is
-        one problem of a single :func:`~plevylab.quadrature.integrate_many`
-        call.  Its integrand hands the inner integrals of all the nodes of
-        a round, each against the partner interval of its own piece, to one
-        inner batch.
-        """
-        outer = []      # per piece: (job, lo, hi, tolerance, y_lo, y_hi)
-        for k, ((ax, bx), (ay, by), _) in enumerate(jobs):
-            edges = [ax, *self._outer_cuts(ax, bx, ay, by), bx]
-            tol = self.tol / max(len(edges) - 1, 1)
-            outer += [(k, lo, hi, tol, ay, by)
-                      for lo, hi in zip(edges[:-1], edges[1:])]
-        if not outer:
-            return 0.0
-        job, a, b, tol, y_lo, y_hi = zip(*outer)
-        y_lo, y_hi = np.array(y_lo), np.array(y_hi)
-
-        def f(i, x):
-            try:
-                return self.inner(x, y_lo[i], y_hi[i])
-            except QuadratureError as exc:
-                if exc.problem is not None:
-                    exc.problem = int(i[exc.problem])
-                raise
-
-        try:
-            value, _ = integrate_many(f, a, b, np.empty((len(a), 0)),
-                                      abs_tol=np.array(tol))
-        except QuadratureError as exc:
-            if exc.problem is None:
-                raise
-            _, lo, hi, _, ay, by = outer[exc.problem]
-            raise QuadratureError(
-                "%s; in x piece (%g, %g) against partner interval (%g, %g)"
-                % (exc, lo, hi, ay, by), achieved=exc.achieved,
-                problem=exc.problem) from exc
-        return _job_total(jobs, zip(job, value.tolist()))
+    return profile
 
 
-def _phase_pieces(interval, jumps):
-    """The pieces ``(lo, hi, t)`` of ``interval`` between the jump points
-    inside it, ``t`` a point inside the piece: its midpoint, else 0 or the
-    point 1 inside its finite end, whichever lies inside."""
-    lo, hi = interval
-    edges = [lo, *sorted(j for j in jumps if lo < j < hi), hi]
-    return [(a, b, 0.5 * (a + b) if math.isfinite(a + b)
-             else min(max(0.0, a + 1.0), b - 1.0))
-            for a, b in zip(edges[:-1], edges[1:])]
+def _pair_energy(field, kernel, xp, yp, tol):
+    """Pair energy ``int_X int_Y |u(y) - u(x)|^p nu(|y - x|) dy dx`` of the
+    intervals X and Y, x integrated out first: ``int_0^inf nu(r) F(r) dr``
+    with the profile F of :func:`_pair_profile`.
 
+    F is smooth between its breakpoints, 0 and the finite distances ``|e -
+    f|`` between the ends and inner marks of X and of Y, and vanishes below
+    the gap between X and Y and beyond their reach.  Each interval between
+    breakpoints is one :func:`~plevylab.kernels.radial_integral` with
+    weight 1 and factor ``F / 2`` (``/ 2`` undoes the sphere area 2 of
+    d = 1), the integrals sharing the error budget ``tol`` equally.
 
-def _covariogram(xp, yp):
-    """``A(r) = |X ^ (Y - r)| + |X ^ (Y + r)|`` of intervals with disjoint
-    interiors, linear between its sorted kinks (0 and the finite distances
-    between their ends) and constant beyond the last: ``(A, kinks)``."""
+    Pairs that overlap or touch have ``F ~ r^q`` at the origin: q = 1
+    across a jump point, q = p on an overlap, q = p + 1 on a continuous
+    contact.  An energy that diverges there (``q + 1 <= gamma``) raises
+    before any quadrature.  A kernel's closed-form core ``c r^-gamma`` is
+    integrated in closed form up to ``r_c``, the power of two at most
+    ``min(1e-5, r_1 / 2, origin_pure_radius)``, r_1 the first breakpoint,
+    against ``F = r^q (g0 + g1 r)`` fitted at ``r_c / 2`` and ``r_c``.  The
+    fit is exact for piecewise affine fields (a power of two keeps the
+    slivers ``m - r`` of the x-integrals exact, where 1e-5 itself left
+    F(r_c) 1e-11 off), ``O(r_c^2)`` for smooth ones, and free of any power
+    map, so it holds as eps -> 0.  A kernel without a core integrates
+    ``F / r^q`` against the weight ``r^q`` up to ``min(r_1, 1)``.
+
+    A :class:`QuadratureError` names the pair."""
     (ax, bx), (ay, by) = xp, yp
-    kinks = sorted({0.0} | {abs(e - f) for e in xp for f in yp
-                            if math.isfinite(e - f)})
-
-    def cover(r):
-        r = np.minimum(r, kinks[-1])    # finite at r = inf as well
-        return sum(np.maximum(np.minimum(bx, by + s) - np.maximum(ax, ay + s),
-                              0.0) for s in (-r, r))
-
-    return cover, kinks
-
-
-def _jump_energy(field, kernel, jobs, tol):
-    """Sum of ``factor`` times the pair energy of a piecewise-constant field
-    over the ``(x interval, y interval, factor)`` jobs, each with the error
-    budget ``tol`` shared equally by its radial integrals.
-
-    A pair of phase pieces whose difference ``du`` (read through the
-    field's offset difference) is not zero adds ``|du|^p`` times one radial
-    integral with weight 1 and factor ``A / 2`` per linear piece of their
-    covariogram ``A`` (``/ 2`` undoes the sphere area 2 of d = 1).
-    Touching pieces have ``A = c r`` near 0, c the number of shared ends:
-    up to ``min(r_1, 1)`` that is ``c / 2`` times the integral with weight
-    ``1 ^ r``, whose origin power map sees the exponent ``2 - gamma``.
-    Infinite energies raise before any quadrature."""
     p, gamma = kernel.p_exp, kernel.origin_exponent
-    terms = []      # (job, context, scale, lo, hi, weight_beta, factor)
-    for k, (x_iv, y_iv, _) in enumerate(jobs):
-        for ax, bx, x in _phase_pieces(x_iv, field.jump_points):
-            for ay, by, y in _phase_pieces(y_iv, field.jump_points):
-                du = abs(float(field.offset_diff([[x]], [[y - x]])[0]))
-                if not math.isfinite(du):
-                    raise EnergyError("non-finite field value near x=%s" % x)
-                scale = du ** p
-                if scale == 0.0:
-                    continue
-                where = "; in phase piece (%g, %g) against (%g, %g)" \
-                    % (ax, bx, ay, by)
-                if (ax == -math.inf and by == math.inf) \
-                        or (bx == math.inf and ay == -math.inf):
-                    raise QuadratureError(
-                        "pair energy diverges: the phase pieces are "
-                        "unbounded on opposite sides" + where)
-                cover, kinks = _covariogram((ax, bx), (ay, by))
-                edges = list(zip(kinks, kinks[1:] + [math.inf]))
-                touch = (bx == ay) + (by == ax)
-                if touch:
-                    if kernel.inner_radius == 0.0 and gamma is not None \
-                            and gamma >= 2.0:
-                        raise QuadratureError(
-                            "pair energy diverges at the jump interface "
-                            "(outer exponent %.3g <= 0)" % (2.0 - gamma)
-                            + where)
-                    r_1 = min(edges[0][1], 1.0)
-                    terms.append((k, where, 0.5 * touch * scale, 0.0, r_1,
-                                  1.0, None))
-                    edges[0] = (r_1, edges[0][1])
-                terms += [(k, where, scale, lo, hi, 0.0,
-                           lambda r, cover=cover: 0.5 * cover(r))
-                          for lo, hi in edges
-                          if hi > lo and cover(lo) + cover(hi) > 0.0]
-    share = collections.Counter(term[0] for term in terms)
-    parts = []
-    for k, where, scale, lo, hi, beta, factor in terms:
-        try:
-            parts.append((k, scale * kmod.radial_integral(
-                kernel, lo, hi, weight_beta=beta, factor=factor,
-                abs_tol=tol / (share[k] * scale))))
-        except QuadratureError as exc:
-            raise QuadratureError(str(exc) + where,
-                                  achieved=exc.achieved) from exc
-    return _job_total(jobs, parts)
+    marks = sorted({*field.kinks, *field.jump_points})
+    profile = _pair_profile(field, p, xp, yp, np.array(marks, dtype=float))
+    ends = [{a, b, *(m for m in marks if a < m < b)} for a, b in (xp, yp)]
+    brk = sorted({0.0} | {abs(e - f) for e in ends[0] for f in ends[1]
+                          if math.isfinite(e - f)})
+    gap, reach = max(0.0, ay - bx, ax - by), max(by - ax, bx - ay)
+    lo_r = max(gap, kernel.inner_radius)
+    hi_r = min(reach, kernel.support_radius)
+    edges = [[lo, hi] for lo, hi in zip(brk, brk[1:] + [math.inf])
+             if lo < hi_r and hi > lo_r]
+    try:
+        core = 0.0
+        weights = [0.0] * len(edges)
+        if edges and edges[0][0] == 0.0:
+            across = any(ax < j <= bx and ay <= j < by
+                         or ay < j <= by and ax <= j < bx
+                         for j in field.jump_points)
+            q = 1.0 if across else p if min(bx, by) > max(ax, ay) \
+                else p + 1.0
+            if gamma is not None and kernel.inner_radius == 0.0 \
+                    and q + 1.0 - gamma <= 0.0:
+                raise QuadratureError(
+                    "pair energy diverges %s (exponent %.3g <= 0)"
+                    % ("at the jump interface" if across
+                       else "on the diagonal", q + 1.0 - gamma))
+            r_1 = edges[0][1]
+            if kernel.origin_pure_radius > 0.0:
+                r_c = math.ldexp(0.5, math.frexp(min(
+                    _CORE_RADIUS, 0.5 * r_1, kernel.origin_pure_radius))[1])
+                g_half, g_full = (profile(np.array([0.5 * r_c, r_c]))
+                                  / np.array([0.5 * r_c, r_c]) ** q).tolist()
+                g0, g1 = 2.0 * g_half - g_full, (g_full - g_half) / (0.5 * r_c)
+                a = q + 1.0 - gamma
+                core = kernel.origin_coefficient * (
+                    g0 * r_c ** a / a + g1 * r_c ** (a + 1.0) / (a + 1.0))
+                edges[0][0] = r_c
+            elif r_1 > 1.0:
+                edges[0][1] = 1.0
+                edges.insert(1, [1.0, r_1])
+                weights.insert(0, q)
+            else:
+                weights[0] = q
+        value = core
+        for (lo, hi), beta in zip(edges, weights):
+            value += kmod.radial_integral(
+                kernel, lo, hi, weight_beta=beta,
+                factor=lambda r, beta=beta: 0.5 * profile(r) / r ** beta,
+                abs_tol=tol / len(edges))
+    except QuadratureError as exc:
+        raise QuadratureError(
+            "%s; in x piece (%g, %g) against partner interval (%g, %g)"
+            % (exc, ax, bx, ay, by), achieved=exc.achieved) from exc
+    return value
 
 
 def _require_det_domain(domain):
-    """The intervals of a domain the 1-D oracle can integrate over."""
+    """The intervals of a domain the 1-D route can integrate over."""
     if not isinstance(domain, IntervalUnion):
         raise EnergyError("deterministic mode is available on "
                           "one-dimensional interval unions only")
@@ -572,16 +381,16 @@ def _require_det_domain(domain):
 def _estimate(kind, field, kernel, domain, x_set, accept, partners, *,
               mode, n, seed, abs_tol, symmetric=False, tag_sets=()):
     """One pair functional with x over ``x_set``: Monte Carlo keeps the
-    pairs whose partner y passes ``accept``, the 1-D oracle integrates y
+    pairs whose partner y passes ``accept``, the 1-D route integrates y
     over ``partners()``.  ``domain`` names the estimate; ``kind`` and the
     ids of ``domain``, ``tag_sets`` and the field key the sample streams.
 
-    The deterministic jobs are the interval pairs, each with the error
-    budget ``abs_tol / number of jobs``: a piecewise-constant field's go to
-    :func:`_jump_energy`, every other field's to the :class:`_Oracle`.
-    ``symmetric`` (y over the intervals of ``x_set`` itself) takes each
-    unordered pair once, a mixed one with factor 2.  Monte Carlo refuses a
-    piecewise-constant field, whose weights are heavy-tailed."""
+    The deterministic jobs are the interval pairs, each one
+    :func:`_pair_energy` with the error budget ``abs_tol / number of
+    jobs``, summed in order.  ``symmetric`` (y over the intervals of
+    ``x_set`` itself) takes each unordered pair once, a mixed one with
+    factor 2.  Monte Carlo refuses a piecewise-constant field, whose weights
+    are heavy-tailed."""
     if mode not in (MODE_MC, MODE_DET):
         raise EnergyError("unknown estimator mode %r (expected %r or %r)"
                           % (mode, MODE_MC, MODE_DET))
@@ -597,10 +406,9 @@ def _estimate(kind, field, kernel, domain, x_set, accept, partners, *,
         else:
             jobs = [(xi, yj, 1.0) for xi in x_ivs for yj in y_ivs]
         tol = abs_tol / max(len(jobs), 1)
-        if field.regularity == PIECEWISE_CONSTANT:
-            value = _jump_energy(field, kernel, jobs, tol)
-        else:
-            value = _Oracle(field, kernel, tol).total(jobs)
+        value = 0.0
+        for x_iv, y_iv, factor in jobs:
+            value += factor * _pair_energy(field, kernel, x_iv, y_iv, tol)
         stderr, n, seed = 0.0, 0, None
     else:
         if field.regularity == PIECEWISE_CONSTANT:

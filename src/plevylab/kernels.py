@@ -138,12 +138,14 @@ class RadialKernel:
             if self.dim > 1:
                 expo = expo + (self.dim - 1) * lr
             out = area * np.exp(expo)
-        nan = np.isnan(expo)
-        # NaN at r = 0 or inf is an artifact of the quadrature maps, which
-        # drop those endpoints; anywhere else it would be read as nu = 0
-        if nan.any() and np.any(nan & (r > 0.0) & (r < math.inf)):
-            raise KernelError("kernel log density is NaN at a radius in "
-                              "(0, inf)")
+        # NaN or +inf at r = 0 or inf is an artifact of the quadrature maps,
+        # which drop those endpoints; anywhere else it would be read as
+        # nu = 0.  An exponent that is finite but overflows still reads 0
+        # (the maximum is NaN when any entry is)
+        if not np.max(expo, initial=-math.inf) < math.inf and np.any(
+                ~(expo < math.inf) & (r > 0.0) & (r < math.inf)):
+            raise KernelError("kernel log density is NaN or +inf at a radius "
+                              "in (0, inf)")
         return np.where(np.isfinite(out), out, 0.0)
 
     def spec(self):
@@ -164,14 +166,21 @@ def radial_integral(kernel, lo, hi, *, weight_beta=None, factor=None,
     above ``lo``, 1 and the breakpoints below it gets a split point per
     decade.  The range is clipped to the kernel's annulus
     ``(inner_radius, support_radius)``.  ``factor``, when given, is a
-    radial function multiplying the weighted density.
+    radial function multiplying the weighted density; the density is read
+    only where the factor is not 0, so a zero factor scores 0 whatever the
+    density is there.
     """
     d = kernel.dim
     beta = kernel.p_exp if weight_beta is None else weight_beta
 
     def f(r):
-        dens = kernel.weighted_radial_density(r, weight_beta=beta)
-        return dens if factor is None else factor(r) * dens
+        if factor is None:
+            return kernel.weighted_radial_density(r, weight_beta=beta)
+        out = np.array(factor(r), dtype=float)
+        live = out != 0.0
+        out[live] *= kernel.weighted_radial_density(r[live],
+                                                    weight_beta=beta)
+        return out
 
     lo = max(lo, kernel.inner_radius)
     hi = min(hi, kernel.support_radius)

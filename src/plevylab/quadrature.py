@@ -27,21 +27,23 @@ Every driver gives up after ``DEFAULT_MAX_PANELS`` panels per problem.
 panels, tolerance and greedy bisection order of its own :func:`integrate`
 call, and every round evaluates one panel pair of every unconverged problem
 through one call of a batched integrand ``f(index, x)``.  It serves the
-nested 1-D oracle at both levels: one call holds every outer piece of an
-estimate, each with its own tolerance, and each round of that call runs the
-inner integrals of all its nodes as one more call.  It takes the cut points
-of its problems as one NaN-padded array, a row per problem, and builds the
-starting panels of all of them with array operations (drop the points
-outside the range, sort, de-duplicate, add the ends), so its set-up has no
-per-problem Python loop.  The panels of all its heaps live in one
-``(4, heaps, slots)`` table of panel starts, ends, estimates and error
-estimates: a round gathers every heap's worst panel with one index and
-writes each half back with one scatter, and finished heaps leave with one
-compaction of the table, which takes the heaps' owners, tails and
-tolerances along, so no round gathers them by heap id.
+x-integrals of the 1-D pair energies: one call holds the x-integral of
+every radius (and half) of one evaluation of a pair profile, each problem
+with its own tolerance.  Its infinite ranges take the ``1/t`` tail without
+a decay hint.  It takes the cut points of its problems as one NaN-padded
+array, a row per problem, and builds the starting panels of all of them
+with array operations (drop the points outside the range, sort,
+de-duplicate, add the ends), so its set-up has no per-problem Python loop.
+The panels of all its heaps live in one ``(4, heaps, slots)`` table of
+panel starts, ends, estimates and error estimates: a round gathers every
+heap's worst panel with one index and writes each half back with one
+scatter, and finished heaps leave with one compaction of the table, which
+takes the heaps' owners, tails and tolerances along, so no round gathers
+them by heap id.
 
 Single integrals go through :func:`integrate`, a scalar heap with no
-per-round array cost.  It calls its integrand once per starting region and
+per-round array cost: every radial integral, including the r-integral of a
+pair energy.  It calls its integrand once per starting region and
 once per bisection, on the 60 nodes of both halves, and each half sums its
 two rules with its own ``np.dot``, so merging the halves moves no bit of an
 elementwise integrand.  The sphere means of ``generator`` and
@@ -274,18 +276,14 @@ def integrate(f, a, b, *, points=(), alpha_left=None, decay_exponent=None,
     return _adaptive_pool(regions, abs_tol=abs_tol, rel_tol=rel_tol)
 
 
-def _batch_estimates(f, owner, tail, inv, lo, hi):
+def _batch_estimates(f, owner, tail, lo, hi):
     """(high-order estimates, error estimates) of many panels from one call
     of ``f(owner, x)``.
 
-    Tail panels live in ``t = 1/r``, or in ``u = t**alpha`` when ``inv`` is
-    ``1/alpha``, and are transformed exactly as :func:`integrate` and
-    :func:`_power_mapped` transform a single tail: a tail node whose
-    Jacobian is not positive and finite, or whose ``t`` collapses to 0
-    (``r = inf``), raises :class:`QuadratureError` naming the problem it
-    belongs to.  The abscissae, the values and the weighted values each
-    live in one buffer that is overwritten in place; ``f`` sees every
-    node.
+    Tail panels live in ``t = 1/r`` and are transformed exactly as
+    :func:`integrate` transforms a single tail without a decay hint.  The
+    abscissae, the values and the weighted values each live in one buffer
+    that is overwritten in place; ``f`` sees every node.
     """
     # one error context from the abscissae on: panel ends may be infinite
     # or overflow, and the caller checks the estimates for finiteness
@@ -296,17 +294,7 @@ def _batch_estimates(f, owner, tail, inv, lo, hi):
         r += (0.5 * (lo + hi))[:, None]
         has_tail = tail.any()
         if has_tail:
-            t = r[tail]
-            if inv is not None:
-                jac = inv * np.power(t, inv - 1.0)
-                t = np.power(t, inv)
-                bad = ~((jac > 0) & np.isfinite(jac)) | (t == 0.0)
-                if bad.any():
-                    raise QuadratureError(
-                        "power map t = u**(1/alpha) collapses tail nodes "
-                        "onto r = inf (alpha=%g)" % (1.0 / inv),
-                        problem=int(owner[tail][np.argmax(bad.any(axis=1))]))
-            r[tail] = 1.0 / t
+            r[tail] = 1.0 / r[tail]
         vals = f(np.repeat(owner, r.shape[1]), r.reshape(-1))
         vals = np.require(vals, dtype=float,
                           requirements="W").reshape(r.shape)
@@ -315,8 +303,6 @@ def _batch_estimates(f, owner, tail, inv, lo, hi):
             vt = vals[tail]
             vt *= rt
             vt *= rt
-            if inv is not None:
-                vt *= jac
             vals[tail] = vt
         # row sums, unlike a BLAS matrix-vector product, do not depend on
         # which other panels share the batch
@@ -363,15 +349,14 @@ def _edges(lo, hi, points):
     return edges[:, :-1], edges[:, 1:], np.where(hi <= lo, 0, count + 1)
 
 
-def integrate_many(f, a, b, points, *, decay_exponent=None,
-                   abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12):
+def integrate_many(f, a, b, points, *, abs_tol=DEFAULT_ABS_TOL,
+                   rel_tol=1e-12):
     """Many independent :func:`integrate` problems advanced in lock-step.
 
     Problem ``i`` is ``integrate(lambda x: f(i, x), a[i], b[i],
-    points=points[i], decay_exponent=decay_exponent, ...)``: it starts from
-    the same panels (on ``b[i] = inf`` the finite part up to
-    ``max(a[i], points[i], 1)`` and the ``1/t`` tail with its
-    ``alpha = decay_exponent - 1`` power map), meets its own tolerance and
+    points=points[i], ...)``: it starts from the same panels (on ``b[i] =
+    inf`` the finite part up to ``max(a[i], points[i], 1)`` and the ``1/t``
+    tail, without a decay hint), meets its own tolerance and
     bisects by its own greedy rule (worst error first, ties to the earliest
     panel; a panel at floating point resolution is accepted; it stalls at
     ``DEFAULT_MAX_PANELS``).  ``points`` is one 2-D float array with a row
@@ -397,12 +382,7 @@ def integrate_many(f, a, b, points, *, decay_exponent=None,
     n = a.size
     points = _padded(points, n)
     abs_tol = np.broadcast_to(np.asarray(abs_tol, dtype=float), (n,))
-    alpha = None if decay_exponent is None else decay_exponent - 1.0
     inf = b == math.inf
-    if alpha is not None and alpha <= 0.0 and inf.any():
-        raise QuadratureError(
-            "divergent endpoint singularity (left alpha=%g <= 0)" % alpha)
-    inv = 1.0 / alpha if alpha is not None and alpha < 1.0 else None
     # an infinite range is finite up to far = max(a, points, 1), then a tail
     far = np.fmax(np.maximum(a, 1.0),
                   np.fmax.reduce(points, axis=1, initial=-np.inf))
@@ -420,13 +400,9 @@ def integrate_many(f, a, b, points, *, decay_exponent=None,
                   -np.inf)
     tab[0, finite, :starts.shape[1]] = starts
     tab[1, finite, :ends.shape[1]] = ends
-    top = 1.0 / far[inf]
-    if inv is not None:
-        # Python's scalar power: np.power may differ in the last bit
-        top = [t ** alpha for t in top.tolist()]
     tab[0, tail, 0] = 0.0
-    tab[1, tail, 0] = top
-    totals, errs = _lockstep(f, owner, tail, inv, tab, used, abs_tol[owner],
+    tab[1, tail, 0] = 1.0 / far[inf]
+    totals, errs = _lockstep(f, owner, tail, tab, used, abs_tol[owner],
                              rel_tol, a, b)
     values = np.zeros(n)
     errors = np.zeros(n)
@@ -435,7 +411,7 @@ def integrate_many(f, a, b, points, *, decay_exponent=None,
     return values, errors
 
 
-def _lockstep(f, owner, tail, inv, tab, used, abs_tol, rel_tol, a, b):
+def _lockstep(f, owner, tail, tab, used, abs_tol, rel_tol, a, b):
     """Run one :func:`_adaptive_pool` heap per row of the panel table
     ``tab``, heap ``h`` from the panels in its first ``used[h]`` slots, owned
     by problem ``owner[h]`` and to its own ``abs_tol[h]``, in lock-step;
@@ -451,7 +427,7 @@ def _lockstep(f, owner, tail, inv, tab, used, abs_tol, rel_tol, a, b):
     if filled.any():
         rows = np.nonzero(filled)[0]
         lo, hi = pa[filled], pb[filled]
-        e, r = _batch_estimates(f, owner[rows], tail[rows], inv, lo, hi)
+        e, r = _batch_estimates(f, owner[rows], tail[rows], lo, hi)
         bad = ~np.isfinite(e)
         if bad.any():
             k = np.argmax(bad)
@@ -510,8 +486,7 @@ def _lockstep(f, owner, tail, inv, tab, used, abs_tol, rel_tol, a, b):
         own = owner[s]
         lo, hi = np.concatenate([qa, mid]), np.concatenate([mid, qb])
         e, r = _batch_estimates(f, np.concatenate([own, own]),
-                                np.concatenate([tail[s], tail[s]]), inv, lo,
-                                hi)
+                                np.concatenate([tail[s], tail[s]]), lo, hi)
         if not np.isfinite(e).all():
             k = np.argmax(~(np.isfinite(e[:m]) & np.isfinite(e[m:])))
             raise QuadratureError("non-finite integrand near (%g, %g)"

@@ -255,6 +255,21 @@ def test_nan_log_profile_raises():
     assert np.all(ends == 0.0)
 
 
+def test_infinite_log_profile_raises():
+    # +inf on (0, 0.1) was read as nu = 0: the normalization of this kernel
+    # printed 4.60517018598809
+    def log_profile(r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r < 0.1, np.inf, -3.0 * np.log(r))
+
+    kern = K.RadialKernel(dim=1, p_exp=2.0, log_profile=log_profile,
+                          support_radius=1.0, breakpoints=(0.1,))
+    with pytest.raises(K.KernelError, match=r"\+inf at a radius"):
+        K.normalization(kern)
+    with pytest.raises(K.KernelError, match=r"\+inf at a radius"):
+        kern.weighted_radial_density(np.array([0.05]))
+
+
 def test_unknown_family_kind_raises():
     with pytest.raises(K.KernelError, match="unknown family kind"):
         K.KernelFamily("foo", 1, 2.0)

@@ -101,19 +101,11 @@ def test_power_map_needs_a_left_end_at_zero():
     assert abs(val - 1.0 / 0.3) <= 1e-12
 
 
-@pytest.mark.parametrize("many", [False, True])
-def test_tail_power_map_raises_where_a_node_collapses_to_infinity(many):
-    # the same collapse in t = 1/r: these read 500.00000000005497 and 500.0
-    # with error 0 for the exact 1000
-    with pytest.raises(QuadratureError, match="alpha=0.001") as info:
-        if many:
-            integrate_many(lambda i, r: r ** -1.001, [0.5, 1.0],
-                           [1.0, math.inf], [(), ()], decay_exponent=1.001)
-        else:
-            integrate(lambda r: r ** -1.001, 1.0, math.inf,
-                      decay_exponent=1.001)
-    if many:
-        assert info.value.problem == 1
+def test_tail_power_map_raises_where_a_node_collapses_to_infinity():
+    # the same collapse in t = 1/r: this read 500.00000000005497 for the
+    # exact 1000
+    with pytest.raises(QuadratureError, match="alpha=0.001"):
+        integrate(lambda r: r ** -1.001, 1.0, math.inf, decay_exponent=1.001)
 
 
 def _inv_cube(r):
@@ -143,7 +135,7 @@ def test_infinite_upper_limit_without_decay_hint():
 def _kinked(decay):
     """Problem i integrates a profile with a kink at x = 0.3 + i / 4, which
     no cut point names, that decays like x**(-decay) at infinity
-    (exponentially without a hint)."""
+    (exponentially for ``decay = None``)."""
     def f(i, x):
         dist = 1.0 + np.abs(x - 0.3 - 0.25 * i)
         if decay is None:
@@ -182,7 +174,7 @@ def test_integrate_many_matches_integrate(decay, problems):
         return kinked(i, x)
 
     a, b, pts = zip(*problems)
-    tol = dict(decay_exponent=decay, abs_tol=1e-11, rel_tol=1e-10)
+    tol = dict(abs_tol=1e-11, rel_tol=1e-10)
     vals, errs = integrate_many(f, a, b, pts, **tol)
     batched = sum(nodes)
     # the same points as one NaN-padded array, padding in any slot
@@ -211,15 +203,15 @@ def test_integrate_many_matches_integrate(decay, problems):
 def test_integrate_many_problems_are_independent():
     f = _kinked(1.5)
     a, b, pts = zip(*_PROBLEMS)
-    together, _ = integrate_many(f, a, b, pts, decay_exponent=1.5)
+    together, _ = integrate_many(f, a, b, pts)
     for i, (lo, hi, p) in enumerate(_PROBLEMS):
         alone, _ = integrate_many(lambda j, x, i=i: f(np.full(j.shape, i), x),
-                                  [lo], [hi], [p], decay_exponent=1.5)
+                                  [lo], [hi], [p])
         assert alone[0] == together[i]
     order = [5, 2, 0, 4, 1, 3]
     shuffled, _ = integrate_many(lambda j, x: f(np.take(order, j), x),
                                  [a[k] for k in order], [b[k] for k in order],
-                                 [pts[k] for k in order], decay_exponent=1.5)
+                                 [pts[k] for k in order])
     assert list(shuffled) == [together[k] for k in order]
 
 
@@ -238,18 +230,16 @@ def test_integrate_many_takes_a_tolerance_per_problem():
     f = _kinked(1.5)
     a, b, pts = zip(*_PROBLEMS)
     tols = [(1e-6, 1e-11, 1e-9)[i % 3] for i in range(len(_PROBLEMS))]
-    vals, errs = integrate_many(f, a, b, pts, decay_exponent=1.5,
-                                abs_tol=np.array(tols))
+    vals, errs = integrate_many(f, a, b, pts, abs_tol=np.array(tols))
     for i, (lo, hi, p) in enumerate(_PROBLEMS):
         alone, alone_err = integrate_many(
             lambda j, x, i=i: f(np.full(j.shape, i), x), [lo], [hi], [p],
-            decay_exponent=1.5, abs_tol=tols[i])
+            abs_tol=tols[i])
         assert alone[0] == vals[i], i
         assert alone_err[0] == errs[i], i
     # a scalar tolerance is the same as that tolerance for every problem
-    scalar = integrate_many(f, a, b, pts, decay_exponent=1.5, abs_tol=1e-9)
-    spread = integrate_many(f, a, b, pts, decay_exponent=1.5,
-                            abs_tol=np.full(len(a), 1e-9))
+    scalar = integrate_many(f, a, b, pts, abs_tol=1e-9)
+    spread = integrate_many(f, a, b, pts, abs_tol=np.full(len(a), 1e-9))
     assert list(scalar[0]) == list(spread[0])
     assert list(scalar[1]) == list(spread[1])
 
