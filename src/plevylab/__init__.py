@@ -2,18 +2,18 @@
 concentrated p-Levy kernels.
 
 Kernel families with unit (1 ^ |h|^p)-mass are constructed, sampled and
-integrated; nonlocal pair energies are estimated by importance-sampled
-Monte Carlo with a deterministic one-dimensional oracle; and concentration
-sweeps compare the limits against the gradient energy (or total variation)
-they recover on extension domains, including the slit domains where the
-recovery fails.
+integrated, and so, unsampled, are the fractional rescalings, whose mass
+tends to S/p, S/d or S; nonlocal pair energies are estimated by
+importance-sampled Monte Carlo with a deterministic one-dimensional oracle;
+and concentration sweeps compare the limits against the gradient energy (or
+total variation) they recover on extension domains, including the slit
+domains where the recovery fails.
 """
 
 from .constants import (Kdp, compute_kdp, kdp_closed, kdp_mc, kdp_mean,
                         sphere_area, unit_ball_volume)
 from .functionals import (EnergyEstimate, cross_energy, dirac_pairing,
-                          energy, fractional_values, gagliardo, generator,
-                          local_measure)
+                          energy, gagliardo, generator, local_measure)
 from .fields import (BallIndicator, Gaussian, Linear, SignJump, SmoothBump,
                      Tent, bv_seminorm, grad_lp_norm, sobolev_norm_p)
 from .geometry import (Ball, Box, FullSpace, IntervalUnion, SlitBall,

@@ -36,10 +36,9 @@ Deterministic (dimension one)
     Monte Carlo weights are heavy-tailed.
 
 Every pair functional reaches either mode through one entry,
-:func:`_estimate`, and so do the truncated fractional seminorms and the
-three fractional rescalings that recover the gradient energy: each is the
-deterministic :func:`energy` of an unnormalized power-window kernel,
-rescaled.
+:func:`_estimate`, and so does :func:`gagliardo`, the deterministic
+:func:`energy` of a power-window kernel; the fractional rescalings are
+kernel families of :mod:`~plevylab.kernels`.
 
 Also here: the symmetrized-difference operator at a point (p = 2) and the
 pairing of a test function against the kernel's unit-mass measure (p = 1),
@@ -312,6 +311,11 @@ def _pair_energy(field, kernel, xp, yp, tol):
     map, so it holds as eps -> 0.  A kernel without a core integrates
     ``F / r^q`` against the weight ``r^q`` up to ``min(r_1, 1)``.
 
+    On pieces unbounded on opposite sides a piecewise-constant field has
+    ``F(r) ~ |u(inf) - u(-inf)|^p r``, infinite against a full-support tail
+    ``r^-q``, q <= 2, when an odd number of jumps of size ``jump_size > 0``
+    makes the far values differ: that raises before any field value is read.
+
     A :class:`QuadratureError` names the pair."""
     (ax, bx), (ay, by) = xp, yp
     p, gamma = kernel.p_exp, kernel.origin_exponent
@@ -325,7 +329,17 @@ def _pair_energy(field, kernel, xp, yp, tol):
     hi_r = min(reach, kernel.support_radius)
     edges = [[lo, hi] for lo, hi in zip(brk, brk[1:] + [math.inf])
              if lo < hi_r and hi > lo_r]
+    q_inf = kernel.tail_exponent
     try:
+        if (ax == -math.inf and by == math.inf
+                or ay == -math.inf and bx == math.inf) \
+                and kernel.support_radius == math.inf \
+                and q_inf is not None and q_inf <= 2.0 \
+                and field.regularity == PIECEWISE_CONSTANT \
+                and len(field.jump_points) % 2 == 1 and field.jump_size > 0.0:
+            raise QuadratureError(
+                "pair energy diverges at infinity (u(inf) != u(-inf) and "
+                "tail exponent %.3g <= 2)" % q_inf)
         core = 0.0
         weights = [0.0] * len(edges)
         if edges and edges[0][0] == 0.0:
@@ -646,34 +660,7 @@ def dirac_pairing(test_fn, kernel, *, abs_tol=1e-10):
 
 
 # ---------------------------------------------------------------------------
-# fractional seminorms
-
-
-def _power_window_kernel(dim, p_exp, gamma, *, cutoff=0.0, top=math.inf):
-    """Unnormalized |h|^(-gamma) window kernel for the fractional scalings:
-    the exact power law on ``cutoff < r <= top``, a closed-form core when
-    ``cutoff = 0``."""
-
-    def log_profile(r):
-        r = np.asarray(r, dtype=float)
-        out = -gamma * np.log(r)
-        if top < math.inf:
-            out = np.where(r <= top, out, -np.inf)
-        if cutoff > 0.0:
-            out = np.where(r > cutoff, out, -np.inf)
-        return out
-
-    core = cutoff == 0.0
-    breaks = tuple(b for b in (cutoff, top) if 0.0 < b < math.inf)
-    return kmod.RadialKernel(
-        dim=dim, p_exp=p_exp, log_profile=log_profile,
-        support_radius=top, inner_radius=cutoff,
-        origin_exponent=gamma if core else None,
-        origin_coefficient=1.0 if core else None,
-        origin_pure_radius=math.inf if core else 0.0,
-        tail_exponent=gamma, breakpoints=breaks,
-        family_tag="power_window",
-        params={"gamma": gamma, "cutoff": cutoff})
+# fractional seminorm
 
 
 def gagliardo(field, domain, s, p_exp, *, cutoff=0.0, abs_tol=1e-10):
@@ -687,40 +674,5 @@ def gagliardo(field, domain, s, p_exp, *, cutoff=0.0, abs_tol=1e-10):
     if not 0.0 < s < 1.0:
         raise EnergyError("s must lie in (0, 1)")
     d = domain.dim
-    kernel = _power_window_kernel(d, p_exp, d + s * p_exp, cutoff=cutoff)
+    kernel = kmod._power_window(d, p_exp, d + s * p_exp, cutoff=cutoff)
     return energy(field, domain, kernel, mode=MODE_DET, abs_tol=abs_tol).value
-
-
-def fractional_values(field, domain, p_exp, variant, grid, *, abs_tol=1e-10):
-    """The three fractional rescalings, evaluated on a parameter grid.
-
-    variant 1: (1-s) times the fractional seminorm, s -> 1.
-    variant 2: eps^-d times the difference-quotient energy over |x-y| < eps.
-    variant 3: 1/|log eps| times the |h|^(-d-p) energy over |x-y| > eps.
-
-    Each value is the deterministic :func:`energy` of a power-window
-    kernel, rescaled.  Returns a list of (parameter, value) pairs.
-    """
-    if variant not in (1, 2, 3):
-        raise EnergyError("variant must be 1, 2 or 3")
-    d = domain.dim
-
-    def raw(kernel):
-        return energy(field, domain, kernel, mode=MODE_DET,
-                      abs_tol=abs_tol).value
-
-    rows = []
-    for x in grid:
-        if variant == 1:
-            if not 0.0 < x < 1.0:
-                raise EnergyError("s must lie in (0, 1)")
-            val = (1.0 - x) * raw(_power_window_kernel(d, p_exp,
-                                                       d + x * p_exp))
-        elif variant == 2:
-            val = raw(_power_window_kernel(d, p_exp, float(p_exp),
-                                           top=x)) / x ** d
-        else:
-            val = raw(_power_window_kernel(d, p_exp, d + float(p_exp),
-                                           cutoff=x)) / abs(math.log(x))
-        rows.append((x, val))
-    return rows

@@ -11,6 +11,10 @@ equals one.  Families indexed by a concentration parameter ``eps`` are provided:
                       (b = -d switches to the log-normalized variant)
 ``log_limit``         |h|^(-d-p) / (S log(eps0/eps)) on the annulus eps<|h|<eps0
 
+The fractional rescalings ``frac_order``, ``frac_ball`` and ``frac_log``
+(:func:`_fractional_kernel`) are scaled power windows whose mass tends to
+``KernelFamily.mass_limit()``, not one.
+
 ``S`` is the sphere area |S^{d-1}|.  Each family writes its density once, in
 log space (``log_profile``); every consumer reads it through
 ``RadialKernel.log_density``, which also accepts a plain ``profile`` from
@@ -27,7 +31,7 @@ sphere.  The radial sampler is the one sampling fact a kernel carries:
 four families invert the law's CDF in closed form, and ``smoothed_power``
 draws by rejection from a dominating density with a closed-form inverse.
 The mass below ``r`` is ``radial_integral(kernel, 0, r)``.  Custom kernels
-supply their own ``radial_sampler``.
+supply their own ``radial_sampler``; power windows cannot be sampled.
 Kernels are immutable; samplers take a caller-owned generator.
 """
 
@@ -314,8 +318,8 @@ def _smoothed_power_sampler(dim, beta, eps, eps0):
 def _draw_radii(kernel, rng, size):
     """``size`` radii from the kernel's own sampler, checked finite."""
     if kernel.radial_sampler is None:
-        raise KernelError("kernel carries no sampling data; give custom "
-                          "kernels a radial_sampler(rng, size)")
+        raise KernelError("the %s kernel carries no radial_sampler(rng, "
+                          "size) and cannot be sampled" % kernel.family_tag)
     radii = np.asarray(kernel.radial_sampler(rng, size), dtype=float)
     if not np.all(np.isfinite(radii)):
         raise KernelError("sampler produced non-finite radii")
@@ -340,18 +344,6 @@ def sample_directions(rng, size, dim):
     for j in range(dim):
         g[:, j] /= norms
     return g
-
-
-def sample_offset_with_radii(kernel, rng, size=1):
-    """Draw offsets h in R^d from the kernel's unit-mass weighted law.
-
-    Returns ``(h, radii)``; the radii are the exact sampled values (the
-    squared-norm route loses them to underflow for very concentrated
-    kernels).  All ``size`` radii are drawn, by the kernel's
-    ``radial_sampler``, before the directions.
-    """
-    radii = _draw_radii(kernel, rng, size)
-    return _offsets(kernel, radii, rng), radii
 
 
 def _offsets(kernel, radii, rng):
@@ -617,9 +609,63 @@ def make_smoothed_power(dim, p_exp, beta, eps, eps0):
         params={"beta": beta, "eps0": eps0})
 
 
+def _power_window(dim, p_exp, gamma, *, scale=1.0, cutoff=0.0, top=math.inf,
+                  family_tag="power_window", eps=None):
+    """The kernel ``scale |h|^(-gamma)`` on ``cutoff < |h| <= top`` (a
+    closed-form core when ``cutoff = 0``), without a sampler: the kernel of
+    :func:`~plevylab.functionals.gagliardo` and the fractional families."""
+    log_scale = math.log(scale)
+
+    def log_profile(r):
+        r = np.asarray(r, dtype=float)
+        out = log_scale - gamma * np.log(r)
+        if top < math.inf:
+            out = np.where(r <= top, out, -np.inf)
+        if cutoff > 0.0:
+            out = np.where(r > cutoff, out, -np.inf)
+        return out
+
+    core = cutoff == 0.0
+    breaks = tuple(b for b in (cutoff, top) if 0.0 < b < math.inf)
+    return RadialKernel(
+        dim=dim, p_exp=p_exp, log_profile=log_profile,
+        support_radius=top, inner_radius=cutoff,
+        origin_exponent=gamma if core else None,
+        origin_coefficient=scale if core else None,
+        origin_pure_radius=top if core else 0.0,
+        tail_exponent=gamma, breakpoints=breaks, family_tag=family_tag,
+        eps=eps, params={"gamma": gamma, "cutoff": cutoff})
+
+
+def _fractional_kernel(kind, dim, p_exp, x):
+    """The kernel of a fractional family at its index x (s for
+    ``frac_order``, eps for the others), a scaled power window of mass
+
+    ``frac_order``  (1-s) |h|^(-d-sp)               S/p + S (1-s) / (s p)
+    ``frac_ball``   eps^(-d) |h|^(-p) on B_eps      S/d
+    ``frac_log``    |h|^(-d-p) / |log eps| off B_eps  S + S / (p |log eps|)
+    """
+    _check_dim_p(dim, p_exp)
+    if not 0.0 < x < 1.0:
+        raise KernelError("the %s family needs 0 < %s < 1 (got %r)" % (
+            kind, "s" if kind == "frac_order" else "eps", x))
+    if kind == "frac_order":
+        window = dict(gamma=dim + x * p_exp, scale=1.0 - x)
+    elif kind == "frac_ball":
+        if not x ** dim * sys.float_info.max > 1.0:
+            raise KernelError("frac_ball needs eps^-d inside the float range "
+                              "(got eps=%r, d=%d)" % (x, dim))
+        window = dict(gamma=float(p_exp), scale=1.0 / x ** dim, top=x)
+    else:
+        window = dict(gamma=dim + float(p_exp), scale=1.0 / abs(math.log(x)),
+                      cutoff=x)
+    return _power_window(dim, p_exp, family_tag=kind, eps=x, **window)
+
+
 # ---------------------------------------------------------------------------
 # eps -> kernel families
 
+FRACTIONAL_KINDS = ("frac_order", "frac_ball", "frac_log")
 # every family's parameters and their defaults, stated once
 FAMILY_PARAMS = {
     "stable": {},
@@ -627,8 +673,10 @@ FAMILY_PARAMS = {
     "truncated_power": {"beta": 0.0},
     "smoothed_power": {"beta": -0.5, "eps0": 0.5},
     "log_limit": {"eps0": 0.5},
+    **dict.fromkeys(FRACTIONAL_KINDS, {}),
 }
-FAMILY_KINDS = tuple(FAMILY_PARAMS)
+# the unit-mass kinds: default_families() and the CLI's --family choices
+FAMILY_KINDS = tuple(k for k in FAMILY_PARAMS if k not in FRACTIONAL_KINDS)
 FAMILY_PARAM_NAMES = tuple(dict.fromkeys(
     name for params in FAMILY_PARAMS.values() for name in params))
 
@@ -637,11 +685,11 @@ FAMILY_PARAM_NAMES = tuple(dict.fromkeys(
 class KernelFamily:
     """Generator of kernels along a concentration grid.
 
-    ``kind`` is one of :data:`FAMILY_KINDS`; it takes the parameters
-    :data:`FAMILY_PARAMS` lists for it, unset ones at their defaults, and no
-    others.  ``rescaled`` rescales the stable kernel of order ``base_eps``.
-    Every kernel it produces satisfies the unit-mass axiom, and each
-    ``make_*`` constructor rejects an eps outside its family's window.  The
+    ``kind`` is a key of :data:`FAMILY_PARAMS`; it takes the parameters
+    listed there, unset ones at their defaults, and no others.
+    ``rescaled`` rescales the stable kernel of order ``base_eps``.  The
+    kernels' mass is one, or tends to :meth:`mass_limit` for the fractional
+    kinds, and each constructor rejects an index outside its window.  The
     concentration behaviour differs per family (see the package docs), which
     is why each family carries its own default grid inside that window.
     """
@@ -675,15 +723,27 @@ class KernelFamily:
             return make_truncated_power(d, p, self.beta, eps)
         if self.kind == "smoothed_power":
             return make_smoothed_power(d, p, self.beta, eps, self.eps0)
-        # log_limit: __post_init__ admits no other kind
-        return make_log_limit(d, p, eps, self.eps0)
+        if self.kind == "log_limit":
+            return make_log_limit(d, p, eps, self.eps0)
+        # __post_init__ admits no other kind
+        return _fractional_kernel(self.kind, d, p, eps)
+
+    def mass_limit(self):
+        """The limit of the kernels' (1 ^ |h|^p)-mass as the index
+        concentrates: 1 for the unit-mass kinds, S/p, S/d and S for
+        ``frac_order``, ``frac_ball`` and ``frac_log``."""
+        area = sphere_area(self.dim)
+        return {"frac_order": area / self.p_exp, "frac_ball": area / self.dim,
+                "frac_log": area}.get(self.kind, 1.0)
 
     def default_grid(self):
         # annulus kernels only concentrate once eps drops below the probe
-        # radii, hence the lower grid; the others stop below their window's
-        # top (stable's window (0, p) contains (0, 1), as p >= 1)
-        if self.kind == "log_limit":
-            return (0.08, 0.04, 0.02, 0.01, 0.005)
+        # radii, hence the lower grids; frac_order's s rises to 1; the others
+        # stop below their window's top (stable's (0, p) contains (0, 1))
+        if self.kind in ("log_limit", "frac_order", "frac_log"):
+            return {"log_limit": (0.08, 0.04, 0.02, 0.01, 0.005),
+                    "frac_order": (0.8, 0.9, 0.95, 0.99),
+                    "frac_log": (1e-3, 1e-5, 1e-7, 1e-9)}[self.kind]
         top = self.eps0 if self.kind == "smoothed_power" else 1.0
         return tuple(e for e in DEFAULT_EPS_GRID if e < top)
 
@@ -709,5 +769,5 @@ def kernel_from_spec(spec):
 
 
 def default_families(dim=1, p_exp=2.0):
-    """The five family kinds with their default parameters."""
+    """The five unit-mass family kinds with their default parameters."""
     return tuple(KernelFamily(kind, dim, p_exp) for kind in FAMILY_KINDS)

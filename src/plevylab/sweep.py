@@ -3,10 +3,11 @@ against the theorem target, and produce machine-readable reports.
 
 A sweep case packages (field, domain, kernel family, exponent, grid) with a
 target kind.  Targets are always recomputed from the fields/constants
-modules, never hard-coded.  The verdict rule is fixed: a sweep converges
+modules, never hard-coded, and ``grad_lp`` and ``bv`` targets are scaled by
+the family's ``mass_limit()``.  The verdict rule is fixed: a sweep converges
 when the final error is within ``max(3 * stderr, 0.05 * scale)`` and the
-error is nonincreasing over the last three grid points (no extrapolation);
-a sweep whose values stabilize away from the target is recorded as
+error is nonincreasing over the last three grid points (no extrapolation); a
+sweep whose values stabilize away from the target is recorded as
 ``diverged-from-target``; cutoff sweeps are judged by the slope of a least
 squares fit against log(1/t).
 """
@@ -23,7 +24,7 @@ from . import functionals as emod
 from . import fields as fmod
 from . import geometry as gmod
 from . import kernels as kmod
-from .constants import kdp_mean, sphere_area
+from .constants import kdp_mean
 from .quadrature import QuadratureError
 
 REL_TOL = 0.05
@@ -41,7 +42,7 @@ class SweepCase:
     """One (field, domain, family) sweep with its theorem target."""
 
     case_id: str
-    kind: str                 # energy|cross|local|generator|dirac|fractional|gagliardo_cutoff
+    kind: str                 # energy|cross|local|generator|dirac|gagliardo_cutoff
     field_spec: dict
     p_exp: float
     grid: tuple
@@ -50,7 +51,6 @@ class SweepCase:
     domain_spec: dict = None
     family_spec: dict = None
     subdomain_spec: dict = None
-    variant: int = None       # fractional rescaling variant
     s_exp: float = None       # fractional order for cutoff sweeps
     point: tuple = None       # evaluation point for the generator
     tol_scale: float = None   # absolute scale for zero targets
@@ -119,18 +119,16 @@ def _build(case):
     return fld, dom, fam, sub
 
 
-def _target(case, fld, dom, sub):
+def _target(case, fld, dom, fam, sub):
     kind = case.target_kind
     if kind == "zero":
         return 0.0
-    if kind == "grad_lp":
+    if kind in ("grad_lp", "bv"):
         region = sub if sub is not None else dom
-        d = region.dim
-        return kdp_mean(d, case.p_exp) * fmod.grad_lp_norm(fld, region,
-                                                           case.p_exp)
-    if kind == "bv":
-        region = sub if sub is not None else dom
-        return kdp_mean(region.dim, 1.0) * fmod.bv_seminorm(fld, region)
+        base = kdp_mean(region.dim, 1.0) * fmod.bv_seminorm(fld, region) \
+            if kind == "bv" else kdp_mean(region.dim, case.p_exp) \
+            * fmod.grad_lp_norm(fld, region, case.p_exp)
+        return (1.0 if fam is None else fam.mass_limit()) * base
     if kind == "pointwise":
         if case.kind == "generator":
             x0 = np.asarray(case.point, dtype=float).reshape(1, -1)
@@ -138,13 +136,6 @@ def _target(case, fld, dom, sub):
         if case.kind == "dirac":
             return float(fld.eval(np.zeros((1, fld.dim)))[0])
         raise ValueError("pointwise target undefined for %s" % case.kind)
-    if kind == "fractional":
-        d = dom.dim
-        k = kdp_mean(d, case.p_exp)
-        base = k * fmod.grad_lp_norm(fld, dom, case.p_exp)
-        area = sphere_area(d)
-        factor = {1: area / case.p_exp, 2: area / d, 3: area}[case.variant]
-        return factor * base
     if kind == "divergent":
         return math.nan
     raise ValueError("unknown target kind %r" % kind)
@@ -168,8 +159,6 @@ def _value_fn(case, fld, dom, fam, sub):
         "dirac": lambda x: (emod.dirac_pairing(fld, fam.kernel(x)), 0.0),
         "gagliardo_cutoff": lambda x: (emod.gagliardo(
             fld, dom, case.s_exp, case.p_exp, cutoff=x), 0.0),
-        "fractional": lambda x: (emod.fractional_values(
-            fld, dom, case.p_exp, case.variant, (x,))[0][1], 0.0),
     }
     if case.kind not in fns:
         raise ValueError("unknown sweep kind %r" % case.kind)
@@ -230,7 +219,7 @@ def run_sweep(case):
     the message.
     """
     fld, dom, fam, sub = _build(case)
-    target = _target(case, fld, dom, sub)
+    target = _target(case, fld, dom, fam, sub)
     value_at = _value_fn(case, fld, dom, fam, sub)
     rows = []
     for eps in case.grid:
@@ -257,8 +246,6 @@ def run_sweep(case):
 
 
 GRID = kmod.DEFAULT_EPS_GRID
-FRACTIONAL_S_GRID = (0.8, 0.9, 0.95, 0.99)
-LOG_WINDOW_GRID = (1e-3, 1e-5, 1e-7, 1e-9)
 CUTOFF_GRID = (1e-2, 1e-3, 1e-4, 1e-5)
 
 
@@ -317,15 +304,13 @@ def builtin_suite(seed=42, n_samples=emod.DEFAULT_N_SAMPLES):
                   "pointwise", VERDICT_CONVERGED,
                   family_spec={"family": "truncated_power", "d": "1",
                                "p": "1.0", "beta": "1.0"}, seed=seed),
-        SweepCase("frac-s-to-1", "fractional", linear, 2.0,
-                  FRACTIONAL_S_GRID, "fractional", VERDICT_CONVERGED,
-                  domain_spec=unit, variant=1, seed=seed),
-        SweepCase("frac-small-ball", "fractional", linear, 2.0, GRID,
-                  "fractional", VERDICT_CONVERGED, domain_spec=unit,
-                  variant=2, seed=seed),
-        SweepCase("frac-log-window", "fractional", linear, 2.0,
-                  LOG_WINDOW_GRID, "fractional", VERDICT_CONVERGED,
-                  domain_spec=unit, variant=3, seed=seed),
+        *(SweepCase(case_id, "energy", linear, 2.0, fam.default_grid(),
+                    "grad_lp", VERDICT_CONVERGED, domain_spec=unit,
+                    family_spec=fam.spec(), seed=seed)
+          for case_id, fam in (
+              ("frac-s-to-1", kmod.KernelFamily("frac_order", 1, 2.0)),
+              ("frac-small-ball", kmod.KernelFamily("frac_ball", 1, 2.0)),
+              ("frac-log-window", kmod.KernelFamily("frac_log", 1, 2.0)))),
         SweepCase("counterexample-energy", "energy",
                   {"field": "sign_jump", "d": "1"}, 1.0, GRID, "grad_lp",
                   VERDICT_DIVERGED_TARGET, domain_spec=slit,

@@ -231,7 +231,7 @@ def test_scaled_shifted_jump_energy_is_two():
     assert abs(F.energy(field, SYM, kern, mode=DET).value - 2.0) <= 2e-15
 
 
-def test_jump_pieces_unbounded_on_opposite_sides_raise():
+def test_jump_pieces_unbounded_on_opposite_sides_raise(monkeypatch):
     # (-inf, 0) against (0, inf) has F(r) = |du| r: finite under a kernel of
     # finite support, |du| int_0^0.1 nu(r) r dr = 1/2, and infinite under
     # the stable kernel, whose mass int nu(r) r dr diverges at infinity
@@ -239,10 +239,22 @@ def test_jump_pieces_unbounded_on_opposite_sides_raise():
     kern = K.make_truncated_power(1, 1.0, 0.0, 0.1)
     value = F.cross_energy(SignJump(1), half, kern, mode=DET).value
     assert abs(value - 0.5) <= 1e-15
+    # the divergence is decided before any field value is read (the
+    # quadrature stalled after 4096 panels and about 1.3 s)
+    calls = []
+    for name in ("_eval", "_offset_diff"):
+        hook = getattr(SignJump, name)
+
+        def counted(self, *args, hook=hook):
+            calls.append(len(args[0]))
+            return hook(self, *args)
+
+        monkeypatch.setattr(SignJump, name, counted)
     with pytest.raises(QuadratureError, match=r"in x piece \(-inf, 0\) "
                        r"against partner interval \(0, inf\)"):
         F.cross_energy(SignJump(1), half, K.make_stable(1, 1.0, 0.1),
                        mode=DET)
+    assert calls == []
     # an x-range infinite at both ends is not integrated yet
     line = IntervalUnion(((-math.inf, math.inf),))
     with pytest.raises(QuadratureError, match=r"in x piece \(-inf, inf\)"):
@@ -1480,44 +1492,75 @@ def test_gagliardo_keeps_its_bits():
     assert abs(got - closed) <= 1e-15 * closed
 
 
-# re-pinned with the x-first route, each nearer its closed form (variant 1:
-# 1 - 2(1-s)/(3-2s), 2: 2 - eps, 3: 2(|log eps| - 1 + eps)/|log eps|, as in
-# test_deterministic_suite_rows_match_their_closed_forms); relative
-# distance old -> new: 1.9e-12 -> -1.2e-15 and 2.7e-13 -> -1.1e-16,
-# -2.3e-16 -> -1.2e-16 and -1.1e-16 (unchanged), -9.1e-16 -> -6.5e-16 and
-# -3.7e-16 -> 0
+# each fractional family's suite case, whose closed form is the energy of
+# Linear((1,)) on (0, 1) at p = 2 under that family
+_FRACTIONAL_CASES = {"frac_order": "frac-s-to-1",
+                     "frac_ball": "frac-small-ball",
+                     "frac_log": "frac-log-window"}
+
+
+def _fractional_closed(kind, x):
+    return _SUITE_CLOSED_FORMS[_FRACTIONAL_CASES[kind]](x)
+
+
+def _fractional_energy(kind, x):
+    kern = K.KernelFamily(kind, 1, 2.0).kernel(x)
+    return F.energy(LINEAR, UNIT, kern, mode=DET).value
+
+
+# re-pinned when the scale moved into the kernel (the rescalings were
+# fractional_values, the energy of the unit power window times the scale);
+# relative distance to _fractional_closed, old -> new:
+#   frac_order  0.9 -1.2e-15 -> -1.5e-15,  0.99 -1.1e-16 -> -1.1e-16
+#   frac_ball   0.1 -1.2e-16 -> 2.3e-16,   0.02 -1.1e-16 -> 2.2e-16
+#   frac_log    1e-3 -6.5e-16 -> -3.9e-16, 1e-5 0 -> 0
 FRACTIONAL_BITS = {
-    1: ((0.9, "0x1.aaaaaaaaaaaa2p-1"), (0.99, "0x1.f5f5f5f5f5f5ep-1")),
-    2: ((0.1, "0x1.e666666666665p+0"), (0.02, "0x1.fae147ae147adp+0")),
-    3: ((1e-3, "0x1.b5f45bf2a8c47p+0"), (1e-5, "0x1.d38758367ab30p+0")),
+    "frac_order": ((0.9, "0x1.aaaaaaaaaaaa0p-1"),
+                   (0.99, "0x1.f5f5f5f5f5f5ep-1")),
+    "frac_ball": ((0.1, "0x1.e666666666668p+0"),
+                  (0.02, "0x1.fae147ae147b0p+0")),
+    "frac_log": ((1e-3, "0x1.b5f45bf2a8c49p+0"),
+                 (1e-5, "0x1.d38758367ab30p+0")),
 }
 
 
-@pytest.mark.parametrize("variant", sorted(FRACTIONAL_BITS))
-def test_fractional_values_keep_their_bits(variant):
-    grid = [x for x, _ in FRACTIONAL_BITS[variant]]
-    rows = F.fractional_values(LINEAR, UNIT, 2.0, variant, grid)
-    assert [(x, v.hex()) for x, v in rows] == list(FRACTIONAL_BITS[variant])
+@pytest.mark.parametrize("kind", sorted(FRACTIONAL_BITS))
+def test_fractional_values_keep_their_bits(kind):
+    got = [(x, _fractional_energy(kind, x).hex())
+           for x, _ in FRACTIONAL_BITS[kind]]
+    assert got == list(FRACTIONAL_BITS[kind])
 
 
-@pytest.mark.parametrize("variant, grid", [(4, (0.1,)), (0, (0.1,)),
-                                           (1, (1.5,)), (1, (0.9, 1.0))])
-def test_fractional_values_reject_a_bad_variant_or_s(variant, grid):
-    with pytest.raises(F.EnergyError):
-        F.fractional_values(LINEAR, UNIT, 2.0, variant, grid)
+@pytest.mark.parametrize("kind", K.FRACTIONAL_KINDS)
+@pytest.mark.parametrize("x", [0.0, 1.0, 1.5, -0.1, math.nan])
+def test_fractional_families_reject_an_index_outside_0_1(kind, x):
+    with pytest.raises(K.KernelError, match="needs 0 <"):
+        K.KernelFamily(kind, 1, 2.0).kernel(x)
+
+
+def test_frac_ball_rejects_an_eps_whose_scale_overflows():
+    # eps^-d overflows: 1e-120^3 underflows to 0, 1e-310 * max < 1
+    for d, eps in ((3, 1e-120), (1, 1e-310)):
+        with pytest.raises(K.KernelError, match="float range"):
+            K.KernelFamily("frac_ball", d, 2.0).kernel(eps)
 
 
 def test_fractional_variants_linear():
-    rows = F.fractional_values(LINEAR, UNIT, 2.0, 1, (0.9, 0.99))
-    for s, v in rows:
-        assert abs(v - 1.0 / (3.0 - 2.0 * s)) < 1e-8
-    rows = F.fractional_values(LINEAR, UNIT, 2.0, 2, (0.1, 0.02))
-    for eps, v in rows:
-        assert abs(v - (2.0 - eps)) < 1e-8
-    rows = F.fractional_values(LINEAR, UNIT, 2.0, 3, (1e-3, 1e-5))
-    for eps, v in rows:
-        closed = 2.0 * (1.0 - (1.0 - eps) / math.log(1.0 / eps))
-        assert abs(v - closed) < 1e-8
+    # frac_ball's closed-form core stops at its support eps: with the core
+    # up to 2^-17 ~ 7.6e-6 the energy read 15.26 at eps = 1e-6
+    for kind, grid in (("frac_order", (0.9, 0.99)),
+                       ("frac_ball", (0.1, 0.02, 1e-6, 1e-8)),
+                       ("frac_log", (1e-3, 1e-5))):
+        for x in grid:
+            assert abs(_fractional_energy(kind, x)
+                       - _fractional_closed(kind, x)) < 1e-8
+
+
+@pytest.mark.parametrize("kind", K.FRACTIONAL_KINDS)
+def test_monte_carlo_refuses_a_fractional_kernel(kind):
+    kern = K.KernelFamily(kind, 1, 2.0).kernel(0.5)
+    with pytest.raises(K.KernelError, match="radial_sampler"):
+        F.energy(LINEAR, UNIT, kern, mode=MC, n=1000)
 
 
 def test_mc_energy_dimension_two():

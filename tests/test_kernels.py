@@ -6,7 +6,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from plevylab import functionals as F
 from plevylab import kernels as K
 from plevylab.constants import sphere_area
 from plevylab.quadrature import QuadratureError
@@ -335,7 +334,7 @@ def test_every_family_builds_with_its_default_parameters():
         K.check_normalized(fam.kernel(fam.default_grid()[0]))
 
 
-@pytest.mark.parametrize("kind", K.FAMILY_KINDS)
+@pytest.mark.parametrize("kind", K.FAMILY_PARAMS)
 def test_family_spec_roundtrip(kind):
     other = {"beta": 1.0, "eps0": 0.3, "base_eps": 0.25}
     params = {k: other[k] for k in K.FAMILY_PARAMS[kind]}
@@ -349,6 +348,48 @@ def test_family_spec_roundtrip(kind):
         r = np.geomspace(1e-3, 2.0, 9)
         assert np.array_equal(again.kernel(eps).log_density(r),
                               fam.kernel(eps).log_density(r))
+
+
+def _fractional_mass(kind, d, p, x):
+    # the (1 ^ |h|^p)-mass of a fractional family's kernel at its index
+    area = sphere_area(d)
+    if kind == "frac_order":
+        return area / p + area * (1.0 - x) / (x * p)
+    if kind == "frac_ball":
+        return area / d
+    return area + area / (p * abs(math.log(x)))
+
+
+@pytest.mark.parametrize("kind", K.FRACTIONAL_KINDS)
+@pytest.mark.parametrize("d, p", [(d, p) for d in (1, 2, 3)
+                                  for p in (1.0, 2.0)])
+def test_fractional_normalization_is_its_closed_form(kind, d, p):
+    fam = K.KernelFamily(kind, d, p)
+    for x in fam.default_grid():
+        mass = _fractional_mass(kind, d, p, x)
+        assert abs(K.normalization(fam.kernel(x)) - mass) <= 1e-10 * mass
+
+
+@pytest.mark.parametrize("kind", K.FRACTIONAL_KINDS)
+def test_fractional_mass_tends_to_the_mass_limit(kind):
+    # S/p, S/d and S in d = p = 2
+    fam, area = K.KernelFamily(kind, 2, 2.0), sphere_area(2)
+    limit = {"frac_order": area / 2.0, "frac_ball": area / 2,
+             "frac_log": area}[kind]
+    assert fam.mass_limit() == limit
+    gaps = [abs(K.normalization(fam.kernel(x)) - limit)
+            for x in fam.default_grid()]
+    assert all(b <= a + 1e-12 for a, b in zip(gaps, gaps[1:]))
+    assert gaps[-1] <= 0.03 * limit
+
+
+def test_default_families_are_the_five_unit_mass_kinds():
+    fams = K.default_families(2, 1.0)
+    assert tuple(f.kind for f in fams) == K.FAMILY_KINDS == (
+        "stable", "rescaled", "truncated_power", "smoothed_power",
+        "log_limit")
+    assert all(f.mass_limit() == 1.0 for f in fams)
+    assert set(K.FAMILY_PARAMS) == {*K.FAMILY_KINDS, *K.FRACTIONAL_KINDS}
 
 
 def test_family_rejects_a_parameter_its_kind_does_not_take():
@@ -450,7 +491,8 @@ def test_cdf_axioms():
 def test_sampler_matches_tail_mass():
     kern = K.make_stable(1, 2.0, 0.1)
     n = 1_000_000
-    h, _ = K.sample_offset_with_radii(kern, RNG(11), n)
+    rng = RNG(11)
+    h = K._offsets(kern, K._draw_radii(kern, rng, n), rng)
     assert np.all(np.isfinite(h))
     for delta in (0.1, 0.5, 1.0):
         frac = float((np.abs(h[:, 0]) > delta).mean())
@@ -461,7 +503,8 @@ def test_sampler_matches_tail_mass():
 
 def test_sampler_respects_support():
     kern = K.make_truncated_power(2, 2.0, 1.0, 0.3)
-    h, _ = K.sample_offset_with_radii(kern, RNG(4), 100_000)
+    rng = RNG(4)
+    h = K._offsets(kern, K._draw_radii(kern, rng, 100_000), rng)
     assert np.linalg.norm(h, axis=1).max() <= 0.3 + 1e-12
 
 
@@ -476,13 +519,13 @@ def _box_kernel(radius):
 def test_sampling_needs_sampling_data():
     kern = _box_kernel(0.5)
     with pytest.raises(K.KernelError, match="radial_sampler"):
-        K.sample_offset_with_radii(kern, RNG(1), 10)
+        K._draw_radii(kern, RNG(1), 10)
     with pytest.raises(K.KernelError, match="radial_sampler"):
-        K.sample_offset_with_radii(K.make_rescaled(kern, 0.5), RNG(1), 10)
+        K._draw_radii(K.make_rescaled(kern, 0.5), RNG(1), 10)
     # the box's weighted law 3 r^2 / 0.5^3 has the inverse CDF 0.5 v^(1/3)
     sampled = dataclasses.replace(
         kern, radial_sampler=lambda rng, n: 0.5 * np.cbrt(rng.random(n)))
-    _, radii = K.sample_offset_with_radii(sampled, RNG(1), 1000)
+    radii = K._draw_radii(sampled, RNG(1), 1000)
     assert radii.max() <= 0.5
 
 
@@ -507,7 +550,7 @@ def _mass_below(kern, radii, block=1 << 17):
 @pytest.mark.parametrize("make", SAMPLED + SMOOTHED)
 def test_sampler_ks_distance(make):
     kern = make()
-    _, radii = K.sample_offset_with_radii(kern, RNG(23), 1_000_000)
+    radii = kern.radial_sampler(RNG(23), 1_000_000)
     radii = np.sort(radii)
     cdf = _mass_below(kern, radii)
     n = radii.size
@@ -526,7 +569,7 @@ def test_smoothed_power_sampler_at_large_beta():
         math.log(0.5 * math.expm1(a * math.log1p(eps0 / eps)) + 1.0) / a)
     assert abs(median - 0.497934) < 5e-7
     n = 1_000_000
-    _, radii = K.sample_offset_with_radii(kern, RNG(7), n)
+    radii = kern.radial_sampler(RNG(7), n)
     assert radii.max() <= eps0
     # the fraction below the exact median, within 4 binomial stderrs
     assert abs(float((radii <= median).mean()) - 0.5) <= 4.0 * 0.5 / n ** 0.5
@@ -601,9 +644,17 @@ BUILTIN_DENSITIES = {
                            r ** -2.0 / (2.0 * math.log(5.0)), 0.0),
         (0.05, 0.1, 0.3, 0.5, 0.6)),
     "power_window": (
-        lambda: F._power_window_kernel(1, 2.0, 3.0, cutoff=0.1, top=0.5),
+        lambda: K._power_window(1, 2.0, 3.0, cutoff=0.1, top=0.5),
         lambda r: np.where((r > 0.1) & (r <= 0.5), r ** -3.0, 0.0),
         (0.05, 0.1, 0.3, 0.5, 0.6)),
+    "frac_order": (lambda: K.KernelFamily("frac_order", 2, 1.5).kernel(0.9),
+                   lambda r: 0.1 * r ** -3.35, (1e-6, 0.3, 1.0, 50.0)),
+    "frac_ball": (lambda: K.KernelFamily("frac_ball", 2, 1.5).kernel(0.3),
+                  lambda r: np.where(r <= 0.3, r ** -1.5 / 0.09, 0.0),
+                  (1e-6, 0.1, 0.3, 0.6)),
+    "frac_log": (lambda: K.KernelFamily("frac_log", 1, 2.0).kernel(0.1),
+                 lambda r: np.where(r > 0.1, r ** -3.0 / math.log(10.0), 0.0),
+                 (0.05, 0.1, 0.3, 1.0, 50.0)),
 }
 
 
@@ -702,8 +753,9 @@ def _reference_offsets(dim, p, eps, rng, size):
 def test_stable_offsets_match_reference_bit_for_bit(dim):
     # the in-place inverse branches, norms and scaling give the same bits
     # as the whole-array forms
-    h, radii = K.sample_offset_with_radii(K.make_stable(dim, 2.0, 0.3),
-                                          RNG(12), 300_000)
+    kern, rng = K.make_stable(dim, 2.0, 0.3), RNG(12)
+    radii = K._draw_radii(kern, rng, 300_000)
+    h = K._offsets(kern, radii, rng)
     want_h, want_radii = _reference_offsets(dim, 2.0, 0.3, RNG(12), 300_000)
     assert np.array_equal(radii, want_radii)
     assert np.array_equal(h, want_h)
