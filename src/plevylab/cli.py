@@ -139,7 +139,8 @@ _KERNEL_NUMBERS = {"d": int, "p": float, "eps": float,
 
 
 def _kernel_spec(args):
-    """Kernel flags merged over the --config file values."""
+    """Kernel flags merged over the --config file values, and the family
+    they name (a parameter the family does not take is a usage error)."""
     spec = {"family": "stable"}
     if args.config:
         spec.update(_load_config(args.config))
@@ -160,7 +161,10 @@ def _kernel_spec(args):
                               % (key, spec[key], number.__name__))
     if int(spec.get("d", "1")) < 1:
         raise _UsageError("d must be >= 1 (got %s)" % spec["d"])
-    return spec
+    try:
+        return spec, kmod.family_from_spec(spec)
+    except kmod.KernelError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _flag_values(build):
@@ -228,8 +232,7 @@ def _cmd_constant(args):
 
 
 def _cmd_kernel_check(args):
-    spec = _kernel_spec(args)
-    fam = kmod.family_from_spec(spec)
+    _, fam = _kernel_spec(args)
     grid = [float(args.eps)] if args.eps is not None else fam.default_grid()
     header = ("family", "d", "p", "eps", "normalization", "mass_outside_0.1",
               "mass_outside_0.5", "moment_beta_p_plus_1")
@@ -246,10 +249,10 @@ def _cmd_kernel_check(args):
 
 
 def _cmd_energy(args):
-    spec = _kernel_spec(args)
+    spec, fam = _kernel_spec(args)
     if "eps" not in spec:
         raise _UsageError("energy needs --eps (or eps= in the --config file)")
-    kern = kmod.kernel_from_spec(spec)
+    kern = fam.kernel(float(spec["eps"]))
     dom = _domain_from(args)
     fld = _field_from(args)
     _same_dims(kernel=kern.dim, domain=dom.dim, field=fld.dim)
@@ -265,8 +268,7 @@ def _cmd_energy(args):
 
 
 def _cmd_generator(args):
-    spec = _kernel_spec(args)
-    fam = kmod.family_from_spec(spec)
+    _, fam = _kernel_spec(args)
     fld = _field_from(args)
     point = np.zeros(fld.dim) if args.point is None \
         else np.array(args.point)

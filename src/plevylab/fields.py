@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import sphere_area, unit_ball_volume
-from .geometry import Ball, Box, IntervalUnion, SlitBall, _row_sums
+from .geometry import (Ball, Box, IntervalUnion, SlitBall, _row_sums,
+                       _squared_radius)
 from .quadrature import integrate
 
 SMOOTH = "smooth"
@@ -285,6 +286,9 @@ class SmoothBump(Field):
         if not 0.0 < self.radius < math.inf:
             raise FieldError("bump radius must be positive and finite "
                              "(got %r)" % (self.radius,))
+        # every evaluation divides by the square: an underflowing one reads
+        # the bump's centre as 0, an overflowing one raises mid-evaluation
+        _squared_radius(self, FieldError)
 
     @property
     def support_radius(self):

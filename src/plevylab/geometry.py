@@ -92,17 +92,18 @@ def _ball_volume(ball):
     return vol
 
 
-def _squared_radius(ball):
+def _squared_radius(ball, error=DomainError):
     """``radius ** 2``, the bound of the membership test, which must be a
     positive normal float: an underflowing square would accept no point
-    and a rejection sampler would loop for ever."""
+    and a rejection sampler would loop for ever.  ``error`` is raised
+    otherwise (``fields.SmoothBump`` passes ``FieldError``)."""
     try:
         r2 = ball.radius ** 2
     except OverflowError:
         r2 = math.inf
     if not np.finfo(float).tiny <= r2 < math.inf:
-        raise DomainError("the squared radius of %r leaves the float range"
-                          % (ball,))
+        raise error("the squared radius of %r leaves the float range"
+                    % (ball,))
     return r2
 
 

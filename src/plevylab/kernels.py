@@ -15,23 +15,29 @@ The fractional rescalings ``frac_order``, ``frac_ball`` and ``frac_log``
 (:func:`_fractional_kernel`) are scaled power windows whose mass tends to
 ``KernelFamily.mass_limit()``, not one.
 
-``S`` is the sphere area |S^{d-1}|.  Each family writes its density once, in
-log space (``log_profile``); every consumer reads it through
-``RadialKernel.log_density``, which also accepts a plain ``profile`` from
-custom kernels.  Normalization, tail mass, weighted moments, test-function
-pairings and the difference operator are all one radial integral of the
-weighted density (``radial_integral``): a single adaptive quadrature call
-split at the weight kink r = 1 and the kernel's breakpoints (and once per
-decade up to a finite upper limit far above them), with a power
-substitution at the origin and, for full-support kernels, the 1/t map on
-the unbounded tail.
+``S`` is the sphere area |S^{d-1}|.  ``stable``, ``truncated_power``,
+``log_limit`` and the fractional kinds are power windows
+``scale |h|^(-gamma)`` on ``cutoff < |h| <= top``, all written by
+:func:`_power_window`, which refuses a scale that is not a positive normal
+float; ``make_stable`` also refuses an eps that leaves ``d + p - eps`` at
+``d + p``.  ``rescaled`` and ``smoothed_power`` write their own density.
+Each density is written once, in log space (``log_profile``); every
+consumer reads it through ``RadialKernel.log_density``, which also accepts
+a plain ``profile`` from custom kernels.  Normalization, tail mass,
+weighted moments, test-function pairings and the difference operator are
+all one radial integral of the weighted density (``radial_integral``): a
+single adaptive quadrature call split at the weight kink r = 1 and the
+kernel's breakpoints (and once per decade up to a finite upper limit far
+above them), with a power substitution at the origin and, for
+full-support kernels, the 1/t map on the unbounded tail.
 Offset sampling draws the radius exactly from the weighted law
 ``S (1 ^ r^p) nu(r) r^{d-1} dr`` and the direction uniformly on the
 sphere.  The radial sampler is the one sampling fact a kernel carries:
 four families invert the law's CDF in closed form, and ``smoothed_power``
 draws by rejection from a dominating density with a closed-form inverse.
 The mass below ``r`` is ``radial_integral(kernel, 0, r)``.  Custom kernels
-supply their own ``radial_sampler``; power windows cannot be sampled.
+supply their own ``radial_sampler``; a power window built without one (the
+fractional kinds, the kernel of ``gagliardo``) cannot be sampled.
 Kernels are immutable; samplers take a caller-owned generator.
 """
 
@@ -83,8 +89,8 @@ class RadialKernel:
 
     ``radial_sampler(rng, size)`` returns ``size`` radii drawn exactly from
     the weighted radial law ``S (1 ^ r^p) nu(r) r^(d-1) dr``, using ``rng``
-    alone.  Every family supplies one; a custom kernel without one cannot
-    be sampled.
+    alone.  Every unit-mass family supplies one; a kernel without one (a
+    fractional or custom kernel) cannot be sampled.
     """
 
     dim: int
@@ -383,14 +389,12 @@ def make_stable(dim, p_exp, eps):
     if not 0.0 < eps < p_exp:
         raise KernelError("stable family needs 0 < eps < p "
                           "(got eps=%g, p=%g)" % (eps, p_exp))
-    area = sphere_area(dim)
-    a = eps * (p_exp - eps) / (p_exp * area)
-    power = -dim - p_exp + eps
-    log_a = math.log(a)
-
-    def log_profile(r):
-        return log_a + power * np.log(np.asarray(r, dtype=float))
-
+    gamma = dim + p_exp - eps
+    if gamma == dim + p_exp:
+        raise KernelError("stable family needs d + p - eps < d + p in "
+                          "floating point (got eps=%r, d + p = %r)"
+                          % (eps, dim + p_exp))
+    a = eps * (p_exp - eps) / (p_exp * sphere_area(dim))
     m1 = (p_exp - eps) / p_exp  # weighted mass of the unit ball
 
     def cdf_inv(v):
@@ -410,12 +414,9 @@ def make_stable(dim, p_exp, eps):
         np.copyto(hi, lo, where=v <= m1)
         return hi
 
-    return RadialKernel(
-        dim=dim, p_exp=p_exp, log_profile=log_profile,
-        origin_exponent=dim + p_exp - eps, tail_exponent=dim + p_exp - eps,
-        origin_coefficient=a, origin_pure_radius=math.inf,
-        radial_sampler=_inverse_cdf_sampler(cdf_inv), family_tag="stable",
-        eps=eps)
+    return _power_window(dim, p_exp, gamma, scale=a,
+                         radial_sampler=_inverse_cdf_sampler(cdf_inv),
+                         family_tag="stable", eps=eps, params={})
 
 
 def make_rescaled(base, eps):
@@ -480,32 +481,19 @@ def make_truncated_power(dim, p_exp, beta, eps):
     if not 0.0 < eps < 1.0:
         raise KernelError("truncated power needs 0 < eps < 1 (got eps=%g)"
                           % eps)
-    area = sphere_area(dim)
-    denom = area * eps ** (dim + beta)
-    c = (dim + beta) / denom if denom > 0.0 else math.inf
-    if c == math.inf:
-        raise KernelError("truncated power needs eps^(d+beta) inside the "
-                          "float range (beta=%r is too large for eps=%g, "
-                          "d=%d)" % (beta, eps, dim))
-    log_c = math.log(c)
-
-    def log_profile(r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= eps, log_c + (beta - p_exp) * np.log(r),
-                        -np.inf)
-
     expo = dim + beta
+    # an underflowing eps^(d+beta) leaves c = inf, which _power_window refuses
+    denom = sphere_area(dim) * eps ** expo
+    c = expo / denom if denom > 0.0 else math.inf
 
     def cdf_inv(v):
         v = np.asarray(v, dtype=float)
         return eps * np.power(np.clip(v, 0.0, 1.0), 1.0 / expo)
 
-    return RadialKernel(
-        dim=dim, p_exp=p_exp, log_profile=log_profile,
-        support_radius=eps, origin_exponent=p_exp - beta,
-        origin_coefficient=c, origin_pure_radius=eps,
-        breakpoints=(eps,), radial_sampler=_inverse_cdf_sampler(cdf_inv),
-        family_tag="truncated_power", eps=eps, params={"beta": beta})
+    return _power_window(dim, p_exp, p_exp - beta, scale=c, top=eps,
+                         radial_sampler=_inverse_cdf_sampler(cdf_inv),
+                         family_tag="truncated_power", eps=eps,
+                         params={"beta": beta})
 
 
 def make_log_limit(dim, p_exp, eps, eps0):
@@ -514,25 +502,17 @@ def make_log_limit(dim, p_exp, eps, eps0):
     if not 0.0 < eps < eps0 < 1.0:
         raise KernelError("log limit needs 0 < eps < eps0 < 1 (got eps=%g, "
                           "eps0=%g)" % (eps, eps0))
-    area = sphere_area(dim)
-    c = 1.0 / (area * math.log(eps0 / eps))
-    log_c = math.log(c)
-
-    def log_profile(r):
-        r = np.asarray(r, dtype=float)
-        return np.where((r > eps) & (r <= eps0),
-                        log_c - (dim + p_exp) * np.log(r), -np.inf)
 
     def cdf_inv(v):
         v = np.asarray(v, dtype=float)
         return eps * np.power(eps0 / eps, np.clip(v, 0.0, 1.0))
 
-    return RadialKernel(
-        dim=dim, p_exp=p_exp, log_profile=log_profile,
-        support_radius=eps0, inner_radius=eps, breakpoints=(eps, eps0),
-        radial_sampler=_inverse_cdf_sampler(cdf_inv),
-        family_tag="log_limit", eps=eps,
-        params={"eps0": eps0})
+    return _power_window(dim, p_exp, dim + p_exp,
+                         scale=1.0 / (sphere_area(dim) * math.log(eps0 / eps)),
+                         cutoff=eps, top=eps0,
+                         radial_sampler=_inverse_cdf_sampler(cdf_inv),
+                         family_tag="log_limit", eps=eps,
+                         params={"eps0": eps0})
 
 
 def smoothing_constant(dim, beta, eps, eps0, *, abs_tol=1e-13):
@@ -610,10 +590,25 @@ def make_smoothed_power(dim, p_exp, beta, eps, eps0):
 
 
 def _power_window(dim, p_exp, gamma, *, scale=1.0, cutoff=0.0, top=math.inf,
-                  family_tag="power_window", eps=None):
-    """The kernel ``scale |h|^(-gamma)`` on ``cutoff < |h| <= top`` (a
-    closed-form core when ``cutoff = 0``), without a sampler: the kernel of
-    :func:`~plevylab.functionals.gagliardo` and the fractional families."""
+                  family_tag="power_window", eps=None, radial_sampler=None,
+                  params=None):
+    """The kernel ``scale |h|^(-gamma)`` on ``cutoff < |h| <= top``: the
+    ``stable``, ``truncated_power`` and ``log_limit`` families, the
+    fractional ones and the kernel of
+    :func:`~plevylab.functionals.gagliardo`.
+
+    A window with ``cutoff = 0`` has a closed-form core up to ``top`` and
+    one with ``top = inf`` a tail exponent gamma.  ``params`` (default:
+    gamma and the cutoff) go into :meth:`RadialKernel.spec`.  A ``scale``
+    that is not a positive normal float is refused: its log would be
+    -inf, +inf or NaN.
+    """
+    params = {"gamma": gamma, "cutoff": cutoff} if params is None else params
+    if not sys.float_info.min <= scale < math.inf:
+        named = ", ".join("%s=%r" % kv
+                          for kv in {"eps": eps, **params}.items())
+        raise KernelError("the %s kernel at %s has scale %r, not a positive "
+                          "normal float" % (family_tag, named, scale))
     log_scale = math.log(scale)
 
     def log_profile(r):
@@ -633,8 +628,9 @@ def _power_window(dim, p_exp, gamma, *, scale=1.0, cutoff=0.0, top=math.inf,
         origin_exponent=gamma if core else None,
         origin_coefficient=scale if core else None,
         origin_pure_radius=top if core else 0.0,
-        tail_exponent=gamma, breakpoints=breaks, family_tag=family_tag,
-        eps=eps, params={"gamma": gamma, "cutoff": cutoff})
+        tail_exponent=gamma if top == math.inf else None,
+        breakpoints=breaks, radial_sampler=radial_sampler,
+        family_tag=family_tag, eps=eps, params=params)
 
 
 def _fractional_kernel(kind, dim, p_exp, x):
@@ -755,11 +751,11 @@ class KernelFamily:
 
 
 def family_from_spec(spec):
-    kind = spec["family"]
-    # an unknown kind takes no parameters here and KernelFamily rejects it
+    """The family a spec names; KernelFamily refuses an unknown kind and a
+    parameter the kind does not take."""
     params = {name: float(spec[name])
-              for name in FAMILY_PARAMS.get(kind, ()) if name in spec}
-    return KernelFamily(kind, int(spec.get("d", 1)),
+              for name in FAMILY_PARAM_NAMES if name in spec}
+    return KernelFamily(spec["family"], int(spec.get("d", 1)),
                         float(spec.get("p", 2.0)), **params)
 
 

@@ -200,6 +200,8 @@ def test_negative_values_need_no_equals_sign(option, value, rest):
     "energy --eps 0.1 --domain slit-ball --radius nan --d 2 --n 10",
     "energy --eps 0.1 --xb inf --n 10",
     "energy --eps 0.1 --field bump --bump-radius inf --n 10",
+    # the squared radius underflows: this printed 0.0 for the bump's centre
+    "generator --field bump --bump-radius 1e-300 --eps 0.1",
     "kernel-check --p inf --eps 0.1",
     "kernel-check --family truncated_power --beta nan --eps 0.1",
     "kernel-check --family truncated_power --beta inf --eps 0.1",
@@ -231,6 +233,27 @@ def test_bad_input_is_a_one_line_usage_error(tmp_path, line):
     assert out.stdout == ""
     lines = out.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), out.stderr
+
+
+@pytest.mark.parametrize("args, config, named", [
+    # this printed the plain stable row: the three values were dropped
+    (("--family", "stable", "--eps", "0.1", "--eps0", "3", "--beta", "7",
+      "--base-eps", "9"), None, "the stable family takes no base_eps"),
+    ((), "family=log_limit\neps=0.02\nbeta=1.0\n",
+     "the log_limit family takes no beta"),
+    (("--family", "truncated_power", "--eps", "0.1"), "eps0=0.5\n",
+     "the truncated_power family takes no eps0"),
+])
+def test_a_parameter_the_family_does_not_take_is_a_usage_error(
+        tmp_path, args, config, named):
+    if config is not None:
+        cfg = tmp_path / "kernel.cfg"
+        cfg.write_text(config)
+        args += ("--config", str(cfg))
+    out = run("kernel-check", *args)
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr == "error: %s\n" % named
 
 
 @pytest.mark.parametrize("radius", [None, 0.5])
@@ -281,6 +304,16 @@ _FAILURE_NAMES = {
         "beta=400.0 is too large for eps=0.1, d=1",
     "kernel-check --family smoothed_power --beta 800 --eps 0.6 --eps0 0.9":
         "beta=800.0 is too large for eps=0.6, d=1",
+    # the kernel's scale rounds to 0.0: these ended in a math domain error
+    # traceback
+    "kernel-check --eps 5e-324": "eps=5e-324",
+    "kernel-check --family log_limit --eps 1e-320":
+        "log_limit kernel at eps=1e-320, eps0=0.5 has scale 0.0",
+    # d + p - eps rounds to d + p: these read "radial integral diverges at
+    # the origin" and "pair energy diverges on the diagonal" (it is ~1)
+    "kernel-check --eps 1e-17": "got eps=1e-17, d + p = 3.0",
+    "energy --eps 1e-17 --mode deterministic-1d":
+        "got eps=1e-17, d + p = 3.0",
 }
 
 
@@ -304,6 +337,10 @@ _FAILURE_NAMES = {
     ("kernel-check --family smoothed_power --beta 400 --eps 0.1", 2),
     ("kernel-check --family smoothed_power --beta 800 --eps 0.6 --eps0 0.9",
      2),
+    ("kernel-check --eps 5e-324", 2),
+    ("kernel-check --family log_limit --eps 1e-320", 2),
+    ("kernel-check --eps 1e-17", 2),
+    ("energy --eps 1e-17 --mode deterministic-1d", 2),
 ])
 def test_failures_exit_with_a_code_and_no_traceback(tmp_path, line, code):
     # the overflowing bounding box once made the sampler loop for ever

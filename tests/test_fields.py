@@ -82,7 +82,10 @@ def test_bump_is_smooth_and_compact():
     assert abs(float(b.grad([[x]])[0, 0]) - fd) < 1e-6
 
 
-@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+# and with a normal square: at 1e-300 the bump read 0.0 at its centre, at
+# 1e-160 its grad and laplacian read -inf
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, 1e-300,
+                                    1e-160, 1e200])
 def test_bump_radius_must_be_positive(radius):
     with pytest.raises(FieldError):
         SmoothBump(1, radius)

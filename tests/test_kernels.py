@@ -670,6 +670,95 @@ def test_builtin_kernels_carry_only_a_log_density(name):
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+# the power-window families as each wrote its own density: log nu(r) as
+# float.hex at radii below, at and above the window's edges and at r = 1,
+# and every field (floats as float.hex)
+_INF = float("inf").hex()
+POWER_WINDOW_PINS = {
+    "stable": (
+        lambda: K.make_stable(2, 2.0, 0.1),
+        (0.0, 1e-300, 0.5, 1.0, 2.0, 1e300, math.inf),
+        ("inf", "0x1.503aa653359fep+11", "-0x1.7d0d1ecac3f16p+0",
+         "-0x1.0c45b8aab726ap+2", "-0x1.b94829a2bd50ep+2",
+         "-0x1.5146ec0be0570p+11", "-inf"),
+        {"family": "stable", "d": "2", "p": "2.0", "eps": "0.1"},
+        dict(breakpoints=(), support_radius=_INF,
+             inner_radius="0x0.0p+0", tail_exponent="0x1.f333333333333p+1",
+             origin_exponent="0x1.f333333333333p+1",
+             origin_coefficient="0x1.ef7166970268ap-7",
+             origin_pure_radius=_INF)),
+    "truncated_power": (
+        lambda: K.make_truncated_power(1, 1.0, 1.0, 0.1),
+        (0.0, 0.05, 0.1, 0.2, 1.0),
+        ("nan", "0x1.26bb1bbb55515p+2", "0x1.26bb1bbb55515p+2", "-inf",
+         "-inf"),
+        {"family": "truncated_power", "d": "1", "p": "1.0", "eps": "0.1",
+         "beta": "1.0"},
+        dict(breakpoints=("0x1.999999999999ap-4",),
+             support_radius="0x1.999999999999ap-4", inner_radius="0x0.0p+0",
+             tail_exponent=None, origin_exponent="0x0.0p+0",
+             origin_coefficient="0x1.8ffffffffffffp+6",
+             origin_pure_radius="0x1.999999999999ap-4")),
+    "log_limit": (
+        lambda: K.make_log_limit(3, 2.0, 0.02, 0.5),
+        (0.01, 0.02, 0.03, 0.5, 0.7, 1.0),
+        ("-inf", "-inf", "0x1.baa5bfcf6272ap+3", "-0x1.dfe36fd3662f0p-3",
+         "-inf", "-inf"),
+        {"family": "log_limit", "d": "3", "p": "2.0", "eps": "0.02",
+         "eps0": "0.5"},
+        dict(breakpoints=("0x1.47ae147ae147bp-6", "0x1.0000000000000p-1"),
+             support_radius="0x1.0000000000000p-1",
+             inner_radius="0x1.47ae147ae147bp-6", tail_exponent=None,
+             origin_exponent=None, origin_coefficient=None,
+             origin_pure_radius="0x0.0p+0")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_WINDOW_PINS))
+def test_power_window_families_are_bit_pinned(name):
+    make, radii, log_density, spec, fields = POWER_WINDOW_PINS[name]
+    kern = make()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = kern.log_density(np.array(radii))
+    assert tuple(float(v).hex() for v in got) == log_density
+    assert kern.spec() == spec
+    assert tuple(b.hex() for b in kern.breakpoints) == fields["breakpoints"]
+    for field_name, want in fields.items():
+        if field_name != "breakpoints":
+            value = getattr(kern, field_name)
+            assert (None if value is None else float(value).hex()) == want, \
+                field_name
+
+
+@pytest.mark.parametrize("scale", [0.0, 5e-324, 1e-310, math.inf, math.nan,
+                                   -1.0])
+def test_power_window_refuses_a_scale_that_is_not_a_positive_normal_float(
+        scale):
+    with pytest.raises(K.KernelError,
+                       match=r"the frac_ball kernel at eps=0\.25, gamma=2\.0, "
+                             r"cutoff=0\.0 has scale %s" % re.escape(
+                                 repr(scale))):
+        K._power_window(1, 2.0, 2.0, scale=scale, top=0.25,
+                        family_tag="frac_ball", eps=0.25)
+
+
+def test_log_limit_refuses_a_scale_that_rounds_to_0():
+    # eps0/eps overflows: this ended in "math domain error"
+    with pytest.raises(K.KernelError, match=re.escape(
+            "log_limit kernel at eps=1e-320, eps0=0.5 has scale 0.0")):
+        K.make_log_limit(1, 2.0, 1e-320, 0.5)
+
+
+@pytest.mark.parametrize("d, p, eps", [(1, 2.0, 1e-17), (2, 1.0, 5e-324),
+                                       (3, 2.0, 4e-16)])
+def test_stable_refuses_an_eps_that_leaves_d_plus_p_unmoved(d, p, eps):
+    # at eps = 1e-17 this read "radial integral diverges at the origin"
+    with pytest.raises(K.KernelError, match=re.escape(
+            "got eps=%r, d + p = %r" % (eps, d + p))):
+        K.make_stable(d, p, eps)
+    assert K.make_stable(d, p, 1e-14).origin_exponent < d + p
+
+
 def test_custom_profile_is_read_in_log_space():
     kern = _box_kernel(0.5)
     assert kern.log_profile is None
