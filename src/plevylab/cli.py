@@ -170,9 +170,9 @@ def _kernel_spec(args):
 def _flag_values(build):
     """Report a domain or field that rejects its flag values as a usage
     error."""
-    def checked(args):
+    def checked(*args):
         try:
-            return build(args)
+            return build(*args)
         except (gmod.DomainError, fmod.FieldError) as exc:
             raise _UsageError(str(exc)) from None
     return checked
@@ -186,23 +186,27 @@ def _same_dims(**dims):
 
 
 @_flag_values
-def _domain_from(args):
+def _domain_from(args, spec):
+    """The ``--domain`` in the dimension of the merged kernel ``spec``
+    (default 2 for the balls)."""
     name = args.domain
     if name == "interval":
         return gmod.interval(args.xa, args.xb)
     if name == "slit-interval":
         return gmod.slit_interval()
     if name == "ball":
-        return gmod.Ball(args.radius, int(args.d or 2))
+        return gmod.Ball(args.radius, int(spec.get("d", 2)))
     if name == "slit-ball":
-        return gmod.SlitBall(args.radius, int(args.d or 2))
+        return gmod.SlitBall(args.radius, int(spec.get("d", 2)))
     raise SystemExit(USAGE_ERROR)
 
 
 @_flag_values
-def _field_from(args):
+def _field_from(args, spec):
+    """The ``--field`` in the dimension of the merged kernel ``spec``
+    (default 1)."""
     name = args.field
-    d = int(args.d or 1)
+    d = int(spec.get("d", 1))
     if name == "linear":
         return fmod.Linear(tuple([1.0] * d))
     if name == "gaussian":
@@ -231,9 +235,14 @@ def _cmd_constant(args):
     return 0
 
 
+def _grid(spec, fam):
+    """The eps of the merged kernel ``spec``, else the family's grid."""
+    return [float(spec["eps"])] if "eps" in spec else fam.default_grid()
+
+
 def _cmd_kernel_check(args):
-    _, fam = _kernel_spec(args)
-    grid = [float(args.eps)] if args.eps is not None else fam.default_grid()
+    spec, fam = _kernel_spec(args)
+    grid = _grid(spec, fam)
     header = ("family", "d", "p", "eps", "normalization", "mass_outside_0.1",
               "mass_outside_0.5", "moment_beta_p_plus_1")
     rows = []
@@ -253,8 +262,8 @@ def _cmd_energy(args):
     if "eps" not in spec:
         raise _UsageError("energy needs --eps (or eps= in the --config file)")
     kern = fam.kernel(float(spec["eps"]))
-    dom = _domain_from(args)
-    fld = _field_from(args)
+    dom = _domain_from(args, spec)
+    fld = _field_from(args, spec)
     _same_dims(kernel=kern.dim, domain=dom.dim, field=fld.dim)
     est = emod.energy(fld, dom, kern, mode=args.mode, n=args.n,
                       seed=args.seed)
@@ -268,14 +277,14 @@ def _cmd_energy(args):
 
 
 def _cmd_generator(args):
-    _, fam = _kernel_spec(args)
-    fld = _field_from(args)
+    spec, fam = _kernel_spec(args)
+    fld = _field_from(args, spec)
     point = np.zeros(fld.dim) if args.point is None \
         else np.array(args.point)
     _same_dims(kernel=fam.dim, field=fld.dim, point=point.size)
     if fam.dim > 3:
         raise _UsageError("generator needs d <= 3 (got d=%d)" % fam.dim)
-    grid = [float(args.eps)] if args.eps is not None else fam.default_grid()
+    grid = _grid(spec, fam)
     header = ("family", "d", "p", "eps", "value")
     rows = []
     for eps in grid:

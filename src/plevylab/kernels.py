@@ -168,13 +168,14 @@ class RadialKernel:
 
 
 def radial_integral(kernel, lo, hi, *, weight_beta=None, factor=None,
-                    abs_tol):
+                    points=(), abs_tol):
     """Integral of S (1 ^ r^beta) nu(r) r^(d-1) over (lo, hi].
 
     ``hi = math.inf`` integrates to infinity (full-support kernels), using
     the tail-decay hint when present; a finite ``hi`` more than a decade
     above ``lo``, 1 and the breakpoints below it gets a split point per
-    decade.  The range is clipped to the kernel's annulus
+    decade.  ``points`` are the caller's split points, added to the
+    kernel's.  The range is clipped to the kernel's annulus
     ``(inner_radius, support_radius)``.  ``factor``, when given, is a
     radial function multiplying the weighted density; the density is read
     only where the factor is not 0, so a zero factor scores 0 whatever the
@@ -206,7 +207,7 @@ def radial_integral(kernel, lo, hi, *, weight_beta=None, factor=None,
     # a finite hi more than a decade above the last split point is split
     # once per decade, so that no panel's nodes all sit where a decaying
     # tail has already vanished (both Gauss rules would agree on 0)
-    points = (1.0, *kernel.breakpoints)
+    points = (1.0, *kernel.breakpoints, *points)
     far = max(lo, 1.0, *(c for c in points if c < hi))
     while far * 10.0 < hi < math.inf:
         far *= 10.0

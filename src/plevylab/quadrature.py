@@ -43,10 +43,14 @@ them by heap id.
 
 Single integrals go through :func:`integrate`, a scalar heap with no
 per-round array cost: every radial integral, including the r-integral of a
-pair energy.  It calls its integrand once per starting region and
-once per bisection, on the 60 nodes of both halves, and each half sums its
-two rules with its own ``np.dot``, so merging the halves moves no bit of an
-elementwise integrand.  The sphere means of ``generator`` and
+pair energy.  It calls its integrand once on the starting panels of all
+contiguous regions that share it (a power-mapped first panel has an
+integrand of its own) and once per bisection, on the 60 nodes of both
+halves, and each panel sums its two rules with its own ``np.dot``, so
+sharing a call moves no bit of an elementwise integrand.  A pair energy's
+r-integral starts on one panel per octave above its lower end (17 above
+the core radius 2^-17), so the one starting call replaces as many
+sequential ones.  The sphere means of ``generator`` and
 ``dirac_pairing`` are not elementwise: the last bit of their d = 3 ``vals
 @ weights`` depends on its row count (4 of 60 Gaussian rows moved when 60
 radii were reduced at once instead of 30 at a time), so they reduce their
@@ -138,22 +142,31 @@ def _adaptive_pool(regions, *, abs_tol, rel_tol):
     # divide by zero off their support, and each panel checks finiteness
     with np.errstate(over="ignore", divide="ignore", invalid="ignore",
                      under="ignore"):
-        heap = []
-        counter = 0
-        total = total_err = 0.0
-        n_panels = 0
+        # contiguous regions that share an integrand: one call for all
+        # their starting panels
+        runs = []
         for f, a, b in regions:
             if b <= a:
                 continue
-            (est, err), = _panel_estimates(f, (a, b))
-            if not math.isfinite(est):
-                raise QuadratureError(
-                    "non-finite integrand on (%g, %g)" % (a, b))
-            counter += 1
-            heapq.heappush(heap, (-err, counter, a, b, est, err, f))
-            total += est
-            total_err += err
-            n_panels += 1
+            if runs and runs[-1][0] is f and runs[-1][1][-1] == a:
+                runs[-1][1].append(b)
+            else:
+                runs.append((f, [a, b]))
+        heap = []
+        total = total_err = 0.0
+        for f, edges in runs:
+            for a, b, (est, err) in zip(edges[:-1], edges[1:],
+                                        _panel_estimates(f, edges)):
+                if not math.isfinite(est):
+                    raise QuadratureError(
+                        "non-finite integrand on (%g, %g)" % (a, b))
+                heap.append((-err, len(heap), a, b, est, err, f))
+                total += est
+                total_err += err
+        # the keys (-err, counter) are unique, so the pops do not depend on
+        # how the heap was built
+        heapq.heapify(heap)
+        counter = n_panels = len(heap)
         while total_err > max(abs_tol, rel_tol * abs(total)):
             if n_panels >= DEFAULT_MAX_PANELS:
                 raise QuadratureError(

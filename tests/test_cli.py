@@ -8,7 +8,7 @@ from plevylab import cli
 from plevylab import functionals as F
 from plevylab import kernels as K
 from plevylab import sweep as smod
-from plevylab.fields import SmoothBump
+from plevylab.fields import Gaussian, SmoothBump
 
 BASE = [sys.executable, "-m", "plevylab.cli"]
 
@@ -150,6 +150,51 @@ def test_config_file_merged_under_flags(tmp_path):
     cfg.write_text("family=truncated_power\nbeta=1.0\neps=0.3\n")
     lines3 = run("kernel-check", "--config", str(cfg)).stdout.split("\n")
     assert lines3[1].startswith("truncated_power,")
+
+
+def _rows(out):
+    assert out.returncode == 0, out.stderr
+    header, *rows = out.stdout.strip().split("\n")
+    return [dict(zip(header.split(","), row.split(","))) for row in rows]
+
+
+def test_config_eps_sets_the_grid(tmp_path):
+    # the file's eps= gives one row, as energy reads it; it used to be
+    # dropped for the family's five-point default grid
+    cfg = tmp_path / "kernel.cfg"
+    cfg.write_text("family=stable\nd=2\np=2\neps=0.1\n")
+    for command in ("kernel-check", "generator"):
+        rows = _rows(run(command, "--config", str(cfg)))
+        assert [(r["d"], r["eps"]) for r in rows] == [("2", "0.1")]
+        # an explicit --eps still wins over the file
+        rows = _rows(run(command, "--config", str(cfg), "--eps", "0.4"))
+        assert [r["eps"] for r in rows] == ["0.4"]
+
+
+def test_config_d_sets_the_field_dimension(tmp_path):
+    # generator built a d = 1 field against the file's d = 2 kernel and
+    # exited 1 with "dimension mismatch: kernel d=2, field d=1, point d=1"
+    cfg = tmp_path / "kernel.cfg"
+    cfg.write_text("family=stable\nd=2\np=2\neps=0.1\n")
+    got = _rows(run("generator", "--config", str(cfg), "--field",
+                    "gaussian"))
+    flagged = _rows(run("generator", "--d", "2", "--p", "2", "--eps", "0.1",
+                        "--field", "gaussian"))
+    assert got == flagged
+    assert float(got[0]["value"]) == F.generator(
+        Gaussian(2), [0.0, 0.0], K.make_stable(2, 2.0, 0.1))
+
+
+def test_config_d_sets_the_domain_and_field_dimension(tmp_path):
+    # energy on a ball built a d = 1 field against a d = 2 kernel and ball
+    cfg = tmp_path / "kernel.cfg"
+    cfg.write_text("family=stable\nd=2\np=2\neps=0.1\n")
+    args = ("--domain", "ball", "--field", "linear", "--n", "2000")
+    got = _rows(run("energy", "--config", str(cfg), *args))
+    flagged = _rows(run("energy", "--d", "2", "--p", "2", "--eps", "0.1",
+                        *args))
+    assert got == flagged
+    assert got[0]["d"] == "2" and float(got[0]["value"]) > 0.0
 
 
 def test_single_sweep_case_runs():

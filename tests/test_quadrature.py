@@ -31,23 +31,24 @@ def test_tail_transform():
     assert abs(val - 1.0 / (1.0 - e)) < 1e-12
 
 
-# (integrand, a, b, options, starting regions, nodes, value) with the nodes
-# and values of the driver that called the integrand once per panel
+# (integrand, a, b, options, starting regions of each pool, nodes, value)
+# with the nodes and values of the driver that called the integrand once per
+# panel; an infinite range is two pools, the finite part and the 1/t tail
 DRIVER_CASES = {
-    "sqrt": (np.sqrt, 0.0, 1.0, {}, 1, 1110, "0x1.5555555555879p-1"),
+    "sqrt": (np.sqrt, 0.0, 1.0, {}, (1,), 1110, "0x1.5555555555879p-1"),
     "runge": (lambda x: 1.0 / (1.0 + 100.0 * x * x), -1.0, 2.0,
-              dict(points=(0.5,)), 2, 480, "0x1.3260954a5702cp-2"),
+              dict(points=(0.5,)), (2,), 480, "0x1.3260954a5702cp-2"),
     "tail": (lambda r: np.power(r, -1.5) / (1.0 + 1.0 / r), 0.5, math.inf,
-             dict(points=(3.0,), decay_exponent=1.5), 2, 180,
+             dict(points=(3.0,), decay_exponent=1.5), (1, 1), 180,
              "0x1.e91f42805715cp+0"),
     "mapped": (lambda r: np.power(r, -0.7) * np.exp(-r), 0.0, 5.0,
-               dict(alpha_left=0.3), 1, 210, "0x1.7eabe2a23fb80p+1"),
+               dict(alpha_left=0.3), (1,), 210, "0x1.7eabe2a23fb80p+1"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(DRIVER_CASES))
 def test_one_integrand_call_per_region_and_per_bisection(case):
-    f, a, b, options, regions, nodes, value = DRIVER_CASES[case]
+    f, a, b, options, starts, nodes, value = DRIVER_CASES[case]
     sizes = []
 
     def counted(x):
@@ -57,9 +58,27 @@ def test_one_integrand_call_per_region_and_per_bisection(case):
     got, _ = integrate(counted, a, b, **options)
     assert got.hex() == value
     assert sum(sizes) == nodes
-    # a starting region takes one panel, a bisection both its halves
-    assert sizes.count(30) == regions
-    assert set(sizes) <= {30, 60}
+    # a pool opens with one call on the 30 nodes of each starting region,
+    # then a bisection takes both its halves
+    assert sizes[0] == 30 * starts[0]
+    bisections = (nodes - 30 * sum(starts)) // 60
+    assert sorted(sizes) == sorted([30 * k for k in starts]
+                                   + [60] * bisections)
+
+
+def test_contiguous_regions_of_one_integrand_share_a_call():
+    # the power-mapped first region has its own integrand; the other three
+    # regions start in one call
+    sizes = []
+
+    def counted(x):
+        sizes.append(x.size)
+        return np.power(x, -0.5)
+
+    got, _ = integrate(counted, 0.0, 1.0, points=(0.125, 0.25, 0.5),
+                       alpha_left=0.5)
+    assert abs(got - 2.0) < 1e-12
+    assert sizes[:2] == [30, 90]
 
 
 def test_divergent_integral_raises():
