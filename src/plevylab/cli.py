@@ -167,15 +167,13 @@ def _kernel_spec(args):
         raise _UsageError(str(exc)) from None
 
 
-def _flag_values(build):
-    """Report a domain or field that rejects its flag values as a usage
-    error."""
-    def checked(*args):
-        try:
-            return build(*args)
-        except (gmod.DomainError, fmod.FieldError) as exc:
-            raise _UsageError(str(exc)) from None
-    return checked
+def _from_flags(build, spec):
+    """``build(spec)``, a domain or field built from flag values; a value it
+    rejects is a usage error."""
+    try:
+        return build(spec)
+    except (gmod.DomainError, fmod.FieldError) as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _same_dims(**dims):
@@ -185,39 +183,24 @@ def _same_dims(**dims):
             "%s d=%d" % item for item in dims.items()))
 
 
-@_flag_values
 def _domain_from(args, spec):
     """The ``--domain`` in the dimension of the merged kernel ``spec``
     (default 2 for the balls)."""
-    name = args.domain
-    if name == "interval":
-        return gmod.interval(args.xa, args.xb)
-    if name == "slit-interval":
-        return gmod.slit_interval()
-    if name == "ball":
-        return gmod.Ball(args.radius, int(spec.get("d", 2)))
-    if name == "slit-ball":
-        return gmod.SlitBall(args.radius, int(spec.get("d", 2)))
-    raise SystemExit(USAGE_ERROR)
+    kind = args.domain.replace("-", "_")
+    return _from_flags(gmod.from_spec, {
+        "domain": "interval_union" if kind == "interval" else kind,
+        "intervals": "%r:%r" % (args.xa, args.xb),
+        "radius": repr(args.radius), "d": spec.get("d", "2")})
 
 
-@_flag_values
 def _field_from(args, spec):
     """The ``--field`` in the dimension of the merged kernel ``spec``
-    (default 1)."""
-    name = args.field
-    d = int(spec.get("d", 1))
-    if name == "linear":
-        return fmod.Linear(tuple([1.0] * d))
-    if name == "gaussian":
-        return fmod.Gaussian(d)
-    if name == "tent":
-        return fmod.Tent(d)
-    if name == "bump":
-        return fmod.SmoothBump(d, args.bump_radius)
-    if name == "sign-jump":
-        return fmod.SignJump(d)
-    raise SystemExit(USAGE_ERROR)
+    (default 1); ``linear`` has slope 1 along every axis."""
+    d = spec.get("d", "1")
+    return _from_flags(fmod.from_spec, {
+        "field": args.field.replace("-", "_"), "d": d,
+        "slope": ",".join(["1.0"] * int(d)),
+        "radius": repr(args.bump_radius)})
 
 
 def _cmd_constant(args):

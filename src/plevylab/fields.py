@@ -1,29 +1,32 @@
 """Test functions: evaluation, analytic gradients, L^p gradient norms, and
 total-variation seminorms for the piecewise-constant ones.
 
-Every field evaluates vectorized on ``(n, dim)`` arrays.  Gradients are
-analytic; piecewise-constant fields have zero gradient away from their
-interfaces and refuse pointwise gradients on them.  The total-variation
-seminorm is computed in closed form as (jump magnitude) x (interface measure
-strictly inside the domain), which is exact for the hyperplane and sphere
-interfaces supported here; nothing is discretized.
+Every field evaluates vectorized on ``(n, dim)`` arrays, checked by
+:func:`~plevylab.geometry._as_points`, and reads ``|x|^2``, ``x.h`` and
+``|h|^2`` through :func:`~plevylab.geometry._row_dots`, which adds each row
+left to right.  Gradients are analytic; piecewise-constant fields have
+zero gradient away from their interfaces and refuse pointwise gradients on
+them.  The total-variation seminorm is computed in closed form as (jump
+magnitude) x (interface measure strictly inside the domain), which is exact
+for the hyperplane and sphere interfaces supported here; nothing is
+discretized.
 
-Every optional field fact has its default on :class:`Field`, ``laplacian``
-one that raises.  ``u.scaled(c)`` and ``u.shifted(c)`` return one
-:class:`Affine` ``scale * u + shift`` that states every fact of ``u``.
+Every optional field fact has its default on :class:`Field`; the gradient
+and ``laplacian`` have ones that raise.  ``u.scaled(c)`` and
+``u.shifted(c)`` return one :class:`Affine` ``scale * u + shift`` that
+states every fact of ``u``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import sphere_area, unit_ball_volume
-from .geometry import (Ball, Box, IntervalUnion, SlitBall, _row_sums,
-                       _squared_radius)
+from .geometry import (Ball, Box, IntervalUnion, SlitBall, _as_points,
+                       _row_dots, _squared_radius)
 from .quadrature import integrate
 
 SMOOTH = "smooth"
@@ -37,56 +40,6 @@ class FieldError(ValueError):
 
 class InterfaceGradientError(FieldError):
     """Gradient requested on a jump interface."""
-
-
-@functools.lru_cache(maxsize=None)
-def _einsum_lanes(d):
-    """Columns of a d-column row in the order ``np.einsum`` adds them.
-
-    einsum's kernel for unit-stride rows keeps two SIMD lanes: even-index
-    columns go into one sum and odd-index columns into the other.  Its
-    unrolled loop takes eight columns at a time and adds them from the
-    last pair back; the remaining columns follow in order.
-    """
-    even, odd = [], []
-    whole = d - d % 8
-    for base in range(0, whole, 8):
-        even += range(base + 6, base - 1, -2)
-        odd += range(base + 7, base, -2)
-    even += range(whole, d, 2)
-    odd += range(whole + 1, d, 2)
-    return tuple(tuple(lane) for lane in (even, odd) if lane)
-
-
-def _dot(a, b):
-    """Row-wise dot products of two (n, d) arrays.
-
-    The products are formed one column and one block of rows at a time
-    and added in the order of ``np.einsum("ij,ij->i")`` on C-ordered rows
-    (:func:`_einsum_lanes`): even-index columns into one sum, odd-index
-    into another, then even + odd (in d = 3, ``(x0 y0 + x2 y2) + x1 y1``;
-    d = 1 is the single product).  The order is kept so that every field
-    value keeps the bits it had when the dot was that einsum, whose inner
-    loop ran once per row.  Being fixed, it no longer depends on the
-    layout: einsum adds sequentially when the columns are not unit-stride
-    (Fortran-ordered or transposed arrays).  A row whose products are all
-    -0.0 reads -0.0 where einsum's zero-started sum reads +0.0; every
-    caller adds a square norm to a cross dot, which makes it +0.0.
-    Floating-point errors are ignored, as einsum ignores them.
-    """
-    def term(lo, hi, j, out):
-        return np.multiply(a[lo:hi, j], b[lo:hi, j], out=out)
-
-    return _row_sums(term, a.shape[0], _einsum_lanes(a.shape[1]))
-
-
-def _pts(x, dim):
-    pts = np.asarray(x, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(1, -1) if dim > 1 else pts.reshape(-1, 1)
-    if pts.shape[1] != dim:
-        raise FieldError("expected points of shape (n, %d)" % dim)
-    return pts
 
 
 class Field:
@@ -111,19 +64,22 @@ class Field:
     # the default for custom fields; the other built-in fields override it.
 
     def eval(self, x):
-        return self._eval(_pts(x, self.dim))
+        return self._eval(_as_points(x, self.dim, FieldError))
 
     def grad(self, x):
-        return self._grad(_pts(x, self.dim))
+        return self._grad(_as_points(x, self.dim, FieldError))
 
     def offset_diff(self, x, h):
         """u(x + h) - u(x) for paired point/offset arrays."""
-        pts = _pts(x, self.dim)
+        pts = _as_points(x, self.dim, FieldError)
         off = np.broadcast_to(np.asarray(h, dtype=float), pts.shape)
         return self._offset_diff(pts, off)
 
     def _offset_diff(self, pts, off):
         return self._eval(pts + off) - self._eval(pts)
+
+    def _grad(self, pts):
+        raise FieldError("%s has no analytic gradient" % type(self).__name__)
 
     def laplacian(self, x):
         raise FieldError("%s has no analytic laplacian" % type(self).__name__)
@@ -166,7 +122,7 @@ class Linear(Field):
         return off @ np.asarray(self.slope)
 
     def laplacian(self, x):
-        pts = _pts(x, self.dim)
+        pts = _as_points(x, self.dim, FieldError)
         return np.zeros(pts.shape[0])
 
     def spec(self):
@@ -185,7 +141,7 @@ class Gaussian(Field):
     radial = True
 
     def _eval(self, pts):
-        out = _dot(pts, pts)
+        out = _row_dots(pts, pts)
         np.negative(out, out=out)
         return np.exp(out, out=out)
 
@@ -198,19 +154,19 @@ class Gaussian(Field):
         # Where exp(-|x|^2) is subnormal (|x| > 26.6) a step toward the
         # origin would read 0 * inf or lost bits: there the difference is
         # anchored on the larger value exp(-|x+h|^2), as SmoothBump does
-        delta = 2.0 * _dot(pts, off) + _dot(off, off)
+        delta = 2.0 * _row_dots(pts, off) + _row_dots(off, off)
         ux = self._eval(pts)
         with np.errstate(over="ignore", invalid="ignore"):
             out = ux * np.expm1(-delta)
         far = (ux < np.finfo(float).tiny) & (delta < 0.0)
         if far.any():
             y = pts[far] + off[far]
-            out[far] = -np.exp(-_dot(y, y)) * np.expm1(delta[far])
+            out[far] = -np.exp(-_row_dots(y, y)) * np.expm1(delta[far])
         return out
 
     def laplacian(self, x):
-        pts = _pts(x, self.dim)
-        r2 = _dot(pts, pts)
+        pts = _as_points(x, self.dim, FieldError)
+        r2 = _row_dots(pts, pts)
         e = np.exp(-r2)
         # where exp(-r2) underflows to 0 the factor may overflow (inf * 0)
         live = e != 0.0
@@ -236,7 +192,7 @@ class Tent(Field):
         return (-1.0, 0.0, 1.0) if self.dim == 1 else ()
 
     def _eval(self, pts):
-        r = np.sqrt(_dot(pts, pts))
+        r = np.sqrt(_row_dots(pts, pts))
         return np.maximum(0.0, 1.0 - r)
 
     def _offset_diff(self, pts, off):
@@ -244,8 +200,8 @@ class Tent(Field):
             # |x| - |x+h| = -(2 x.h + |h|^2) / (|x| + |x+h|) inside the
             # support; a pair reaching past it compares the clipped radii
             y = pts + off
-            rx, ry = np.sqrt(_dot(pts, pts)), np.sqrt(_dot(y, y))
-            num = 2.0 * _dot(pts, off) + _dot(off, off)
+            rx, ry = np.sqrt(_row_dots(pts, pts)), np.sqrt(_row_dots(y, y))
+            num = 2.0 * _row_dots(pts, off) + _row_dots(off, off)
             inside = -num / np.maximum(rx + ry, np.finfo(float).tiny)
             return np.where((rx < 1.0) & (ry < 1.0), inside,
                             np.minimum(rx, 1.0) - np.minimum(ry, 1.0))
@@ -263,7 +219,7 @@ class Tent(Field):
 
     def _grad(self, pts):
         # a.e. gradient; arbitrary (zero) on the kink set {0, |x|=1}
-        r = np.sqrt(_dot(pts, pts))
+        r = np.sqrt(_row_dots(pts, pts))
         out = np.zeros_like(pts)
         inside = (r > 0) & (r < 1)
         out[inside] = -pts[inside] / r[inside, None]
@@ -295,7 +251,7 @@ class SmoothBump(Field):
         return self.radius
 
     def _eval(self, pts):
-        s = _dot(pts, pts)
+        s = _row_dots(pts, pts)
         s /= self.radius ** 2
         inside = s < 1.0
         # exp(1 - 1/(1 - s)) in the one gathered buffer
@@ -309,7 +265,7 @@ class SmoothBump(Field):
         return out
 
     def _grad(self, pts):
-        s = _dot(pts, pts) / self.radius ** 2
+        s = _row_dots(pts, pts) / self.radius ** 2
         out = np.zeros_like(pts)
         inside = s < 1.0
         u = np.exp(1.0 - 1.0 / (1.0 - s[inside]))
@@ -325,8 +281,8 @@ class SmoothBump(Field):
         # The product never overflows, and the gap is infinite (expm1 = -1)
         # when only one point lies inside the support
         r2 = self.radius ** 2
-        ax = 1.0 - _dot(pts, pts) / r2
-        ds = (2.0 * _dot(pts, off) + _dot(off, off)) / r2
+        ax = 1.0 - _row_dots(pts, pts) / r2
+        ds = (2.0 * _row_dots(pts, off) + _row_dots(off, off)) / r2
         ay = ax - ds
         with np.errstate(divide="ignore", over="ignore"):
             top = np.exp(1.0 - 1.0 / np.maximum(np.maximum(ax, ay), 0.0))
@@ -336,8 +292,8 @@ class SmoothBump(Field):
 
     def laplacian(self, x):
         # for u = exp(g(s)), s = |x|^2/R^2: Lap u = (2u/R^2)(d g' + 2s(g'^2 + g''))
-        pts = _pts(x, self.dim)
-        s = _dot(pts, pts) / self.radius ** 2
+        pts = _as_points(x, self.dim, FieldError)
+        s = _row_dots(pts, pts) / self.radius ** 2
         out = np.zeros(pts.shape[0])
         inside = s < 1.0
         si = s[inside]
@@ -407,11 +363,11 @@ class BallIndicator(Field):
         return abs(self.inside - self.outside)
 
     def _eval(self, pts):
-        r2 = _dot(pts, pts)
+        r2 = _row_dots(pts, pts)
         return np.where(r2 < self.radius ** 2, self.inside, self.outside)
 
     def _grad(self, pts):
-        r = np.sqrt(_dot(pts, pts))
+        r = np.sqrt(_row_dots(pts, pts))
         if np.any(r == self.radius):
             raise InterfaceGradientError(
                 "gradient undefined on the sphere interface")

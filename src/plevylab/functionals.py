@@ -12,7 +12,9 @@ Monte Carlo
     ``(1 ^ |h|^p) nu(h)``.  The weight is bounded for Lipschitz fields.
     Differences come from the fields' offset evaluation, which is exact at
     any radius: concentrated kernels put substantial mass at radii where
-    ``u(x+h) - u(x)`` formed by subtraction is float noise.
+    ``u(x+h) - u(x)`` formed by subtraction is float noise.  At small eps
+    a sampled radius can underflow to 0.0; such a pair contributes the
+    quotient's limit ``|grad u(x) . w|``, with ``w`` its direction.
     Sampling is chunked through counter-based generators keyed by
     (seed, case tag) with the chunk index in the counter block, and chunk
     sums are merged in index order, so any thread count reproduces the
@@ -60,8 +62,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as kmod
-from .fields import PIECEWISE_CONSTANT
-from .geometry import _ROW_BLOCK, IntervalUnion, containment_margin
+from .fields import PIECEWISE_CONSTANT, Affine, FieldError
+from .geometry import (_ROW_BLOCK, IntervalUnion, _row_dots,
+                       containment_margin)
 from .quadrature import _HI_N, _LO_N, QuadratureError, integrate_many
 
 MODE_MC = "mc"
@@ -147,20 +150,38 @@ def _quotients(field, xs, h, r):
                      where=r > 0.0)
 
 
+def _zero_radius_quotients(field, xs, w):
+    """|grad u(x) . w|: the limit of the quotient of a pair at radius 0.
+
+    Kernels with small eps put real mass at radii that underflow to 0.0
+    (the stable sampler's ``(v / m1)^(1/eps)``); such a pair has ``h = 0``
+    but stands for every radius below the smallest float, where the
+    quotient is the directional slope.
+    """
+    try:
+        g = field.grad(xs)
+    except FieldError as exc:
+        raise EnergyError("a zero radius was drawn and needs the gradient of "
+                          "%s: %s" % (type(field).__name__, exc)) from None
+    return np.abs(_row_dots(g, w))
+
+
 def _mc_double(field, sample_domain, kernel, accept, n, seed, tag):
     """Chunked, thread-stable Monte Carlo for the pair functional.
 
     A chunk draws its points x by rejection, then the radii of all its
     pairs by the kernel's ``radial_sampler``.  The work after those draws
     runs on blocks of ``_ROW_BLOCK`` rows, whose arrays stay in a core's
-    cache: each block draws its slice of the direction stream, forms its
-    offsets, ``x + h`` and membership, and writes its kept pairs' weights
-    at the running end of one chunk-length buffer.  The counter-based
-    stream gives the same numbers when a draw is split into consecutive
-    calls; the block length is even because ``integers`` (the d = 1
-    directions) draws 32-bit halves that do not carry over from one call
-    to the next.  The buffer is summed once, as the single weight array of
-    the chunk was, so the chunk sums keep their bits.
+    cache: each block draws its slice of the direction stream, keeps the
+    directions of its zero radii, forms its offsets, ``x + h`` and
+    membership, and writes its kept pairs' weights at the running end of
+    one chunk-length buffer.  A kept pair of radius 0 is weighted by
+    :func:`_zero_radius_quotients`.  The counter-based stream gives the
+    same numbers when a draw is split into consecutive calls; the block
+    length is even because ``integers`` (the d = 1 directions) draws 32-bit
+    halves that do not carry over from one call to the next.  The buffer
+    is summed once, as the single weight array of the chunk was, so the
+    chunk sums keep their bits.
     """
     vol = sample_domain.volume()
     p_exp = kernel.p_exp
@@ -174,13 +195,22 @@ def _mc_double(field, sample_domain, kernel, accept, n, seed, tag):
         for lo in range(0, m, _ROW_BLOCK):
             hi = min(lo + _ROW_BLOCK, m)
             r = radii[lo:hi]
-            h = kmod._offsets(kernel, r, rng)
+            h = kmod.sample_directions(rng, r.size, kernel.dim)
+            zero = np.flatnonzero(r == 0.0)
+            w0 = h[zero]
+            for j in range(kernel.dim):
+                h[:, j] *= r
             x = xs[lo:hi]
             # row indices select faster than a boolean mask on 2-D arrays
-            idx = np.flatnonzero(accept(x + h))
+            keep = accept(x + h)
+            idx = np.flatnonzero(keep)
             if idx.size:
                 q = _quotients(field, np.take(x, idx, axis=0),
                                np.take(h, idx, axis=0), np.take(r, idx))
+                if zero.size:
+                    kz = keep[zero]
+                    at = np.searchsorted(idx, zero[kz])
+                    q[at] = _zero_radius_quotients(field, x[zero[kz]], w0[kz])
                 q **= p_exp
                 q *= vol
                 w[kept:kept + idx.size] = q
@@ -191,25 +221,19 @@ def _mc_double(field, sample_domain, kernel, accept, n, seed, tag):
             s1 = float(w.sum())
             w *= w
             s2 = float(w.sum())
-        return index, s1, s2
+        return s1, s2
 
-    chunks = []
-    start = 0
-    idx = 0
-    while start < n:
-        m = min(_CHUNK, n - start)
-        chunks.append((idx, m))
-        start += m
-        idx += 1
+    chunks = [(i, min(_CHUNK, n - start))
+              for i, start in enumerate(range(0, n, _CHUNK))]
     workers = _thread_count()
     if workers > 1:
+        # map returns the chunk sums in chunk order at any thread count
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(lambda c: run(*c), chunks))
     else:
         results = [run(*c) for c in chunks]
-    results.sort(key=lambda t: t[0])
-    s1 = math.fsum(r[1] for r in results)
-    s2 = math.fsum(r[2] for r in results)
+    s1 = math.fsum(r[0] for r in results)
+    s2 = math.fsum(r[1] for r in results)
     mean = s1 / n
     var = max(s2 / n - mean * mean, 0.0) * n / max(n - 1, 1)
     return mean, math.sqrt(var / n)
@@ -627,7 +651,8 @@ def generator(field, point, kernel, *, abs_tol=1e-10):
     difference there is pure float cancellation).  Beyond it the value is
     the kernel's radial integral with weight 1 (``weight_beta = 0``) of
     ``u(x) - mean_{|w|=1} u(x + r w)``; a sphere wholly beyond the field's
-    ``support_radius`` has mean 0.0 and is not evaluated.
+    ``support_radius`` has mean 0.0 and is not evaluated.  An ``Affine``
+    field ``c u + s`` gives ``c`` times the value of ``u``.
     """
     if kernel.p_exp != 2.0:
         raise EnergyError("the difference operator is defined for p = 2 "
@@ -637,6 +662,13 @@ def generator(field, point, kernel, *, abs_tol=1e-10):
         raise EnergyError("point must be finite (got %s)" % x0.tolist())
     if x0.size != field.dim or field.dim != kernel.dim:
         raise EnergyError("point/field/kernel dimension mismatch")
+    if isinstance(field, Affine):
+        # L(c u + s) = c L(u): the shift would only add rounding noise to
+        # the sphere-mean gaps, which in d = 2 stalled the quadrature
+        if field.scale == 0.0:
+            return 0.0
+        return field.scale * generator(field.base, x0, kernel,
+                                       abs_tol=abs_tol / abs(field.scale))
     d = kernel.dim
     u0 = float(field.eval(x0.reshape(1, -1))[0])
     lap = float(field.laplacian(x0.reshape(1, -1))[0])

@@ -6,6 +6,11 @@ and the full space.
 Points are always ``(n, dim)`` float arrays.  Sampling is rejection from the
 bounding box with a caller-owned generator, so parallel callers stay
 independent and every run is reproducible.
+
+This module also owns the two point-array helpers that domains and fields
+share: the one shape check of point arrays (:func:`_as_points`) and the row
+reductions (:func:`_row_sq_norms`, :func:`_row_dots`), which add each row's
+columns left to right, in one order for every dimension and memory layout.
 """
 
 from __future__ import annotations
@@ -35,31 +40,25 @@ def _check_dim(dim, least=1):
 _ROW_BLOCK = 16_384
 
 
-def _row_sums(term, n, lanes):
-    """Row sums of ``n`` rows of terms, made a block of rows at a time.
+def _row_sums(term, n, d):
+    """Row sums of ``n`` rows of ``d`` terms, made a block of rows at a time.
 
     ``term(lo, hi, j, out)`` writes column ``j``'s terms of rows ``lo:hi``
-    into ``out`` and returns it.  Each lane of ``lanes`` lists columns,
-    added left to right; the lane sums are then added left to right.
+    into ``out`` and returns it.  Each row is added left to right,
+    ``((t0 + t1) + t2) + ...``, whatever the memory layout of the columns.
     Floating-point errors are ignored, as ``np.einsum`` and ``np.sum``
     ignore them: an overflowing row is inf, and an inf or NaN row stays so,
     under any ``np.errstate``.
     """
     out = np.empty(n)
-    m = min(n, _ROW_BLOCK)
-    col = np.empty(m)
-    part = np.empty(m) if len(lanes) > 1 else None
+    col = np.empty(min(n, _ROW_BLOCK))
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         for lo in range(0, n, _ROW_BLOCK):
             hi = min(lo + _ROW_BLOCK, n)
             o, t = out[lo:hi], col[:hi - lo]
-            for k, lane in enumerate(lanes):
-                acc = o if k == 0 else part[:hi - lo]
-                term(lo, hi, lane[0], acc)
-                for j in lane[1:]:
-                    acc += term(lo, hi, j, t)
-                if k:
-                    o += acc
+            term(lo, hi, 0, o)
+            for j in range(1, d):
+                o += term(lo, hi, j, t)
     return out
 
 
@@ -77,8 +76,19 @@ def _row_sq_norms(pts, center=None):
             np.subtract(pts[lo:hi, j], center[j], out=out)
         return np.multiply(x, x, out=out)
 
-    n, d = pts.shape
-    return _row_sums(term, n, (range(d),))
+    return _row_sums(term, *pts.shape)
+
+
+def _row_dots(a, b):
+    """Row-wise dot products of two (n, d) arrays (either may be a
+    broadcast or strided view), added column by column in the order of
+    :func:`_row_sq_norms`, so ``_row_dots(x, x)`` is ``_row_sq_norms(x)``
+    bit for bit.  Every field reads ``|x|^2``, ``x.h`` and ``|h|^2``
+    through it."""
+    def term(lo, hi, j, out):
+        return np.multiply(a[lo:hi, j], b[lo:hi, j], out=out)
+
+    return _row_sums(term, *a.shape)
 
 
 def _ball_volume(ball):
@@ -107,12 +117,15 @@ def _squared_radius(ball, error=DomainError):
     return r2
 
 
-def _as_points(x, dim):
+def _as_points(x, dim, error=DomainError):
+    """``x`` as an ``(n, dim)`` float array; a 1-D ``x`` is one point in
+    d >= 2 and n points in d = 1.  ``error`` is raised for any other shape
+    (``fields.Field`` passes ``FieldError``)."""
     pts = np.asarray(x, dtype=float)
     if pts.ndim == 1:
         pts = pts.reshape(1, -1) if dim > 1 else pts.reshape(-1, 1)
     if pts.ndim != 2 or pts.shape[1] != dim:
-        raise DomainError("expected points of shape (n, %d)" % dim)
+        raise error("expected points of shape (n, %d)" % dim)
     return pts
 
 

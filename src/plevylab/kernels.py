@@ -353,20 +353,6 @@ def sample_directions(rng, size, dim):
     return g
 
 
-def _offsets(kernel, radii, rng):
-    """The offsets of the drawn ``radii``: one direction per radius drawn
-    from ``rng``, scaled by it.
-
-    The Monte Carlo estimators call this once per block of their radii;
-    consecutive blocks draw the directions one whole draw would (for
-    d = 1, blocks of even length keep ``integers``' 32-bit halves aligned).
-    """
-    h = sample_directions(rng, radii.size, kernel.dim)
-    for j in range(kernel.dim):
-        h[:, j] *= radii
-    return h
-
-
 # ---------------------------------------------------------------------------
 # family constructors
 

@@ -8,7 +8,8 @@ from plevylab import cli
 from plevylab import functionals as F
 from plevylab import kernels as K
 from plevylab import sweep as smod
-from plevylab.fields import Gaussian, SmoothBump
+from plevylab.fields import Gaussian, Linear, SignJump, SmoothBump, Tent
+from plevylab.geometry import Ball, SlitBall, interval, slit_interval
 
 BASE = [sys.executable, "-m", "plevylab.cli"]
 
@@ -195,6 +196,28 @@ def test_config_d_sets_the_domain_and_field_dimension(tmp_path):
                         *args))
     assert got == flagged
     assert got[0]["d"] == "2" and float(got[0]["value"]) > 0.0
+
+
+@pytest.mark.parametrize("flags, want", [
+    ("--domain interval", interval(0.0, 1.0)),
+    ("--domain interval --xa -1 --xb 1", interval(-1.0, 1.0)),
+    ("--domain slit-interval", slit_interval()),
+    ("--domain ball", Ball(1.0, 2)),
+    ("--domain ball --d 3 --radius 0.5", Ball(0.5, 3)),
+    ("--domain slit-ball --d 3", SlitBall(1.0, 3)),
+    ("--field linear", Linear((1.0,))),
+    ("--field linear --d 3", Linear((1.0, 1.0, 1.0))),
+    ("--field gaussian --d 2", Gaussian(2)),
+    ("--field tent", Tent(1)),
+    ("--field bump --bump-radius 0.5", SmoothBump(1, 0.5)),
+    ("--field sign-jump --d 2", SignJump(2)),
+])
+def test_flags_build_the_direct_constructors(flags, want):
+    # the flags go through geometry.from_spec and fields.from_spec
+    args = cli.build_parser().parse_args(["energy", *flags.split()])
+    spec = {} if args.d is None else {"d": args.d}
+    build = cli._domain_from if "--domain" in flags else cli._field_from
+    assert build(args, spec).spec() == want.spec()
 
 
 def test_single_sweep_case_runs():

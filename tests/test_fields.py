@@ -6,9 +6,10 @@ import pytest
 from plevylab.constants import unit_ball_volume
 from plevylab.fields import (LIPSCHITZ, BallIndicator, Field, FieldError,
                              Gaussian, InterfaceGradientError, Linear,
-                             SignJump, SmoothBump, Tent, _dot, bv_seminorm,
+                             SignJump, SmoothBump, Tent, bv_seminorm,
                              from_spec, grad_lp_norm, sobolev_norm_p)
-from plevylab.geometry import _ROW_BLOCK, Ball, interval, slit_interval
+from plevylab.geometry import (_ROW_BLOCK, Ball, _row_dots, interval,
+                               slit_interval)
 
 
 def test_linear_eval_and_grad():
@@ -24,8 +25,12 @@ def test_gaussian_grad_at_origin():
     assert abs(float(g.laplacian([[0.0, 0.0]])[0]) + 4.0) < 1e-14
 
 
-def _einsum_dot(a, b):
-    return np.einsum("ij,ij->i", a, b)
+def _left_to_right_dot(a, b):
+    # the reference order of every field's row sums: ((a0 b0 + a1 b1) + ...)
+    acc = a[:, 0] * b[:, 0]
+    for j in range(1, a.shape[1]):
+        acc += a[:, j] * b[:, j]
+    return acc
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -35,7 +40,7 @@ def test_gaussian_and_bump_values_keep_their_bits(dim):
     rng = np.random.default_rng(11)
     pts = rng.uniform(-1.5, 1.5, (2000, dim))
     pts[:3] = [[0.0] * dim, [1.0] + [0.0] * (dim - 1), [0.9] * dim]
-    r2 = _einsum_dot(pts, pts)
+    r2 = _left_to_right_dot(pts, pts)
     assert np.array_equal(Gaussian(dim).eval(pts), np.exp(-r2))
     bump = SmoothBump(dim, 1.0)
     s = r2 / bump.radius ** 2
@@ -51,7 +56,7 @@ def test_gaussian_laplacian_is_finite_at_every_finite_point(dim):
     g = Gaussian(dim)
     # ordinary points keep the bits of (4 r^2 - 2d) exp(-r^2)
     pts = np.random.default_rng(4).uniform(-4.0, 4.0, (500, dim))
-    r2 = _einsum_dot(pts, pts)
+    r2 = _left_to_right_dot(pts, pts)
     assert np.array_equal(g.laplacian(pts),
                           (4.0 * r2 - 2.0 * dim) * np.exp(-r2))
     # past exp(-r^2)'s underflow 4 r^2 may overflow: 0, not inf * 0
@@ -269,42 +274,54 @@ _B = _ROW_BLOCK
 
 @pytest.mark.parametrize("d", range(1, 8))
 @pytest.mark.parametrize("n", [0, 1, _B - 1, _B, _B + 1, 3 * _B + 5])
-def test_dot_matches_einsum_bit_for_bit(d, n):
+def test_dot_adds_left_to_right_bit_for_bit(d, n):
     rng = np.random.default_rng(100 * d + n % 97)
     a, b = _rows(rng, n, d), _rows(rng, n, d)
-    assert np.array_equal(_dot(a, b), _einsum_dot(a, b))
-    assert np.array_equal(_dot(a, a), _einsum_dot(a, a))
+    assert np.array_equal(_row_dots(a, b), _left_to_right_dot(a, b))
+    assert np.array_equal(_row_dots(a, a), _left_to_right_dot(a, a))
 
 
 @pytest.mark.parametrize("d", [9, 16, 19])
-def test_dot_matches_einsum_past_its_unrolled_eight_columns(d):
+def test_dot_adds_left_to_right_past_eight_columns(d):
     rng = np.random.default_rng(d)
     a, b = _rows(rng, 1000, d), _rows(rng, 1000, d)
-    assert np.array_equal(_dot(a, b), _einsum_dot(a, b))
+    assert np.array_equal(_row_dots(a, b), _left_to_right_dot(a, b))
 
 
 @pytest.mark.parametrize("d", range(1, 8))
-def test_dot_matches_einsum_on_broadcast_and_strided_rows(d):
+def test_dot_adds_left_to_right_on_broadcast_and_strided_rows(d):
     n = 2 * _B + 3
     rng = np.random.default_rng(d)
     a = _rows(rng, n, d)
     # an offset shared by every row, as Field.offset_diff broadcasts it
     off = np.broadcast_to(_rows(rng, 1, d)[0], a.shape)
-    assert np.array_equal(_dot(a, off), _einsum_dot(a, off))
+    assert np.array_equal(_row_dots(a, off), _left_to_right_dot(a, off))
     # every other row of a larger array
     wide = _rows(rng, 2 * n, d)
-    assert np.array_equal(_dot(wide[::2], a), _einsum_dot(wide[::2], a))
+    assert np.array_equal(_row_dots(wide[::2], a),
+                          _left_to_right_dot(wide[::2], a))
 
 
 @pytest.mark.parametrize("d", range(1, 8))
 def test_dot_does_not_depend_on_the_memory_layout(d):
     rng = np.random.default_rng(7 + d)
     a, b = _rows(rng, _B + 9, d), _rows(rng, _B + 9, d)
-    want = _dot(a, b)
-    assert np.array_equal(_dot(np.asfortranarray(a), np.asfortranarray(b)),
-                          want)
-    assert np.array_equal(_dot(np.ascontiguousarray(a.T).T,
-                               np.ascontiguousarray(b.T).T), want)
+    want = _row_dots(a, b)
+    assert np.array_equal(_row_dots(np.asfortranarray(a),
+                                    np.asfortranarray(b)), want)
+    assert np.array_equal(_row_dots(np.ascontiguousarray(a.T).T,
+                                    np.ascontiguousarray(b.T).T), want)
+
+
+@pytest.mark.parametrize("x", [0.5, [[0.1, 0.2, 0.3]], np.zeros((3, 2, 1))],
+                         ids=["scalar", "3-col", "3-d"])
+def test_points_of_the_wrong_shape_raise_field_error(x):
+    # a scalar raised IndexError and a 3-D stack reached the formulas
+    for u in (Gaussian(2), Linear((1.0, 2.0)), Gaussian(2).scaled(2.0)):
+        for call in (u.eval, u.grad, u.laplacian,
+                     lambda pts: u.offset_diff(pts, 0.0)):
+            with pytest.raises(FieldError, match=r"shape \(n, 2\)"):
+                call(x)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -313,8 +330,10 @@ def test_dot_of_inf_nan_and_overflowing_rows_does_not_raise(d):
     a = np.array([[np.inf] * d, [np.nan] * d, [big] * d, [1e-200] * d,
                   [1.0] * d])
     with np.errstate(all="raise"):
-        got = _dot(a, a)
-    assert np.array_equal(got, _einsum_dot(a, a), equal_nan=True)
+        got = _row_dots(a, a)
+    with np.errstate(over="ignore"):
+        want = _left_to_right_dot(a, a)
+    assert np.array_equal(got, want, equal_nan=True)
     assert got[0] == got[2] == np.inf and np.isnan(got[1])
 
 

@@ -323,3 +323,14 @@ def test_row_sq_norms_match_numpy_sum_bit_for_bit(d, n):
     y = x - center
     assert np.array_equal(_row_sq_norms(x, tuple(center)),
                           np.sum(y * y, axis=1))
+
+
+# one point, a row of three coordinates, and a 3-D stack of points
+WRONG_SHAPES = [0.5, [[0.1, 0.2, 0.3]], np.zeros((3, 2, 1))]
+
+
+@pytest.mark.parametrize("x", WRONG_SHAPES, ids=["scalar", "3-col", "3-d"])
+def test_contains_rejects_points_of_the_wrong_shape(x):
+    for dom in (Ball(1.0, 2), Box((0.0, 0.0), (1.0, 1.0)), SlitBall(1.0, 2)):
+        with pytest.raises(DomainError, match=r"shape \(n, 2\)"):
+            dom.contains(x)

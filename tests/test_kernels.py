@@ -488,11 +488,17 @@ def test_cdf_axioms():
         assert np.max(np.abs(mass - v)) <= 1e-12, kern.family_tag
 
 
+def _offsets(kern, rng, size):
+    # the Monte Carlo offsets: radii, then directions from the same stream,
+    # scaled by the radii
+    radii = K._draw_radii(kern, rng, size)
+    return K.sample_directions(rng, size, kern.dim) * radii[:, None]
+
+
 def test_sampler_matches_tail_mass():
     kern = K.make_stable(1, 2.0, 0.1)
     n = 1_000_000
-    rng = RNG(11)
-    h = K._offsets(kern, K._draw_radii(kern, rng, n), rng)
+    h = _offsets(kern, RNG(11), n)
     assert np.all(np.isfinite(h))
     for delta in (0.1, 0.5, 1.0):
         frac = float((np.abs(h[:, 0]) > delta).mean())
@@ -503,8 +509,7 @@ def test_sampler_matches_tail_mass():
 
 def test_sampler_respects_support():
     kern = K.make_truncated_power(2, 2.0, 1.0, 0.3)
-    rng = RNG(4)
-    h = K._offsets(kern, K._draw_radii(kern, rng, 100_000), rng)
+    h = _offsets(kern, RNG(4), 100_000)
     assert np.linalg.norm(h, axis=1).max() <= 0.3 + 1e-12
 
 
@@ -840,11 +845,11 @@ def _reference_offsets(dim, p, eps, rng, size):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_stable_offsets_match_reference_bit_for_bit(dim):
-    # the in-place inverse branches, norms and scaling give the same bits
+    # the in-place inverse branches and direction norms give the same bits
     # as the whole-array forms
-    kern, rng = K.make_stable(dim, 2.0, 0.3), RNG(12)
-    radii = K._draw_radii(kern, rng, 300_000)
-    h = K._offsets(kern, radii, rng)
+    kern = K.make_stable(dim, 2.0, 0.3)
+    h = _offsets(kern, RNG(12), 300_000)
+    radii = K._draw_radii(kern, RNG(12), 300_000)
     want_h, want_radii = _reference_offsets(dim, 2.0, 0.3, RNG(12), 300_000)
     assert np.array_equal(radii, want_radii)
     assert np.array_equal(h, want_h)
