@@ -25,7 +25,7 @@ from . import fields as fmod
 from . import geometry as gmod
 from . import kernels as kmod
 from . import sweep as smod
-from .constants import compute_kdp, kdp_mc
+from .constants import _check_seed, compute_kdp, kdp_mc
 
 USAGE_ERROR = 1
 NUMERICAL_ERROR = 2
@@ -64,6 +64,14 @@ def _at_least(kind, low):
     # argparse names a type by __name__ when it rejects a value
     parse.__name__ = "finite %s >= %s" % (kind.__name__, low)
     return parse
+
+
+def seed(text):
+    """Type of --seed: an integer in [0, 2^64), a Philox key word; argparse
+    reports a bad value by this name."""
+    value = int(text)
+    _check_seed(value, ValueError)
+    return value
 
 
 def finite(text):
@@ -219,8 +227,16 @@ def _cmd_constant(args):
 
 
 def _grid(spec, fam):
-    """The eps of the merged kernel ``spec``, else the family's grid."""
-    return [float(spec["eps"])] if "eps" in spec else fam.default_grid()
+    """The eps of the merged kernel ``spec``, else the family's grid; an
+    empty grid (``eps0`` below all of it) is a usage error."""
+    if "eps" in spec:
+        return [float(spec["eps"])]
+    grid = fam.default_grid()
+    if not grid:
+        raise _UsageError("no point of the %s family's default eps grid "
+                          "lies below eps0=%r; give --eps"
+                          % (fam.kind, fam.eps0))
+    return grid
 
 
 def _cmd_kernel_check(args):
@@ -308,7 +324,7 @@ def _cmd_counterexample(args):
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=emod.DEFAULT_SEED,
+    sub.add_argument("--seed", type=seed, default=emod.DEFAULT_SEED,
                      help="deterministic seed (fixed default, never "
                           "time-based)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -18,6 +18,7 @@ derivation-consistent form is the one used everywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,6 +100,14 @@ def kdp_variant_ratio(dim, p_exp):
             / (_gamma((dim + p_exp) / 2.0, dim) * math.gamma(0.5)))
 
 
+def _check_seed(seed, error):
+    """Refuse a seed that is not an integer in [0, 2^64), the range of a
+    Philox key word: a wider one would alias another seed's stream."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 1 << 64):
+        raise error("seed must be an integer in [0, 2^64) (got %r)"
+                    % (seed,))
+
+
 def kdp_mc(dim, p_exp, n=1_000_000, seed=0, direction=None):
     """Monte Carlo sphere average of |w.e|^p.
 
@@ -108,7 +117,9 @@ def kdp_mc(dim, p_exp, n=1_000_000, seed=0, direction=None):
     """
     if n < 1:
         raise ValueError("n must be positive")
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0xC0]))
+    _check_seed(seed, ValueError)
+    rng = np.random.Generator(np.random.Philox(
+        key=np.array([seed, 0xC0], dtype=np.uint64)))
     if direction is None:
         e = np.zeros(dim)
         e[0] = 1.0

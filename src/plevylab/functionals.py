@@ -62,6 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as kmod
+from .constants import _check_seed
 from .fields import PIECEWISE_CONSTANT, Affine, FieldError
 from .geometry import (_ROW_BLOCK, IntervalUnion, _row_dots,
                        containment_margin)
@@ -126,7 +127,8 @@ def _thread_count():
 
 
 def _chunk_rng(seed, tag, index):
-    bitgen = np.random.Philox(key=[seed & _MASK64, tag & _MASK64],
+    # uint64 key words: a Python int at or above 2^63 was cast to float
+    bitgen = np.random.Philox(key=np.array([seed, tag], dtype=np.uint64),
                               counter=[0, 0, index, 0])
     return np.random.Generator(bitgen)
 
@@ -242,8 +244,6 @@ def _mc_double(field, sample_domain, kernel, accept, n, seed, tag):
 # ---------------------------------------------------------------------------
 # deterministic 1-D core
 
-# the closed-form core of a kernel reaches at most this radius
-_CORE_RADIUS = 1e-5
 # x-integrals of the pair profile: relative tolerance, and an absolute floor
 # per unit min(1, r)^p, without which a profile near 0 stalls
 _X_REL_TOL = 1e-13
@@ -310,17 +310,6 @@ def _pair_profile(field, p, xp, yp, marks):
     return profile
 
 
-def _octaves(lo, hi):
-    """The split points ``lo 2^k``, k >= 1, below ``min(hi, 1)``; none for
-    ``lo = 0``."""
-    out = []
-    r = 2.0 * lo
-    while 0.0 < r < min(hi, 1.0):
-        out.append(r)
-        r *= 2.0
-    return out
-
-
 def _pair_energy(field, kernel, xp, yp, tol):
     """Pair energy ``int_X int_Y |u(y) - u(x)|^p nu(|y - x|) dy dx`` of the
     intervals X and Y, x integrated out first: ``int_0^inf nu(r) F(r) dr``
@@ -336,27 +325,21 @@ def _pair_energy(field, kernel, xp, yp, tol):
     Pairs that overlap or touch have ``F ~ r^q`` at the origin: q = 1
     across a jump point, q = p on an overlap, q = p + 1 on a continuous
     contact.  An energy that diverges there (``q + 1 <= gamma``) raises
-    before any quadrature.  A kernel's closed-form core ``c r^-gamma`` is
-    integrated in closed form up to ``r_c``, the power of two at most
-    ``min(1e-5, r_1 / 2, origin_pure_radius)``, r_1 the first breakpoint,
-    against ``F = r^q (g0 + g1 r)`` fitted at ``r_c / 2`` and ``r_c``.  The
-    fit is exact for piecewise affine fields (a power of two keeps the
-    slivers ``m - r`` of the x-integrals exact, where 1e-5 itself left
-    F(r_c) 1e-11 off), ``O(r_c^2)`` for smooth ones, and free of any power
-    map, so it holds as eps -> 0.  A kernel without a core integrates
-    ``F / r^q`` against the weight ``r^q`` up to ``min(r_1, 1)``.
+    before any quadrature.  A kernel's declared core is integrated by
+    :func:`~plevylab.kernels.core_integral` up to the first breakpoint r_1,
+    with weight ``q`` and factor ``F / (2 r^q)``: its quadratic fit is
+    exact for piecewise affine fields (its power of two ``r_c`` keeps the
+    slivers ``m - r`` of the x-integrals exact) and free of any power map.
+    A kernel without a core integrates ``F / r^q`` against the weight
+    ``r^q`` up to ``min(r_1, 1)``.
 
     Each r-range ``(lo, hi)`` with ``0 < lo < 1`` (``lo`` clipped to the
     kernel's inner radius: ``r_c``, a cutoff window's inner radius or the
     gap) gets the split points ``lo 2^k`` below ``min(hi, 1)``
-    (:func:`_octaves`; doubling is exact).  The adaptive driver would reach
-    them by halving toward ``lo`` one octave at a time, one sequential
-    evaluation of F, and so one batch of x-integrals, per halving; as
-    starting panels they are all evaluated in one call.  The rule stays
-    here, not in :func:`~plevylab.kernels.radial_integral`: only the pair
-    energy knows its range starts at a core, and split there the
-    sphere-mean integrals of :func:`generator`, whose integrand cancels to
-    about 1e-8 relative near its core, moved by 2.2e-10.
+    (:func:`~plevylab.kernels._octaves`; doubling is exact).  The adaptive
+    driver would reach them by halving toward ``lo`` one octave at a time,
+    one sequential evaluation of F, and so one batch of x-integrals, per
+    halving; as starting panels they are all evaluated in one call.
 
     On pieces unbounded on opposite sides a piecewise-constant field has
     ``F(r) ~ |u(inf) - u(-inf)|^p r``, infinite against a full-support tail
@@ -403,15 +386,8 @@ def _pair_energy(field, kernel, xp, yp, tol):
                        else "on the diagonal", q + 1.0 - gamma))
             r_1 = edges[0][1]
             if kernel.origin_pure_radius > 0.0:
-                r_c = math.ldexp(0.5, math.frexp(min(
-                    _CORE_RADIUS, 0.5 * r_1, kernel.origin_pure_radius))[1])
-                g_half, g_full = (profile(np.array([0.5 * r_c, r_c]))
-                                  / np.array([0.5 * r_c, r_c]) ** q).tolist()
-                g0, g1 = 2.0 * g_half - g_full, (g_full - g_half) / (0.5 * r_c)
-                a = q + 1.0 - gamma
-                core = kernel.origin_coefficient * (
-                    g0 * r_c ** a / a + g1 * r_c ** (a + 1.0) / (a + 1.0))
-                edges[0][0] = r_c
+                edges[0][0], core = kmod.core_integral(
+                    kernel, r_1, q, lambda r: 0.5 * profile(r) / r ** q)
             elif r_1 > 1.0:
                 edges[0][1] = 1.0
                 edges.insert(1, [1.0, r_1])
@@ -423,7 +399,7 @@ def _pair_energy(field, kernel, xp, yp, tol):
             value += kmod.radial_integral(
                 kernel, lo, hi, weight_beta=beta,
                 factor=lambda r, beta=beta: 0.5 * profile(r) / r ** beta,
-                points=_octaves(max(lo, kernel.inner_radius), hi),
+                points=kmod._octaves(max(lo, kernel.inner_radius), hi),
                 abs_tol=tol / len(edges))
     except QuadratureError as exc:
         raise QuadratureError(
@@ -458,6 +434,7 @@ def _estimate(kind, field, kernel, domain, x_set, accept, partners, *,
                           % (mode, MODE_MC, MODE_DET))
     if field.dim != domain.dim or field.dim != kernel.dim:
         raise EnergyError("field/domain/kernel dimension mismatch")
+    _check_seed(seed, EnergyError)
     kernel_id, domain_id = _ident(kernel.spec()), _ident(domain.spec())
     field_id = _ident(field.spec())
     if mode == MODE_DET:

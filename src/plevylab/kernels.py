@@ -28,8 +28,8 @@ weighted moments, test-function pairings and the difference operator are
 all one radial integral of the weighted density (``radial_integral``): a
 single adaptive quadrature call split at the weight kink r = 1 and the
 kernel's breakpoints (and once per decade up to a finite upper limit far
-above them), with a power substitution at the origin and, for
-full-support kernels, the 1/t map on the unbounded tail.
+above them), with a closed-form core at the origin (``core_integral``)
+and, for full-support kernels, the 1/t map on the unbounded tail.
 Offset sampling draws the radius exactly from the weighted law
 ``S (1 ^ r^p) nu(r) r^{d-1} dr`` and the direction uniformly on the
 sphere.  The radial sampler is the one sampling fact a kernel carries:
@@ -82,10 +82,10 @@ class RadialKernel:
     radii where the density is not smooth (support edges included).
 
     A closed-form core ``nu(r) = origin_coefficient * r^(-origin_exponent)``
-    (exact, or to ~1e-12) on ``r < origin_pure_radius`` lets integrators
-    treat the singular core in closed form below floating point resolution.
-    The neutral ``origin_pure_radius = 0`` claims no core; a positive one
-    needs both the coefficient and the exponent.
+    (exact, or to ~1e-12) on ``r < origin_pure_radius`` is integrated by
+    :func:`core_integral`, so it holds below floating point resolution.
+    The neutral ``origin_pure_radius = 0`` claims no core (the origin is
+    then bisected); a positive one needs the coefficient and the exponent.
 
     ``radial_sampler(rng, size)`` returns ``size`` radii drawn exactly from
     the weighted radial law ``S (1 ^ r^p) nu(r) r^(d-1) dr``, using ``rng``
@@ -167,6 +167,43 @@ class RadialKernel:
         return out
 
 
+def _octaves(lo, hi):
+    """The split points ``lo 2^k``, k >= 1, below ``min(hi, 1)``; none for
+    ``lo = 0``."""
+    out = []
+    r = 2.0 * lo
+    while 0.0 < r < min(hi, 1.0):
+        out.append(r)
+        r *= 2.0
+    return out
+
+
+def core_integral(kernel, hi, beta, factor=None):
+    """``(r_c, S c int_0^r_c r^(a-1) g(r) dr)``, ``a = d + beta - gamma >
+    0``, for the kernel's declared core ``nu(r) = c r^-gamma``.
+
+    Without a ``factor`` (g = 1) it is ``S c r_c^a / a``, exact up to
+    ``r_c = min(hi, 1, origin_pure_radius)``.  With one, g is the quadratic
+    through its values at ``r_c / 4``, ``r_c / 2`` and ``r_c``, the power
+    of two at most ``min(1e-4, hi / 2, origin_pure_radius)``.  No node lies
+    near the origin, so the value holds however small ``a`` is."""
+    a = kernel.dim + beta - kernel.origin_exponent
+    scale = sphere_area(kernel.dim) * kernel.origin_coefficient
+    if factor is None:
+        r_c = min(hi, 1.0, kernel.origin_pure_radius)
+        return r_c, scale * r_c ** a / a
+    r_c = math.ldexp(0.5, math.frexp(min(
+        1e-4, 0.5 * hi, kernel.origin_pure_radius))[1])
+    g1, g2, g3 = np.asarray(factor(r_c * np.array([0.25, 0.5, 1.0])),
+                            dtype=float).tolist()
+    # g(r_c t) = A + B t + C t^2 through t = 1/4, 1/2, 1 (Newton form)
+    d01, d12 = 4.0 * (g2 - g1), 2.0 * (g3 - g2)
+    cq = (d12 - d01) / 0.75
+    b = d01 - 0.75 * cq
+    a0 = g1 - 0.25 * d01 + 0.125 * cq
+    return r_c, scale * r_c ** a * (a0 / a + b / (a + 1.0) + cq / (a + 2.0))
+
+
 def radial_integral(kernel, lo, hi, *, weight_beta=None, factor=None,
                     points=(), abs_tol):
     """Integral of S (1 ^ r^beta) nu(r) r^(d-1) over (lo, hi].
@@ -180,6 +217,11 @@ def radial_integral(kernel, lo, hi, *, weight_beta=None, factor=None,
     radial function multiplying the weighted density; the density is read
     only where the factor is not 0, so a zero factor scores 0 whatever the
     density is there.
+
+    From the origin, ``a = d + beta - gamma <= 0`` raises; a singular ``0 <
+    a < 1`` takes a declared core from :func:`core_integral` and goes on
+    from its ``r_c`` on the octaves :func:`_octaves`, which the adaptive
+    driver would otherwise reach one halving at a time.
     """
     d = kernel.dim
     beta = kernel.p_exp if weight_beta is None else weight_beta
@@ -195,13 +237,16 @@ def radial_integral(kernel, lo, hi, *, weight_beta=None, factor=None,
 
     lo = max(lo, kernel.inner_radius)
     hi = min(hi, kernel.support_radius)
-    alpha0 = None
+    core = 0.0
     if lo == 0.0 and kernel.origin_exponent is not None:
         alpha0 = d + beta - kernel.origin_exponent
         if alpha0 <= 0.0:
             raise QuadratureError(
                 "radial integral diverges at the origin "
                 "(weighted exponent %.3g <= 0)" % alpha0)
+        if alpha0 < 1.0 and kernel.origin_pure_radius > 0.0 and hi > 0.0:
+            lo, core = core_integral(kernel, hi, beta, factor)
+            points = (*points, *_octaves(lo, hi))
     q = kernel.tail_exponent
     # split at the (1 ^ r^beta) weight kink and the profile's breakpoints;
     # a finite hi more than a decade above the last split point is split
@@ -213,10 +258,9 @@ def radial_integral(kernel, lo, hi, *, weight_beta=None, factor=None,
         far *= 10.0
         points += (far,)
     val, _ = integrate(f, lo, hi, points=points,
-                       alpha_left=alpha0,
                        decay_exponent=None if q is None else q - (d - 1),
                        abs_tol=abs_tol)
-    return val
+    return core + val
 
 
 def normalization(kernel, *, abs_tol=NORMALIZATION_REQUEST_TOL):
@@ -230,8 +274,8 @@ def normalization(kernel, *, abs_tol=NORMALIZATION_REQUEST_TOL):
 
 def mass_outside(kernel, delta, *, abs_tol=NORMALIZATION_REQUEST_TOL):
     """Weighted tail mass int_{|h| > delta} (1 ^ |h|^p) nu(h) dh."""
-    if delta <= 0:
-        raise KernelError("delta must be positive")
+    if not delta > 0:
+        raise KernelError("delta must be positive (got %r)" % (delta,))
     return radial_integral(kernel, delta, math.inf, abs_tol=abs_tol)
 
 
@@ -239,8 +283,8 @@ def weighted_moment(kernel, beta, big_r, *, abs_tol=NORMALIZATION_REQUEST_TOL):
     """Truncated moment int_{|h| <= R} (1 ^ |h|^beta) nu(h) dh for beta >= p."""
     if beta < kernel.p_exp:
         raise KernelError("moment defined for beta >= p")
-    if big_r <= 0:
-        raise KernelError("R must be positive")
+    if not big_r > 0:
+        raise KernelError("R must be positive (got %r)" % (big_r,))
     return radial_integral(kernel, 0.0, big_r, weight_beta=beta,
                            abs_tol=abs_tol)
 
@@ -720,15 +764,17 @@ class KernelFamily:
                 "frac_log": area}.get(self.kind, 1.0)
 
     def default_grid(self):
+        """The grid points below the top of the family's window: ``eps0``
+        for the kinds that take it, else 1 (stable's (0, p) contains
+        (0, 1)).  Empty when ``eps0`` lies below every point."""
         # annulus kernels only concentrate once eps drops below the probe
-        # radii, hence the lower grids; frac_order's s rises to 1; the others
-        # stop below their window's top (stable's (0, p) contains (0, 1))
-        if self.kind in ("log_limit", "frac_order", "frac_log"):
-            return {"log_limit": (0.08, 0.04, 0.02, 0.01, 0.005),
-                    "frac_order": (0.8, 0.9, 0.95, 0.99),
-                    "frac_log": (1e-3, 1e-5, 1e-7, 1e-9)}[self.kind]
-        top = self.eps0 if self.kind == "smoothed_power" else 1.0
-        return tuple(e for e in DEFAULT_EPS_GRID if e < top)
+        # radii, hence the lower grids; frac_order's s rises to 1
+        grid = {"log_limit": (0.08, 0.04, 0.02, 0.01, 0.005),
+                "frac_order": (0.8, 0.9, 0.95, 0.99),
+                "frac_log": (1e-3, 1e-5, 1e-7, 1e-9)}.get(self.kind,
+                                                          DEFAULT_EPS_GRID)
+        top = 1.0 if self.eps0 is None else self.eps0
+        return tuple(e for e in grid if e < top)
 
     def spec(self):
         out = {"family": self.kind, "d": str(self.dim), "p": repr(self.p_exp)}

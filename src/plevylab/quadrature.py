@@ -7,19 +7,17 @@ multiplied by smooth factors), so the strategy is:
   (the 10/20-point difference serves as the error estimate),
 * explicit split points at known kinks, so every panel sees a smooth
   integrand,
-* a power substitution ``x = u**(1/alpha)`` on the panel touching an
-  integrable singularity ``f ~ C*x**(alpha-1)`` at a left endpoint 0
-  (radial integrals are singular only at the origin, their lower limit),
 * the map ``r = 1/t`` for tails on ``(a, inf)``: :func:`integrate` with
   ``b = inf`` integrates up to ``max(a, points, 1)`` as above and the rest
-  in ``t``.
+  in ``t``, with ``t = u**(1/alpha)`` where a decay hint makes the tail
+  singular like ``t**(alpha-1)`` (an origin is never mapped: radial
+  integrals take the kernel's closed-form core there).
 
 The integrand sees every node of the power map.  For small alpha
-``u**(1/alpha)`` underflows, and a node can collapse onto the endpoint
-(``x == 0``, or ``t == 0`` in a tail) or lose its Jacobian; the map then
-raises :class:`QuadratureError` naming alpha instead of scoring the node
-0, which is the wrong limit (``C/alpha`` for an exact power law): scored
-0, the nodes would make a unit mass read 0.50025 at ``alpha = 1e-3``.
+``u**(1/alpha)`` underflows, and a node can collapse onto ``t == 0`` or
+lose its Jacobian; the map then raises :class:`QuadratureError` naming
+alpha instead of scoring the node 0, which is the wrong limit (``C/alpha``
+for an exact power law): a tail of 1000 would read 500.
 
 Every driver gives up after ``DEFAULT_MAX_PANELS`` panels per problem.
 
@@ -44,12 +42,12 @@ them by heap id.
 Single integrals go through :func:`integrate`, a scalar heap with no
 per-round array cost: every radial integral, including the r-integral of a
 pair energy.  It calls its integrand once on the starting panels of all
-contiguous regions that share it (a power-mapped first panel has an
-integrand of its own) and once per bisection, on the 60 nodes of both
-halves, and each panel sums its two rules with its own ``np.dot``, so
+contiguous regions that share it (a power-mapped tail has an integrand
+of its own) and once per bisection, on the 60 nodes of both halves, and
+each panel sums its two rules with its own ``np.dot``, so
 sharing a call moves no bit of an elementwise integrand.  A pair energy's
-r-integral starts on one panel per octave above its lower end (17 above
-the core radius 2^-17), so the one starting call replaces as many
+r-integral starts on one panel per octave above its lower end (14 above
+the core radius 2^-14), so the one starting call replaces as many
 sequential ones.  The sphere means of ``generator`` and
 ``dirac_pairing`` are not elementwise: the last bit of their d = 3 ``vals
 @ weights`` depends on its row count (4 of 60 Gaussian rows moved when 60
@@ -198,13 +196,13 @@ def _adaptive_pool(regions, *, abs_tol, rel_tol):
 
 
 def _power_mapped(f, alpha):
-    """Wrap ``f`` for the substitution ``x = u**(1/alpha)``.
+    """Wrap ``f`` for the substitution ``t = u**(1/alpha)``.
 
-    Valid for an integrable singularity ``f ~ C*x**(alpha-1)`` at 0 with
-    ``0 < alpha <= 1``; the transformed integrand is bounded near ``u = 0``.
+    Valid for an integrable singularity ``f ~ C*t**(alpha-1)`` at 0 with
+    ``0 < alpha < 1``; the transformed integrand is bounded near ``u = 0``.
     ``f`` sees every node.  A node whose Jacobian ``u**(1/alpha - 1) /
-    alpha`` is not positive and finite, or whose ``x`` collapses onto 0,
-    raises :class:`QuadratureError`: ``f(x) * jac`` is then no longer the
+    alpha`` is not positive and finite, or whose ``t`` collapses onto 0,
+    raises :class:`QuadratureError`: ``f(t) * jac`` is then no longer the
     integrand there (for an exact power law it is ``C/alpha``, not 0), and
     the caller has no ``C`` to put in its place.
     """
@@ -212,81 +210,65 @@ def _power_mapped(f, alpha):
 
     def g(u):
         jac = inv * np.power(u, inv - 1.0)
-        x = np.power(u, inv)
-        if not (((jac > 0) & np.isfinite(jac)).all() and x.all()):
+        t = np.power(u, inv)
+        if not (((jac > 0) & np.isfinite(jac)).all() and t.all()):
             raise QuadratureError(
-                "power map x = u**(1/alpha) collapses nodes onto the "
-                "endpoint 0 (alpha=%g)" % alpha)
-        return np.asarray(f(x), dtype=float) * jac
+                "power map t = u**(1/alpha) of the tail collapses nodes onto "
+                "t = 0 (alpha=%g)" % alpha)
+        return np.asarray(f(t), dtype=float) * jac
 
     return g
 
 
-def _pieces(a, b, points):
-    """The ``(lo, hi)`` panels of ``(a, b)`` split at the points inside."""
-    if b <= a:
-        return []
-    edges = [a, *sorted({float(p) for p in points if a < p < b}), b]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-def integrate(f, a, b, *, points=(), alpha_left=None, decay_exponent=None,
+def integrate(f, a, b, *, points=(), decay_exponent=None,
               abs_tol=DEFAULT_ABS_TOL, rel_tol=1e-12):
-    """Integrate ``f`` over ``(a, b)`` with known kinks and endpoint hints.
+    """Integrate ``f`` over ``(a, b)`` with known kinks and a tail hint.
 
     ``b`` may be ``math.inf``: the range ``(a, far)`` with
     ``far = max(a, *points, 1)`` is integrated as a finite one, and
-    ``(far, inf)`` as ``(0, 1/far)`` under the map ``r = 1/t``.  Only the
-    left endpoint takes a singularity hint; every radial integral of the
-    package is singular at most at its lower limit (the origin).
+    ``(far, inf)`` as ``(0, 1/far)`` under the map ``r = 1/t``.  An empty
+    range, ``b <= a`` (``a = inf`` included), is 0.  Finite ends are
+    bisected, never mapped.
 
     Parameters
     ----------
     points : iterable of float
         Interior kink locations; the interval is split there so every
         sub-panel is smooth inside.
-    alpha_left : float, optional
-        Endpoint singularity exponent: the integrand behaves like
-        ``(x-a)**(alpha_left-1)`` near ``a``.  ``alpha_left <= 0`` means the
-        integral diverges and raises.  A hint ``>= 1`` is ignored (no true
-        singularity); a hint below 1 needs ``a = 0`` and raises otherwise.
     decay_exponent : float, optional
-        For ``b = inf``: ``q`` with ``f(x) ~ C*x**(-q)`` at infinity; it
-        supplies the endpoint hint ``alpha = q - 1`` of the mapped tail
-        (``q <= 1`` diverges).  Ignored for finite ``b``.
+        For ``b = inf``: ``q`` with ``f(x) ~ C*x**(-q)`` at infinity, so
+        the tail behaves like ``t**(alpha-1)``, ``alpha = q - 1``: ``alpha
+        <= 0`` diverges and raises, ``alpha < 1`` takes the power map.
 
     Returns ``(value, error_estimate)``; on an infinite range both are the
     sums over the finite part and the tail.  More than
     ``DEFAULT_MAX_PANELS`` panels raise :class:`QuadratureError`.
     """
-    if b == math.inf:
-        points = tuple(points)
-        far = max(a, *points, 1.0)
-        tol = dict(abs_tol=abs_tol, rel_tol=rel_tol)
-        near, near_err = integrate(f, a, far, points=points,
-                                   alpha_left=alpha_left, **tol)
-
-        def g(t):
-            r = 1.0 / t
-            return np.asarray(f(r), dtype=float) * r * r
-
-        alpha = None if decay_exponent is None else decay_exponent - 1.0
-        tail, tail_err = integrate(g, 0.0, 1.0 / far, alpha_left=alpha,
-                                   **tol)
-        return near + tail, near_err + tail_err
     if b <= a:
         return 0.0, 0.0
-    if alpha_left is not None and alpha_left <= 0.0:
-        raise QuadratureError(
-            "divergent endpoint singularity (left alpha=%g <= 0)" % alpha_left)
-    regions = [(f, lo, hi) for lo, hi in _pieces(a, b, points)]
-    if alpha_left is not None and alpha_left < 1.0:
-        if a != 0.0:
-            raise QuadratureError("power map needs a = 0 (a=%r, alpha=%g): "
-                                  "shift the integrand to 0" % (a, alpha_left))
-        hi = regions[0][2]
-        regions[0] = (_power_mapped(f, alpha_left), 0.0, hi ** alpha_left)
-    return _adaptive_pool(regions, abs_tol=abs_tol, rel_tol=rel_tol)
+    tol = dict(abs_tol=abs_tol, rel_tol=rel_tol)
+    if b < math.inf:
+        edges = [a, *sorted({float(p) for p in points if a < p < b}), b]
+        regions = [(f, lo, hi) for lo, hi in zip(edges, edges[1:])]
+        return _adaptive_pool(regions, **tol)
+    points = tuple(points)
+    far = max(a, *points, 1.0)
+    near, near_err = integrate(f, a, far, points=points, **tol)
+
+    def g(t):
+        r = 1.0 / t
+        return np.asarray(f(r), dtype=float) * r * r
+
+    tail = (g, 0.0, 1.0 / far)
+    if decay_exponent is not None:
+        alpha = decay_exponent - 1.0
+        if alpha <= 0.0:
+            raise QuadratureError("divergent tail (decay exponent %g <= 1)"
+                                  % decay_exponent)
+        if alpha < 1.0:
+            tail = (_power_mapped(g, alpha), 0.0, (1.0 / far) ** alpha)
+    val, err = _adaptive_pool([tail], **tol)
+    return near + val, near_err + err
 
 
 def _batch_estimates(f, owner, tail, lo, hi):
@@ -345,7 +327,7 @@ def _padded(points, n):
 
 def _edges(lo, hi, points):
     """The panels of every range ``(lo[i], hi[i])`` split at the points of
-    row ``i`` strictly inside it, as :func:`_pieces` splits one range:
+    row ``i`` strictly inside it, as :func:`integrate` splits one range:
     ``(starts, ends, counts)``, a row of panel ends per range whose first
     ``counts[i]`` slots hold its panels (none for an empty range)."""
     inside = (points > lo[:, None]) & (points < hi[:, None])

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -45,12 +46,14 @@ def test_kernel_check_normalized():
 
 @pytest.mark.parametrize("argv, column, want", [
     (["kernel-check", "--family", "stable", "--d", "1", "--p", "2"],
-     "normalization", "1.0000000000024316"),
-    (["generator"], "value", "0.9971385352789072"),
+     "normalization", "1.0000000000024298"),
+    (["generator"], "value", "0.9971385352789051"),
 ])
 def test_rows_at_eps_0_01_keep_their_values(argv, column, want):
-    # no node of the power map collapses at eps = 0.01: these are the
-    # values of the map that scored collapsed nodes 0
+    # re-pinned when the origin power map gave way to closed-form cores,
+    # old -> new with the distance to the closed form (1 and Gamma(1.005)):
+    # normalization 1.0000000000024316 -> ...24298 (2.43e-12 both), and
+    # generator 0.9971385352789072 -> ...789051 (2.8e-11 both)
     out = run(*argv, "--eps", "0.01")
     assert out.returncode == 0, out.stderr
     header, row = out.stdout.strip().split("\n")
@@ -115,6 +118,33 @@ def test_smoothed_power_at_large_beta_is_warning_free():
 def test_usage_error_exit_code():
     assert run("bogus").returncode == 1
     assert run("sweep", "--case", "no-such-case").returncode == 1
+
+
+@pytest.mark.parametrize("line", [
+    "energy --eps 0.1 --n 10 --seed -7",
+    "energy --eps 0.1 --n 10 --seed 18446744073709551616",
+    "constant --d 2 --p 2 --n 10 --seed 18446744073709551616",
+])
+def test_seed_outside_0_to_2_pow_64_is_a_usage_error(line):
+    # -7 read seed 0's stream, and 2^64 exited 2 with "Python int too large"
+    out = run(*line.split())
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "invalid seed value" in out.stderr
+
+
+@pytest.mark.parametrize("command", ["kernel-check", "generator"])
+def test_default_grid_stops_below_eps0(command):
+    # log_limit exited 2 at eps = 0.08 above eps0 = 0.05; smoothed_power
+    # with no grid point below eps0 printed a header and no rows
+    out = run(command, "--family", "log_limit", "--eps0", "0.05")
+    assert out.returncode == 0, out.stderr
+    assert [row.split(",")[3] for row in out.stdout.split()[1:]] \
+        == ["0.04", "0.02", "0.01", "0.005"]
+    out = run(command, "--family", "smoothed_power", "--eps0", "0.01")
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert "eps0=0.01" in out.stderr and "--eps" in out.stderr
 
 
 def test_numerical_error_exit_code():
@@ -352,13 +382,6 @@ _FAILURE_NAMES = {
         "squared radius of Ball(radius=1e+200",
     "energy --eps 0.1 --mode deterministic-1d --xa 0 --xb 1e300":
         "x piece (0, 1e+300)",
-    # kernels concentrated below float resolution: these printed wrong
-    # values (normalization 0.50025, 0.9727 and 0.0, generator 0.5045)
-    "kernel-check --family stable --d 1 --p 2 --eps 0.001": "alpha=0.001",
-    "kernel-check --family stable --d 1 --p 2 --eps 0.005": "alpha=0.005",
-    "kernel-check --family truncated_power --beta -0.999999 --eps 0.1":
-        "alpha=1e-06",
-    "generator --eps 0.001": "alpha=0.001",
     # a jump field's Monte Carlo weights have infinite variance: this
     # printed 0.163 +- 0.022 against 2 - 2^0.02 = 0.986
     "energy --field sign-jump --xa -1 --xb 1 --p 1 --eps 0.02 --n 400000":
@@ -396,10 +419,6 @@ _FAILURE_NAMES = {
     ("energy --eps 0.1 --domain ball --radius 1e-200 --d 2 --n 1000", 2),
     ("energy --eps 0.1 --domain ball --radius 1e200 --d 1 --n 1000", 2),
     ("energy --eps 0.1 --mode deterministic-1d --xa 0 --xb 1e300", 2),
-    ("kernel-check --family stable --d 1 --p 2 --eps 0.001", 2),
-    ("kernel-check --family stable --d 1 --p 2 --eps 0.005", 2),
-    ("kernel-check --family truncated_power --beta -0.999999 --eps 0.1", 2),
-    ("generator --eps 0.001", 2),
     ("energy --field sign-jump --xa -1 --xb 1 --p 1 --eps 0.02 --n 400000", 2),
     ("kernel-check --family smoothed_power --beta 390 --eps 0.1", 2),
     ("kernel-check --family smoothed_power --beta 400 --eps 0.1", 2),
@@ -420,6 +439,30 @@ def test_failures_exit_with_a_code_and_no_traceback(tmp_path, line, code):
     assert len(lines) == 1 and lines[0].startswith(prefix), out.stderr
     # the message names the input that failed
     assert _FAILURE_NAMES[line] in lines[0], lines[0]
+
+
+@pytest.mark.parametrize("line, column, closed, tol", [
+    ("kernel-check --family stable --d 1 --p 2 --eps 0.001", "normalization",
+     1.0, 1e-10),
+    ("kernel-check --family stable --d 1 --p 2 --eps 0.005", "normalization",
+     1.0, 1e-10),
+    # the core exponent d + beta = 1e-6 is formed from a rounded
+    # p - beta, about ulp(3) / 1e-6 relative off: 1 - 1.1e-10
+    ("kernel-check --family truncated_power --beta -0.999999 --eps 0.1",
+     "normalization", 1.0, 1e-9),
+    ("generator --eps 0.001", "value", math.gamma(1.0005), 1e-10),
+])
+def test_kernels_below_float_resolution_match_their_closed_forms(
+        line, column, closed, tol):
+    # the origin power map collapsed its nodes on these kernels: they
+    # exited 2 ("alpha=0.001", ...), and before that printed normalization
+    # 0.50025, 0.9727 and 0.0 and generator 0.5045
+    out = run(*line.split(), timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert out.stderr == ""
+    header, row = out.stdout.strip().split("\n")
+    value = float(dict(zip(header.split(","), row.split(",")))[column])
+    assert abs(value - closed) <= tol
 
 
 @pytest.mark.parametrize("argv", [["sweep", "--case", "cross-tent-p1"],

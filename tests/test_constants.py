@@ -74,3 +74,10 @@ def test_variant_ratio_disagrees():
     assert k.discrepancy <= 1e-10
     assert abs(kdp_variant_ratio(2, 2.0) - k.value_mean) > 0.3
     assert 0.0 < k.value_mean <= 1.0
+
+
+def test_mc_route_refuses_a_seed_outside_the_key_range():
+    # 2^64 ended in "Python int too large"; -1 aliased 2^64 - 1
+    for bad in (-1, 1 << 64):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            kdp_mc(2, 2.0, n=10, seed=bad)

@@ -223,10 +223,11 @@ def test_origin_order_decides_divergence_before_any_quadrature(monkeypatch):
 
 
 def test_linear_energy_takes_at_most_three_x_integral_batches(monkeypatch):
-    # the core fit at r_c / 2 and r_c is one batch of x-integrals; the r
-    # range (r_c, 1) starts on its octave panels r_c 2^k, all of them in
-    # one integrand call, and converges without a bisection.  Halving
-    # toward r_c one octave at a time took 17 batches
+    # the core fit at r_c / 4, r_c / 2 and r_c is one batch of
+    # x-integrals; the r range (r_c, 1), r_c = 2^-14, starts on its 14
+    # octave panels r_c 2^k, all of them in one integrand call, and
+    # converges without a bisection.  Halving toward r_c one octave at a
+    # time took 14 batches (17 with the former core radius 2^-17)
     sizes = []
 
     def counted(f, a, *args, **kwargs):
@@ -237,7 +238,7 @@ def test_linear_energy_takes_at_most_three_x_integral_batches(monkeypatch):
     est = F.energy(LINEAR, UNIT, K.make_stable(1, 2.0, 0.4), mode=DET)
     assert abs(est.value - linear_energy_closed(0.4)) <= 1e-15
     assert len(sizes) <= 3
-    assert sizes[:2] == [2, 17 * 30]
+    assert sizes[:2] == [3, 14 * 30]
 
 
 def test_scaled_shifted_jump_energy_is_two():
@@ -298,8 +299,10 @@ def _nested_jump_reference(field, kernel, gamma, x_ivs, y_ivs):
     """Pair energy of a jump field by x-quadrature of the kernel's radial
     mass between the partner ends, read off the power law c r^-gamma that
     every kernel used here is on its annulus.  A piece touching its partner
-    gets the power map of M(x) ~ |x - e|^(1 - gamma) at that end, mirrored
-    to the left end of the range and shifted to 0."""
+    gets the substitution ``t = u^(1/alpha)``, ``alpha = 2 - gamma``, for
+    the singularity M(x) ~ |x - e|^(1 - gamma) at that end, mirrored to
+    the left end of the range and shifted to 0; it is written here, so the
+    reference does not share the package's closed-form core."""
     r_in, r_out = kernel.inner_radius, kernel.support_radius
     r0 = 0.5 * (r_in + min(r_out, 1.0))
     c = math.exp(float(kernel.log_density(r0)) + gamma * math.log(r0))
@@ -330,8 +333,17 @@ def _nested_jump_reference(field, kernel, gamma, x_ivs, y_ivs):
 
             pts = [e + r - ax for e in (ay, by) for r in (r_in, r_out)
                    if ax < e + r < bx]
-            alpha = 2.0 - gamma if gap == 0.0 and r_in == 0.0 else None
-            val, _ = integrate(f, 0.0, bx - ax, points=pts, alpha_left=alpha,
+            span, integrand = bx - ax, f
+            if gap == 0.0 and r_in == 0.0:
+                # M ~ t^(alpha - 1) at t = 0: substitute t = u^(1/alpha)
+                alpha = 2.0 - gamma
+
+                def mapped(u, m=f, inv=1.0 / alpha):
+                    return m(u ** inv) * inv * u ** (inv - 1.0)
+
+                span, integrand = span ** alpha, mapped
+                pts = [t ** alpha for t in pts]
+            val, _ = integrate(integrand, 0.0, span, points=pts,
                                abs_tol=1e-14)
             total += du ** kernel.p_exp * val
     return total
@@ -478,10 +490,15 @@ def test_deterministic_suite_rows_match_their_closed_forms():
 #   cross-tent-p1          ...45038p-6 (2.7e-12)  -> ...41414p-6 (0)
 #   cross-tent-p2          ...787e0p-7 (2.3e-10)  -> ...736e1p-7 (2.2e-10)
 #   w1p-linear-det         ...92493p-1 (0)        -> ...92494p-1 (1.9e-16)
+# Three moved when the pair energy's closed-form core became
+# kernels.core_integral (radius 2^-14, a quadratic fit), old -> new:
+#   bv-signjump            ...d5927p-1 (-1.6e-16) -> ...d5926p-1 (-3.3e-16)
+#   counterexample-energy  ...d5927p-1 (-1.6e-16) -> ...d5926p-1 (-3.3e-16)
+#   cross-tent-p2          ...736e1p-7 (2.2e-10)  -> ...736e2p-7 (2.2e-10)
 _SUITE_BITS = {
     "bv-signjump@0.4": (
         lambda: F.energy(SignJump(1), SYM, K.make_stable(1, 1.0, 0.4),
-                         mode=DET), "0x1.5c697588d5927p-1"),
+                         mode=DET), "0x1.5c697588d5926p-1"),
     "local-bv-signjump@0.4": (
         lambda: F.local_measure(SignJump(1), SYM, interval(-0.5, 0.5),
                                 K.make_stable(1, 1.0, 0.4), mode=DET),
@@ -489,13 +506,13 @@ _SUITE_BITS = {
     "counterexample-energy@0.4": (
         lambda: F.energy(SignJump(1), slit_interval(),
                          K.make_stable(1, 1.0, 0.4), mode=DET),
-        "0x1.5c697588d5927p-1"),
+        "0x1.5c697588d5926p-1"),
     "cross-tent-p1@0.02": (
         lambda: F.cross_energy(Tent(1), UNIT, K.make_stable(1, 1.0, 0.02),
                                mode=DET), "0x1.4141414141414p-6"),
     "cross-tent-p2@0.02": (
         lambda: F.cross_energy(Tent(1), UNIT, K.make_stable(1, 2.0, 0.02),
-                               mode=DET), "0x1.41414142736e1p-7"),
+                               mode=DET), "0x1.41414142736e2p-7"),
     "w1p-linear-det@0.4": (
         lambda: F.energy(LINEAR, UNIT, K.make_stable(1, 2.0, 0.4), mode=DET),
         "0x1.2492492492494p-1"),
@@ -658,6 +675,21 @@ def test_mc_seed_determinism():
     assert a.value == b.value and a.stderr == b.stderr
     c = F.energy(LINEAR, UNIT, kern, mode=MC, n=200_000, seed=4)
     assert c.value != a.value
+
+
+def test_seeds_name_one_stream_each_in_0_to_2_pow_64():
+    # keys at or above 2^63 went through a float cast: 2^63 and 2^63 + 5
+    # read one stream, and -7 (masked to 2^64 - 7) read seed 0's
+    kern = K.make_stable(1, 2.0, 0.1)
+    for bad in (-7, 1 << 64, 2.0):
+        with pytest.raises(F.EnergyError, match="seed must be an integer"):
+            F.energy(LINEAR, UNIT, kern, mode=MC, n=100, seed=bad)
+    wide = [F._chunk_rng(s, 3, 0).random(2).tolist()
+            for s in (1 << 63, (1 << 63) + 5, (1 << 64) - 1)]
+    assert len({tuple(w) for w in wide}) == 3
+    # a seed below 2^63 keeps its stream
+    assert [v.hex() for v in F._chunk_rng((1 << 63) - 1, 3, 0).random(2)] \
+        == ["0x1.d3e2918eecf15p-1", "0x1.1c13320713d73p-1"]
 
 
 _THREAD_CASES = {
@@ -1175,11 +1207,24 @@ def test_generator_is_zero_far_out(d):
     assert val == 0.0
 
 
-def test_generator_below_float_resolution_raises():
-    # the moment core's power map collapses at eps = 1e-3: this read 0.5045
-    # against Gamma(1 + eps/2) = 0.9997
-    with pytest.raises(QuadratureError, match="alpha=0.001"):
-        F.generator(Gaussian(1), [0.0], K.make_stable(1, 2.0, 1e-3))
+def test_generator_below_float_resolution_is_gamma():
+    # the moment core's power map collapsed at eps = 1e-3: this raised, and
+    # before that read 0.5045 against Gamma(1 + eps/2) = 0.9997
+    got = F.generator(Gaussian(1), [0.0], K.make_stable(1, 2.0, 1e-3))
+    assert abs(got - math.gamma(1.0005)) <= 1e-11
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-6])
+@pytest.mark.parametrize("d", [1, 2])
+def test_generator_of_a_gaussian_is_gamma_at_small_eps(d, eps):
+    # generator(Gaussian(d), 0, stable p = 2) = Gamma(1 + eps/2) in every d;
+    # at eps = 1e-6 the stored d + 2 - eps carries about ulp(d + 2) / eps
+    # relative error into the core exponent (-1.4e-10 measured).  d = 3
+    # misses by up to 6.2e-10 at larger eps, through the cancellation of
+    # the sphere-mean gap near its core
+    got = F.generator(Gaussian(d), np.zeros(d), K.make_stable(d, 2.0, eps))
+    tol = 1e-9 if eps < 1e-3 else 1e-10
+    assert abs(got - math.gamma(1.0 + eps / 2.0)) <= tol
 
 
 def test_generator_linear_vanishes():
@@ -1290,16 +1335,26 @@ def test_dirac_pairing_rejects_a_shifted_test_function():
 
 
 # the values of the code whose sphere means evaluated every sphere, shifted
-# every point by the centre and took one integrand call per panel
+# every point by the centre and took one integrand call per panel.  Seven
+# were re-pinned when the moment core of ``generator`` and the core of
+# ``dirac_pairing`` became closed forms (kernels.core_integral), old ->
+# new, with the relative distance to Gamma(1 + eps/2) for ``generator``:
+#   generator 3 0.2   ...3093ap-1 -> ...3093cp-1  4.9e-10 -> 4.9e-10
+#   generator 3 0.1   ...c62ap-1  -> ...c620p-1   6.2e-10 -> 6.2e-10
+#   generator 3 0.05  ...a75ap-1  -> ...a748p-1   5.0e-10 -> 5.0e-10
+#   generator 3 0.02  ...2696fp-1 -> ...2694dp-1  2.7e-10 -> 2.7e-10
+#   generator 2 0.1   ...d77ap-1  -> ...d77cp-1   -3.5e-11 -> -3.5e-11
+#   dirac 3 0.1       ...8a1bp-1  -> ...8a10p-1   (-1.5e-15 relative)
+#   dirac 3 0.02      ...297f3p-1 -> ...297b1p-1  (-7.7e-15 relative)
 POINTWISE_BITS = {
     ("generator", 3, 0.4): "0x1.d61a36a2d3875p-1",
-    ("generator", 3, 0.2): "0x1.e71772bb3093ap-1",
-    ("generator", 3, 0.1): "0x1.f26f26b36c62ap-1",
-    ("generator", 3, 0.05): "0x1.f8ebcb340a75ap-1",
-    ("generator", 3, 0.02): "0x1.fd18472b2696fp-1",
-    ("generator", 2, 0.1): "0x1.f26f26aded77ap-1",
-    ("dirac", 3, 0.1): "0x1.95dcda52b8a1bp-1",
-    ("dirac", 3, 0.02): "0x1.e91980dd297f3p-1",
+    ("generator", 3, 0.2): "0x1.e71772bb3093cp-1",
+    ("generator", 3, 0.1): "0x1.f26f26b36c620p-1",
+    ("generator", 3, 0.05): "0x1.f8ebcb340a748p-1",
+    ("generator", 3, 0.02): "0x1.fd18472b2694dp-1",
+    ("generator", 2, 0.1): "0x1.f26f26aded77cp-1",
+    ("dirac", 3, 0.1): "0x1.95dcda52b8a10p-1",
+    ("dirac", 3, 0.02): "0x1.e91980dd297b1p-1",
 }
 
 
@@ -1313,15 +1368,21 @@ def test_pointwise_rows_keep_their_bits(op, d, eps):
 
 
 # the values of the code whose d = 1 sphere mean had its own branch and
-# whose power map scored collapsed nodes 0
+# whose power map scored collapsed nodes 0.  Four were re-pinned when the
+# origin power map gave way to kernels.core_integral, old -> new, with the
+# relative distance to Gamma(1 + eps/2) for ``generator``:
+#   generator 0.05  ...e625p-1 -> ...e620p-1  9.2e-11 -> 9.2e-11
+#   generator 0.02  ...9bbep-1 -> ...9bc2p-1  4.9e-11 -> 4.9e-11
+#   dirac 0.1       ...8a1ep-1 -> ...8a25p-1  (9.8e-16 relative)
+#   dirac 0.02      ...2980fp-1 -> ...297eep-1  (-3.8e-15 relative)
 ONE_DIM_POINTWISE_BITS = {
     ("generator", "stable", 0.4): "0x1.d61a36a1e3dcbp-1",
     ("generator", "stable", 0.2): "0x1.e71772b7ecf7ep-1",
     ("generator", "stable", 0.1): "0x1.f26f26af20274p-1",
-    ("generator", "stable", 0.05): "0x1.f8ebcb308e625p-1",
-    ("generator", "stable", 0.02): "0x1.fd18472949bbep-1",
-    ("dirac", "stable", 0.1): "0x1.95dcda52b8a1ep-1",
-    ("dirac", "stable", 0.02): "0x1.e91980dd2980fp-1",
+    ("generator", "stable", 0.05): "0x1.f8ebcb308e620p-1",
+    ("generator", "stable", 0.02): "0x1.fd18472949bc2p-1",
+    ("dirac", "stable", 0.1): "0x1.95dcda52b8a25p-1",
+    ("dirac", "stable", 0.02): "0x1.e91980dd297eep-1",
     ("dirac", "truncated_power", 0.1): "0x1.f59f42d800234p-1",
     ("dirac", "truncated_power", 0.02): "0x1.ff971621d274ap-1",
 }
@@ -1340,28 +1401,36 @@ def test_one_dimensional_pointwise_rows_keep_their_bits(op, family, eps):
 
 
 def test_off_centre_one_dimensional_generator_keeps_its_bits():
+    # 0x1.798511acd8133p-1 before the moment core became a closed form
+    # (-1.5e-16 relative)
     got = F.generator(Gaussian(1), [0.3], K.make_stable(1, 2.0, 0.1))
-    assert got.hex() == "0x1.798511acd8133p-1"
+    assert got.hex() == "0x1.798511acd8132p-1"
 
 
 # the parent values of the driver that evaluated each starting region
 # with its own integrand call; the sphere means are not elementwise, so
 # these pin that one call on all the starting panels moves no bit.  The
 # rescaled kernels split (r_c, 1) at eps, and the d = 3 pairing on
-# SmoothBump(3, 2) starts on (0.1, 1) and (1, 2), two panels in one call
+# SmoothBump(3, 2) starts on (0.1, 1) and (1, 2), two panels in one call.
+# Four were re-pinned when the cores became closed forms
+# (kernels.core_integral), old -> new: generator/d3/stable ...c62ap-1 ->
+# ...c620p-1 and generator/d2/stable ...d77ap-1 -> ...d77cp-1 (each as far
+# from Gamma(1.05) as before, 6.2e-10 and -3.5e-11), dirac/d3/stable
+# ...8a1bp-1 -> ...8a10p-1 (-1.5e-15 relative) and dirac/d3/rescaled
+# ...1612p-1 -> ...1615p-1 (3.9e-16 relative)
 STARTING_CALL_BITS = {
     "generator/d3/stable": (
         lambda: F.generator(Gaussian(3), np.zeros(3),
                             K.make_stable(3, 2.0, 0.1)),
-        "0x1.f26f26b36c62ap-1"),
+        "0x1.f26f26b36c620p-1"),
     "generator/d2/stable": (
         lambda: F.generator(Gaussian(2), np.zeros(2),
                             K.make_stable(2, 2.0, 0.1)),
-        "0x1.f26f26aded77ap-1"),
+        "0x1.f26f26aded77cp-1"),
     "dirac/d3/stable": (
         lambda: F.dirac_pairing(SmoothBump(3, 0.5),
                                 K.make_stable(3, 1.0, 0.1)),
-        "0x1.95dcda52b8a1bp-1"),
+        "0x1.95dcda52b8a10p-1"),
     # re-pinned when the d = 3 row sums of the fields became left to right
     # (they had copied einsum's two-lane order): 0x1.9e6bd39cffa47p-1 ->
     # 0x1.9e6bd39d000e6p-1, 2.3e-13 relative.  The generator's integrand
@@ -1378,7 +1447,7 @@ STARTING_CALL_BITS = {
     "dirac/d3/rescaled": (
         lambda: F.dirac_pairing(
             SmoothBump(3, 2.0), K.KernelFamily("rescaled", 3, 1.0).kernel(0.1)),
-        "0x1.b0c81b08d1612p-1"),
+        "0x1.b0c81b08d1615p-1"),
 }
 
 
@@ -1390,13 +1459,16 @@ def test_sphere_mean_integrals_keep_their_bits(row):
 
 def test_pointwise_values_pinned():
     # values of the code that rebuilt the direction rule on every call
+    # re-pinned when the cores became closed forms (kernels.core_integral):
+    # 0.7927005983331726 -> 0.7927005983331714, -1.5e-15 relative
     assert F.dirac_pairing(SmoothBump(3, 0.5),
-                           K.make_stable(3, 1.0, 0.1)) == 0.7927005983331726
+                           K.make_stable(3, 1.0, 0.1)) == 0.7927005983331714
     # re-pinned when the d = 3 row sums of the fields became left to right:
     # 0.7977211433995324 -> 0.7977211433949738, 5.7e-12 relative (the
-    # generator's integrand cancels to about 1e-8 relative near its core)
+    # generator's integrand cancels to about 1e-8 relative near its core),
+    # and with the closed-form moment core -> 0.7977211433949729, -1.1e-15
     assert F.generator(Gaussian(3), np.full(3, 0.2),
-                       K.make_stable(3, 2.0, 0.1)) == 0.7977211433949738
+                       K.make_stable(3, 2.0, 0.1)) == 0.7977211433949729
 
 
 # ---------------------------------------------------------------------------
@@ -1624,8 +1696,11 @@ def _fractional_energy(kind, x):
 #   frac_order  0.9  ...aa0p-1 (-1.5e-15) -> ...a9dp-1 (-1.9e-15)
 #   frac_ball   0.02 ...7b0p+0 (2.2e-16)  -> ...7afp+0 (1.1e-16)
 #   frac_log    1e-3 ...c49p+0 (-3.9e-16) -> ...c4ap+0 (-2.6e-16)
+# and again when the pair energy's core became kernels.core_integral
+# (radius 2^-14, a quadratic fit):
+#   frac_order  0.9  ...a9dp-1 (-1.9e-15) -> ...a9ep-1 (-1.7e-15)
 FRACTIONAL_BITS = {
-    "frac_order": ((0.9, "0x1.aaaaaaaaaaa9dp-1"),
+    "frac_order": ((0.9, "0x1.aaaaaaaaaaa9ep-1"),
                    (0.99, "0x1.f5f5f5f5f5f5ep-1")),
     "frac_ball": ((0.1, "0x1.e666666666668p+0"),
                   (0.02, "0x1.fae147ae147afp+0")),

@@ -36,17 +36,17 @@ def test_stable_normalization_analytic(d, p):
 
 
 def test_stable_normalization_at_eps_0_01_keeps_its_bits():
-    # the value of the power map that scored collapsed nodes 0; none
-    # collapses at this eps
+    # 0x1.0000000002ac7p+0 (1 + 2.43e-12) under the origin power map; the
+    # closed-form core gives 1 + 2.43e-12 too, the error being the tail's
     got = K.normalization(K.make_stable(1, 2.0, 0.01))
-    assert got.hex() == "0x1.0000000002ac7p+0"
+    assert got.hex() == "0x1.0000000002abfp+0"
 
 
-def test_stable_normalization_below_float_resolution_raises():
-    # r**(1/eps) underflows on most nodes of the power map at eps = 1e-3;
-    # the normalization of this unit-mass kernel read 0.50025
-    with pytest.raises(QuadratureError, match="alpha=0.001"):
-        K.normalization(K.make_stable(1, 2.0, 1e-3))
+def test_stable_normalization_below_float_resolution_is_one():
+    # r**(1/eps) underflowed on most nodes of the origin power map at
+    # eps = 1e-3: this raised, and before that read 0.50025
+    got = K.normalization(K.make_stable(1, 2.0, 1e-3))
+    assert abs(got - 1.0) < 1e-11
 
 
 def test_stable_rejects_bad_eps():
@@ -68,6 +68,33 @@ def test_stable_tail_closed_form():
             for delta in (0.1, 0.5, 1.0):
                 assert abs(K.mass_outside(k, delta)
                            - stable_tail(p, eps, delta)) < 1e-8
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-6])
+@pytest.mark.parametrize("d, p", [(d, p) for d in (1, 2, 3)
+                                  for p in (1.0, 2.0)])
+def test_stable_closed_forms_at_small_eps(d, p, eps):
+    # the origin power map collapsed its nodes below eps = 0.01; at
+    # eps = 1e-6 the stored d + p - eps carries about ulp(d + p) / eps
+    # relative error into the core exponent (-1.4e-10 measured)
+    k = K.make_stable(d, p, eps)
+    tol = 1e-9 if eps < 1e-3 else 1e-10
+    assert abs(K.normalization(k) - 1.0) <= tol
+    m1 = (p - eps) / p
+    for delta in (0.1, 0.5):
+        assert abs(K.mass_outside(k, delta) - (1.0 - m1 * delta ** eps)) \
+            <= 1e-10
+
+
+def test_radii_outside_the_range_are_refused_or_empty():
+    k = K.make_stable(1, 2.0, 0.1)
+    # NaN passed the <= 0 checks and failed as "non-finite integrand on
+    # (nan, nan)"; an infinite delta recursed until RecursionError
+    with pytest.raises(K.KernelError, match="delta"):
+        K.mass_outside(k, math.nan)
+    with pytest.raises(K.KernelError, match="R must"):
+        K.weighted_moment(k, 2.0, math.nan)
+    assert K.mass_outside(k, math.inf) == 0.0
 
 
 def test_weighted_moments_stable():
@@ -297,6 +324,16 @@ def test_family_grid_axioms():
             masses.append(K.mass_outside(kern, 0.1))
         for a, b in zip(masses, masses[1:]):
             assert b < a or (a == 0.0 and b == 0.0), (fam.kind, masses)
+
+
+@pytest.mark.parametrize("kind, eps0, grid", [
+    # log_limit kept 0.08 above eps0 = 0.05, where its kernel is refused
+    ("log_limit", 0.05, (0.04, 0.02, 0.01, 0.005)),
+    ("smoothed_power", 0.1, (0.05, 0.02)),
+    ("smoothed_power", 0.01, ()),
+])
+def test_default_grids_stop_below_eps0(kind, eps0, grid):
+    assert K.KernelFamily(kind, 1, 2.0, eps0=eps0).default_grid() == grid
 
 
 def test_family_concentration_below_threshold():
